@@ -28,10 +28,11 @@ from .errors import (
     NotRegularOnIBr,
     TrivialQAction,
 )
-from .forge import SemidirectResult, cyclic, matrix_to_vector_perm, semidirect
+from .forge import (SemidirectResult, cyclic, matrix_to_vector_perm, semidirect,
+                    vector_translations)
 from .homs import GroupHom
 from .modrep import (BrauerData, LinearCharacter, NilpotencyCertificate,
-                     brauer_data, linear_characters)
+                     brauer_data, linear_characters, rows_over_central)
 from .permgroup import PermGroup, direct_product, p_part
 
 
@@ -68,12 +69,8 @@ def _vector_semidirect(h_group: PermGroup, p: int, dim: int, mats,
             f"order {z_expected.order}")
     nvec = len(vecs)
     deg_h = h_group.degree
-    gens = []
-    for i in range(dim):
-        shift = tuple(0 if j != i else 1 for j in range(dim))
-        images = [vidx[tuple((v[j] + shift[j]) % p for j in range(dim))]
-                  for v in vecs]
-        gens.append(tuple(images) + tuple(nvec + x for x in range(deg_h)))
+    gens = [t + tuple(nvec + x for x in range(deg_h))
+            for t in vector_translations(p, dim, vecs, vidx)]
     h_perms = []
     for hg, mp in zip(h_group.gens, perms):
         img = tuple(mp) + tuple(nvec + hg[x] for x in range(deg_h))
@@ -296,13 +293,9 @@ def builder_unique_lift(h_group: PermGroup, p: int, dim: int, mats,
                                    h_group.order // z_sub.order)
     grp, v_sub, h_hom = _vector_semidirect(h_group, p, dim, mats, z_sub)
     lams = linear_characters(z_sub)
-    ramified = []
-    for li, lam in enumerate(lams):
-        count = sum(1 for row in table_h.values
-                    if all(row[h_group.class_of(z)] == row[0] * lam(z)
-                           for z in z_sub.elements()))
-        if count == 1:
-            ramified.append(li)
+    ramified = [li for li, lam in enumerate(lams)
+                if len(rows_over_central(table_h.values, z_sub, h_group.class_of,
+                                         lam)) == 1]
     assert ramified, "central type guarantees a fully ramified character"
     lam_index = ramified[lam_choice]
     z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens],

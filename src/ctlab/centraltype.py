@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from .chartab import CharacterTable, class_fusion, decompose, induce, row_function
 from .errors import NotCentral, NotNormal
 from .modrep import (BrauerData, LinearCharacter, _degree_of, ibr_over_central,
-                     linear_characters)
+                     is_central, linear_characters, rows_over_central)
 from .permgroup import PermGroup, p_prime_part
-from .perms import pmul, order as perm_order
+from .perms import order as perm_order
 
 
 @dataclass
@@ -81,8 +81,7 @@ def fully_ramified_search(bd: BrauerData, z_sub: PermGroup) -> list:
     unique constituent.  The lambda indices refer to the canonical ordering
     of the linear characters of Z_{p'}.
     """
-    g = bd.group
-    if not all(pmul(z, s) == pmul(s, z) for z in z_sub.gens for s in g.gens):
+    if not is_central(z_sub, bd.group):
         raise NotCentral("fully ramified search requires a central subgroup")
     zp = z_sub.subgroup_from_elements(
         [x for x in z_sub.elements() if perm_order(x) % bd.p != 0])
@@ -123,14 +122,9 @@ def over_count_vs_quotient(table: CharacterTable, z_sub: PermGroup,
                            lam: LinearCharacter) -> dict:
     """|Irr(H | lam)| against k(H/Z); equality means every class is good."""
     g = table.group
-    if not all(pmul(z, s) == pmul(s, z) for z in z_sub.gens for s in g.gens):
+    if not is_central(z_sub, g):
         raise NotCentral("count comparison requires a central subgroup")
-    z_elems = z_sub.elements()
-    count = 0
-    for i, row in enumerate(table.values):
-        deg = row[0]
-        if all(row[g.class_of(z)] == deg * lam(z) for z in z_elems):
-            count += 1
+    count = len(rows_over_central(table.values, z_sub, g.class_of, lam))
     k_quotient = len(g.quotient(z_sub).group.conjugacy_classes())
     return {"count": count, "k_quotient": k_quotient,
             "all_good": count == k_quotient}

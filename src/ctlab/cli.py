@@ -112,7 +112,7 @@ def cmd_blocks(args) -> int:
     for i, blk in enumerate(bd.blocks):
         if blk.defect == 0:
             dg = group.subgroup([])
-        elif blk.defect == _nu(group.order, args.p):
+        elif bd.is_maximal_defect(blk):
             dg = group.sylow_subgroup(args.p)
         else:
             dg = None
@@ -126,14 +126,6 @@ def cmd_blocks(args) -> int:
     })
     _emit(args, payload, started)
     return 0
-
-
-def _nu(n, p):
-    out = 0
-    while n % p == 0:
-        n //= p
-        out += 1
-    return out
 
 
 def cmd_ctype(args) -> int:
@@ -216,7 +208,7 @@ def cmd_reproduce(args) -> int:
         _emit(args, payload, started)
         return 0
     if args.all:
-        out = run_all()
+        out = run_all(log=sys.stderr if args.timing else None)
         payload = report_envelope("reproduce", "--all", out)
         _emit(args, payload, started)
         return 0 if out["all_passed_or_skipped"] else 2

@@ -59,6 +59,23 @@ def euler_phi(n: int) -> int:
     return out
 
 
+def nu(n: int, p: int) -> int:
+    """Exponent of the prime p in the positive integer n."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def p_part(n: int, p: int) -> int:
+    return p ** nu(n, p)
+
+
+def p_prime_part(n: int, p: int) -> int:
+    return n // p_part(n, p)
+
+
 def multiplicative_order(a: int, n: int) -> int:
     a %= n
     if gcd(a, n) != 1:
@@ -545,30 +562,10 @@ class PrimeFieldCtx:
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        p, m, f = self.p, self.m, self.modulus
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(m):
-                    prod[k - m + j] = (prod[k - m + j] - c * f[j]) % p
-        return tuple(prod[:m])
+        return _fp_mulmod(a, b, self.modulus, self.p)
 
     def pow(self, a, k):
-        result = self.one
-        base = a
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return _fp_powmod(a, k, self.modulus, self.p)
 
     def scalar(self, c: int):
         return (c % self.p,) + (0,) * (self.m - 1)
@@ -592,45 +589,46 @@ def _poly_eval(f, x, p):
     return acc
 
 
+def _fp_mulmod(a, b, f, p):
+    """a * b in F_p[x]/(f) for monic f; a, b and the result are coefficient
+    tuples (ascending) of length at most deg f."""
+    m = len(f) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    prod[i + j] = (prod[i + j] + x * y) % p
+    for k in range(2 * m - 2, m - 1, -1):
+        c = prod[k]
+        if c:
+            prod[k] = 0
+            for j in range(m):
+                prod[k - m + j] = (prod[k - m + j] - c * f[j]) % p
+    return tuple(prod[:m])
+
+
+def _fp_powmod(a, k, f, p):
+    """a^k in F_p[x]/(f) by square-and-multiply."""
+    result = (1,) + (0,) * (len(f) - 2)
+    while k:
+        if k & 1:
+            result = _fp_mulmod(result, a, f, p)
+        a = _fp_mulmod(a, a, f, p)
+        k >>= 1
+    return result
+
+
 def _poly_irreducible(f, p) -> bool:
     """Deterministic irreducibility over F_p: x^(p^d) congruences."""
     m = len(f) - 1
     if m == 1:
         return True
-
-    def polymulmod(a, b):
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] = (prod[i + j] + x * y) % p
-        for k in range(len(prod) - 1, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(m):
-                    prod[k - m + j] = (prod[k - m + j] - c * f[j]) % p
-        out = prod[:m]
-        while len(out) < m:
-            out.append(0)
-        return out
-
-    def xpow(exp):
-        result = [1] + [0] * (m - 1)
-        base = [0, 1] + [0] * (m - 2) if m > 1 else [1]
-        while exp:
-            if exp & 1:
-                result = polymulmod(result, base)
-            base = polymulmod(base, base)
-            exp >>= 1
-        return result
-
-    xq = xpow(p ** m)
-    if xq != [0, 1] + [0] * (m - 2):
+    x = (0, 1) + (0,) * (m - 2)
+    if _fp_powmod(x, p ** m, f, p) != x:
         return False
     for q in set(prime_factors(m)):
-        xd = xpow(p ** (m // q))
+        xd = list(_fp_powmod(x, p ** (m // q), f, p))
         xd[1] = (xd[1] - 1) % p
         if _poly_gcd_nontrivial(xd, f, p):
             return False
@@ -672,37 +670,11 @@ def _poly_gcd_nontrivial(a, b, p) -> bool:
 def _element_order_mod(x, f, p):
     """Multiplicative order of x in F_p[t]/(f)."""
     m = len(f) - 1
-
-    def mul(a, b):
-        prod = [0] * (2 * m - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    if v:
-                        prod[i + j] = (prod[i + j] + u * v) % p
-        for k in range(2 * m - 2, m - 1, -1):
-            c = prod[k]
-            if c:
-                prod[k] = 0
-                for j in range(m):
-                    prod[k - m + j] = (prod[k - m + j] - c * f[j]) % p
-        return tuple(prod[:m])
-
-    def powm(a, k):
-        result = (1,) + (0,) * (m - 1)
-        base = tuple(a)
-        while k:
-            if k & 1:
-                result = mul(result, base)
-            base = mul(base, base)
-            k >>= 1
-        return result
-
     one = (1,) + (0,) * (m - 1)
     total = p ** m - 1
     order = total
     for q in prime_factors(total):
-        while order % q == 0 and powm(x, order // q) == one:
+        while order % q == 0 and _fp_powmod(x, order // q, f, p) == one:
             order //= q
     return order
 
@@ -784,11 +756,8 @@ def reduce_mod_p(value: Cyclotomic, p: int, ctx: PrimeFieldCtx):
     n = value.n
     if n == 1:
         return ctx.scalar(value.coeffs[0])
-    n_p = 1
-    n_rest = n
-    while n_rest % p == 0:
-        n_p *= p
-        n_rest //= p
+    n_p = p_part(n, p)
+    n_rest = n // n_p
     if n_rest > 1 and ctx.e % n_rest != 0:
         raise ValueError(f"context supports conductors dividing {ctx.e}, got {n_rest}")
     if n_rest == 1:

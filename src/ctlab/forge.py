@@ -96,10 +96,7 @@ def mat_group(q: int, mats, include_zero=False) -> PermGroup:
     """Matrix group over F_q acting on vectors (nonzero by default)."""
     if not _is_prime(q):
         raise UnsupportedFamily("matrix groups are supported over prime fields")
-    n = len(mats[0])
-    vecs = [v for v in _vectors(q, n) if include_zero or any(v)]
-    idx = {v: i for i, v in enumerate(vecs)}
-    gens = [tuple(idx[_matvec(m, v, q)] for v in vecs) for m in mats]
+    gens, vecs, _idx = matrix_to_vector_perm(mats, q, include_zero)
     return PermGroup(len(vecs), gens)
 
 
@@ -113,25 +110,23 @@ def psl2(q: int) -> PermGroup:
     """PSL(2, q) on the q + 1 points of the projective line."""
     if not _is_prime(q) or q < 5:
         raise UnsupportedFamily("psl2 expects an odd prime >= 5")
-    pts = list(range(q)) + ["inf"]
-    idx = {v: i for i, v in enumerate(pts)}
-
-    def act(mat):
-        a, b = mat[0]
-        c, d = mat[1]
-        images = []
-        for v in pts:
-            if v == "inf":
-                w = "inf" if c % q == 0 else a * pow(c, -1, q) % q
-            else:
-                den = (c * v + d) % q
-                w = "inf" if den == 0 else (a * v + b) * pow(den, -1, q) % q
-            images.append(idx[w])
-        return tuple(images)
-
-    g = PermGroup(q + 1, [act([[1, 1], [0, 1]]), act([[0, 1], [q - 1, 0]])])
+    g = PermGroup(q + 1, [mobius_perm(q, [[1, 1], [0, 1]]),
+                          mobius_perm(q, [[0, 1], [q - 1, 0]])])
     assert g.order == q * (q * q - 1) // 2
     return g
+
+
+def mobius_perm(q: int, mat) -> tuple:
+    """A PGL(2, q) element as a permutation of the projective line
+    0, 1, ..., q - 1, inf (in that point order)."""
+    a, b = mat[0]
+    c, d = mat[1]
+    images = []
+    for v in range(q):
+        den = (c * v + d) % q
+        images.append(q if den == 0 else (a * v + b) * pow(den, -1, q) % q)
+    images.append(q if c % q == 0 else a * pow(c, -1, q) % q)
+    return tuple(images)
 
 
 def matrix_to_vector_perm(mats, p: int, include_zero=True):
@@ -140,6 +135,13 @@ def matrix_to_vector_perm(mats, p: int, include_zero=True):
     vecs = [v for v in _vectors(p, n) if include_zero or any(v)]
     idx = {v: i for i, v in enumerate(vecs)}
     return [tuple(idx[_matvec(m, v, p)] for v in vecs) for m in mats], vecs, idx
+
+
+def vector_translations(p: int, dim: int, vecs, idx) -> list:
+    """Translations of F_p^dim by the standard basis vectors, as permutations
+    of the points ``vecs`` (``idx`` maps a vector to its point)."""
+    return [tuple(idx[tuple((v[j] + (j == i)) % p for j in range(dim))] for v in vecs)
+            for i in range(dim)]
 
 
 def _vectors(q, n):
@@ -364,15 +366,8 @@ def _auto_power_images(n_group: PermGroup, alpha: GroupHom, n: int):
 
 def cyclic_extension_exists(n_group: PermGroup, alpha: GroupHom, n: int):
     """Least witness x with alpha(x) = x and alpha^n = conjugation by x."""
-    power_images = _auto_power_images(n_group, alpha, n)
-    for x in n_group.elements():
-        if alpha.image(x) != x:
-            continue
-        xi = pinv(x)
-        if all(pmul(pmul(xi, g), x) == img
-               for g, img in zip(n_group.gens, power_images)):
-            return x
-    return None
+    return next((x for x in n_group.elements()
+                 if cyclic_extension_exists_check(n_group, alpha, n, x)), None)
 
 
 @dataclass
@@ -434,6 +429,7 @@ def cyclic_extension_build(n_group: PermGroup, alpha: GroupHom, n: int,
 
 
 def cyclic_extension_exists_check(n_group, alpha, n, x) -> bool:
+    """Whether x is a witness: alpha(x) = x and alpha^n = conjugation by x."""
     if alpha.image(x) != x:
         return False
     xi = pinv(x)

@@ -395,15 +395,10 @@ def evaluate(node, budget=None):
         p, k = args[0], args[1]
         mats = [list(map(list, m)) for m in args[2]]
         from .permgroup import PermGroup
-        from .forge import matrix_to_vector_perm
+        from .forge import matrix_to_vector_perm, vector_translations
 
         perms, vecs, vidx = matrix_to_vector_perm(mats, p, include_zero=True)
-        gens = []
-        for i in range(k):
-            gens.append(tuple(vidx[tuple((v[j] + (1 if j == i else 0)) % p
-                                         for j in range(k))] for v in vecs))
-        gens.extend(perms)
-        return PermGroup(len(vecs), gens)
+        return PermGroup(len(vecs), vector_translations(p, k, vecs, vidx) + perms)
     if name == "Gagola":
         if len(args) != 2 or not isinstance(args[1], Keyword) or args[1].key != "p":
             raise ArityError("Gagola takes a group expression and p=<prime>")

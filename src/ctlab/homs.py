@@ -32,8 +32,7 @@ class GroupHom:
         self.gen_images = [tuple(im) for im in images]
         ds, dt = source.degree, target.degree
         self._ds = ds
-        pairs = [_pair(g, im) if False else _pair(g, im, ds)
-                 for g, im in zip(source.gens, self.gen_images)]
+        pairs = [_pair(g, im, ds) for g, im in zip(source.gens, self.gen_images)]
 
         def reject(residue):
             raise NotAHomomorphism(

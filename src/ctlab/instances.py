@@ -17,9 +17,10 @@ from .builders import (RegularActionBuild, VectorActionBuild,
                        builder_nonsolvable, builder_plength)
 from .centraltype import is_p_central_type
 from .chartab import character_table, direct_product_table
-from .cyclo import Cyclotomic, PrimeFieldCtx, zeta
+from .cyclo import Cyclotomic, PrimeFieldCtx, p_prime_part, zeta
 from .errors import NotAHomomorphism
-from .forge import cyclic, dihedral, extraspecial, psl2, semidirect, sl2
+from .forge import (cyclic, dihedral, extraspecial, matrix_to_vector_perm,
+                    mobius_perm, psl2, semidirect, sl2)
 from .homs import GroupHom
 from .modrep import (brauer_data, brauer_data_for_product,
                      brauer_data_without_table, p_regular_classes)
@@ -105,7 +106,8 @@ def order720_build() -> RegularActionBuild:
     """(SL(2,5) x C_3) : C_2 with the diagonal action swapping the two
     Brauer characters of the faithful defect-1 block at p = 3."""
     h = sl2(5)
-    w = _glperm(5, [[0, 1], [2, 0]])  # determinant -2: a non-square mod 5
+    # determinant -2: a non-square mod 5
+    w = matrix_to_vector_perm([[[0, 1], [2, 0]]], 5, include_zero=False)[0][0]
     alpha = GroupHom(h, h, [conj(g, w) for g in h.gens])
     q3 = cyclic(3)
     alpha_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
@@ -120,7 +122,7 @@ def order3960_build() -> RegularActionBuild:
     """(PSL(2,11) x C_3) : C_2, the simple-group variant of the order-720
     construction."""
     h = psl2(11)
-    w = _mobius_perm(11, [[0, 1], [3, 0]])  # det -3 non-square; w^2 scalar
+    w = mobius_perm(11, [[0, 1], [3, 0]])  # det -3 non-square; w^2 scalar
     alpha = GroupHom(h, h, [conj(g, w) for g in h.gens])
     q3 = cyclic(3)
     alpha_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
@@ -128,31 +130,6 @@ def order3960_build() -> RegularActionBuild:
     block_index = next(i for i, blk in enumerate(bd.blocks)
                        if blk.l() == 2 and 0 not in blk.ordinary)
     return builder_nonsolvable(h, 3, block_index, alpha, 2, q3, alpha_q)
-
-
-def _glperm(q, mat):
-    """A GL(2, q) element as a permutation of the nonzero vectors."""
-    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
-    idx = {v: i for i, v in enumerate(vecs)}
-    return tuple(idx[((mat[0][0] * a + mat[0][1] * b) % q,
-                      (mat[1][0] * a + mat[1][1] * b) % q)] for (a, b) in vecs)
-
-
-def _mobius_perm(q, mat):
-    """A PGL(2, q) element as a permutation of the projective line."""
-    pts = list(range(q)) + ["inf"]
-    idx = {v: i for i, v in enumerate(pts)}
-    a, b = mat[0]
-    c, d = mat[1]
-    images = []
-    for v in pts:
-        if v == "inf":
-            w = "inf" if c % q == 0 else a * pow(c, -1, q) % q
-        else:
-            den = (c * v + d) % q
-            w = "inf" if den == 0 else (a * v + b) * pow(den, -1, q) % q
-        images.append(idx[w])
-    return tuple(images)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +165,7 @@ def sl2_char_p_brauer(q: int):
     regular = p_regular_classes(cd, q)
     assert len(regular) == q
     exp = lcm(1, *cd.element_orders)
-    e_prime = exp
-    while e_prime % q == 0:
-        e_prime //= q
+    e_prime = p_prime_part(exp, q)
     ctx = PrimeFieldCtx(q, e_prime)
     vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
     e1 = vecs.index((1, 0))

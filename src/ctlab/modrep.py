@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import lcm, prod
 
 from .chartab import CharacterTable
-from .cyclo import (Cyclotomic, PrimeFieldCtx, ONE, ZERO, euler_phi,
-                    rational, reduce_mod_p)
+from .cyclo import (Cyclotomic, PrimeFieldCtx, ONE, ZERO, euler_phi, nu,
+                    p_part, p_prime_part, rational, reduce_mod_p)
 from .errors import (
     AmbiguousBasicSet,
     MissingDefectGroup,
@@ -31,7 +31,7 @@ from .errors import (
     NoSuchBlock,
     NotCentralPPrime,
 )
-from .permgroup import ClassData, PermGroup, p_part, p_prime_part
+from .permgroup import ClassData, PermGroup
 from .perms import pmul
 
 
@@ -54,14 +54,7 @@ def restriction(row, regular) -> tuple:
 
 def _flatten(vectors):
     """Map tuples of cyclotomics to rational coordinate tuples (common field)."""
-    big = 1
-    for vec in vectors:
-        for v in vec:
-            big = big * v.n // _gcd(big, v.n)
-    while big % 4 == 2:
-        big *= 2  # keep a representable conductor: 2m embeds in 4m? no: use m odd
-    # conductors are never 2 mod 4 in canonical form, but their lcm can be;
-    # double it so every component still embeds.
+    big = lcm(*(v.n for vec in vectors for v in vec))
     width = euler_phi(big)
     out = []
     for vec in vectors:
@@ -70,12 +63,6 @@ def _flatten(vectors):
             coords.extend(_coords_at(v, big, width))
         out.append(tuple(coords))
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -325,26 +312,9 @@ def block_partition(table: CharacterTable, p: int) -> list:
     for i, r in enumerate(resids):
         groups.setdefault(r, []).append(i)
     blocks = sorted(groups.values(), key=lambda idxs: (0 not in idxs, min(idxs)))
-    np_total = p_part(table.group.order, p)
-    out = []
-    for idxs in blocks:
-        d = _block_defect(table, p, idxs, np_total)
-        out.append(Block(tuple(idxs), (), d))
-    return out
-
-
-def _block_defect(table, p, idxs, np_total):
-    nu_g = _nu(np_total, p)
-    min_nu = min(_nu(p_part(table.degrees[i], p), p) for i in idxs)
-    return nu_g - min_nu
-
-
-def _nu(ppow_val, p):
-    n = 0
-    while ppow_val % p == 0:
-        ppow_val //= p
-        n += 1
-    return n
+    nu_g = nu(table.group.order, p)
+    return [Block(tuple(idxs), (), nu_g - min(nu(table.degrees[i], p) for i in idxs))
+            for idxs in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +339,10 @@ class BrauerData:
 
     def l_of(self, block: Block):
         return len(block.brauer)
+
+    def is_maximal_defect(self, block: Block) -> bool:
+        """Whether the block's defect groups are the Sylow p-subgroups."""
+        return block.defect == nu(self.group.order, self.p)
 
 
 def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
@@ -499,35 +473,30 @@ def linear_characters(subgroup: PermGroup) -> list:
 # Fong block over a central p'-character; lifts; nilpotency refutation
 # ---------------------------------------------------------------------------
 
-def _chars_over_central(table: CharacterTable, z_sub: PermGroup,
-                        lam: LinearCharacter) -> list:
-    out = []
+def is_central(z_sub: PermGroup, group: PermGroup) -> bool:
+    """Whether every generator of z_sub commutes with every generator of group."""
+    return all(pmul(z, s) == pmul(s, z) for z in z_sub.gens for s in group.gens)
+
+
+def rows_over_central(rows, z_sub: PermGroup, column, lam: LinearCharacter) -> list:
+    """Indices of the rows lying over lam: value at z = degree * lam(z) for
+    every z in z_sub.
+
+    ``column(z)`` is the position of z's class in a row, or None when the rows
+    have no value there (then no row lies over lam)."""
     z_elems = z_sub.elements()
-    for i, row in enumerate(table.values):
-        deg = row[0]
-        if all(row[table.group.class_of(z)] == deg * lam(z) for z in z_elems):
-            out.append(i)
-    return out
+    cols = [column(z) for z in z_elems]
+    if None in cols:
+        return []
+    return [i for i, row in enumerate(rows)
+            if all(row[c] == row[0] * lam(z) for z, c in zip(z_elems, cols))]
 
 
 def ibr_over_central(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter) -> list:
     """IBr indices whose central character matches lam (central p'-subgroup)."""
     pos = {c: t for t, c in enumerate(bd.regular)}
-    out = []
-    for i, row in enumerate(bd.ibr):
-        deg = row[0]
-        ok = True
-        for z in z_sub.elements():
-            c = bd.classes.index[z]
-            if c not in pos:
-                ok = False
-                break
-            if row[pos[c]] != deg * lam(z):
-                ok = False
-                break
-        if ok:
-            out.append(i)
-    return out
+    return rows_over_central(bd.ibr, z_sub, lambda z: pos.get(bd.classes.index[z]),
+                             lam)
 
 
 @dataclass
@@ -550,11 +519,12 @@ def fong_block(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter,
     g = bd.group
     if z_sub.order % bd.p == 0:
         raise NotCentralPPrime(f"|Z| = {z_sub.order} is divisible by p = {bd.p}")
-    if not all(pmul(z, s) == pmul(s, z) for z in z_sub.gens for s in g.gens):
+    if not is_central(z_sub, g):
         raise NotCentralPPrime("subgroup is not central")
     if bd.table is None or bd.blocks is None:
         raise NoSuchBlock("fong_block needs a full table-backed BrauerData")
-    over = set(_chars_over_central(bd.table, z_sub, lam))
+    over = set(rows_over_central(bd.table.values, z_sub, bd.table.group.class_of,
+                                 lam))
     cand = [b for b in bd.blocks if set(b.ordinary) <= over]
     if not cand or set().union(*(set(b.ordinary) for b in cand)) != over:
         raise NoSuchBlock("characters over lambda do not form a union of blocks")
@@ -564,7 +534,7 @@ def fong_block(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter,
     ibr_lam = ibr_over_central(bd, z_sub, lam)
     if tuple(ibr_lam) != blk.brauer:
         raise NoSuchBlock("IBr(B) differs from the Clifford constituents over lambda")
-    maximal = blk.defect == _nu(p_part(g.order, bd.p), bd.p)
+    maximal = bd.is_maximal_defect(blk)
     if maximal and with_defect_group and blk.defect_group is None:
         blk.defect_group = g.sylow_subgroup(bd.p)
         blk.defect_group_provenance = "sylow-for-maximal-defect"

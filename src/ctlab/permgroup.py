@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from math import lcm, prod
 
+from .cyclo import p_part, p_prime_part  # noqa: F401  (p_prime_part re-exported)
 from .errors import (
     BudgetExceeded,
     DEFAULT_BUDGET,
@@ -331,7 +332,7 @@ class PermGroup:
     def p_core(self, p):
         """O_p(G): join of class closures that are p-groups."""
         if ("p", p) not in self._cores:
-            self._cores[("p", p)] = self._core(lambda n: _is_p_power(n, p))
+            self._cores[("p", p)] = self._core(lambda n: p_part(n, p) == n)
         return self._cores[("p", p)]
 
     def p_prime_core(self, p):
@@ -371,7 +372,7 @@ class PermGroup:
         return count
 
     def sylow_subgroup(self, p, budget=DEFAULT_BUDGET):
-        target = _p_part(self.order, p)
+        target = p_part(self.order, p)
         if target == 1:
             return self.subgroup([])
         cd = self.conjugacy_classes()
@@ -541,26 +542,6 @@ def _coset_canonicalizer(n):
         return r
 
     return canon
-
-
-def _p_part(n, p):
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
-
-
-def _is_p_power(n, p):
-    return _p_part(n, p) == n
-
-
-def p_part(n, p):
-    return _p_part(n, p)
-
-
-def p_prime_part(n, p):
-    return n // _p_part(n, p)
 
 
 def group_from_generators(degree, gens, known_order=None) -> PermGroup:

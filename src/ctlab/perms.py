@@ -114,6 +114,7 @@ def parse_cycles(text: str, degree: int) -> Perm:
     if residue or not consumed.strip():
         raise InvalidPermutation(f"cannot parse cycle notation: {text!r}")
     images = list(range(degree))
+    used = set()  # points of earlier cycles, singletons included
     for cyc in _CYCLE_RE.findall(stripped):
         pts = [int(tok) - 1 for tok in re.split(r"[\s,]+", cyc.strip()) if tok]
         if not pts:
@@ -122,13 +123,11 @@ def parse_cycles(text: str, degree: int) -> Perm:
             raise InvalidPermutation(f"point out of range 1..{degree} in {text!r}")
         if len(set(pts)) != len(pts):
             raise InvalidPermutation(f"repeated point inside a cycle: {text!r}")
-        for a, b in zip(pts, pts[1:]):
-            if images[a] != a:
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            if a in used:
                 raise InvalidPermutation(f"point {a + 1} occurs in two cycles: {text!r}")
             images[a] = b
-        if images[pts[-1]] != pts[-1]:
-            raise InvalidPermutation(f"point {pts[-1] + 1} occurs in two cycles: {text!r}")
-        images[pts[-1]] = pts[0]
+        used.update(pts)
     return validate(images, degree)
 
 

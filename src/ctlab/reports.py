@@ -55,7 +55,7 @@ def block_report(bd: BrauerData, refutations=None) -> dict:
             "degrees": [bd.table.degrees[j] for j in blk.ordinary],
             "ordinary": list(blk.ordinary),
             "brauer": list(blk.brauer),
-            "maximal_defect": blk.defect == _nu_p(bd.group.order, bd.p),
+            "maximal_defect": bd.is_maximal_defect(blk),
         }
         if refutations and i in refutations:
             res: RefutationResult = refutations[i]
@@ -69,14 +69,6 @@ def block_report(bd: BrauerData, refutations=None) -> dict:
         "provenance": bd.provenance,
         "blocks": blocks,
     }
-
-
-def _nu_p(n, p):
-    out = 0
-    while n % p == 0:
-        n //= p
-        out += 1
-    return out
 
 
 def report_envelope(command: str, input_text: str, payload: dict) -> dict:

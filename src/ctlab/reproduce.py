@@ -10,6 +10,7 @@ files are missing.
 from __future__ import annotations
 
 import os
+import time
 
 from .builders import builder_unique_lift
 from .centraltype import fully_ramified_search, is_p_central_type
@@ -383,7 +384,15 @@ def run_check(name: str) -> dict:
     return out
 
 
-def run_all() -> dict:
-    results = {name: run_check(name) for name in sorted(CHECKS)}
+def run_all(log=None) -> dict:
+    """Every check in id order.  ``log``, when given, is a text stream that
+    receives one line per check: id, status and seconds taken."""
+    results = {}
+    for name in sorted(CHECKS):
+        started = time.time()
+        results[name] = run_check(name)
+        if log is not None:
+            print(f"{name} {results[name]['status']} {time.time() - started:.3f}s",
+                  file=log)
     overall = all(r["status"] in ("pass", "skipped") for r in results.values())
     return {"results": results, "all_passed_or_skipped": overall}

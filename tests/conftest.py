@@ -104,24 +104,36 @@ def build720():
 
 
 @pytest.fixture(scope="session")
-def tower_c2_p3():
+def towers():
+    """Gagola certificates by name, shared by the whole run.
+
+    The acceptance tests, which run first, build each tower cold inside its
+    timed criterion and store it here; the fixtures below build a tower
+    themselves only when those tests did not run."""
+    return {}
+
+
+def _tower(towers, name, group, p):
     from ctlab.gagola import gagola_tower
 
-    return gagola_tower(cyclic(2), 3)
+    if name not in towers:
+        towers[name] = gagola_tower(group, p)
+    return towers[name]
 
 
 @pytest.fixture(scope="session")
-def tower_s3_p5(s3):
-    from ctlab.gagola import gagola_tower
-
-    return gagola_tower(s3, 5)
+def tower_c2_p3(towers):
+    return _tower(towers, "c2_p3", cyclic(2), 3)
 
 
 @pytest.fixture(scope="session")
-def tower_c6_p2():
-    from ctlab.gagola import gagola_tower
+def tower_s3_p5(towers, s3):
+    return _tower(towers, "s3_p5", s3, 5)
 
-    return gagola_tower(cyclic(6), 2)
+
+@pytest.fixture(scope="session")
+def tower_c6_p2(towers):
+    return _tower(towers, "c6_p2", cyclic(6), 2)
 
 
 # -- the property-suite corpus (criterion: >= 25 groups of order <= 200) ------

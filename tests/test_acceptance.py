@@ -21,8 +21,6 @@ from ctlab.modrep import (brauer_data, fong_block, lifts_of,
 from ctlab.permgroup import group_from_generators, p_part
 from ctlab.perms import parse_cycles
 
-_state = {}
-
 
 @contextmanager
 def criterion(number, name, limit_seconds):
@@ -117,10 +115,10 @@ def test_criterion_05_sl25_ibr_degrees():
         assert 3 in degrees and 4 in degrees
 
 
-def test_criterion_06a_tower_c2():
+def test_criterion_06a_tower_c2(towers):
     with criterion(6, "tower over C2 at p=3", 60):
         cert = gagola_tower(cyclic(2), 3)
-        _state["tower_c2"] = cert
+        towers["c2_p3"] = cert
         assert cert.tower.order == 8
         assert cert.center.order == 2
         assert cert.witness_degree == 2
@@ -128,12 +126,12 @@ def test_criterion_06a_tower_c2():
         assert cert.ok
 
 
-def test_criterion_06b_tower_s3():
+def test_criterion_06b_tower_s3(towers):
     with criterion(6, "tower over S3 at p=5", 60):
         s3 = group_from_generators(
             3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
         cert = gagola_tower(s3, 5)
-        _state["tower_s3"] = cert
+        towers["s3_p5"] = cert
         assert len(cert.properties) == 4
         assert cert.ok
 
@@ -144,15 +142,18 @@ def test_criterion_06c_tower_c3_degenerate():
             gagola_tower(cyclic(3), 3)
 
 
-def test_criterion_07_index_identity():
+def test_criterion_07_index_identity(towers):
     with criterion(7, "central index identity on q != p steps", 600):
-        towers = [_state.get("tower_c2") or gagola_tower(cyclic(2), 3),
-                  _state.get("tower_s3") or gagola_tower(
-                      group_from_generators(3, [parse_cycles("(1 2)", 3),
-                                                parse_cycles("(1 2 3)", 3)]), 5),
-                  gagola_tower(cyclic(6), 2)]
+        if "c2_p3" not in towers:
+            towers["c2_p3"] = gagola_tower(cyclic(2), 3)
+        if "s3_p5" not in towers:
+            towers["s3_p5"] = gagola_tower(
+                group_from_generators(3, [parse_cycles("(1 2)", 3),
+                                          parse_cycles("(1 2 3)", 3)]), 5)
+        if "c6_p2" not in towers:
+            towers["c6_p2"] = gagola_tower(cyclic(6), 2)
         checked = 0
-        for cert in towers:
+        for cert in (towers["c2_p3"], towers["s3_p5"], towers["c6_p2"]):
             for s in cert.steps:
                 if s.case == "q!=p":
                     assert s.eq3 is not None and s.eq3["holds"]

@@ -6,7 +6,7 @@ from ctlab.builders import (builder_nonsolvable, builder_plength,
 from ctlab.chartab import character_table
 from ctlab.errors import (ActionKernelMismatch, HypothesisFails,
                           NotCentralPPrime, NotRegularOnIBr, TrivialQAction)
-from ctlab.forge import cyclic, dihedral, quaternion, sl2
+from ctlab.forge import cyclic, dihedral, matrix_to_vector_perm, quaternion, sl2
 from ctlab.homs import GroupHom
 from ctlab.modrep import brauer_data, fong_block, nilpotency_refute
 from ctlab.permgroup import p_prime_part
@@ -14,6 +14,12 @@ from ctlab.perms import conj, pinv
 
 
 FOUR_GROUP_MATS = [[[2, 0], [0, 2]], [[1, 0], [0, 2]]]
+
+
+def _gl25_nonsquare():
+    """[[0, 1], [2, 0]] (determinant -2, a non-square mod 5) on the nonzero
+    vectors of F_5^2: the element the order-720 build conjugates by."""
+    return matrix_to_vector_perm([[[0, 1], [2, 0]]], 5, include_zero=False)[0][0]
 
 
 def test_plength_order72(build72):
@@ -100,9 +106,7 @@ def test_ibr_action_permutation_swaps(build720):
     h = build720.h_group
     w = None
     # rebuild the automorphism used by the build: conjugation swaps the pair
-    from ctlab.instances import _glperm
-
-    w = _glperm(5, [[0, 1], [2, 0]])
+    w = _gl25_nonsquare()
     alpha = GroupHom(h, h, [conj(g, w) for g in h.gens])
     perm = ibr_action_permutation(bd, alpha, 2)
     blk = bd.blocks[build720.block_index]
@@ -114,9 +118,7 @@ def test_nonsolvable_rejects_trivial_q_action(sl25):
     bd = brauer_data(character_table(sl25), 3)
     blkidx = next(i for i, b in enumerate(bd.blocks)
                   if b.l() == 2 and 0 not in b.ordinary)
-    from ctlab.instances import _glperm
-
-    w = _glperm(5, [[0, 1], [2, 0]])
+    w = _gl25_nonsquare()
     alpha = GroupHom(sl25, sl25, [conj(g, w) for g in sl25.gens])
     q3 = cyclic(3)
     trivial_action = GroupHom(q3, q3, [q3.gens[0]])
@@ -127,9 +129,7 @@ def test_nonsolvable_rejects_trivial_q_action(sl25):
 def test_nonsolvable_rejects_p_power_l(sl25):
     bd = brauer_data(character_table(sl25), 3)
     defect_zero = next(i for i, b in enumerate(bd.blocks) if b.l() == 1)
-    from ctlab.instances import _glperm
-
-    w = _glperm(5, [[0, 1], [2, 0]])
+    w = _gl25_nonsquare()
     alpha = GroupHom(sl25, sl25, [conj(g, w) for g in sl25.gens])
     q3 = cyclic(3)
     inv_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
@@ -142,9 +142,7 @@ def test_nonsolvable_rejects_principal_block(sl25):
     bd = brauer_data(character_table(sl25), 3)
     principal = 0
     assert bd.blocks[principal].l() == 2
-    from ctlab.instances import _glperm
-
-    w = _glperm(5, [[0, 1], [2, 0]])
+    w = _gl25_nonsquare()
     alpha = GroupHom(sl25, sl25, [conj(g, w) for g in sl25.gens])
     q3 = cyclic(3)
     inv_q = GroupHom(q3, q3, [pinv(q3.gens[0])])

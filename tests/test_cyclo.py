@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ctlab.cyclo import (Cyclotomic, DixonField, PrimeFieldCtx, ONE, ZERO,
-                         cyclotomic_polynomial, dixon_lift, euler_phi,
+                         _fp_mulmod, _poly_rem, cyclotomic_polynomial,
+                         dixon_lift, euler_phi, nu, p_part, p_prime_part,
                          prime_factors, rational, reduce_mod_ell, reduce_mod_p,
                          zeta)
 from ctlab.errors import LiftInconsistent, NotAlgebraicInteger
@@ -199,3 +201,36 @@ def test_prime_factors():
     assert prime_factors(360) == [2, 3, 5]
     assert prime_factors(1) == []
     assert euler_phi(72) == 24
+
+
+def test_valuation_helpers_match_oracle():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 2001):
+            part = oracles.p_part(n, p)
+            assert p_part(n, p) == part
+            assert p ** nu(n, p) == part
+            assert p_prime_part(n, p) == n // part
+
+
+@st.composite
+def _mulmod_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    m = draw(st.integers(min_value=1, max_value=4))
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    f = tuple(draw(st.lists(coeff, min_size=m, max_size=m))) + (1,)
+    a = draw(st.lists(coeff, min_size=m, max_size=m))
+    b = draw(st.lists(coeff, min_size=m, max_size=m))
+    return p, f, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mulmod_case())
+def test_fp_mulmod_matches_schoolbook_then_remainder(case):
+    p, f, a, b = case
+    m = len(f) - 1
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    rem = _poly_rem(prod, f, p)
+    assert _fp_mulmod(a, b, f, p) == tuple(rem) + (0,) * (m - len(rem))

@@ -185,6 +185,26 @@ def test_cli_reproduce_small_check(capsys):
     assert code == 0 and data["status"] == "pass"
 
 
+def test_cli_reproduce_all_timing_keeps_stdout(capsys, monkeypatch):
+    from ctlab import reproduce
+
+    monkeypatch.setattr(reproduce, "CHECKS", {
+        "b-check": lambda: {"status": "pass"},
+        "a-check": lambda: {"status": "skipped", "reason": "no data"},
+    })
+    assert main(["reproduce", "--all"]) == 0
+    plain = capsys.readouterr()
+    assert main(["reproduce", "--all", "--timing"]) == 0
+    timed = capsys.readouterr()
+    assert timed.out == plain.out
+    assert plain.err == ""
+    lines = timed.err.splitlines()
+    assert [ln.split()[:2] for ln in lines[:2]] == [["a-check", "skipped"],
+                                                   ["b-check", "pass"]]
+    assert all(ln.split()[2].endswith("s") for ln in lines[:2])
+    assert lines[2].startswith("elapsed: ")
+
+
 def test_cli_ctype_product_shortcut(capsys):
     code, data = _run(capsys, ["ctype", "-p", "5", "-e",
                                "Direct(SL(2, 5), SL(2, 5))"])

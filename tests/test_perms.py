@@ -31,7 +31,8 @@ def test_cycle_roundtrip_basics():
 
 
 def test_parse_rejects_bad_cycles():
-    for bad in ["(1 2", "(1 9)", "(1 1 2)", "(1 2)(2 3)", "1 2 3"]:
+    for bad in ["(1 2", "(1 9)", "(1 1 2)", "(1 2)(2 3)", "1 2 3",
+                "(1)(1 2)", "(1 2)(1)"]:
         with pytest.raises(InvalidPermutation):
             parse_cycles(bad, 4)
 
