@@ -21,7 +21,7 @@ import sys
 import time
 
 from .errors import Budget, BudgetExceeded, CTLabError, DEFAULT_BUDGET, \
-    DegenerateStep
+    DegenerateStep, VerificationFailed
 from .grammar import evaluate, parse_spec, print_spec
 from .reports import (block_report, canonical_json, group_summary,
                       report_envelope, table_report)
@@ -282,10 +282,14 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        Budget.from_env()   # a bad CTLAB_BUDGET is an error, not the default
         return _HANDLERS[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except VerificationFailed as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 2
     except CTLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

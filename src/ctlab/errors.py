@@ -39,6 +39,14 @@ class BudgetExceeded(CTLabError):
     pass
 
 
+class InvalidBudget(CTLabError):
+    """CTLAB_BUDGET is not a positive integer."""
+
+
+class VerificationFailed(CTLabError):
+    """A computed result failed the exact check that certifies it."""
+
+
 # exact arithmetic layer
 class LiftInconsistent(CTLabError):
     pass
@@ -146,10 +154,27 @@ class Budget:
 
     @staticmethod
     def from_env() -> "Budget":
+        """The default budget with ``max_order`` taken from CTLAB_BUDGET;
+        raises InvalidBudget unless that is a positive integer."""
         raw = os.environ.get("CTLAB_BUDGET")
         if not raw:
             return Budget()
-        return Budget(max_order=int(raw))
+        try:
+            max_order = int(raw)
+        except ValueError:
+            max_order = 0
+        if max_order < 1:
+            raise InvalidBudget(
+                f"CTLAB_BUDGET must be a positive integer, got {raw!r}")
+        return Budget(max_order=max_order)
 
 
-DEFAULT_BUDGET = Budget.from_env()
+def _default_budget() -> Budget:
+    # importing must not fail on a bad CTLAB_BUDGET; cli.main reports it
+    try:
+        return Budget.from_env()
+    except InvalidBudget:
+        return Budget()
+
+
+DEFAULT_BUDGET = _default_budget()

@@ -1,22 +1,34 @@
 """Group constructions: standard families, semidirect and wreath products,
 central product powers, cyclic extensions, and the universal embedding.
 
-Semidirect products N : H are realized faithfully on the disjoint union of
-the element set of N (right translations, H acting by the given
-automorphisms) and the natural domain of H; the construction is validated by
-an exact order count, so an action that fails to extend to a homomorphism is
-rejected rather than silently generating a larger group.
+Semidirect products N : H have two faithful realizations, and
+``semidirect`` takes the one of smaller degree, judged only from the
+degrees and orders of its inputs:
+
+* induced: |H| copies of N's own domain; on copy y an element n of N acts
+  as alpha_y(n) and k in H sends copy y to copy k^-1 y.  Degree
+  |H| deg N.  alpha_y is derived along the Cayley graph of H, and every
+  edge is checked, so an assignment that does not extend to a homomorphism
+  H -> Aut(N) is rejected.
+* regular: the element set of N (right translations, H acting by the given
+  automorphisms) plus the natural domain of H.  Degree |N| + deg H.
+
+Both are validated by an exact order count |N : H| = |N| |H|, so an action
+that fails to extend to a homomorphism is rejected rather than silently
+generating a larger group.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     ActionNotWellDefined,
     InvalidWitness,
     NotNormal,
     UnsupportedFamily,
+    VerificationFailed,
 )
 from .homs import GroupHom
 from .permgroup import PermGroup, QuotientResult, direct_power
@@ -102,7 +114,7 @@ def mat_group(q: int, mats, include_zero=False) -> PermGroup:
 
 def sl2(q: int) -> PermGroup:
     g = mat_group(q, [[[1, 1], [0, 1]], [[0, 1], [q - 1, 0]]])
-    assert g.order == q * (q * q - 1)
+    _check_order(g, q * (q * q - 1), f"SL(2, {q})")
     return g
 
 
@@ -112,8 +124,14 @@ def psl2(q: int) -> PermGroup:
         raise UnsupportedFamily("psl2 expects an odd prime >= 5")
     g = PermGroup(q + 1, [mobius_perm(q, [[1, 1], [0, 1]]),
                           mobius_perm(q, [[0, 1], [q - 1, 0]])])
-    assert g.order == q * (q * q - 1) // 2
+    _check_order(g, q * (q * q - 1) // 2, f"PSL(2, {q})")
     return g
+
+
+def _check_order(g: PermGroup, expected: int, name: str) -> None:
+    if g.order != expected:
+        raise VerificationFailed(
+            f"{name} generated order {g.order}, expected {expected}")
 
 
 def mobius_perm(q: int, mat) -> tuple:
@@ -168,36 +186,27 @@ def _is_prime(n):
 @dataclass
 class SemidirectResult:
     group: PermGroup
-    normal_part: PermGroup          # the N-translation subgroup of group
-    n_elements: list                # sorted elements of N (the point labels)
-    n_index: dict
-    n_source: PermGroup
-    h_source: PermGroup
-    h_gen_perms: list
     h_hom: GroupHom                 # H -> group
+    n_group: PermGroup = field(repr=False)
+    n_gen_perms: list = field(repr=False)   # images of N's generators
+
+    @cached_property
+    def n_hom(self) -> GroupHom:
+        """N -> group."""
+        return GroupHom(self.n_group, self.group, self.n_gen_perms)
 
     def embed_n(self, n_elem):
-        """Right-translation permutation of an arbitrary element of N."""
-        deg_h = self.group.degree - len(self.n_elements)
-        images = [self.n_index[pmul(m, tuple(n_elem))]
-                  for m in self.n_elements]
-        images += [len(self.n_elements) + x for x in range(deg_h)]
-        return tuple(images)
-
-    def n_hom(self) -> GroupHom:
-        return GroupHom(self.n_source, self.group,
-                        [self.embed_n(g) for g in self.n_source.gens])
-
-    def point_label(self, point: int):
-        return self.n_elements[point]
+        """The image in group of an arbitrary element of N."""
+        return self.n_hom.image(n_elem)
 
 
 def semidirect(n_group: PermGroup, h_group: PermGroup, autos,
                check_autos=True) -> SemidirectResult:
-    """N : H for automorphisms of N given per H-generator.
+    """N : H for automorphisms of N given per H-generator, realized on the
+    induced action when |H| deg N < |N| + deg H and regularly otherwise.
 
     Raises ActionNotWellDefined when the generator assignment does not
-    extend to a homomorphism H -> Aut(N) (detected by an exact order count).
+    extend to a homomorphism H -> Aut(N).
     """
     if len(autos) != len(h_group.gens):
         raise ActionNotWellDefined("one automorphism per H generator required")
@@ -206,31 +215,60 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos,
             if not (a.source is n_group and a.target is n_group
                     and a.is_automorphism()):
                 raise ActionNotWellDefined("action images must be automorphisms of N")
-    n_elems = n_group.elements()
-    n_index = {e: i for i, e in enumerate(n_elems)}
-    size = len(n_elems)
-    deg_h = h_group.degree
-    gens = []
-    for g in n_group.gens:
-        images = [n_index[pmul(m, g)] for m in n_elems]
-        images += [size + x for x in range(deg_h)]
-        gens.append(tuple(images))
-    h_perms = []
-    for hg, a in zip(h_group.gens, autos):
-        images = [n_index[a.image(m)] for m in n_elems]
-        images += [size + hg[x] for x in range(deg_h)]
-        h_perms.append(tuple(images))
-        gens.append(tuple(images))
-    grp = PermGroup(size + deg_h, gens)
+    if h_group.order * n_group.degree < n_group.order + h_group.degree:
+        degree, n_perms, h_perms = _induced_action(n_group, h_group, autos)
+    else:
+        degree, n_perms, h_perms = _regular_action(n_group, h_group, autos)
+    grp = PermGroup(degree, n_perms + h_perms)
     if grp.order != n_group.order * h_group.order:
         raise ActionNotWellDefined(
             f"generated order {grp.order} != {n_group.order * h_group.order}; "
             f"the action does not extend to a homomorphism")
-    normal_part = grp.subgroup(gens[: len(n_group.gens)],
-                               known_order=n_group.order)
-    h_hom = GroupHom(h_group, grp, h_perms)
-    return SemidirectResult(grp, normal_part, n_elems, n_index, n_group,
-                            h_group, h_perms, h_hom)
+    return SemidirectResult(grp, GroupHom(h_group, grp, h_perms), n_group, n_perms)
+
+
+def _induced_action(n_group, h_group, autos):
+    """N : H on |H| copies of N's domain: copy y carries n as alpha_y(n),
+    k in H maps copy y to copy k^-1 y.  With pinv(k) n k = alpha_k(n), the
+    action rule is alpha_(yk) = alpha_k o alpha_y; alpha_y is derived along
+    the Cayley graph of H and every edge is checked."""
+    ident = h_group.identity
+    alpha = {ident: list(n_group.gens)}   # y -> alpha_y on N's generators
+    queue = [ident]
+    for y in queue:
+        for hg, a in zip(h_group.gens, autos):
+            images = [a.image(x) for x in alpha[y]]
+            z = pmul(y, hg)
+            if z not in alpha:
+                alpha[z] = images
+                queue.append(z)
+            elif alpha[z] != images:
+                raise ActionNotWellDefined(
+                    "the action does not extend to a homomorphism H -> Aut(N)")
+    copies = sorted(alpha)
+    where = {y: i for i, y in enumerate(copies)}
+    d = n_group.degree
+    n_perms = [tuple(i * d + alpha[y][j][x] for i, y in enumerate(copies)
+                     for x in range(d))
+               for j in range(len(n_group.gens))]
+    h_perms = [tuple(where[pmul(ki, y)] * d + x for y in copies for x in range(d))
+               for ki in map(pinv, h_group.gens)]
+    return len(copies) * d, n_perms, h_perms
+
+
+def _regular_action(n_group, h_group, autos):
+    """N : H on the elements of N (right translations, H by the given
+    automorphisms) plus the natural domain of H."""
+    n_elems = n_group.elements()
+    n_index = {e: i for i, e in enumerate(n_elems)}
+    size = len(n_elems)
+    h_points = [size + x for x in range(h_group.degree)]
+    n_perms = [tuple([n_index[pmul(m, g)] for m in n_elems] + h_points)
+               for g in n_group.gens]
+    h_perms = [tuple([n_index[a.image(m)] for m in n_elems]
+                     + [size + x for x in hg])
+               for hg, a in zip(h_group.gens, autos)]
+    return size + h_group.degree, n_perms, h_perms
 
 
 def semidirect_cyclic(n_group: PermGroup, auto: GroupHom, m: int) -> SemidirectResult:
@@ -297,7 +335,7 @@ def kk_embedding(g_group: PermGroup, m_sub: PermGroup):
         images = []
         for g in g_group.gens:
             comp = pmul(pmul(qr.transversal[0], g), pinv(qr.transversal[0]))
-            assert comp in m_sub
+            _check_component(comp, m_sub)
             images.append(w.element([comp], (0,)))
         return GroupHom(g_group, w.group, images), w
     w = wreath(m_sub, q)
@@ -307,10 +345,15 @@ def kk_embedding(g_group: PermGroup, m_sub: PermGroup):
         comps = []
         for i, t in enumerate(qr.transversal):
             m = pmul(pmul(t, g), pinv(qr.transversal[sigma[i]]))
-            assert m in m_sub, "component outside the normal subgroup"
+            _check_component(m, m_sub)
             comps.append(m)
         images.append(w.element(comps, sigma))
     return GroupHom(g_group, w.group, images), w
+
+
+def _check_component(m, m_sub: PermGroup) -> None:
+    if m not in m_sub:
+        raise VerificationFailed("wreath component outside the normal subgroup")
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +377,7 @@ class CentralPowerResult:
         elem = identity(self.power_group.degree)
         for i, g in enumerate(coords):
             elem = pmul(elem, self.embed_coordinate(i, g))
-        return self.quotient.hom.image(elem)
+        return self.quotient.image_of(elem)
 
 
 def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
@@ -348,7 +391,8 @@ def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
             w_gens.append(pmul(emb(i, zg), emb(i + 1, zi)))
     w = kq.subgroup(w_gens, known_order=z.order ** (q - 1))
     qr = kq.quotient(w)
-    assert qr.group.order == k_group.order ** q // z.order ** (q - 1)
+    _check_order(qr.group, k_group.order ** q // z.order ** (q - 1),
+                 f"the central product power K^{q}/W")
     return CentralPowerResult(qr, kq, emb, split, w)
 
 

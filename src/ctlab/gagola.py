@@ -259,7 +259,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         z = next(x for x in z_l.elements() if perm_order(x) == q)
         y_grp = cyclic(q)
         n_grp, emb_u, emb_y, split_n = direct_product(u_grp, y_grp)
-        u_z = cpp.quotient.hom.image(cpp.embed_coordinate(0, z))
+        u_z = cpp.quotient.image_of(cpp.embed_coordinate(0, z))
         images = [emb_u(w) for w in shifted_u_gens()]
         images.append(pmul(emb_u(u_z), emb_y(y_grp.gens[0])))
         alpha = GroupHom(n_grp, n_grp, images)
@@ -270,7 +270,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             return emb_u(u_elem)
 
     h_grp = sd.group
-    t = sd.h_gen_perms[0]
+    t = sd.h_hom.gen_images[0]
     z_h = h_grp.center()
 
     eq3 = None
@@ -285,7 +285,6 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
     regular_h = p_regular_classes(cd_h, p)
 
     # tau (x 1 on the auxiliary factor) at the p-regular classes of N
-    n_hom = sd.n_hom()
     n_cd = n_grp.conjugacy_classes()
     n_regular = p_regular_classes(n_cd, p)
 
@@ -298,7 +297,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         return val
 
     tau_vals = [tau_times_one(n_cd.representatives[i]) for i in n_regular]
-    fusion = fusion_through_hom(n_hom, n_cd, h_grp)
+    fusion = fusion_through_hom(sd.n_hom, n_cd, h_grp)
 
     table_h = None
     if q == p:
@@ -380,7 +379,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
         u_elt = step.cpp.project_tuple(coords)
         n_elt = step.n_embed(u_elt)
         h_elt = pmul(step.sd.embed_n(n_elt), ppow(step.t, j))
-        images.append(step.level.center_quotient.hom.image(h_elt))
+        images.append(step.level.center_quotient.image_of(h_elt))
     return GroupHom(g_grp, step.level.center_quotient.group, images)
 
 

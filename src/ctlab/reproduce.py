@@ -20,7 +20,6 @@ from .errors import DegenerateStep, HypothesisFails
 from .forge import cyclic, dihedral, quaternion, sl2
 from .gagola import gagola_tower
 from .grammar import parse_generator_file, parse_matrix_file
-from .homs import GroupHom
 from .instances import (order72_build, order720_build, order864_build,
                         sl217_brauer_data, sl25_squared_data)
 from .modrep import brauer_data, fong_block, lifts_of, nilpotency_refute
@@ -89,9 +88,7 @@ def check_order720() -> dict:
     tn, ndata = direct_product_table(th, tq)
     prod_group = ndata[0]
     assert prod_group.gens == build.n_small.gens
-    n_hom = GroupHom(prod_group, g,
-                     [build.n_result.embed_n(x) for x in prod_group.gens])
-    fusion = fusion_through_hom(n_hom, tn.classes, g)
+    fusion = fusion_through_hom(build.n_result.n_hom, tn.classes, g)
     h_block = build.h_bd.blocks[build.block_index]
     # distinguished row of b x b0: first ordinary of b tensor the trivial of Q
     covering = []

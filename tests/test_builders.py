@@ -91,6 +91,14 @@ def test_nonsolvable_build_3960():
     assert res.refuted
 
 
+def test_nonsolvable_builds_use_the_induced_action(build720):
+    # |H| deg N, not the |N| + deg H of the regular realisation (1982, 362)
+    from ctlab.instances import order3960_build
+
+    assert order3960_build().group.degree <= 30
+    assert build720.group.degree <= 54
+
+
 def test_nonsolvable_build_720(build720):
     g = build720.group
     assert g.order == 720

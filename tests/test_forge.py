@@ -1,14 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import oracles
+from ctlab import forge
+from ctlab.chartab import character_table
 from ctlab.errors import ActionNotWellDefined, InvalidWitness, NotNormal, \
     UnsupportedFamily
 from ctlab.forge import (central_product_power, cyclic, cyclic_extension_build,
                          cyclic_extension_exists, dihedral, elem_abelian,
-                         extraspecial, kk_embedding, mat_group, psl2,
-                         quaternion, semidirect, sl2, wreath)
+                         extraspecial, kk_embedding, mat_group, mobius_perm,
+                         psl2, quaternion, semidirect, sl2, wreath)
 from ctlab.homs import GroupHom
-from ctlab.perms import conj, order as porder, parse_cycles, pinv, ppow
+from ctlab.permgroup import PermGroup, direct_product
+from ctlab.perms import conj, order as porder, parse_cycles, pinv, pmul, ppow
 
 from conftest import perm_group
 
@@ -55,8 +63,7 @@ def test_semidirect_s3():
     assert sd.group.order == 6
     assert sd.group.conjugacy_classes().sizes == [1, 3, 2]
     # embeddings work
-    n_hom = sd.n_hom()
-    assert n_hom.is_injective()
+    assert sd.n_hom.is_injective()
     assert sd.h_hom.is_injective()
 
 
@@ -74,6 +81,154 @@ def test_semidirect_rejects_non_action():
     squaring = GroupHom(c5, c5, [ppow(c5.gens[0], 2)])  # order 4, not 2
     with pytest.raises(ActionNotWellDefined):
         semidirect(c5, cyclic(2), [squaring])
+
+
+def _psl27_outer():
+    """PSL(2, 7) and conjugation by x -> 1/x, an outer involution
+    (determinant -1 is a non-square mod 7)."""
+    p = psl2(7)
+    w = mobius_perm(7, [[0, 1], [1, 0]])
+    return p, GroupHom(p, p, [conj(g, w) for g in p.gens])
+
+
+def _psl27_c7(c7_image):
+    """Direct(PSL(2, 7), C7) and the automorphism acting by the outer
+    involution on PSL(2, 7) and by c7_image on the generator of C7."""
+    p, outer = _psl27_outer()
+    c7 = cyclic(7)
+    n, emb_p, emb_c, _split = direct_product(p, c7)
+    auto = GroupHom(n, n, [emb_p(outer.image(g)) for g in p.gens]
+                    + [emb_c(c7_image(c7.gens[0]))])
+    return n, auto
+
+
+def _psl27_s3():
+    """PSL(2, 7) : S3 with S3 acting faithfully by conjugation through an
+    S3 inside PSL(2, 7)."""
+    p, _outer = _psl27_outer()
+    s3 = perm_group(3, "(1 2)", "(1 2 3)")
+    # images of (1 2) and (1 2 3); GroupHom rejects them unless they satisfy
+    # the relations of S3
+    inside = GroupHom(s3, p, [(1, 0, 3, 2, 6, 7, 4, 5), (0, 1, 6, 5, 3, 4, 7, 2)])
+    return p, s3, [GroupHom(p, p, [conj(g, w) for g in p.gens])
+                   for w in inside.gen_images]
+
+
+def _semidirect_case(name):
+    """(N, H, automorphism per H generator) of a well-defined N : H."""
+    if name == "C7:C3":
+        c7 = cyclic(7)
+        return c7, cyclic(3), [GroupHom(c7, c7, [ppow(c7.gens[0], 2)])]
+    if name == "C5:C4":
+        c5 = cyclic(5)
+        return c5, cyclic(4), [GroupHom(c5, c5, [ppow(c5.gens[0], 2)])]
+    if name == "PSL27xC7:C2":
+        n, auto = _psl27_c7(pinv)
+        return n, cyclic(2), [auto]
+    assert name == "PSL27:S3"
+    return _psl27_s3()
+
+
+# name -> degree of the realisation semidirect picks
+SEMIDIRECT_DEGREES = {
+    "C7:C3": 7 + 3,             # regular: |N| + deg H
+    "C5:C4": 5 + 4,
+    "PSL27xC7:C2": 2 * 15,      # induced: |H| deg N
+    "PSL27:S3": 6 * 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_DEGREES))
+def test_semidirect_conjugation_acts_as_the_automorphism(name):
+    n, h, autos = _semidirect_case(name)
+    sd = semidirect(n, h, autos)
+    assert sd.group.degree == SEMIDIRECT_DEGREES[name]
+    assert sd.group.order == n.order * h.order
+    for hg, a in zip(h.gens, autos):
+        k = sd.h_hom.image(hg)
+        for g in n.gens:
+            assert pmul(pmul(pinv(k), sd.embed_n(g)), k) \
+                == sd.embed_n(a.image(g))
+
+
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_DEGREES))
+def test_semidirect_realisations_agree(name):
+    n, h, autos = _semidirect_case(name)
+    seen = []
+    for realise in (forge._induced_action, forge._regular_action):
+        degree, n_perms, h_perms = realise(n, h, autos)
+        g = PermGroup(degree, n_perms + h_perms)
+        seen.append((g.order, sorted(g.conjugacy_classes().sizes),
+                     sorted(character_table(g).degrees)))
+    assert seen[0] == seen[1]
+    assert seen[0][0] == n.order * h.order
+
+
+def test_semidirect_induced_path_rejects_non_action():
+    # squaring on C7 has order 3, so C2 cannot act by it
+    n, squaring = _psl27_c7(lambda c: ppow(c, 2))
+    assert 2 * n.degree < n.order + 2          # the induced realisation
+    with pytest.raises(ActionNotWellDefined):
+        semidirect(n, cyclic(2), [squaring])
+    # (1 2 3) cannot act by an involution
+    p, outer = _psl27_outer()
+    s3 = perm_group(3, "(1 2)", "(1 2 3)")
+    with pytest.raises(ActionNotWellDefined):
+        semidirect(p, s3, [outer, outer])
+    # one involution given twice, acting two ways: the order count alone
+    # cannot see this on the induced path, the Cayley-graph check does
+    c2_twice = PermGroup(2, [(1, 0), (1, 0)])
+    with pytest.raises(ActionNotWellDefined):
+        semidirect(p, c2_twice, [outer, GroupHom(p, p, list(p.gens))])
+
+
+_CHECKS_UNDER_O = """
+import sys
+from ctlab import forge
+from ctlab.errors import VerificationFailed
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+
+def expect(fn):
+    try:
+        fn()
+    except VerificationFailed:
+        raised.append(fn.__name__)
+
+real_mat_group, real_quotient = forge.mat_group, PermGroup.quotient
+forge.mat_group = lambda q, mats: forge.cyclic(2)
+def sl2(): forge.sl2(5)
+expect(sl2)
+forge.mat_group = real_mat_group
+forge.mobius_perm = lambda q, mat: tuple(range(q + 1))
+def psl2(): forge.psl2(7)
+expect(psl2)
+PermGroup.quotient = lambda self, sub: real_quotient(self, self.subgroup([]))
+def central_product_power(): forge.central_product_power(forge.dihedral(8), 2)
+expect(central_product_power)
+PermGroup.quotient = real_quotient
+PermGroup.is_normal = lambda self, sub: True
+
+class Outside(PermGroup):
+    def __contains__(self, g):
+        return False
+
+s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+def kk_embedding(): forge.kk_embedding(s3, Outside(3, [(1, 2, 0)]))
+expect(kk_embedding)
+print(" ".join(raised))
+"""
+
+
+def test_forge_checks_survive_python_O():
+    src = str(Path(forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["sl2", "psl2", "central_product_power",
+                                  "kk_embedding"]
 
 
 def test_central_product_power_orders():

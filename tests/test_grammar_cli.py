@@ -1,11 +1,19 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import ctlab
 
 from ctlab.cli import main
 from ctlab.errors import ArityError, ParseError
 from ctlab.grammar import (evaluate, parse_generator_file, parse_matrix_file,
                            parse_spec, print_generator_file, print_spec)
+from ctlab.permgroup import group_from_generators
 
 
 SPECS = [
@@ -220,3 +228,27 @@ def test_cli_table_product_shortcut(capsys):
     code, data = _run(capsys, ["table", "-e", "Direct(Cyclic(2), Cyclic(2))"])
     assert code == 0
     assert data["table"]["degrees"] == [1, 1, 1, 1]
+
+
+DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("order*.grp")),
+                         ids=lambda p: p.name)
+def test_shipped_generator_files(path):
+    order = int(re.fullmatch(r"order(\d+)\.grp", path.name).group(1))
+    degree, perms = parse_generator_file(path.read_text())
+    assert group_from_generators(degree, perms).order == order
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1.5"])
+@pytest.mark.parametrize("argv", [["table", "-e", "Cyclic(3)"],
+                                  ["reproduce", "--list"]])
+def test_cli_rejects_bad_budget_env(value, argv):
+    src = str(Path(ctlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, CTLAB_BUDGET=value)
+    out = subprocess.run([sys.executable, "-m", "ctlab.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1 and "CTLAB_BUDGET" in out.stderr
