@@ -16,6 +16,14 @@ degrees and orders of its inputs:
 Both are validated by an exact order count |N : H| = |N| |H|, so an action
 that fails to extend to a homomorphism is rejected rather than silently
 generating a larger group.
+
+The central product power U = K^q / W, W the product-one subgroup of
+Z(K)^q, acts on the right cosets of A^q W, where A is a core-free subgroup
+of K (``core_free_subgroup``; A = 1 when K is abelian, and then the action
+is the regular one on the cosets of W).  A normal subgroup of K^q that
+meets every factor trivially is central, and Z(K)^q meets A^q W in W, so
+the core of A^q W is exactly W and the degree is [K : A]^q / |Z(K)|^(q-1).
+The order check |U| = |K|^q / |Z(K)|^(q-1) confirms that the kernel is W.
 """
 
 from __future__ import annotations
@@ -381,7 +389,9 @@ class CentralPowerResult:
 
 
 def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
-    """U = K^q / W with W the product-one subgroup of Z(K)^q."""
+    """U = K^q / W with W the product-one subgroup of Z(K)^q, realized on
+    the right cosets of A^q W for the core-free subgroup A of K chosen by
+    ``core_free_subgroup``; the order check proves the kernel is W."""
     kq, emb, split = direct_power(k_group, q)
     z = k_group.center()
     w_gens = []
@@ -389,11 +399,69 @@ def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
         zi = pinv(zg)
         for i in range(q - 1):
             w_gens.append(pmul(emb(i, zg), emb(i + 1, zi)))
-    w = kq.subgroup(w_gens, known_order=z.order ** (q - 1))
-    qr = kq.quotient(w)
+    w = kq.subgroup(w_gens)
+    _check_order(w, z.order ** (q - 1), f"the product-one subgroup of Z(K)^{q}")
+    a_gens = core_free_subgroup(k_group)
+    s = kq.subgroup([emb(i, a) for i in range(q) for a in a_gens] + w_gens)
+    qr = kq.coset_action(s)
     _check_order(qr.group, k_group.order ** q // z.order ** (q - 1),
                  f"the central product power K^{q}/W")
     return CentralPowerResult(qr, kq, emb, split, w)
+
+
+def core_free_subgroup(k_group: PermGroup) -> list:
+    """Generators of a subgroup A of K with trivial core, chosen greedily.
+
+    K's elements are scanned in sorted order and x is kept when <A, x>
+    still contains no nontrivial conjugacy class of K (a subgroup does
+    exactly when it contains a nontrivial normal subgroup).  A rejected x
+    stays rejected as A grows, and so does every x with a rejected power.
+    The result depends only on the element set of K.
+    """
+    cd = k_group.conjugacy_classes()
+    gens = []
+    members = {k_group.identity}
+    rejected = set()
+    for x in k_group.elements():
+        if x in members:
+            continue
+        grown = None
+        if not any(y in rejected for y in _powers(x)):
+            grown = _core_free_closure(cd, members, gens + [x])
+        if grown is None:
+            rejected.add(x)
+        else:
+            gens.append(x)
+            members = grown
+    return gens
+
+
+def _powers(x):
+    y = pmul(x, x)
+    while y != x:
+        yield y
+        y = pmul(y, x)
+
+
+def _core_free_closure(cd, members: set, gens: list):
+    """The elements of <members, gens> for a core-free subgroup ``members``,
+    or None once they hold a whole nontrivial class (class 0 is {1})."""
+    held = [0] * len(cd)
+    out = set(members)
+    for y in out:
+        held[cd.index[y]] += 1
+    queue = list(out)
+    for y in queue:
+        for g in gens:
+            yg = pmul(y, g)
+            if yg not in out:
+                c = cd.index[yg]
+                held[c] += 1
+                if c and held[c] == cd.sizes[c]:
+                    return None
+                out.add(yg)
+                queue.append(yg)
+    return out
 
 
 # ---------------------------------------------------------------------------

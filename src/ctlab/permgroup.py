@@ -20,9 +20,11 @@ from .errors import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     InvalidPermutation,
+    NotASubgroup,
     NotNormal,
     NotSolvable,
     Timeout,
+    VerificationFailed,
 )
 from .perms import (
     commutator,
@@ -144,9 +146,10 @@ class StabilizerChain:
                     continue
                 lvl.processed.add((t, k))
                 s = lvl.gens[k]
-                sg = pmul(pmul(u_t, s), pinv(lvl.orbit[s[t]]))
-                if sg == self.identity:
+                u_ts, u_next = pmul(u_t, s), lvl.orbit[s[t]]
+                if u_ts == u_next:      # trivial Schreier generator
                     continue
+                sg = pmul(u_ts, pinv(u_next))
                 residue, j = self._sift(sg, i + 1)
                 if residue == self.identity:
                     continue
@@ -393,52 +396,66 @@ class PermGroup:
             sub = self.subgroup(list(sub.gens) + [ext], known_order=sub.order * p)
         return sub
 
-    # -- quotients -------------------------------------------------------------
-    def quotient(self, n):
-        """Faithful action on the right cosets of a normal subgroup.
+    # -- coset actions and quotients -------------------------------------------
+    def coset_action(self, s):
+        """Action on the right cosets of a subgroup s.
 
-        Returns a QuotientResult carrying the quotient group, the generator
-        images, a sorted canonical transversal and an exact lift map.
+        Returns a QuotientResult whose group is the image G / core_G(s),
+        with the generator images, a sorted canonical transversal and an
+        exact lift map.  The image group is built from its generators alone,
+        so its order is computed, never assumed.
         """
-        if not self.is_normal(n):
-            raise NotNormal("quotient requires a normal subgroup")
-        index = self.order // n.order
+        if not s.is_subgroup_of(self):
+            raise NotASubgroup("coset action requires a subgroup")
+        index = self.order // s.order
         if index > 100_000:
             raise BudgetExceeded(f"coset action of degree {index} out of desk scale")
-        canon = _coset_canonicalizer(n)
+        canon = _coset_canonicalizer(s)
         t0 = canon(self.identity)
         reps = {t0}
         queue = deque([t0])
         while queue:
             t = queue.popleft()
-            for s in self.gens:
-                c = canon(pmul(t, s))
+            for g in self.gens:
+                c = canon(pmul(t, g))
                 if c not in reps:
                     reps.add(c)
                     queue.append(c)
         transversal = sorted(reps)
-        assert len(transversal) == index
+        if len(transversal) != index:
+            raise VerificationFailed(
+                f"{len(transversal)} cosets found, expected the index {index}")
         pos = {t: i for i, t in enumerate(transversal)}
         gen_images = [
-            tuple(pos[canon(pmul(t, s))] for t in transversal) for s in self.gens
+            tuple(pos[canon(pmul(t, g))] for t in transversal) for g in self.gens
         ]
-        group = PermGroup(index, gen_images, known_order=index, check=False)
-        return QuotientResult(self, n, group, gen_images, transversal, pos, canon)
+        group = PermGroup(index, gen_images, check=False)
+        return QuotientResult(self, group, gen_images, transversal, pos, canon)
+
+    def quotient(self, n):
+        """G / n on the right cosets of the normal subgroup n (a regular
+        action, which the order of the image group confirms)."""
+        if not self.is_normal(n):
+            raise NotNormal("quotient requires a normal subgroup")
+        qr = self.coset_action(n)
+        if qr.group.order != qr.group.degree:
+            raise VerificationFailed(
+                f"quotient of order {qr.group.order} on {qr.group.degree} cosets")
+        return qr
 
 
 class QuotientResult:
-    """Quotient action data: group, generator images, canonical transversal."""
+    """A coset action: the image group, generator images, canonical transversal."""
 
-    def __init__(self, source, kernel, group, gen_images, transversal, pos, canon):
+    def __init__(self, source, group, gen_images, transversal, pos, canon):
         self.source = source
-        self.kernel = kernel
         self.group = group
         self.gen_images = gen_images
         self.transversal = transversal
         self._pos = pos
         self._canon = canon
-        self._base_index = pos[canon(source.identity)]
         self._hom = None
+        self._lifts = None
 
     @property
     def hom(self):
@@ -452,11 +469,26 @@ class QuotientResult:
         return tuple(self._pos[self._canon(pmul(t, g))] for t in self.transversal)
 
     def lift(self, w):
-        """A preimage of a quotient element (exact: the action is regular)."""
-        return self.transversal[w[self._base_index]]
+        """A preimage of an element of the image group.
 
-    def coset_index(self, g):
-        return self._pos[self._canon(g)]
+        An element of the image group is determined by its images of the
+        base points of its chain, so the preimages found along its Cayley
+        graph are stored under those images (built on first use).  This is
+        exact whether or not the action is regular.
+        """
+        base = tuple(lvl.base for lvl in self.group.chain.levels)
+        if self._lifts is None:
+            ident = self.source.identity
+            self._lifts = {base: ident}
+            queue = [(base, ident)]
+            for key, g in queue:
+                for img, s in zip(self.gen_images, self.source.gens):
+                    nxt = tuple(img[b] for b in key)
+                    if nxt not in self._lifts:
+                        h = pmul(g, s)
+                        self._lifts[nxt] = h
+                        queue.append((nxt, h))
+        return self._lifts[tuple(w[b] for b in base)]
 
 
 class ClassData:
@@ -523,9 +555,9 @@ def _conjugacy_classes(group):
     return ClassData(group, classes)
 
 
-def _coset_canonicalizer(n):
-    """Map g to the canonical (greedy minimal-image) element of the coset Ng."""
-    levels = n.chain.levels
+def _coset_canonicalizer(s):
+    """Map g to the canonical (greedy minimal-image) element of the coset sg."""
+    levels = s.chain.levels
 
     def canon(g):
         r = g
@@ -545,9 +577,16 @@ def _coset_canonicalizer(n):
 
 
 def group_from_generators(degree, gens, known_order=None) -> PermGroup:
-    """Public constructor: validates generators and builds the chain."""
-    return PermGroup(degree, [validate(g, degree) for g in gens],
-                     known_order=known_order, check=False)
+    """Public constructor: validates generators and builds the chain.
+
+    A ``known_order`` is checked against the order the generators give,
+    never used to cut the chain short.
+    """
+    group = PermGroup(degree, [validate(g, degree) for g in gens], check=False)
+    if known_order is not None and group.order != known_order:
+        raise InvalidPermutation(
+            f"generated group has order {group.order}, expected {known_order}")
+    return group
 
 
 def direct_product(a: PermGroup, b: PermGroup):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import lru_cache
 
 from .builders import builder_unique_lift
 from .centraltype import fully_ramified_search, is_p_central_type
@@ -169,16 +170,25 @@ def check_sl25_ibr() -> dict:
     return {"status": "pass" if ok else "fail", "ibr_degrees": degrees}
 
 
+def _s3():
+    return group_from_generators(
+        3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
+
+
+_TOWER_SOURCES = {"C2": lambda: cyclic(2), "C3": lambda: cyclic(3),
+                 "C6": lambda: cyclic(6), "S3": _s3}
+
+
+@lru_cache(maxsize=None)
+def _tower(source: str, p: int):
+    """The tower of a named source group, built once per process: the
+    gagola checks and the index-identity check share it."""
+    return gagola_tower(_TOWER_SOURCES[source](), p)
+
+
 def check_gagola(source: str, p: int) -> dict:
-    groups = {
-        "C2": lambda: cyclic(2),
-        "C3": lambda: cyclic(3),
-        "S3": lambda: group_from_generators(
-            3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)]),
-    }
-    g = groups[source]()
     try:
-        cert = gagola_tower(g, p)
+        cert = _tower(source, p)
     except DegenerateStep as exc:
         return {"status": "degenerate", "level": exc.level, "detail": str(exc)}
     data = cert.to_json()
@@ -209,15 +219,12 @@ def check_gagola_c3() -> dict:
 
 def check_eq3() -> dict:
     """The index identity on every q != p step of the tower corpus."""
-    s3 = group_from_generators(
-        3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
-    corpus = [(cyclic(2), 3), (s3, 5), (cyclic(6), 2)]
     records = []
-    for g, p in corpus:
-        cert = gagola_tower(g, p)
+    for source, p in [("C2", 3), ("S3", 5), ("C6", 2)]:
+        cert = _tower(source, p)
         for s in cert.steps:
             if s.eq3 is not None:
-                records.append({"source_order": g.order, "p": p,
+                records.append({"source_order": cert.source.order, "p": p,
                                 "q": s.q, **s.eq3})
     ok = bool(records) and all(r["holds"] for r in records)
     return {"status": "pass" if ok else "fail", "steps": records}
@@ -329,9 +336,7 @@ def check_property_corpus() -> dict:
     from .permgroup import p_part
     from .chartab import verify_orthogonality
 
-    s3 = group_from_generators(
-        3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
-    corpus = [s3, dihedral(8), quaternion(8), cyclic(12), dihedral(12),
+    corpus = [_s3(), dihedral(8), quaternion(8), cyclic(12), dihedral(12),
               extraspecial(3, "+")]
     failures = []
     for g in corpus:

@@ -93,3 +93,36 @@ def normal_closure_of(elements, seed):
         gens.extend(new)
         current = closure(degree, gens)
     return current or {tuple(range(degree))}
+
+
+def power_quotient_class_sizes(k_elements, q):
+    """Sorted class sizes of K^q / W, W the product-one subgroup of Z(K)^q.
+
+    The class of (x_1, ..., x_q) W is the image of the product of the
+    classes of the x_i.  A W-coset is named by the tuple whose first q - 1
+    entries are the least members of their Z(K)-cosets."""
+    from itertools import product
+
+    z = center(k_elements)
+    least = {}
+    for x in k_elements:
+        m = min(mul(x, c) for c in z)
+        least[x] = (m, mul(inv(x), m))     # x (x^-1 m) = m, x^-1 m central
+
+    def name(t):
+        head = [least[x] for x in t[:-1]]
+        last = t[-1]
+        for _m, c in head:
+            last = mul(last, inv(c))
+        return tuple(m for m, _c in head) + (last,)
+
+    classes = sorted(sorted(c) for c in conjugacy_partition(k_elements))
+    seen = set()
+    sizes = []
+    for combo in product(classes, repeat=q):
+        image = {name(t) for t in product(*combo)}
+        key = min(image)
+        if key not in seen:
+            seen.add(key)
+            sizes.append(len(image))
+    return sorted(sizes)

@@ -197,7 +197,7 @@ def expect(fn):
     except VerificationFailed:
         raised.append(fn.__name__)
 
-real_mat_group, real_quotient = forge.mat_group, PermGroup.quotient
+real_mat_group, real_coset_action = forge.mat_group, PermGroup.coset_action
 forge.mat_group = lambda q, mats: forge.cyclic(2)
 def sl2(): forge.sl2(5)
 expect(sl2)
@@ -205,10 +205,10 @@ forge.mat_group = real_mat_group
 forge.mobius_perm = lambda q, mat: tuple(range(q + 1))
 def psl2(): forge.psl2(7)
 expect(psl2)
-PermGroup.quotient = lambda self, sub: real_quotient(self, self.subgroup([]))
+PermGroup.coset_action = lambda self, sub: real_coset_action(self, self.subgroup([]))
 def central_product_power(): forge.central_product_power(forge.dihedral(8), 2)
 expect(central_product_power)
-PermGroup.quotient = real_quotient
+PermGroup.coset_action = real_coset_action
 PermGroup.is_normal = lambda self, sub: True
 
 class Outside(PermGroup):
@@ -259,6 +259,44 @@ def test_central_product_power_invariants(corpus):
                 assert _order_multiset(zu) == _order_multiset(z), name
             if k.order <= 16 and k.p_core(2).order == 1:
                 assert cpp.group.p_core(2).order == 1, name
+
+
+def test_central_product_power_realisation(corpus):
+    # U acts on the cosets of A^q W, A core-free in K: lift is exact, W is
+    # the kernel, U agrees with K^q / W, and the degree does not depend on
+    # the order of K's generators
+    for name, k in corpus:
+        if k.order > 30:
+            continue
+        rotated = PermGroup(k.degree, list(k.gens[1:]) + list(k.gens[:1]))
+        for q in (2, 3):
+            cpp = central_product_power(k, q)
+            qr, u = cpp.quotient, cpp.group
+            # every w through the action map as a hom (image_of on all of U
+            # would cost |U| [K^q : A^q W] coset canonicalisations)
+            for w in u.elements():
+                assert qr.hom.image(qr.lift(w)) == w, (name, q)
+            for w in u.gens:
+                assert qr.image_of(qr.lift(w)) == w, (name, q)
+            for g in cpp.w_subgroup.gens:
+                assert qr.image_of(g) == u.identity, (name, q)
+            seen = (u.order, sorted(u.conjugacy_classes().sizes),
+                    u.center().order)
+            expect = oracles.power_quotient_class_sizes(k.elements(), q)
+            assert seen == (sum(expect), expect, expect.count(1)), (name, q)
+            if u.order <= 600:      # the regular realisation has |U| points
+                v = cpp.power_group.quotient(cpp.w_subgroup).group
+                assert seen == (v.order, sorted(v.conjugacy_classes().sizes),
+                                v.center().order), (name, q)
+            assert central_product_power(rotated, q).group.degree \
+                == u.degree, (name, q)
+
+
+def test_central_product_power_small_degree():
+    # [K : A]^q / |Z(K)|^(q-1) = 18^2 / 6, against 486 cosets of W
+    k = direct_product(extraspecial(3, "+"), cyclic(2))[0]
+    u = central_product_power(k, 2).group
+    assert u.order == 486 and u.degree <= 54
 
 
 def test_cyclic_extension_witnesses():

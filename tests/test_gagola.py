@@ -67,6 +67,12 @@ def test_tower_s3_p5(tower_s3_p5):
     assert 18 * 18 == p_prime_part(1944 // 6, 5)
 
 
+def test_tower_degrees(tower_s3_p5, tower_c6_p2):
+    # U = K^q / W on the cosets of A^q W lets N : C_q take the induced action
+    assert tower_s3_p5.tower.degree <= 112
+    assert tower_c6_p2.tower.degree <= 54
+
+
 def test_tower_embedding_is_injective_into_central_quotient(tower_s3_p5):
     cert = tower_s3_p5
     emb = cert.embedding

@@ -193,6 +193,30 @@ def test_cli_reproduce_small_check(capsys):
     assert code == 0 and data["status"] == "pass"
 
 
+def test_reproduce_builds_each_tower_once(monkeypatch):
+    from types import SimpleNamespace
+
+    from ctlab import reproduce
+
+    built = []
+
+    def fake_tower(group, p):
+        built.append((group.order, p))
+        step = SimpleNamespace(q=2, eq3={"holds": True})
+        return SimpleNamespace(source=group, steps=[step], ok=True,
+                               to_json=dict)
+
+    monkeypatch.setattr(reproduce, "gagola_tower", fake_tower)
+    reproduce._tower.cache_clear()
+    try:
+        assert reproduce.check_gagola("S3", 5)["status"] == "pass"
+        assert reproduce.check_eq3()["status"] == "pass"
+        assert reproduce.check_eq3()["status"] == "pass"
+    finally:
+        reproduce._tower.cache_clear()
+    assert sorted(built) == [(2, 3), (6, 2), (6, 5)]
+
+
 def test_cli_reproduce_all_timing_keeps_stdout(capsys, monkeypatch):
     from ctlab import reproduce
 

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ctlab.errors import InvalidPermutation, NotNormal, NotSolvable
+from ctlab.errors import InvalidPermutation, NotASubgroup, NotNormal, \
+    NotSolvable
 from ctlab.forge import cyclic
 from ctlab.permgroup import PermGroup, group_from_generators
 from ctlab.perms import parse_cycles
@@ -30,6 +31,13 @@ def test_sl25_order_by_brute_closure(sl25):
 def test_invalid_generator_rejected():
     with pytest.raises(InvalidPermutation):
         group_from_generators(3, [(0, 0, 1)])
+
+
+def test_known_order_is_checked_not_trusted():
+    s3_gens = [(1, 0, 2), (1, 2, 0)]
+    with pytest.raises(InvalidPermutation):
+        group_from_generators(3, s3_gens, known_order=3)
+    assert group_from_generators(3, s3_gens, known_order=6).order == 6
 
 
 def test_class_data_s3(s3):
@@ -122,6 +130,16 @@ def test_quotient_s3(s3):
     assert qr.group.order == 2
     assert qr.hom.image(parse_cycles("(1 2)", 3)) != qr.group.identity
     assert qr.hom.kernel().order == 3
+
+
+def test_coset_action_on_a_non_normal_subgroup(s4):
+    s3 = s4.subgroup([parse_cycles("(1 2)", 4), parse_cycles("(1 2 3)", 4)])
+    qr = s4.coset_action(s3)
+    assert qr.group.degree == 4 and qr.group.order == 24
+    for w in qr.group.elements():
+        assert qr.image_of(qr.lift(w)) == w
+    with pytest.raises(NotASubgroup):
+        s4.coset_action(group_from_generators(3, [(1, 0, 2)]))
 
 
 def test_quotient_requires_normal(s4):
