@@ -414,54 +414,18 @@ def core_free_subgroup(k_group: PermGroup) -> list:
 
     K's elements are scanned in sorted order and x is kept when <A, x>
     still contains no nontrivial conjugacy class of K (a subgroup does
-    exactly when it contains a nontrivial normal subgroup).  A rejected x
-    stays rejected as A grows, and so does every x with a rejected power.
-    The result depends only on the element set of K.
+    exactly when it contains a nontrivial normal subgroup).  The result
+    depends only on the element set of K.
     """
-    cd = k_group.conjugacy_classes()
-    gens = []
-    members = {k_group.identity}
-    rejected = set()
+    classes = k_group.conjugacy_classes().classes[1:]
+    gens, a = [], k_group.subgroup([])
     for x in k_group.elements():
-        if x in members:
+        if x in a:
             continue
-        grown = None
-        if not any(y in rejected for y in _powers(x)):
-            grown = _core_free_closure(cd, members, gens + [x])
-        if grown is None:
-            rejected.add(x)
-        else:
-            gens.append(x)
-            members = grown
+        grown = k_group.subgroup(gens + [x])
+        if not any(all(y in grown for y in c) for c in classes):
+            gens, a = gens + [x], grown
     return gens
-
-
-def _powers(x):
-    y = pmul(x, x)
-    while y != x:
-        yield y
-        y = pmul(y, x)
-
-
-def _core_free_closure(cd, members: set, gens: list):
-    """The elements of <members, gens> for a core-free subgroup ``members``,
-    or None once they hold a whole nontrivial class (class 0 is {1})."""
-    held = [0] * len(cd)
-    out = set(members)
-    for y in out:
-        held[cd.index[y]] += 1
-    queue = list(out)
-    for y in queue:
-        for g in gens:
-            yg = pmul(y, g)
-            if yg not in out:
-                c = cd.index[yg]
-                held[c] += 1
-                if c and held[c] == cd.sizes[c]:
-                    return None
-                out.add(yg)
-                queue.append(yg)
-    return out
 
 
 # ---------------------------------------------------------------------------

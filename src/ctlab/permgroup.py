@@ -576,17 +576,9 @@ def _coset_canonicalizer(s):
     return canon
 
 
-def group_from_generators(degree, gens, known_order=None) -> PermGroup:
-    """Public constructor: validates generators and builds the chain.
-
-    A ``known_order`` is checked against the order the generators give,
-    never used to cut the chain short.
-    """
-    group = PermGroup(degree, [validate(g, degree) for g in gens], check=False)
-    if known_order is not None and group.order != known_order:
-        raise InvalidPermutation(
-            f"generated group has order {group.order}, expected {known_order}")
-    return group
+def group_from_generators(degree, gens) -> PermGroup:
+    """Public constructor: validates generators and builds the chain."""
+    return PermGroup(degree, [validate(g, degree) for g in gens], check=False)
 
 
 def direct_product(a: PermGroup, b: PermGroup):

@@ -241,6 +241,31 @@ def test_central_product_power_orders():
     assert q8.group.order == 128
 
 
+def _check_realisation(name, k, q, cpp):
+    # U acts on the cosets of A^q W, A core-free in K: lift is exact, W is
+    # the kernel, U agrees with K^q / W, and the degree does not depend on
+    # the order of K's generators
+    qr, u = cpp.quotient, cpp.group
+    # every w through the action map as a hom (image_of on all of U would
+    # cost |U| [K^q : A^q W] coset canonicalisations)
+    for w in u.elements():
+        assert qr.hom.image(qr.lift(w)) == w, (name, q)
+    for w in u.gens:
+        assert qr.image_of(qr.lift(w)) == w, (name, q)
+    for g in cpp.w_subgroup.gens:
+        assert qr.image_of(g) == u.identity, (name, q)
+    seen = (u.order, sorted(u.conjugacy_classes().sizes), u.center().order)
+    expect = oracles.power_quotient_class_sizes(k.elements(), q)
+    assert seen == (sum(expect), expect, expect.count(1)), (name, q)
+    if u.order <= 600:      # the regular realisation has |U| points
+        v = cpp.power_group.quotient(cpp.w_subgroup).group
+        assert seen == (v.order, sorted(v.conjugacy_classes().sizes),
+                        v.center().order), (name, q)
+    rotated = PermGroup(k.degree, list(k.gens[1:]) + list(k.gens[:1]))
+    assert central_product_power(rotated, q).group.degree == u.degree, \
+        (name, q)
+
+
 def test_central_product_power_invariants(corpus):
     # |U| = |K|^q / |Z|^(q-1); Z(U) iso Z(K) for nonabelian K
     for name, k in corpus:
@@ -248,7 +273,7 @@ def test_central_product_power_invariants(corpus):
             continue
         for q in (2, 3):
             if q == 3 and k.order > 10:
-                continue   # |U| grows as |K|^3; keep the scan desk-sized
+                continue   # |U| grows as |K|^3; the slow test below has these
             cpp = central_product_power(k, q)
             z = k.center()
             assert cpp.group.order == k.order ** q // z.order ** (q - 1), name
@@ -259,37 +284,15 @@ def test_central_product_power_invariants(corpus):
                 assert _order_multiset(zu) == _order_multiset(z), name
             if k.order <= 16 and k.p_core(2).order == 1:
                 assert cpp.group.p_core(2).order == 1, name
+            _check_realisation(name, k, q, cpp)
 
 
-def test_central_product_power_realisation(corpus):
-    # U acts on the cosets of A^q W, A core-free in K: lift is exact, W is
-    # the kernel, U agrees with K^q / W, and the degree does not depend on
-    # the order of K's generators
+@pytest.mark.slow
+def test_central_product_power_realisation_cubes(corpus):
+    # the realisation checks for q = 3 and 10 < |K| <= 30
     for name, k in corpus:
-        if k.order > 30:
-            continue
-        rotated = PermGroup(k.degree, list(k.gens[1:]) + list(k.gens[:1]))
-        for q in (2, 3):
-            cpp = central_product_power(k, q)
-            qr, u = cpp.quotient, cpp.group
-            # every w through the action map as a hom (image_of on all of U
-            # would cost |U| [K^q : A^q W] coset canonicalisations)
-            for w in u.elements():
-                assert qr.hom.image(qr.lift(w)) == w, (name, q)
-            for w in u.gens:
-                assert qr.image_of(qr.lift(w)) == w, (name, q)
-            for g in cpp.w_subgroup.gens:
-                assert qr.image_of(g) == u.identity, (name, q)
-            seen = (u.order, sorted(u.conjugacy_classes().sizes),
-                    u.center().order)
-            expect = oracles.power_quotient_class_sizes(k.elements(), q)
-            assert seen == (sum(expect), expect, expect.count(1)), (name, q)
-            if u.order <= 600:      # the regular realisation has |U| points
-                v = cpp.power_group.quotient(cpp.w_subgroup).group
-                assert seen == (v.order, sorted(v.conjugacy_classes().sizes),
-                                v.center().order), (name, q)
-            assert central_product_power(rotated, q).group.degree \
-                == u.degree, (name, q)
+        if 10 < k.order <= 30:
+            _check_realisation(name, k, 3, central_product_power(k, 3))
 
 
 def test_central_product_power_small_degree():

@@ -33,11 +33,12 @@ def test_invalid_generator_rejected():
         group_from_generators(3, [(0, 0, 1)])
 
 
-def test_known_order_is_checked_not_trusted():
+def test_public_constructor_takes_no_order_claim():
+    # the order comes from the chain; a caller cannot claim one
     s3_gens = [(1, 0, 2), (1, 2, 0)]
-    with pytest.raises(InvalidPermutation):
+    assert group_from_generators(3, s3_gens).order == 6
+    with pytest.raises(TypeError):
         group_from_generators(3, s3_gens, known_order=3)
-    assert group_from_generators(3, s3_gens, known_order=6).order == 6
 
 
 def test_class_data_s3(s3):
