@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 from .chartab import ClassFunction, character_table, fusion_through_hom, inner_product
 from .cyclo import prime_factors, rational, zeta
-from .errors import Budget, DEFAULT_BUDGET, DegenerateStep, NotSolvable
+from .errors import (Budget, DEFAULT_BUDGET, DegenerateStep, NotSolvable,
+                     VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
 from .homs import GroupHom
@@ -204,6 +205,11 @@ class _StepData:
     q: int
 
 
+def _verify(holds: bool, what: str):
+    if not holds:
+        raise VerificationFailed(what)
+
+
 def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
                 budget=DEFAULT_BUDGET) -> _StepData:
     k_grp = level.group
@@ -248,7 +254,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
 
     if q == p:
         alpha = GroupHom(u_grp, u_grp, shifted_u_gens())
-        assert alpha.automorphism_order() == q
+        _verify(alpha.automorphism_order() == q, "the coordinate shift has order q")
         sd = semidirect(u_grp, cyclic(q), [alpha])
         n_grp = u_grp
         split_n = None
@@ -263,7 +269,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         images = [emb_u(w) for w in shifted_u_gens()]
         images.append(pmul(emb_u(u_z), emb_y(y_grp.gens[0])))
         alpha = GroupHom(n_grp, n_grp, images)
-        assert alpha.automorphism_order() == q
+        _verify(alpha.automorphism_order() == q, "the twisted shift has order q")
         sd = semidirect(n_grp, cyclic(q), [alpha])
 
         def n_embed(u_elem):
@@ -279,7 +285,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         rhs = q * q * (l_grp.order // z_l.order) ** q
         eq3 = {"central_index": lhs, "q_squared_times_power": rhs,
                "holds": lhs == rhs}
-        assert lhs == rhs, "central index identity failed"
+        _verify(lhs == rhs, "central index identity failed")
 
     cd_h = h_grp.conjugacy_classes()
     regular_h = p_regular_classes(cd_h, p)
@@ -308,9 +314,9 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         matches = [idx for idx, row in enumerate(bd_h.ibr)
                    if all(row[pos_h[fusion[c]]] == tau_vals[a]
                           for a, c in enumerate(n_regular))]
-        assert len(matches) == 1, f"extension witness count {len(matches)}"
+        _verify(len(matches) == 1, f"extension witness count {len(matches)}")
         mu_values = tuple(bd_h.ibr[matches[0]])
-        assert brauer_kernel_trivial(bd_h, matches[0]), "witness is not faithful"
+        _verify(brauer_kernel_trivial(bd_h, matches[0]), "witness is not faithful")
         method = "table-extension"
         deg = _degree_of(mu_values)
     else:
@@ -324,20 +330,21 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             bd_h = brauer_data(table_h, p, with_blocks=False)
             matches = [idx for idx, row in enumerate(bd_h.ibr)
                        if tuple(row) == mu_values]
-            assert len(matches) == 1
-            assert brauer_kernel_trivial(bd_h, matches[0])
+            _verify(len(matches) == 1, f"induced witness count {len(matches)}")
+            _verify(brauer_kernel_trivial(bd_h, matches[0]),
+                    "induced witness is not faithful")
             method = "table-induced"
         else:
             # p'-group: the induced character is certified directly
             cf = ClassFunction(cd_h, mu_values)
-            assert inner_product(cf, cf) == 1, "induced witness is not irreducible"
+            _verify(inner_product(cf, cf) == 1, "induced witness is not irreducible")
             kernel_classes = [c for c in range(len(cd_h))
                               if mu_values[c] == mu_values[0]]
-            assert kernel_classes == [0], "induced witness is not faithful"
+            _verify(kernel_classes == [0], "induced witness is not faithful")
             method = "norm-certified-induction"
 
-    assert deg * deg == p_prime_part(h_grp.order // z_h.order, p), \
-        "witness degree does not square to the p'-central index"
+    _verify(deg * deg == p_prime_part(h_grp.order // z_h.order, p),
+            "witness degree does not square to the p'-central index")
 
     qr_h = h_grp.quotient(z_h)
     new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, qr_h, None,
@@ -356,7 +363,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
     q = step.q
     qr_gm = g_grp.quotient(m_sub)
     v = qr_gm.group
-    assert v.order == q
+    _verify(v.order == q, f"G/M has order {v.order}, not q = {q}")
     gen_c = min(e for e in v.elements() if e != v.identity)
     dlog = {}
     e = v.identity
@@ -372,7 +379,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
         coords = []
         for a in range(q):
             m_a = pmul(pmul(s_by_exp[a], g), pinv(s_by_exp[(a + j) % q]))
-            assert m_a in m_sub, "transversal component outside the kernel"
+            _verify(m_a in m_sub, "transversal component outside the kernel")
             kbar = prev.embedding.image(m_a)
             k_elt = prev.center_quotient.lift(kbar)
             coords.append(step.l_embed(k_elt))

@@ -3,10 +3,17 @@
 Brauer characters of p-solvable groups are extracted from the ordinary table
 by the restriction/deletion procedure: start with all distinct restrictions
 to p-regular classes, then repeatedly remove, largest degree first, any
-member that is a non-negative integer combination of the others.  The
-fixpoint equals IBr exactly when every Brauer character lifts; otherwise the
-size check fails and AmbiguousBasicSet is raised, and the caller may supply
-an IBr matrix from an independent source.
+member that is a non-negative integer combination of members of smaller
+degree.  The fixpoint equals IBr exactly when every Brauer character lifts;
+otherwise the size check fails and AmbiguousBasicSet is raised, and the
+caller may supply an IBr matrix from an independent source.
+
+The search runs on the integer coordinates of the restrictions on the power
+basis of Q(zeta).  Span tests modulo the prime ELL = 2^61 - 1 prune it: a
+vector outside a span mod ELL is no integer combination of it.  Every
+deletion is an exact integer sum, checked again, and full rank mod ELL
+proves the fixpoint independent; only a short rank mod ELL is decided again
+by exact rational elimination.
 
 Blocks are linkage classes of the central characters omega_chi reduced in a
 deterministic F_{p^m}; decomposition matrices are the unique solutions of
@@ -16,13 +23,13 @@ non-negative and integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from .chartab import CharacterTable
-from .cyclo import (Cyclotomic, PrimeFieldCtx, ONE, ZERO, euler_phi, nu,
+from .cyclo import (Cyclotomic, PrimeFieldCtx, ZERO, euler_phi, nu,
                     p_part, p_prime_part, rational, reduce_mod_p)
 from .errors import (
     AmbiguousBasicSet,
@@ -30,6 +37,7 @@ from .errors import (
     NonIntegralDecomposition,
     NoSuchBlock,
     NotCentralPPrime,
+    VerificationFailed,
 )
 from .permgroup import ClassData, PermGroup
 from .perms import pmul
@@ -49,11 +57,15 @@ def restriction(row, regular) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# rational flattening for exact linear algebra over Q(zeta)
+# integer coordinates over a common Q(zeta) and linear algebra on them
 # ---------------------------------------------------------------------------
 
+ELL = (1 << 61) - 1     # prime modulus of the rank and span tests
+
+
 def _flatten(vectors):
-    """Map tuples of cyclotomics to rational coordinate tuples (common field)."""
+    """Map tuples of algebraic integers in Q(zeta) to integer coordinate
+    tuples on the power basis of their common field."""
     big = lcm(*(v.n for vec in vectors for v in vec))
     width = euler_phi(big)
     out = []
@@ -75,17 +87,44 @@ def _embed_rows(n, big):
 
 
 def _coords_at(v: Cyclotomic, big: int, width: int):
-    out = [Fraction(0)] * width
-    if v.n == 1:
-        out[0] = Fraction(v.coeffs[0])
-        return out
-    rows = _embed_rows(v.n, big)
-    for c, row in zip(v.coeffs, rows):
+    out = [0] * width
+    for c, row in zip(v.coeffs, _embed_rows(v.n, big)):
         if c:
+            if getattr(c, "denominator", 1) != 1:
+                raise VerificationFailed(f"{v!r} is not an algebraic integer")
+            c = int(c)
             for j in range(width):
                 if row[j]:
-                    out[j] += Fraction(c) * row[j]
+                    out[j] += c * row[j]
     return out
+
+
+class _ModEchelon:
+    """Row echelon form mod ELL of vectors added one at a time.  Row k is
+    reduced against rows 0..k-1 only, so the span of the first r rows is the
+    span of the vectors added before them."""
+
+    def __init__(self, vectors=()):
+        self.rows = []
+        self.pivots = []
+        for vec in vectors:
+            self.add(vec)
+
+    def residue(self, vec, nrows=None):
+        v = [x % ELL for x in vec]
+        for b, pc in zip(self.rows[:nrows], self.pivots):
+            f = v[pc]
+            if f:
+                v = [(x - f * y) % ELL for x, y in zip(v, b)]
+        return v
+
+    def add(self, vec):
+        v = self.residue(vec)
+        pc = next((j for j, x in enumerate(v) if x), None)
+        if pc is not None:
+            inv = pow(v[pc], -1, ELL)
+            self.rows.append([x * inv % ELL for x in v])
+            self.pivots.append(pc)
 
 
 def _solve_in_basis(basis_vectors, targets):
@@ -108,7 +147,7 @@ def _solve_in_basis(basis_vectors, targets):
         if sel is None:
             raise ValueError("dependent basis")
         aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][c]
+        inv = Fraction(1, aug[r][c])
         aug[r] = [x * inv for x in aug[r]]
         for i in range(m):
             if i != r and aug[i][c]:
@@ -123,6 +162,10 @@ def _solve_in_basis(basis_vectors, targets):
 
 
 def linearly_independent(vectors) -> bool:
+    """Full rank mod ELL proves independence over Q; a short rank mod ELL is
+    decided again by exact rational elimination."""
+    if len(_ModEchelon(_flatten(vectors)).rows) == len(vectors):
+        return True
     try:
         _solve_in_basis(vectors, [])
     except ValueError:
@@ -136,105 +179,65 @@ def linearly_independent(vectors) -> bool:
 
 def _degree_of(vec) -> int:
     d = vec[0].as_rational()
-    assert d.denominator == 1
+    if d.denominator != 1:
+        raise VerificationFailed(f"degree {d} is not an integer")
     return int(d)
 
 
-class _CoordinateSpace:
-    """Rational coordinates for a fixed set of cyclotomic value vectors.
+class _DeletionRound:
+    """One round of the deletion search over integer coordinate vectors
+    sorted by descending degree, so that the vectors of smaller degree than
+    any one of them form a suffix.  One echelon mod ELL of the suffixes and
+    one memo serve every target of the round."""
 
-    Flattening to Q-coordinates happens once; all deletion-search arithmetic
-    runs on short Fraction tuples relative to an echelon basis of the span.
-    """
+    def __init__(self, vecs, degs):
+        self.vecs, self.degs, self.memo = vecs, degs, {}
+        self.echelon = _ModEchelon()
+        self.span_rows = [0] * (len(vecs) + 1)   # echelon rows spanning vecs[i:]
+        for i in range(len(vecs) - 1, -1, -1):
+            self.echelon.add(vecs[i])
+            self.span_rows[i] = len(self.echelon.rows)
 
-    def __init__(self, vectors):
-        flat = _flatten(vectors)
-        self.basis = []      # echelon rows with unit pivots
-        self.pivots = []
-        self.coords = {}
-        for vec, row in zip(vectors, flat):
-            self.coords[vec] = self._express(list(row))
-
-    def _express(self, row):
-        cs = []
-        for b, pc in zip(self.basis, self.pivots):
-            f = row[pc]
-            cs.append(f)
-            if f:
-                for j in range(len(row)):
-                    row[j] -= f * b[j]
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is not None:
-            lead = row[pc]
-            self.basis.append([x / lead for x in row])
-            self.pivots.append(pc)
-            cs.append(lead)
-        width = len(self.basis)
-        return tuple(cs) + (Fraction(0),) * (width - len(cs))
-
-    def coordinate(self, vec, width):
-        c = self.coords[vec]
-        return tuple(c) + (Fraction(0),) * (width - len(c))
-
-
-def _decomposable(target_vec, cand_vecs, space: _CoordinateSpace):
-    """Cyclotomic-level wrapper around the coordinate DFS."""
-    cands = sorted(cand_vecs,
-                   key=lambda t: (-_degree_of(t), tuple(v.sort_key() for v in t)))
-    degs = [_degree_of(t) for t in cands]
-    width = len(space.basis)
-    tgt = space.coordinate(target_vec, width)
-    cs = [space.coordinate(t, width) for t in cands]
-    n = len(cs)
-    suffix = [([], [])]
-    for i in range(n - 1, -1, -1):
-        rows = [r[:] for r in suffix[-1][0]]
-        pivots = list(suffix[-1][1])
-        row = list(cs[i])
-        for b, pc in zip(rows, pivots):
-            f = row[pc]
-            if f:
-                for j in range(width):
-                    row[j] -= f * b[j]
-        pc = next((j for j, x in enumerate(row) if x), None)
-        if pc is not None:
-            inv = 1 / row[pc]
-            rows.append([x * inv for x in row])
-            pivots.append(pc)
-        suffix.append((rows, pivots))
-    suffix.reverse()
-
-    def in_span(i, vec):
-        rows, pivots = suffix[i]
-        v = list(vec)
-        for b, pc in zip(rows, pivots):
-            f = v[pc]
-            if f:
-                for j in range(width):
-                    v[j] -= f * b[j]
-        return all(x == 0 for x in v)
-
-    memo = {}
-
-    def rec(i, tgt, deg):
+    def search(self, i, tgt, deg):
+        """A witness ((j, c), ...), j >= i and c > 0, with tgt = sum c vecs[j]
+        and deg = sum c degs[j]; None when there is none.  A tgt outside the
+        span of vecs[i:] mod ELL is no integer combination of them, so a
+        false "in span" costs time and never a wrong answer."""
         if deg == 0:
-            return all(x == 0 for x in tgt)
-        if i == n:
-            return False
-        key = (i, tgt)
-        if key in memo:
-            return memo[key]
-        result = False
-        if in_span(i, tgt):
-            for c in range(deg // degs[i], -1, -1):
-                nxt = tuple(x - c * y for x, y in zip(tgt, cs[i])) if c else tgt
-                if rec(i + 1, nxt, deg - c * degs[i]):
-                    result = True
-                    break
-        memo[key] = result
-        return result
+            return None if any(tgt) else ()
+        if i == len(self.vecs):
+            return None
+        key = (i, tgt, deg)
+        if key not in self.memo:
+            found = None
+            if not any(self.echelon.residue(tgt, self.span_rows[i])):
+                row, d = self.vecs[i], self.degs[i]
+                for c in range(deg // d, -1, -1):
+                    rest = self.search(i + 1, tuple(x - c * y for x, y in zip(tgt, row)),
+                                       deg - c * d)
+                    if rest is not None:
+                        found = ((i, c),) + rest if c else rest
+                        break
+            self.memo[key] = found
+        return self.memo[key]
 
-    return rec(0, tgt, _degree_of(target_vec))
+
+def _decomposable(rnd: _DeletionRound, k: int):
+    """Witness that vecs[k] is a non-negative integer combination of the
+    vectors of smaller degree, or None."""
+    degs = rnd.degs
+    first = next((j for j in range(k, len(degs)) if degs[j] < degs[k]), len(degs))
+    return rnd.search(first, rnd.vecs[k], degs[k])
+
+
+def _check_witness(rnd: _DeletionRound, k: int, witness):
+    total = [0] * len(rnd.vecs[k])
+    for j, c in witness:
+        if rnd.degs[j] >= rnd.degs[k] or c <= 0:
+            raise VerificationFailed(f"bad deletion witness term {(j, c)}")
+        total = [a + c * b for a, b in zip(total, rnd.vecs[j])]
+    if tuple(total) != rnd.vecs[k]:
+        raise VerificationFailed("deletion witness does not sum to its target")
 
 
 def ibr_fong_swan(table: CharacterTable, p: int):
@@ -250,19 +253,21 @@ def ibr_fong_swan(table: CharacterTable, p: int):
     candidates = sorted(
         {restriction(row, regular) for row in table.values},
         key=lambda t: (-_degree_of(t), tuple(v.sort_key() for v in t)))
-    space = _CoordinateSpace(candidates)
+    coords = dict(zip(candidates, _flatten(candidates)))
     while True:
-        deleted = False
-        for s in candidates:
-            smaller = [t for t in candidates
-                       if t != s and _degree_of(t) < _degree_of(s)]
-            if _decomposable(s, smaller, space):
-                candidates = [t for t in candidates if t != s]
-                deleted = True
+        rnd = _DeletionRound([coords[t] for t in candidates],
+                             [_degree_of(t) for t in candidates])
+        for k in range(len(candidates)):
+            witness = _decomposable(rnd, k)
+            if witness is not None:
+                _check_witness(rnd, k, witness)
+                del candidates[k]
                 break
-        if not deleted:
+        else:
             break
-    if len(candidates) != len(regular) or not linearly_independent(candidates):
+    if len(candidates) != len(regular) or not (
+            len(rnd.echelon.rows) == len(candidates)
+            or linearly_independent(candidates)):
         raise AmbiguousBasicSet(
             f"deletion fixpoint has {len(candidates)} members for "
             f"{len(regular)} p-regular classes")
@@ -289,11 +294,9 @@ class Block:
         return len(self.brauer)
 
 
-def central_character_residues(table: CharacterTable, p: int, ctx=None):
+def central_character_residues(table: CharacterTable, p: int):
     """Per row, the tuple of reductions of omega_chi(K) in F_{p^m}."""
-    e_prime = p_prime_part(table.exponent, p)
-    if ctx is None:
-        ctx = PrimeFieldCtx(p, e_prime)
+    ctx = PrimeFieldCtx(p, p_prime_part(table.exponent, p))
     out = []
     for row in table.values:
         deg = row[0].as_rational()
@@ -302,12 +305,12 @@ def central_character_residues(table: CharacterTable, p: int, ctx=None):
             omega = row[j] * size / deg
             resids.append(reduce_mod_p(omega, p, ctx))
         out.append(tuple(resids))
-    return out, ctx
+    return out
 
 
 def block_partition(table: CharacterTable, p: int) -> list:
     """Blocks via central-character linkage; principal first, brauer unfilled."""
-    resids, _ = central_character_residues(table, p)
+    resids = central_character_residues(table, p)
     groups = {}
     for i, r in enumerate(resids):
         groups.setdefault(r, []).append(i)
@@ -336,9 +339,6 @@ class BrauerData:
 
     def ibr_degrees(self):
         return [_degree_of(v) for v in self.ibr]
-
-    def l_of(self, block: Block):
-        return len(block.brauer)
 
     def is_maximal_defect(self, block: Block) -> bool:
         """Whether the block's defect groups are the Sylow p-subgroups."""
@@ -378,7 +378,8 @@ def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
         filled.append(Block(blk.ordinary, tuple(brauer_idx), blk.defect,
                             blk.defect_group, blk.defect_group_provenance))
     seen = [j for blk in filled for j in blk.brauer]
-    assert sorted(seen) == list(range(l)), "every IBr lies in exactly one block"
+    if sorted(seen) != list(range(l)):
+        raise VerificationFailed("an IBr lies in no block or in two blocks")
     return BrauerData(table.group, table.classes, p, regular, list(ibr), table,
                       dec, cartan, filled, provenance)
 
@@ -412,25 +413,27 @@ def decomposition_matrix(table: CharacterTable, ibr, regular) -> list:
 
 
 def cartan_determinant(cartan) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    n = len(cartan)
-    m = [[Fraction(x) for x in row] for row in cartan]
-    det = Fraction(1)
+    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    if not all(isinstance(x, int) for row in cartan for x in row):
+        raise VerificationFailed("the Cartan matrix is not integral")
+    m = [list(row) for row in cartan]
+    n = len(m)
+    sign, prev = 1, 1
     for c in range(n):
         sel = next((r for r in range(c, n) if m[r][c]), None)
         if sel is None:
             return 0
         if sel != c:
             m[c], m[sel] = m[sel], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
+            sign = -sign
         for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    assert det.denominator == 1
-    return int(det)
+            for j in range(c + 1, n):
+                q, rem = divmod(m[r][j] * m[c][c] - m[r][c] * m[c][j], prev)
+                if rem:
+                    raise VerificationFailed("Bareiss division is not exact")
+                m[r][j] = q
+        prev = m[c][c]
+    return sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +458,6 @@ class LinearCharacter:
 
     def __call__(self, g):
         return self.values[tuple(g)]
-
-    def is_trivial(self):
-        return all(v == ONE for v in self.values.values())
 
 
 def linear_characters(subgroup: PermGroup) -> list:

@@ -126,3 +126,19 @@ def power_quotient_class_sizes(k_elements, q):
             seen.add(key)
             sizes.append(len(image))
     return sorted(sizes)
+
+
+def leibniz_det(m):
+    """Determinant as the signed sum over all permutations of the columns."""
+    from itertools import permutations
+
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ctlab.errors import DegenerateStep, NotSolvable
@@ -109,3 +114,57 @@ def test_step_from_base_level_q2_p3_is_the_eight_group():
     # |H : Z| = q^2 |K : Z(K)|^q with the augmented K = C_2
     assert step.record.eq3 == {"central_index": 4,
                                "q_squared_times_power": 4, "holds": True}
+
+
+_CHECKS_UNDER_O = """
+import sys
+from fractions import Fraction
+from ctlab import gagola, modrep
+from ctlab.chartab import character_table
+from ctlab.cyclo import rational
+from ctlab.errors import VerificationFailed
+from ctlab.forge import cyclic
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, fn):
+    try:
+        fn()
+    except VerificationFailed:
+        raised.append(name)
+
+real = gagola.inner_product
+gagola.inner_product = lambda a, b: 2
+expect("irreducible", lambda: gagola.gagola_tower(cyclic(2), 3))
+gagola.inner_product = real
+real = gagola.p_prime_part
+gagola.p_prime_part = lambda n, p: 0
+expect("degree_square", lambda: gagola.gagola_tower(cyclic(2), 3))
+gagola.p_prime_part = real
+real = gagola.brauer_kernel_trivial
+gagola.brauer_kernel_trivial = lambda bd, i: False
+expect("faithful", lambda: gagola.gagola_tower(cyclic(6), 2))
+gagola.brauer_kernel_trivial = real
+
+s3 = character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
+expect("degree_of", lambda: modrep._degree_of((rational(Fraction(1, 2)),)))
+expect("cartan", lambda: modrep.cartan_determinant([[Fraction(1, 2)]]))
+real = modrep.block_partition
+modrep.block_partition = lambda t, p: real(t, p)[1:]
+expect("blocks", lambda: modrep.brauer_data(s3, 2))
+modrep.block_partition = real
+modrep._decomposable = lambda rnd, k: ((len(rnd.vecs) - 1, 1),)
+expect("witness", lambda: modrep.ibr_fong_swan(s3, 3))
+print(" ".join(raised))
+"""
+
+
+def test_tower_checks_survive_python_O():
+    src = str(Path(gagola_tower.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
+                                  "degree_of", "cartan", "blocks", "witness"]

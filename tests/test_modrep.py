@@ -1,8 +1,16 @@
-import pytest
+import hashlib
+import json
+import os
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from ctlab import modrep
 from ctlab.chartab import character_table, direct_product_table
+from ctlab.cyclo import rational
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
-                          NotCentralPPrime)
+                          NotCentralPPrime, VerificationFailed)
 from ctlab.forge import cyclic
 from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           brauer_data_for_product, brauer_kernel,
@@ -109,9 +117,7 @@ def test_ibr_square_nonsingular(corpus_tables):
     from ctlab.modrep import linearly_independent
 
     for name, g, t in corpus_tables:
-        if g.order > 72:
-            continue
-        for p in (2, 3):
+        for p in (2, 3, 5):
             bd = brauer_data(t, p)
             assert len(bd.ibr) == len(bd.regular), name
             assert linearly_independent(bd.ibr), name
@@ -222,3 +228,121 @@ def test_tensor_route_matches_deletion_on_small_product(s3_table):
     deletion = brauer_data(tp, 3)
     assert tensor.ibr == deletion.ibr
     assert tensor.decomposition == deletion.decomposition
+
+
+def _int_rows(*rows):
+    return [tuple(rational(x) for x in row) for row in rows]
+
+
+def test_independent_over_q_though_dependent_mod_ell():
+    rows = _int_rows((1, 0), (1, modrep.ELL))
+    assert len(modrep._ModEchelon(modrep._flatten(rows)).rows) == 1  # short mod ELL
+    assert modrep.linearly_independent(rows)                      # exact fallback
+    assert not modrep.linearly_independent(_int_rows((1, 2), (2, 4)))
+    assert modrep.linearly_independent(_int_rows((1, 2), (2, 5)))
+
+
+@pytest.mark.parametrize("target, smaller", [
+    ((2, modrep.ELL), [(1, 0)]),        # 2 (1, 0) mod ELL only
+    ((2, 1), [(1, 1), (1, -1)]),        # 3/2 (1, 1) + 1/2 (1, -1) over Q
+    ((2, 0), [(1, 2), (1, 1)]),         # 4 (1, 1) - 2 (1, 2): a negative term
+])
+def test_span_mod_ell_alone_deletes_nothing(target, smaller):
+    rnd = modrep._DeletionRound([target] + smaller, [2] + [1] * len(smaller))
+    assert not any(rnd.echelon.residue(target, rnd.span_rows[1]))
+    assert modrep._decomposable(rnd, 0) is None
+
+
+def test_deletion_witness():
+    rnd = modrep._DeletionRound([(2, 0), (1, 1), (1, -1)], [2, 1, 1])
+    witness = modrep._decomposable(rnd, 0)
+    assert sorted(witness) == [(1, 1), (2, 1)]
+    modrep._check_witness(rnd, 0, witness)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda rnd, k: ((len(rnd.vecs) - 1, 1),),    # sums to the wrong vector
+    lambda rnd, k: ((k, 1),),                     # not of smaller degree
+])
+def test_corrupted_deletion_witness_raises(s3_table, monkeypatch, corrupt):
+    monkeypatch.setattr(modrep, "_decomposable", corrupt)
+    with pytest.raises(VerificationFailed):
+        ibr_fong_swan(s3_table, 3)
+
+
+small_square = st.integers(min_value=0, max_value=4).flatmap(
+    lambda n: st.lists(st.lists(st.integers(min_value=-6, max_value=6),
+                                min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_square)
+@example([[0, 1], [1, 0]])                     # one row swap
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])    # a swap at the first pivot
+@example([[0, 1, 2], [0, 3, 4], [5, 6, 7]])    # two swaps
+@example([[1, 2, 3], [2, 4, 6], [1, 0, 1]])    # singular: dependent rows
+@example([[2, 4], [1, 2]])                     # singular after one step
+@example([[0, 0], [0, 0]])
+def test_cartan_determinant_matches_leibniz(m):
+    assert cartan_determinant(m) == oracles.leibniz_det(m)
+
+
+def test_cartan_determinant_rejects_non_integral():
+    from fractions import Fraction
+
+    with pytest.raises(VerificationFailed):
+        cartan_determinant([[Fraction(1, 2)]])
+
+
+# -- IBr golden: the deletion search's output, frozen as sha256 digests ------
+
+IBR_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                          "ibr_digests.json")
+IBR_PRIMES = (2, 3, 5, 7)
+
+
+def _ibr_golden_groups():
+    from conftest import corpus_groups
+    from ctlab.forge import psl2, sl2
+    from ctlab.instances import (order72_build, order720_build,
+                                 order864_build, order3960_build)
+
+    return corpus_groups() + [
+        ("SL(2,5)", sl2(5)), ("PSL(2,7)", psl2(7)),
+        ("order72", order72_build().group),
+        ("order720", order720_build().group),
+        ("order864", order864_build().group),
+        ("order3960", order3960_build().group)]
+
+
+def _ibr_digest(table, p):
+    """sha256 of the IBr value tuples and the regular class indices, or the
+    name of the error the deletion search raises."""
+    try:
+        ibr, regular = ibr_fong_swan(table, p)
+    except AmbiguousBasicSet:
+        return "AmbiguousBasicSet"
+    blob = json.dumps({"ibr": [[v.serialize() for v in row] for row in ibr],
+                       "regular": list(regular)}, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def ibr_digests():
+    return {f"{name} p={p}": _ibr_digest(t, p)
+            for name, g in _ibr_golden_groups()
+            for t in [character_table(g)] for p in IBR_PRIMES}
+
+
+def test_ibr_matches_golden():
+    with open(IBR_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert ibr_digests() == golden
+    assert sorted(k for k, v in golden.items() if v == "AmbiguousBasicSet") \
+        == ["PSL(2,7) p=7", "order720 p=5"]
+
+
+if __name__ == "__main__":
+    # regenerate: PYTHONPATH=src python tests/test_modrep.py
+    with open(IBR_GOLDEN, "w") as fh:
+        json.dump(ibr_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
