@@ -10,16 +10,26 @@ hash key.
 The finite-field side provides F_ell contexts for the character-table
 engine (ell = 1 mod e) and F_{p^m} contexts for reducing algebraic integers
 modulo a prime ideal over p, with a fixed primitive root convention so block
-partitions are reproducible.
+partitions are reproducible.  An F_{p^m} context is F_p[x]/(f) with f the
+lexicographically least monic irreducible of degree m (constant term
+outermost) whose root has order divisible by e.  The search skips every
+constant term that cannot be the norm of such a root, tests irreducibility
+by Ben-Or's gcd test and tests e | order with one power per prime of e;
+see ``PrimeFieldCtx``.  ``prime_field(p, e)`` caches one context per (p, e).
+All F_p[x]/(f) arithmetic runs through one kernel, ``_fp_mulmod``, which
+packs coefficients into one integer (Kronecker substitution), multiplies
+once and folds the high half back with precomputed rows x^k mod f.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt
 
-from .errors import LiftInconsistent, NotAlgebraicInteger
+from .errors import LiftInconsistent, NotAlgebraicInteger, VerificationFailed
 
 
 # ---------------------------------------------------------------------------
@@ -494,65 +504,63 @@ def rational(x) -> Cyclotomic:
 class PrimeFieldCtx:
     """F_{p^m} = F_p[x]/(f) with a fixed primitive e-th root of unity.
 
-    ``f`` is the lexicographically least monic irreducible of degree m whose
-    root has multiplicative order divisible by e; ``omega = root^(ord/e)``.
+    ``f`` is the lexicographically least monic irreducible of degree
+    m = ord_e(p) whose root has multiplicative order divisible by e;
+    ``omega = root^(ord/e)``.  Writing f = a0 + a1 x + ... + x^m, the search
+    runs over (a0, a1, ..., a_(m-1)) in lexicographic order, a0 outermost,
+    and skips a whole a0 block when a0 cannot be the norm of such a root:
+    the norm of a root alpha is (-1)^m a0 = alpha^c with c = (p^m-1)/(p-1),
+    so e | ord(alpha) forces e/gcd(e, c) | ord((-1)^m a0) in F_p^*.  Every
+    skipped f would fail the order test, so the pruning never changes f.
     Elements are coefficient tuples of length m.  For m = 1 this is the prime
-    field and tuples have length 1.
+    field and tuples have length 1.  Use ``prime_field(p, e)``, which builds
+    each context once.
     """
 
     def __init__(self, p: int, e: int):
         self.p = p
         self.e = e
         self.m = 1 if e <= 1 else multiplicative_order(p, e)
-        self.modulus = self._find_modulus()
         self.zero = (0,) * self.m
         self.one = (1,) + (0,) * (self.m - 1)
-        if self.m == 1:
-            x = ((-self.modulus[0]) % p,)
-        else:
-            x = (0, 1) + (0,) * (self.m - 2)
-        if e > 1:
-            root_order = self._element_order(x)
-            assert root_order % e == 0
-            self.omega = self.pow(x, root_order // e)
-        else:
+        if e <= 1:
+            self.modulus = (0, 1)   # x, the least monic irreducible of degree 1
             self.omega = self.one
-        self.omega_pows = [self.one]
+        else:
+            self.modulus, root_order = self._find_modulus()
+            if root_order % e:
+                raise VerificationFailed(
+                    f"root of {self.modulus} has order {root_order}, "
+                    f"not divisible by {e}")
+            self.omega = self.pow(_x_mod(self.modulus, p), root_order // e)
+        pows = [self.one]
         for _ in range(max(e - 1, 0)):
-            self.omega_pows.append(self.mul(self.omega_pows[-1], self.omega))
-        self.dlog = {w: i for i, w in enumerate(self.omega_pows)}
+            pows.append(self.mul(pows[-1], self.omega))
+        self.omega_pows = tuple(pows)
 
     def _find_modulus(self):
+        """(f, order of its root) for the least f as in the class docstring."""
         p, m, e = self.p, self.m, self.e
-        assert e <= 1 or (p ** m - 1) % e == 0
-        if m == 1:
-            candidates = _lex_tuples(p, 1)
-        else:
-            # a zero constant term means a factor of x: skip that whole
-            # lex block instead of enumerating it
-            candidates = ((a0,) + rest for a0 in range(1, p)
-                          for rest in _lex_tuples(p, m - 1))
-        for tail in candidates:
-            f = tail + (1,)
-            if m > 1 and any(_poly_eval(f, c, p) == 0 for c in range(p)):
-                continue  # a linear factor
-            if not _poly_irreducible(f, p):
+        total = p ** m - 1
+        if total % e:
+            raise VerificationFailed(f"e = {e} does not divide {p}^{m} - 1")
+        norm_order = e // gcd(e, total // (p - 1))
+        sign = -1 if m % 2 else 1
+        # q^a | ord(x) iff x^(total / q^(nu_q(total) - a + 1)) != 1
+        tests = [total // q ** (nu(total, q) - nu(e, q) + 1)
+                 for q in prime_factors(e)]
+        for a0 in range(1, p):
+            if multiplicative_order(sign * a0, p) % norm_order:
                 continue
-            if e <= 1:
-                return f
-            if m == 1:
-                root = (-f[0]) % p
-                if root == 0:
+            for rest in product(range(p), repeat=m - 1):
+                f = (a0,) + rest + (1,)
+                if not _poly_irreducible(f, p):
                     continue
-                order = multiplicative_order(root, p)
-            else:
-                order = _element_order_mod((0, 1) + (0,) * (m - 2), f, p)
-            if order % e == 0:
-                return f
-        raise AssertionError("no suitable modulus found")
-
-    def _element_order(self, x):
-        return _element_order_mod(x, self.modulus, self.p)
+                x = _x_mod(f, p)
+                if all(_fp_powmod(x, k, f, p) != self.one for k in tests):
+                    return f, _element_order_mod(x, f, p)
+        raise VerificationFailed(f"no modulus of degree {m} over F_{p} "
+                                 f"has a root of order divisible by {e}")
 
     # element ops ---------------------------------------------------------
     def add(self, a, b):
@@ -571,41 +579,74 @@ class PrimeFieldCtx:
         return (c % self.p,) + (0,) * (self.m - 1)
 
 
-def _lex_tuples(p, m):
-    total = p ** m
-    for code in range(total):
-        out = []
-        c = code
-        for _ in range(m):
-            out.append(c % p)
-            c //= p
-        yield tuple(reversed(out))
+@lru_cache(maxsize=None)
+def prime_field(p: int, e: int) -> PrimeFieldCtx:
+    """The F_{p^m} context for (p, e), built once per process; callers must
+    not mutate it."""
+    return PrimeFieldCtx(p, e)
 
 
-def _poly_eval(f, x, p):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
+def _x_mod(f, p):
+    """The class of x in F_p[x]/(f) as a coefficient tuple."""
+    m = len(f) - 1
+    return ((-f[0]) % p,) if m == 1 else (0, 1) + (0,) * (m - 2)
+
+
+# Kronecker substitution: a coefficient tuple is packed into one int, each
+# coefficient in a fixed number of bytes, so a polynomial product is one
+# integer product as long as no coefficient overflows its field.
+_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _pack(coeffs, width):
+    code = _STRUCT_CODES.get(width)
+    if code is None:
+        raw = b"".join(c.to_bytes(width, "little") for c in coeffs)
+    else:
+        raw = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
+    return int.from_bytes(raw, "little")
+
+
+def _unpack(n, width, count):
+    raw = n.to_bytes(width * count, "little")
+    code = _STRUCT_CODES.get(width)
+    if code is None:
+        return [int.from_bytes(raw[i:i + width], "little")
+                for i in range(0, len(raw), width)]
+    return struct.unpack(f"<{count}{code}", raw)
+
+
+@lru_cache(maxsize=128)
+def _fold_table(f, p):
+    """Byte width of a packed coefficient and the packed rows x^k mod f,
+    k = m .. 2m-2, for ``_fp_mulmod``.  A product coefficient is at most
+    m(p-1)^2, and folding adds at most (m-1)(p-1)^2 more."""
+    m = len(f) - 1
+    width = 1
+    while 256 ** width <= 2 * m * (p - 1) ** 2:
+        width *= 2
+    rows = []
+    row = [(-c) % p for c in f[:m]]
+    for _ in range(m - 1):
+        rows.append(_pack(row, width))
+        top = row[-1]
+        row = [(r - top * c) % p for r, c in zip([0] + row[:-1], f)]
+    return width, rows
 
 
 def _fp_mulmod(a, b, f, p):
     """a * b in F_p[x]/(f) for monic f; a, b and the result are coefficient
-    tuples (ascending) of length at most deg f."""
+    tuples (ascending) of length at most deg f, entries in [0, p)."""
     m = len(f) - 1
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] = (prod[i + j] + x * y) % p
-    for k in range(2 * m - 2, m - 1, -1):
-        c = prod[k]
+    width, rows = _fold_table(f, p)
+    prod = _pack(a, width) * _pack(b, width)
+    low_bits = 8 * width * m
+    acc = prod & ((1 << low_bits) - 1)
+    for c, row in zip(_unpack(prod >> low_bits, width, m - 1), rows):
+        c %= p
         if c:
-            prod[k] = 0
-            for j in range(m):
-                prod[k - m + j] = (prod[k - m + j] - c * f[j]) % p
-    return tuple(prod[:m])
+            acc += c * row
+    return tuple(c % p for c in _unpack(acc, width, m))
 
 
 def _fp_powmod(a, k, f, p):
@@ -620,17 +661,16 @@ def _fp_powmod(a, k, f, p):
 
 
 def _poly_irreducible(f, p) -> bool:
-    """Deterministic irreducibility over F_p: x^(p^d) congruences."""
+    """Ben-Or: a monic f of degree m is irreducible over F_p iff
+    gcd(x^(p^i) - x, f) = 1 for every i <= m/2, since a reducible f has an
+    irreducible factor of some degree i <= m/2, and it divides x^(p^i) - x."""
     m = len(f) - 1
-    if m == 1:
-        return True
-    x = (0, 1) + (0,) * (m - 2)
-    if _fp_powmod(x, p ** m, f, p) != x:
-        return False
-    for q in set(prime_factors(m)):
-        xd = list(_fp_powmod(x, p ** (m // q), f, p))
-        xd[1] = (xd[1] - 1) % p
-        if _poly_gcd_nontrivial(xd, f, p):
+    xp = _x_mod(f, p)
+    for _ in range(m // 2):
+        xp = _fp_powmod(xp, p, f, p)
+        diff = list(xp)
+        diff[1] = (diff[1] - 1) % p
+        if _poly_gcd_nontrivial(diff, f, p):
             return False
     return True
 
@@ -697,7 +737,6 @@ class DixonField:
         self.omega_pows = [1]
         for _ in range(e - 1):
             self.omega_pows.append(self.omega_pows[-1] * self.omega % ell)
-        self.dlog = {w: i for i, w in enumerate(self.omega_pows)}
 
     def _primitive_root(self):
         ell = self.ell
@@ -765,7 +804,7 @@ def reduce_mod_p(value: Cyclotomic, p: int, ctx: PrimeFieldCtx):
     else:
         # zeta_n = zeta_{n_p}^x zeta_{n_rest}^y with x n_rest + y n_p = 1 (mod n)
         y = pow(n_p, -1, n_rest)
-        image_of_zeta = ctx.pow(ctx.omega, (ctx.e // n_rest) * y % ctx.e)
+        image_of_zeta = ctx.omega_pows[(ctx.e // n_rest) * y % ctx.e]
     out = ctx.zero
     power = ctx.one
     for c in value.coeffs:

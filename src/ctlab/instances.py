@@ -17,7 +17,7 @@ from .builders import (RegularActionBuild, VectorActionBuild,
                        builder_nonsolvable, builder_plength)
 from .centraltype import is_p_central_type
 from .chartab import character_table, direct_product_table
-from .cyclo import Cyclotomic, PrimeFieldCtx, p_prime_part, zeta
+from .cyclo import Cyclotomic, p_prime_part, prime_field, zeta
 from .errors import NotAHomomorphism
 from .forge import (cyclic, dihedral, extraspecial, matrix_to_vector_perm,
                     mobius_perm, psl2, semidirect, sl2)
@@ -166,7 +166,7 @@ def sl2_char_p_brauer(q: int):
     assert len(regular) == q
     exp = lcm(1, *cd.element_orders)
     e_prime = p_prime_part(exp, q)
-    ctx = PrimeFieldCtx(q, e_prime)
+    ctx = prime_field(q, e_prime)
     vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
     e1 = vecs.index((1, 0))
     e2 = vecs.index((0, 1))

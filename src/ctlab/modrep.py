@@ -29,8 +29,8 @@ from functools import lru_cache
 from math import lcm
 
 from .chartab import CharacterTable
-from .cyclo import (Cyclotomic, PrimeFieldCtx, ZERO, euler_phi, nu,
-                    p_part, p_prime_part, rational, reduce_mod_p)
+from .cyclo import (Cyclotomic, ZERO, euler_phi, nu, p_part, p_prime_part,
+                    prime_field, rational, reduce_mod_p)
 from .errors import (
     AmbiguousBasicSet,
     MissingDefectGroup,
@@ -296,7 +296,7 @@ class Block:
 
 def central_character_residues(table: CharacterTable, p: int):
     """Per row, the tuple of reductions of omega_chi(K) in F_{p^m}."""
-    ctx = PrimeFieldCtx(p, p_prime_part(table.exponent, p))
+    ctx = prime_field(p, p_prime_part(table.exponent, p))
     out = []
     for row in table.values:
         deg = row[0].as_rational()

@@ -17,7 +17,7 @@ from .builders import builder_unique_lift
 from .centraltype import fully_ramified_search, is_p_central_type
 from .chartab import character_table, direct_product_table, fusion_through_hom, \
     restrict, row_function, inner_product as chi_inner, ClassFunction
-from .errors import DegenerateStep, HypothesisFails
+from .errors import DegenerateStep, HypothesisFails, ParseError
 from .forge import cyclic, dihedral, quaternion, sl2
 from .gagola import gagola_tower
 from .grammar import parse_generator_file, parse_matrix_file
@@ -268,7 +268,9 @@ def _run_user_unilift(stem: str, p: int) -> dict:
         degree, gens = parse_generator_file(fh.read())
     with open(mat_path) as fh:
         q, mats = parse_matrix_file(fh.read())
-    assert q == p, "matrix field must match the requested prime"
+    if q != p:
+        raise ParseError(f"{os.path.basename(mat_path)} gives matrices over "
+                         f"GF({q}); this check needs GF({p})")
     h = group_from_generators(degree, gens)
     dim = len(mats[0])
     try:

@@ -142,3 +142,56 @@ def leibniz_det(m):
             term *= m[i][j]
         total += term
     return total
+
+
+def _monic_products(p, m):
+    """Every monic polynomial of degree m over F_p with a monic factor of
+    degree 1..m//2, as ascending coefficient tuples: the reducible ones."""
+    from itertools import product
+
+    out = set()
+    for d in range(1, m // 2 + 1):
+        for g in product(range(p), repeat=d):
+            for h in product(range(p), repeat=m - d):
+                prod = [0] * (m + 1)
+                for i, x in enumerate(g + (1,)):
+                    for j, y in enumerate(h + (1,)):
+                        prod[i + j] += x * y
+                out.add(tuple(c % p for c in prod))
+    return out
+
+
+def least_field_modulus(p, e):
+    """The least monic irreducible f of degree m = ord_e(p) over F_p whose
+    root has multiplicative order divisible by e (e >= 2, p not dividing
+    e), found by plain enumeration: f = a0 + ... + a_(m-1) x^(m-1) + x^m in
+    lexicographic order of (a0, ..., a_(m-1)), irreducible when no product
+    of smaller monic polynomials equals it, and the root's order counted by
+    repeated multiplication in F_p[x]/(f)."""
+    from itertools import product
+
+    m = 1
+    while (p ** m - 1) % e:
+        m += 1
+    reducible = _monic_products(p, m)
+
+    def times_x(a, f):
+        shifted = (0,) + a
+        top = shifted[m]
+        return tuple((c - top * fc) % p for c, fc in zip(shifted[:m], f))
+
+    one = (1,) + (0,) * (m - 1)
+    for tail in product(range(p), repeat=m):
+        f = tail + (1,)
+        if f in reducible:
+            continue
+        root = times_x(one, f)
+        if not any(root):
+            continue                       # f = x, whose root is 0
+        power, order = root, 1
+        while power != one:
+            power = times_x(power, f)
+            order += 1
+        if order % e == 0:
+            return f
+    return None

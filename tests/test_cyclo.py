@@ -1,14 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from ctlab import cyclo
 from ctlab.cyclo import (Cyclotomic, DixonField, PrimeFieldCtx, ONE, ZERO,
                          _fp_mulmod, _poly_rem, cyclotomic_polynomial,
-                         dixon_lift, euler_phi, nu, p_part, p_prime_part,
-                         prime_factors, rational, reduce_mod_ell, reduce_mod_p,
-                         zeta)
+                         dixon_lift, euler_phi, is_prime, nu, p_part,
+                         p_prime_part, prime_factors, prime_field, rational,
+                         reduce_mod_ell, reduce_mod_p, zeta)
 from ctlab.errors import LiftInconsistent, NotAlgebraicInteger
 
 
@@ -195,6 +200,63 @@ def test_prime_field_ctx_modulus_is_deterministic():
     c1 = PrimeFieldCtx(3, 8)
     c2 = PrimeFieldCtx(3, 8)
     assert c1.modulus == c2.modulus and c1.omega == c2.omega
+    cached = prime_field(3, 8)
+    assert prime_field(3, 8) is cached
+    assert cached.modulus == c1.modulus and cached.omega_pows == c1.omega_pows
+
+
+def _small_field_pairs():
+    """Every (p, e) with e >= 2 and p^m <= 3^6, where m = ord_e(p)."""
+    for p in filter(is_prime, range(2, 3 ** 6)):
+        m = 1
+        while p ** m <= 3 ** 6:
+            for e in range(2, p ** m):
+                if (p ** m - 1) % e == 0 and all((p ** k - 1) % e
+                                                 for k in range(1, m)):
+                    yield p, e
+            m += 1
+
+
+def test_prime_field_modulus_matches_enumeration_oracle():
+    pairs = list(_small_field_pairs())
+    assert len(pairs) > 1000
+    for p, e in pairs:
+        ctx = PrimeFieldCtx(p, e)
+        assert ctx.modulus == oracles.least_field_modulus(p, e), (p, e)
+        assert len(set(ctx.omega_pows)) == e
+        assert ctx.mul(ctx.omega_pows[e - 1], ctx.omega) == ctx.one
+
+
+_FIELD_CHECKS_UNDER_O = """
+import sys
+from ctlab import cyclo
+from ctlab.errors import VerificationFailed
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, patch, value):
+    real = getattr(cyclo, patch)
+    setattr(cyclo, patch, value)
+    try:
+        cyclo.PrimeFieldCtx(3, 8)
+    except VerificationFailed:
+        raised.append(name)
+    setattr(cyclo, patch, real)
+
+expect("root_order", "_element_order_mod", lambda x, f, p: 4)
+expect("e_divides", "multiplicative_order", lambda a, n: 3)
+expect("no_modulus", "_poly_irreducible", lambda f, p: False)
+print(" ".join(raised))
+"""
+
+
+def test_field_checks_survive_python_O():
+    src = str(Path(cyclo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _FIELD_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["root_order", "e_divides", "no_modulus"]
 
 
 def test_prime_factors():

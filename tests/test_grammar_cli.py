@@ -188,6 +188,23 @@ def test_cli_reproduce_skipped_user_data(capsys):
     assert "data/user" in data["reason"]
 
 
+def test_cli_reproduce_rejects_mismatched_matrix_field(capsys, monkeypatch,
+                                                      tmp_path):
+    from ctlab import reproduce
+
+    user = tmp_path / "user"
+    user.mkdir()
+    (user / "order128_144.grp").write_text("degree 2\n(1 2)\n")
+    (user / "order128_144_action.mat").write_text("GF(3)\n[[1, 0], [0, 1]]\n")
+    monkeypatch.setattr(reproduce, "DATA_DIR", str(tmp_path))
+    code = main(["reproduce", "unilift-625"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: order128_144_action.mat gives matrices over GF(3); "
+        "this check needs GF(5)"]
+
+
 def test_cli_reproduce_small_check(capsys):
     code, data = _run(capsys, ["reproduce", "lifts-c4"])
     assert code == 0 and data["status"] == "pass"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -341,8 +342,67 @@ def test_ibr_matches_golden():
         == ["PSL(2,7) p=7", "order720 p=5"]
 
 
+# -- block golden: ordinary index tuples and defects of every block ---------
+
+BLOCK_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                            "block_partitions.json")
+
+
+def block_partitions():
+    return {f"{name} p={p}": [[list(b.ordinary), b.defect]
+                              for b in block_partition(t, p)]
+            for name, g in _ibr_golden_groups()
+            for t in [character_table(g)] for p in IBR_PRIMES}
+
+
+def write_block_golden(partitions):
+    """One line per pair, so a changed partition shows as a one-line diff."""
+    lines = [f" {json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}"
+             for k, v in sorted(partitions.items())]
+    with open(BLOCK_GOLDEN, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def test_blocks_match_golden():
+    with open(BLOCK_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 4 * len(_ibr_golden_groups())
+    assert block_partitions() == golden
+
+
+def _order3960_table():
+    from ctlab.instances import order3960_build
+
+    return character_table(order3960_build().group)
+
+
+def test_order3960_blocks_at_p7_are_defect_zero():
+    # 7 does not divide 3960: every character is alone in a block of defect 0
+    table = _order3960_table()
+    assert table.group.order % 7
+    blocks = block_partition(table, 7)
+    assert [b.ordinary for b in blocks] == [(i,) for i in
+                                            range(len(table.values))]
+    assert all(b.defect == 0 for b in blocks)
+
+
+def test_order3960_blocks_at_p5_in_time():
+    # the F_{5^10} modulus search once scanned 5^9 dead candidates here
+    from ctlab import cyclo
+
+    table = _order3960_table()
+    cyclo.prime_field.cache_clear()
+    started = time.perf_counter()
+    bd = brauer_data(table, 5)        # checks each IBr lies in one block
+    assert time.perf_counter() - started < 10.0
+    assert sum(b.k() for b in bd.blocks) == len(table.values)
+    assert sum(b.l() for b in bd.blocks) == len(bd.ibr)
+    assert all(b.k() == b.l() == 1 for b in bd.blocks if b.defect == 0)
+
+
 if __name__ == "__main__":
     # regenerate: PYTHONPATH=src python tests/test_modrep.py
     with open(IBR_GOLDEN, "w") as fh:
         json.dump(ibr_digests(), fh, indent=1, sort_keys=True)
         fh.write("\n")
+    write_block_golden(block_partitions())
