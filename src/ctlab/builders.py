@@ -27,6 +27,7 @@ from .errors import (
     NotCentralPPrime,
     NotRegularOnIBr,
     TrivialQAction,
+    VerificationFailed,
 )
 from .forge import (SemidirectResult, cyclic, matrix_to_vector_perm, semidirect,
                     vector_translations)
@@ -34,10 +35,11 @@ from .homs import GroupHom
 from .modrep import (BrauerData, LinearCharacter, NilpotencyCertificate,
                      brauer_data, linear_characters, rows_over_central)
 from .permgroup import PermGroup, direct_product, p_part
+from .perms import conj
 
 
 # ---------------------------------------------------------------------------
-# shared scaffolding: V : H on the vector points plus the natural H domain
+# shared scaffolding: V : H through forge.semidirect
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -57,32 +59,22 @@ class VectorActionBuild:
 
 def _vector_semidirect(h_group: PermGroup, p: int, dim: int, mats,
                        z_expected: PermGroup):
-    """V : H on p^dim vector points + the H domain; kernel must equal Z."""
-    perms, vecs, vidx = matrix_to_vector_perm(mats, p, include_zero=True)
-    action_target = PermGroup(len(vecs), perms)
-    mat_hom = GroupHom(h_group, action_target, perms)
-    ker = mat_hom.kernel()
-    if ker.order != z_expected.order or not ker.is_subgroup_of(h_group) \
-            or sorted(ker.elements()) != sorted(z_expected.elements()):
+    """V : H with V = F_p^dim as its translation group and H acting through
+    the matrices; the action kernel must equal Z."""
+    perms, vecs, vidx = matrix_to_vector_perm(mats, p)
+    mat_hom = GroupHom(h_group, PermGroup(len(vecs), perms), perms)
+    ker_order = h_group.order // mat_hom.image_group().order
+    if ker_order != z_expected.order or any(
+            mat_hom.image(z) != mat_hom.target.identity for z in z_expected.gens):
         raise ActionKernelMismatch(
-            f"action kernel has order {ker.order}, expected the center of "
+            f"action kernel has order {ker_order}, expected the center of "
             f"order {z_expected.order}")
-    nvec = len(vecs)
-    deg_h = h_group.degree
-    gens = [t + tuple(nvec + x for x in range(deg_h))
-            for t in vector_translations(p, dim, vecs, vidx)]
-    h_perms = []
-    for hg, mp in zip(h_group.gens, perms):
-        img = tuple(mp) + tuple(nvec + hg[x] for x in range(deg_h))
-        h_perms.append(img)
-        gens.append(img)
-    grp = PermGroup(nvec + deg_h, gens)
-    if grp.order != p ** dim * h_group.order:
-        raise ActionKernelMismatch(
-            f"generated order {grp.order} != {p ** dim * h_group.order}")
-    v_sub = grp.subgroup(gens[:dim], known_order=p ** dim)
-    h_hom = GroupHom(h_group, grp, h_perms)
-    return grp, v_sub, h_hom
+    v = PermGroup(len(vecs), vector_translations(p, dim, vecs, vidx),
+                  known_order=p ** dim)
+    autos = [GroupHom(v, v, [conj(t, mp) for t in v.gens]) for mp in perms]
+    sd = semidirect(v, h_group, autos)
+    v_sub = sd.group.subgroup(sd.n_gen_perms, known_order=p ** dim)
+    return sd.group, v_sub, sd.h_hom
 
 
 def regular_module_matrices(h_group: PermGroup, z_sub: PermGroup):
@@ -96,8 +88,7 @@ def regular_module_matrices(h_group: PermGroup, z_sub: PermGroup):
     return dim, mats
 
 
-def builder_plength(h_group: PermGroup, p: int, dim=None, mats=None,
-                    regular_module=False, lam_choice=0,
+def builder_plength(h_group: PermGroup, p: int, dim: int, mats,
                     budget=DEFAULT_BUDGET) -> VectorActionBuild:
     """V : H with a fully ramified central character designated on Z = Z(H).
 
@@ -121,10 +112,8 @@ def builder_plength(h_group: PermGroup, p: int, dim=None, mats=None,
     if not ramified:
         raise CTLabError("the acting group has no fully ramified central "
                          "character: it is not of central type")
-    lam_index, _e, _phi = ramified[lam_choice]
+    lam_index, _e, _phi = ramified[0]
     lams = linear_characters(z_sub)
-    if regular_module:
-        dim, mats = regular_module_matrices(h_group, z_sub)
     grp, v_sub, h_hom = _vector_semidirect(h_group, p, dim, mats, z_sub)
     z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens],
                          known_order=z_sub.order)
@@ -132,12 +121,15 @@ def builder_plength(h_group: PermGroup, p: int, dim=None, mats=None,
     lam_big = LinearCharacter(z_big, lam_vals)
     # re-verify the certificate data: Z = O_{p'}(G), and G / C_G(V) = H / Z
     core = grp.p_prime_core(p)
-    assert core.order == z_big.order and core.is_subgroup_of(grp) \
-        and sorted(core.elements()) == sorted(z_big.elements()), \
-        "the center of H is not the p'-core of the product"
+    if core.order != z_big.order or any(z not in core for z in z_big.gens):
+        raise VerificationFailed(
+            "the center of H is not the p'-core of the product")
     cen = grp.centralizer_of_subgroup(v_sub)
     inertial = grp.order // cen.order
-    assert inertial == h_group.order // z_sub.order
+    if inertial != h_group.order // z_sub.order:
+        raise VerificationFailed(
+            f"|G : C_G(V)| = {inertial}, expected |H : Z| = "
+            f"{h_group.order // z_sub.order}")
     cert = NilpotencyCertificate(
         inertial, "G/C_G(V), the quotient acting above the (V, b) subpair")
     return VectorActionBuild(grp, v_sub, h_hom, z_big, lam_big, cert, dim, p,
@@ -251,7 +243,10 @@ def stabilizer_inequality(mats, p: int, dim: int, quotient_order: int):
     orbit (with the least witness vector)."""
     perms, vecs, vidx = matrix_to_vector_perm(mats, p, include_zero=False)
     action = PermGroup(len(vecs), perms)
-    assert action.order == quotient_order, "the action must be faithful for H/Z"
+    if action.order != quotient_order:
+        raise ActionKernelMismatch(
+            f"the matrices generate a group of order {action.order}, not a "
+            f"faithful action of H/Z of order {quotient_order}")
     seen = set()
     report = []
     for start in range(len(vecs)):
@@ -279,7 +274,7 @@ def stabilizer_inequality(mats, p: int, dim: int, quotient_order: int):
 
 
 def builder_unique_lift(h_group: PermGroup, p: int, dim: int, mats,
-                        lam_choice=0, budget=DEFAULT_BUDGET) -> UniqueLiftBuild:
+                        budget=DEFAULT_BUDGET) -> UniqueLiftBuild:
     """V : H under the stabilizer inequality; designates the fully ramified
     ordinary central character whose block has a unique lift."""
     if h_group.order % p == 0:
@@ -296,8 +291,10 @@ def builder_unique_lift(h_group: PermGroup, p: int, dim: int, mats,
     ramified = [li for li, lam in enumerate(lams)
                 if len(rows_over_central(table_h.values, z_sub, h_group.class_of,
                                          lam)) == 1]
-    assert ramified, "central type guarantees a fully ramified character"
-    lam_index = ramified[lam_choice]
+    if not ramified:
+        raise VerificationFailed(
+            "central type guarantees a fully ramified character, none found")
+    lam_index = ramified[0]
     z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens],
                          known_order=z_sub.order)
     lam_vals = {h_hom.image(z): lams[lam_index](z) for z in z_sub.elements()}

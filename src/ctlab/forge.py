@@ -24,6 +24,10 @@ is the regular one on the cosets of W).  A normal subgroup of K^q that
 meets every factor trivially is central, and Z(K)^q meets A^q W in W, so
 the core of A^q W is exactly W and the degree is [K : A]^q / |Z(K)|^(q-1).
 The order check |U| = |K|^q / |Z(K)|^(q-1) confirms that the kernel is W.
+
+A cyclic extension of N by <t> with t g t^-1 = alpha(g) and t^n = x in N
+acts on n copies of N's domain, the action induced from N's own: for a
+regular N this is the right translation on the normal forms g t^i.
 """
 
 from __future__ import annotations
@@ -112,12 +116,30 @@ def extraspecial(p: int, kind: str) -> PermGroup:
     return semidirect(base, cyclic(p), [auto]).group
 
 
-def mat_group(q: int, mats, include_zero=False) -> PermGroup:
-    """Matrix group over F_q acting on vectors (nonzero by default)."""
+def mat_group(q: int, mats) -> PermGroup:
+    """Matrix group over F_q acting on the nonzero vectors."""
     if not _is_prime(q):
         raise UnsupportedFamily("matrix groups are supported over prime fields")
-    gens, vecs, _idx = matrix_to_vector_perm(mats, q, include_zero)
+    if not mats:
+        raise UnsupportedFamily("a matrix group needs at least one matrix")
+    check_square_matrices(mats, len(mats[0]))
+    gens, vecs, _idx = matrix_to_vector_perm(mats, q, include_zero=False)
     return PermGroup(len(vecs), gens)
+
+
+def affine(p: int, k: int, mats) -> PermGroup:
+    """C_p^k : <mats> on the p^k vectors; the generators are the
+    translations by the standard basis vectors, then the matrices."""
+    check_square_matrices(mats, k)
+    one = [[int(i == j) for j in range(k)] for i in range(k)]
+    perms, vecs, idx = matrix_to_vector_perm([one] + list(mats), p)
+    return PermGroup(len(vecs), vector_translations(p, k, vecs, idx) + perms[1:])
+
+
+def check_square_matrices(mats, k: int) -> None:
+    """Raise UnsupportedFamily unless every matrix is k x k."""
+    if not all(len(m) == k and all(len(row) == k for row in m) for m in mats):
+        raise UnsupportedFamily(f"expected {k} x {k} matrices")
 
 
 def sl2(q: int) -> PermGroup:
@@ -203,13 +225,8 @@ class SemidirectResult:
         """N -> group."""
         return GroupHom(self.n_group, self.group, self.n_gen_perms)
 
-    def embed_n(self, n_elem):
-        """The image in group of an arbitrary element of N."""
-        return self.n_hom.image(n_elem)
 
-
-def semidirect(n_group: PermGroup, h_group: PermGroup, autos,
-               check_autos=True) -> SemidirectResult:
+def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResult:
     """N : H for automorphisms of N given per H-generator, realized on the
     induced action when |H| deg N < |N| + deg H and regularly otherwise.
 
@@ -218,11 +235,10 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos,
     """
     if len(autos) != len(h_group.gens):
         raise ActionNotWellDefined("one automorphism per H generator required")
-    if check_autos:
-        for a in autos:
-            if not (a.source is n_group and a.target is n_group
-                    and a.is_automorphism()):
-                raise ActionNotWellDefined("action images must be automorphisms of N")
+    for a in autos:
+        if not (a.source is n_group and a.target is n_group
+                and a.is_automorphism()):
+            raise ActionNotWellDefined("action images must be automorphisms of N")
     if h_group.order * n_group.degree < n_group.order + h_group.degree:
         degree, n_perms, h_perms = _induced_action(n_group, h_group, autos)
     else:
@@ -432,16 +448,16 @@ def core_free_subgroup(k_group: PermGroup) -> list:
 # cyclic extensions (outer automorphism with a compatible witness)
 # ---------------------------------------------------------------------------
 
-def _auto_power_images(n_group: PermGroup, alpha: GroupHom, n: int):
-    """Images of the generators under alpha^n."""
-    current = list(n_group.gens)
+def _alpha_powers(n_group: PermGroup, alpha: GroupHom, n: int):
+    """alpha^i on N's generators, for i = 0, ..., n."""
+    powers = [list(n_group.gens)]
     for _ in range(n):
-        current = [alpha.image(g) for g in current]
-    return current
+        powers.append([alpha.image(g) for g in powers[-1]])
+    return powers
 
 
 def cyclic_extension_exists(n_group: PermGroup, alpha: GroupHom, n: int):
-    """Least witness x with alpha(x) = x and alpha^n = conjugation by x."""
+    """Least witness x with alpha(x) = x and alpha^n(g) = x g x^-1."""
     return next((x for x in n_group.elements()
                  if cyclic_extension_exists_check(n_group, alpha, n, x)), None)
 
@@ -449,66 +465,49 @@ def cyclic_extension_exists(n_group: PermGroup, alpha: GroupHom, n: int):
 @dataclass
 class CyclicExtensionResult:
     group: PermGroup
-    n_source: PermGroup
     t_element: tuple                # the distinguished generator mapping onto C_n
-    n_images: list                  # translation perms of the N generators
-    translate: object               # (a, j) -> right-translation permutation
+    n_group: PermGroup = field(repr=False)
+    n_images: list = field(repr=False)      # images of N's generators
 
-    def embed_n(self, g):
-        return self.translate(tuple(g), 0)
-
+    @cached_property
     def n_hom(self) -> GroupHom:
-        return GroupHom(self.n_source, self.group, self.n_images)
+        return GroupHom(self.n_group, self.group, self.n_images)
 
 
 def cyclic_extension_build(n_group: PermGroup, alpha: GroupHom, n: int,
                            x) -> CyclicExtensionResult:
-    """The extension H with H/N = <tN> cyclic of order n, t g t^-1 = alpha(g),
-    t^n = x, realized by right translation on the n |N| normal forms g t^i."""
+    """The extension H with H/N = <tN> cyclic of order n, t g t^-1 = alpha(g)
+    and t^n = x, on the induced action of degree n deg N: g in N acts on
+    copy i of N's domain as alpha^i(g), and t moves copy i to copy i + 1,
+    through x from copy n - 1 to copy 0."""
     x = tuple(x)
-    if cyclic_extension_exists_check(n_group, alpha, n, x) is False:
+    if not cyclic_extension_exists_check(n_group, alpha, n, x):
         raise InvalidWitness("witness does not satisfy the extension conditions")
-    elems = n_group.elements()
-    pairs = [(g, i) for i in range(n) for g in elems]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    alpha_pows = [{g: g for g in elems}]
-    for _ in range(n - 1):
-        prev = alpha_pows[-1]
-        alpha_pows.append({g: alpha.image(prev[g]) for g in elems})
+    d = n_group.degree
+    powers = _alpha_powers(n_group, alpha, n)
 
-    def translate(a, j):
-        # right multiplication by (a, j): (g, i)(a, j) = (g alpha^i(a) x^c, i+j-cn)
-        images = []
-        for (g, i) in pairs:
-            prod = pmul(g, alpha_pows[i][a])
-            total = i + j
-            if total >= n:
-                prod = pmul(prod, x)
-                total -= n
-            images.append(index[(prod, total)])
-        return tuple(images)
+    def on_copies(images):                  # images[i] acts on copy i
+        return tuple(i * d + y for i, g in enumerate(images) for y in g)
 
-    gens = [translate(a, 0) for a in n_group.gens]
-    t = translate(n_group.identity, 1)
-    grp = PermGroup(len(pairs), gens + [t])
+    gens = [on_copies(col[:n]) for col in zip(*powers)]
+    t = tuple(range(d, n * d)) + x
+    grp = PermGroup(n * d, gens + [t])
     if grp.order != n * n_group.order:
         raise InvalidWitness(
             f"extension has order {grp.order}, expected {n * n_group.order}")
     # the distinguished generator must conjugate the embedded N by alpha
     ti = pinv(t)
-    for a, g_perm in zip(n_group.gens, gens):
-        conj = pmul(pmul(ti, g_perm), t)
-        expect = translate(alpha.image(a), 0)
-        if conj != expect:
+    for g_perm, col in zip(gens, zip(*powers)):
+        if pmul(pmul(t, g_perm), ti) != on_copies(col[1:]):
             raise InvalidWitness("distinguished generator does not act as alpha")
-    return CyclicExtensionResult(grp, n_group, t, gens, translate)
+    return CyclicExtensionResult(grp, t, n_group, gens)
 
 
 def cyclic_extension_exists_check(n_group, alpha, n, x) -> bool:
-    """Whether x is a witness: alpha(x) = x and alpha^n = conjugation by x."""
+    """Whether x is a witness: alpha(x) = x and alpha^n(g) = x g x^-1."""
     if alpha.image(x) != x:
         return False
     xi = pinv(x)
-    power_images = _auto_power_images(n_group, alpha, n)
-    return all(pmul(pmul(xi, g), x) == img
+    power_images = _alpha_powers(n_group, alpha, n)[n]
+    return all(pmul(pmul(x, g), xi) == img
                for g, img in zip(n_group.gens, power_images))

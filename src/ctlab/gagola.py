@@ -385,7 +385,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
             coords.append(step.l_embed(k_elt))
         u_elt = step.cpp.project_tuple(coords)
         n_elt = step.n_embed(u_elt)
-        h_elt = pmul(step.sd.embed_n(n_elt), ppow(step.t, j))
+        h_elt = pmul(step.sd.n_hom.image(n_elt), ppow(step.t, j))
         images.append(step.level.center_quotient.image_of(h_elt))
     return GroupHom(g_grp, step.level.center_quotient.group, images)
 

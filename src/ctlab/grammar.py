@@ -392,13 +392,7 @@ def evaluate(node, budget=None):
         return forge.cyclic_extension_build(n_grp, alpha, args[2], x).group
     if name == "Affine":
         need(3)
-        p, k = args[0], args[1]
-        mats = [list(map(list, m)) for m in args[2]]
-        from .permgroup import PermGroup
-        from .forge import matrix_to_vector_perm, vector_translations
-
-        perms, vecs, vidx = matrix_to_vector_perm(mats, p, include_zero=True)
-        return PermGroup(len(vecs), vector_translations(p, k, vecs, vidx) + perms)
+        return forge.affine(args[0], args[1], [list(map(list, m)) for m in args[2]])
     if name == "Gagola":
         if len(args) != 2 or not isinstance(args[1], Keyword) or args[1].key != "p":
             raise ArityError("Gagola takes a group expression and p=<prime>")
@@ -475,4 +469,9 @@ def parse_matrix_file(text: str):
         mats.append([list(row) for row in _parse_matrix(toks)])
         if not toks.at_end():
             raise ParseError(f"trailing input in matrix line {ln!r}")
+    if not mats:
+        raise ParseError("the matrix file holds no matrix after its 'GF(q)' line")
+    from .forge import check_square_matrices
+
+    check_square_matrices(mats, len(mats[0]))
     return q, mats

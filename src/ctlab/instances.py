@@ -18,7 +18,7 @@ from .builders import (RegularActionBuild, VectorActionBuild,
 from .centraltype import is_p_central_type
 from .chartab import character_table, direct_product_table
 from .cyclo import Cyclotomic, p_prime_part, prime_field, zeta
-from .errors import NotAHomomorphism
+from .errors import NotAHomomorphism, VerificationFailed
 from .forge import (cyclic, dihedral, extraspecial, matrix_to_vector_perm,
                     mobius_perm, psl2, semidirect, sl2)
 from .homs import GroupHom
@@ -72,7 +72,9 @@ def order54_group() -> Order54Report:
                 passing.append(alpha)
                 if first is None:
                     first = (h, alpha)
-    assert first is not None, "no admissible involution found"
+    if first is None:
+        raise VerificationFailed("no involution of 3^(1+2) centralizing its "
+                                 "center gives a 2-central-type extension")
     return Order54Report(first[0], len(passing), first[1])
 
 
@@ -163,13 +165,16 @@ def sl2_char_p_brauer(q: int):
     g = sl2(q)
     cd = g.conjugacy_classes()
     regular = p_regular_classes(cd, q)
-    assert len(regular) == q
+    if len(regular) != q:
+        raise VerificationFailed(
+            f"SL(2, {q}) has {len(regular)} {q}-regular classes, expected {q}")
     exp = lcm(1, *cd.element_orders)
     e_prime = p_prime_part(exp, q)
     ctx = prime_field(q, e_prime)
-    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
-    e1 = vecs.index((1, 0))
-    e2 = vecs.index((0, 1))
+    # the point order of sl2(q): the nonzero vectors of F_q^2
+    _perms, vecs, idx = matrix_to_vector_perm([[[1, 0], [0, 1]]], q,
+                                              include_zero=False)
+    e1, e2 = idx[(1, 0)], idx[(0, 1)]
 
     def matrix_of(perm):
         col1 = vecs[perm[e1]]

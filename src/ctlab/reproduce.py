@@ -13,11 +13,12 @@ import os
 import time
 from functools import lru_cache
 
-from .builders import builder_unique_lift
+from .builders import _vector_semidirect, builder_unique_lift
 from .centraltype import fully_ramified_search, is_p_central_type
 from .chartab import character_table, direct_product_table, fusion_through_hom, \
     restrict, row_function, inner_product as chi_inner, ClassFunction
-from .errors import DegenerateStep, HypothesisFails, ParseError
+from .errors import (BudgetExceeded, DegenerateStep, HypothesisFails,
+                     ParseError, VerificationFailed)
 from .forge import cyclic, dihedral, quaternion, sl2
 from .gagola import gagola_tower
 from .grammar import parse_generator_file, parse_matrix_file
@@ -87,8 +88,9 @@ def check_order720() -> dict:
     th = character_table(build.h_group)
     tq = character_table(build.q_group)
     tn, ndata = direct_product_table(th, tq)
-    prod_group = ndata[0]
-    assert prod_group.gens == build.n_small.gens
+    if ndata[0].gens != build.n_small.gens:
+        raise VerificationFailed("the product table's group is not the "
+                                 "build's H x Q")
     fusion = fusion_through_hom(build.n_result.n_hom, tn.classes, g)
     h_block = build.h_bd.blocks[build.block_index]
     # distinguished row of b x b0: first ordinary of b tensor the trivial of Q
@@ -223,9 +225,9 @@ def check_eq3() -> dict:
     for source, p in [("C2", 3), ("S3", 5), ("C6", 2)]:
         cert = _tower(source, p)
         for s in cert.steps:
-            if s.eq3 is not None:
+            if s.q != p:                  # a step without its record fails
                 records.append({"source_order": cert.source.order, "p": p,
-                                "q": s.q, **s.eq3})
+                                "q": s.q, **(s.eq3 or {"holds": False})})
     ok = bool(records) and all(r["holds"] for r in records)
     return {"status": "pass" if ok else "fail", "steps": records}
 
@@ -254,16 +256,13 @@ def check_unilift_hypothesis_q8() -> dict:
                 "orbit_size": exc.orbit_size, "stabilizer_order": exc.stab_order}
 
 
-def _run_user_unilift(stem: str, p: int) -> dict:
+def _user_action(stem: str, p: int):
+    """(H, matrices over GF(p)) from data/user/<stem>.grp and
+    <stem>_action.mat, or None when either file is absent."""
     gen_path = _user_path(f"{stem}.grp")
     mat_path = _user_path(f"{stem}_action.mat")
     if not (os.path.exists(gen_path) and os.path.exists(mat_path)):
-        return {
-            "status": "skipped",
-            "reason": f"catalogue group data not supplied; place "
-                      f"{os.path.basename(gen_path)} and "
-                      f"{os.path.basename(mat_path)} under data/user/",
-        }
+        return None
     with open(gen_path) as fh:
         degree, gens = parse_generator_file(fh.read())
     with open(mat_path) as fh:
@@ -271,20 +270,29 @@ def _run_user_unilift(stem: str, p: int) -> dict:
     if q != p:
         raise ParseError(f"{os.path.basename(mat_path)} gives matrices over "
                          f"GF({q}); this check needs GF({p})")
-    h = group_from_generators(degree, gens)
-    dim = len(mats[0])
+    return group_from_generators(degree, gens), mats
+
+
+def _data_missing(stem: str) -> dict:
+    return {"status": "skipped",
+            "reason": f"catalogue group data not supplied; place {stem}.grp "
+                      f"and {stem}_action.mat under data/user/"}
+
+
+def _run_user_unilift(stem: str, p: int) -> dict:
+    loaded = _user_action(stem, p)
+    if loaded is None:
+        return _data_missing(stem)
+    h, mats = loaded
     try:
-        build = builder_unique_lift(h, p, dim, mats)
+        build = builder_unique_lift(h, p, len(mats[0]), mats)
     except HypothesisFails as exc:
         return {"status": "fail", "detail": str(exc)}
-    g = build.group
-    table = character_table(g)
-    bd = brauer_data(table, p)
+    bd = brauer_data(character_table(build.group), p)
     fb = fong_block(bd, build.z_sub, build.lam)
-    phi = fb.block.brauer[0]
-    lifts = lifts_of(bd, phi)
+    lifts = lifts_of(bd, fb.block.brauer[0])
     ok = fb.l == 1 and len(lifts) == 1
-    return {"status": "pass" if ok else "fail", "order": g.order,
+    return {"status": "pass" if ok else "fail", "order": build.group.order,
             "l": fb.l, "lifts": len(lifts)}
 
 
@@ -297,30 +305,15 @@ def check_unilift_81() -> dict:
 
 
 def check_goodclasses_93312() -> dict:
-    gen_path = _user_path("order128_731.grp")
-    mat_path = _user_path("order128_731_action.mat")
-    if not (os.path.exists(gen_path) and os.path.exists(mat_path)):
-        return {
-            "status": "skipped",
-            "reason": "catalogue group data not supplied; place "
-                      "order128_731.grp and order128_731_action.mat under "
-                      "data/user/",
-        }
-    with open(gen_path) as fh:
-        degree, gens = parse_generator_file(fh.read())
-    with open(mat_path) as fh:
-        q, mats = parse_matrix_file(fh.read())
-    h = group_from_generators(degree, gens)
-    from .builders import _vector_semidirect
-    from .errors import BudgetExceeded
-
-    z_sub = h.center()
+    loaded = _user_action("order128_731", 3)
+    if loaded is None:
+        return _data_missing("order128_731")
+    h, mats = loaded
     try:
-        grp, _v, _hom = _vector_semidirect(h, 3, len(mats[0]), mats, z_sub)
-        table = character_table(grp)
-        bd = brauer_data(table, 3)
-        counts = sorted((b.k(), b.l()) for b in bd.blocks
-                        if b.defect == 6)
+        grp, _v, _hom = _vector_semidirect(h, 3, len(mats[0]), mats,
+                                           h.center())
+        bd = brauer_data(character_table(grp), 3)
+        counts = sorted((b.k(), b.l()) for b in bd.blocks if b.defect == 6)
         ok = ((84, 16) in counts) and counts.count((84, 16)) >= 2
         return {"status": "pass" if ok else "fail",
                 "order": grp.order, "full_defect_blocks": counts}

@@ -10,6 +10,7 @@ from ctlab.forge import (central_product_power, cyclic, dihedral, elem_abelian,
 from ctlab.homs import GroupHom
 from ctlab.permgroup import direct_product, group_from_generators
 from ctlab.perms import parse_cycles, pinv, ppow
+from ctlab.reproduce import _tower
 
 
 def perm_group(degree, *cycle_strings):
@@ -103,37 +104,21 @@ def build720():
     return order720_build()
 
 
+# the towers come from the reproduce checks' per-process cache, so the
+# acceptance criteria and these fixtures build each tower once
 @pytest.fixture(scope="session")
-def towers():
-    """Gagola certificates by name, shared by the whole run.
-
-    The acceptance tests, which run first, build each tower cold inside its
-    timed criterion and store it here; the fixtures below build a tower
-    themselves only when those tests did not run."""
-    return {}
-
-
-def _tower(towers, name, group, p):
-    from ctlab.gagola import gagola_tower
-
-    if name not in towers:
-        towers[name] = gagola_tower(group, p)
-    return towers[name]
+def tower_c2_p3():
+    return _tower("C2", 3)
 
 
 @pytest.fixture(scope="session")
-def tower_c2_p3(towers):
-    return _tower(towers, "c2_p3", cyclic(2), 3)
+def tower_s3_p5():
+    return _tower("S3", 5)
 
 
 @pytest.fixture(scope="session")
-def tower_s3_p5(towers, s3):
-    return _tower(towers, "s3_p5", s3, 5)
-
-
-@pytest.fixture(scope="session")
-def tower_c6_p2(towers):
-    return _tower(towers, "c6_p2", cyclic(6), 2)
+def tower_c6_p2():
+    return _tower("C6", 2)
 
 
 # -- the property-suite corpus (criterion: >= 25 groups of order <= 200) ------

@@ -11,15 +11,12 @@ from contextlib import contextmanager
 import pytest
 
 import oracles
-from ctlab.centraltype import fully_ramified_search, is_p_central_type
 from ctlab.chartab import character_table, verify_orthogonality
-from ctlab.errors import DegenerateStep
 from ctlab.forge import cyclic, quaternion
-from ctlab.gagola import gagola_tower
 from ctlab.modrep import (brauer_data, fong_block, lifts_of,
                           nilpotency_refute, restriction)
-from ctlab.permgroup import group_from_generators, p_part
-from ctlab.perms import parse_cycles
+from ctlab.permgroup import p_part
+from ctlab.reproduce import CHECKS
 
 
 @contextmanager
@@ -60,105 +57,76 @@ def test_criterion_01_order72_blocks():
 
 def test_criterion_02_order864_plength():
     with criterion(2, "order-864 example", 120):
-        from ctlab.instances import order864_build
-
-        build = order864_build()
-        g = build.group
-        assert g.order == 864
-        assert g.p_length(2) == 2
-        bd = brauer_data(character_table(g), 2)
-        fb = fong_block(bd, build.z_sub, build.lam)
-        assert fb.maximal_defect and fb.l == 1
-        res = nilpotency_refute(fb.block, bd, certificate=build.certificate)
-        assert res.refuted
+        out = CHECKS["order864-plength"]()
+        assert out["status"] == "pass"
+        assert out["order"] == 864 and out["p_length"] == 2
+        assert out["block"]["maximal"] and out["block"]["l"] == 1
+        assert out["refuted_nilpotent"]
 
 
 def test_criterion_03_order720_nonsolv():
     with criterion(3, "order-720 example", 120):
-        from ctlab.reproduce import check_order720
-
-        out = check_order720()
+        out = CHECKS["order720-nonsolv"]()
         assert out["status"] == "pass"
         assert out["covered_block"] == {"k": 6, "l": 1, "defect": 2}
         assert out["unique_covering_block"] and out["refuted_nilpotent"]
         assert out["regular_on_ibr"]
 
 
+def _assert_pcentral_counterexample(out):
+    assert out["status"] == "pass"
+    assert out["is_p_central_type"]
+    assert out["witness_degree"] == 12
+    assert out["fully_ramified"] == []
+
+
 def test_criterion_04a_sl25_squared():
     with criterion(4, "SL(2,5)^2 counterexample", 60):
-        from ctlab.instances import sl25_squared_data
-
-        tp, bdp = sl25_squared_data()
-        rep = is_p_central_type(bdp)
-        assert rep.is_p_central_type
-        assert bdp.ibr_degrees()[rep.modular_witness] == 12
-        assert fully_ramified_search(bdp, tp.group.center()) == []
+        _assert_pcentral_counterexample(CHECKS["sl25sq-pcentral"]())
 
 
 def test_criterion_04b_sl2_17():
     with criterion(4, "SL(2,17) counterexample", 60):
-        from ctlab.instances import sl217_brauer_data
-
-        bd = sl217_brauer_data()
-        rep = is_p_central_type(bd)
-        assert rep.is_p_central_type
-        assert bd.ibr_degrees()[rep.modular_witness] == 12
-        assert fully_ramified_search(bd, bd.group.center()) == []
+        _assert_pcentral_counterexample(CHECKS["sl2-17-pcentral"]())
 
 
 def test_criterion_05_sl25_ibr_degrees():
     with criterion(5, "SL(2,5) Brauer degrees at p=5", 10):
-        from ctlab.forge import sl2
-
-        bd = brauer_data(character_table(sl2(5)), 5)
-        degrees = bd.ibr_degrees()
-        assert 3 in degrees and 4 in degrees
+        out = CHECKS["sl25-ibr-degrees"]()
+        assert out["status"] == "pass"
+        assert 3 in out["ibr_degrees"] and 4 in out["ibr_degrees"]
 
 
-def test_criterion_06a_tower_c2(towers):
+def test_criterion_06a_tower_c2():
     with criterion(6, "tower over C2 at p=3", 60):
-        cert = gagola_tower(cyclic(2), 3)
-        towers["c2_p3"] = cert
-        assert cert.tower.order == 8
-        assert cert.center.order == 2
-        assert cert.witness_degree == 2
-        assert len(cert.properties) == 4
-        assert cert.ok
+        out = CHECKS["gagola-c2-p3"]()
+        assert out["status"] == "pass" and out["verified"]
+        assert out["tower_order"] == 8
+        assert out["center_order"] == 2
+        assert out["witness_degree"] == 2
+        assert len(out["properties"]) == 4
 
 
-def test_criterion_06b_tower_s3(towers):
+def test_criterion_06b_tower_s3():
     with criterion(6, "tower over S3 at p=5", 60):
-        s3 = group_from_generators(
-            3, [parse_cycles("(1 2)", 3), parse_cycles("(1 2 3)", 3)])
-        cert = gagola_tower(s3, 5)
-        towers["s3_p5"] = cert
-        assert len(cert.properties) == 4
-        assert cert.ok
+        out = CHECKS["gagola-s3-p5"]()
+        assert out["status"] == "pass" and out["verified"]
+        assert len(out["properties"]) == 4
 
 
 def test_criterion_06c_tower_c3_degenerate():
     with criterion(6, "tower over C3 at p=3 degenerates", 60):
-        with pytest.raises(DegenerateStep):
-            gagola_tower(cyclic(3), 3)
+        out = CHECKS["gagola-c3-p3"]()
+        assert out["status"] == "pass" and out["expected"] == "degenerate"
+        assert "level" in out
 
 
-def test_criterion_07_index_identity(towers):
+def test_criterion_07_index_identity():
     with criterion(7, "central index identity on q != p steps", 600):
-        if "c2_p3" not in towers:
-            towers["c2_p3"] = gagola_tower(cyclic(2), 3)
-        if "s3_p5" not in towers:
-            towers["s3_p5"] = gagola_tower(
-                group_from_generators(3, [parse_cycles("(1 2)", 3),
-                                          parse_cycles("(1 2 3)", 3)]), 5)
-        if "c6_p2" not in towers:
-            towers["c6_p2"] = gagola_tower(cyclic(6), 2)
-        checked = 0
-        for cert in (towers["c2_p3"], towers["s3_p5"], towers["c6_p2"]):
-            for s in cert.steps:
-                if s.case == "q!=p":
-                    assert s.eq3 is not None and s.eq3["holds"]
-                    checked += 1
-        assert checked >= 3
+        out = CHECKS["gagola-eq3"]()
+        assert out["status"] == "pass"
+        assert len(out["steps"]) >= 3
+        assert all(r["holds"] for r in out["steps"])
 
 
 def test_criterion_08_lift_counting():

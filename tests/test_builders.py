@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ctlab
 from ctlab.builders import (builder_nonsolvable, builder_plength,
                             builder_unique_lift, ibr_action_permutation,
-                            stabilizer_inequality)
+                            regular_module_matrices, stabilizer_inequality)
 from ctlab.chartab import character_table
 from ctlab.errors import (ActionKernelMismatch, HypothesisFails,
                           NotCentralPPrime, NotRegularOnIBr, TrivialQAction)
@@ -14,6 +20,8 @@ from ctlab.perms import conj, pinv
 
 
 FOUR_GROUP_MATS = [[[2, 0], [0, 2]], [[1, 0], [0, 2]]]
+_ENV = dict(os.environ,
+            PYTHONPATH=str(Path(ctlab.__file__).resolve().parents[1]))
 
 
 def _gl25_nonsquare():
@@ -45,7 +53,7 @@ def test_plength_rejects_p_dividing_center():
 
 def test_plength_regular_module_option():
     d8 = dihedral(8)
-    build = builder_plength(d8, 3, regular_module=True)
+    build = builder_plength(d8, 3, *regular_module_matrices(d8, d8.center()))
     assert build.dim == 4
     assert build.group.order == 3 ** 4 * 8
     bd = brauer_data(character_table(build.group), 3)
@@ -178,3 +186,81 @@ def test_stabilizer_inequality_reports_regular_orbits():
     # vectors regularly
     report = stabilizer_inequality([[[0, 1], [1, 1]]], 2, 2, 3)
     assert report == [{"vector": (0, 1), "orbit_size": 3, "stabilizer": 1}]
+
+
+_BUILDER_CHECKS_UNDER_O = """
+import sys
+from ctlab import builders
+from ctlab.errors import ActionKernelMismatch, VerificationFailed
+from ctlab.forge import dihedral, quaternion
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, fn, error=VerificationFailed):
+    try:
+        fn()
+    except error:
+        raised.append(name)
+
+mats = [[[2, 0], [0, 2]], [[1, 0], [0, 2]]]
+order72 = lambda: builders.builder_plength(dihedral(8), 3, 2, mats)
+real = PermGroup.p_prime_core
+PermGroup.p_prime_core = lambda self, p: self.subgroup([])
+expect("core", order72)
+PermGroup.p_prime_core = real
+real = PermGroup.centralizer_of_subgroup
+PermGroup.centralizer_of_subgroup = lambda self, sub: self
+expect("inertial", order72)
+PermGroup.centralizer_of_subgroup = real
+expect("faithful", lambda: builders.stabilizer_inequality(mats, 3, 2, 8),
+       ActionKernelMismatch)
+builders.stabilizer_inequality = lambda *args: []
+builders.rows_over_central = lambda *args: []
+expect("ramified", lambda: builders.builder_unique_lift(quaternion(8), 3, 2, mats))
+print(" ".join(raised))
+"""
+
+
+def test_builder_checks_survive_python_O():
+    out = subprocess.run([sys.executable, "-O", "-c", _BUILDER_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=_ENV, check=True)
+    assert out.stdout.split() == ["core", "inertial", "faithful", "ramified"]
+
+
+_INSTANCE_CHECKS_UNDER_O = """
+import sys
+from types import SimpleNamespace
+from ctlab import instances, reproduce
+from ctlab.errors import VerificationFailed
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, fn):
+    try:
+        fn()
+    except VerificationFailed:
+        raised.append(name)
+
+real = instances.is_p_central_type
+instances.is_p_central_type = lambda bd: SimpleNamespace(is_p_central_type=False)
+expect("order54", instances.order54_group)
+instances.is_p_central_type = real
+instances.p_regular_classes = lambda cd, p: []
+expect("sl2_char_p", lambda: instances.sl2_char_p_brauer(5))
+real = reproduce.direct_product_table
+def other_product(a, b):
+    tn, ndata = real(a, b)
+    return tn, (ndata[0].subgroup(ndata[0].gens[:1]),) + tuple(ndata[1:])
+reproduce.direct_product_table = other_product
+expect("order720", reproduce.check_order720)
+print(" ".join(raised))
+"""
+
+
+def test_instance_checks_survive_python_O():
+    out = subprocess.run([sys.executable, "-O", "-c", _INSTANCE_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=_ENV, check=True)
+    assert out.stdout.split() == ["order54", "sl2_char_p", "order720"]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -147,8 +148,8 @@ def test_semidirect_conjugation_acts_as_the_automorphism(name):
     for hg, a in zip(h.gens, autos):
         k = sd.h_hom.image(hg)
         for g in n.gens:
-            assert pmul(pmul(pinv(k), sd.embed_n(g)), k) \
-                == sd.embed_n(a.image(g))
+            assert pmul(pmul(pinv(k), sd.n_hom.image(g)), k) \
+                == sd.n_hom.image(a.image(g))
 
 
 @pytest.mark.parametrize("name", sorted(SEMIDIRECT_DEGREES))
@@ -328,6 +329,49 @@ def test_cyclic_extension_builds():
     inv4 = GroupHom(c4, c4, [pinv(c4.gens[0])])
     q8 = cyclic_extension_build(c4, inv4, 2, ppow(c4.gens[0], 2))
     assert _order_multiset(q8.group) == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_cyclic_extension_induced_action():
+    # C7 : C3 with t g t^-1 = g^2 and t^3 = 1, on three copies of C7
+    c7 = cyclic(7)
+    squaring = GroupHom(c7, c7, [ppow(c7.gens[0], 2)])
+    ext = cyclic_extension_build(c7, squaring, 3, c7.identity)
+    assert (ext.group.degree, ext.group.order) == (21, 21)
+    assert ext.group.center().order == 1
+    # D8 on 4 points, alpha conjugation by the rotation r, t^2 = r^2
+    d8 = dihedral(8)
+    r = d8.gens[0]
+    alpha = GroupHom(d8, d8, [conj(g, r) for g in d8.gens])
+    x = ppow(r, 2)
+    ext2 = cyclic_extension_build(d8, alpha, 2, x)
+    assert (ext2.group.degree, ext2.group.order) == (8, 16)
+    for e, a, n, w in ((ext, squaring, 3, c7.identity), (ext2, alpha, 2, x)):
+        t, ti = e.t_element, pinv(e.t_element)
+        assert ppow(t, n) == e.n_hom.image(w)
+        for g in e.n_group.gens:
+            assert pmul(pmul(t, e.n_hom.image(g)), ti) == e.n_hom.image(a.image(g))
+
+
+# Class order follows point labels, so these generator tuples fix every
+# digest downstream of the groups: sha256 of repr((degree, gens)), first 16
+# hex digits.
+GENERATOR_DIGESTS = {
+    "Q8": "5212dbc5452443a0", "Q12": "8a9426f2262eee74",
+    "Q16": "4118f9605ce29cf8", "Q32": "291a6cc5fe65e99e",
+    "order72": "f01d0874d6504d6d", "order864": "cb1e95d104969411",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_realisations_keep_generator_tuples(name):
+    from ctlab import instances
+
+    if name.startswith("Q"):
+        g = quaternion(int(name[1:]))
+    else:
+        g = getattr(instances, f"{name}_build")().group
+    digest = hashlib.sha256(repr((g.degree, g.gens)).encode()).hexdigest()
+    assert digest[:16] == GENERATOR_DIGESTS[name]
 
 
 def test_cyclic_extension_rejects_bad_witness():

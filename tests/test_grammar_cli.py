@@ -10,7 +10,7 @@ import pytest
 import ctlab
 
 from ctlab.cli import main
-from ctlab.errors import ArityError, ParseError
+from ctlab.errors import ArityError, ParseError, UnsupportedFamily
 from ctlab.grammar import (evaluate, parse_generator_file, parse_matrix_file,
                            parse_spec, print_generator_file, print_spec)
 from ctlab.permgroup import group_from_generators
@@ -83,6 +83,10 @@ def test_matrix_file():
     assert q == 5 and len(mats) == 2 and mats[0][1] == [0, 2]
     with pytest.raises(ParseError):
         parse_matrix_file("degree 4\n(1 2)")
+    with pytest.raises(ParseError):
+        parse_matrix_file("GF(5)\n# no matrix follows\n")
+    with pytest.raises(UnsupportedFamily):
+        parse_matrix_file("GF(5)\n[[1, 0], [0]]\n")
 
 
 def _run(capsys, argv):
@@ -125,6 +129,19 @@ def test_cli_gagola_verify(capsys):
     assert tower["status"] == "verified"
     assert tower["tower_order"] == 8
     assert all(v["holds"] for v in tower["properties"].values())
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("Affine(3, 3, [[[1, 1], [0, 1]]])", "expected 3 x 3 matrices"),
+    ("Affine(3, 1, [[[1, 1], [0, 1]]])", "expected 1 x 1 matrices"),
+    ("mat GF(3) { [[1, 1], [0, 1]], [[1]] }", "expected 2 x 2 matrices"),
+    ("mat GF(3) { }", "a matrix group needs at least one matrix"),
+])
+def test_cli_rejects_misshapen_matrices(capsys, spec, message):
+    code = main(["table", "-e", spec])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_gagola_degenerate_exit_code(capsys):
@@ -188,21 +205,33 @@ def test_cli_reproduce_skipped_user_data(capsys):
     assert "data/user" in data["reason"]
 
 
-def test_cli_reproduce_rejects_mismatched_matrix_field(capsys, monkeypatch,
-                                                      tmp_path):
+@pytest.mark.parametrize("check_id, stem, mat_text, message", [
+    pytest.param("unilift-625", "order128_144", "GF(3)\n[[1, 0], [0, 1]]\n",
+                 "order128_144_action.mat gives matrices over GF(3); "
+                 "this check needs GF(5)", id="unilift-625-gf3"),
+    pytest.param("unilift-625", "order128_144", "GF(5)\n",
+                 "the matrix file holds no matrix after its 'GF(q)' line",
+                 id="unilift-625-header-only"),
+    pytest.param("goodclasses-93312", "order128_731", "GF(3)\n",
+                 "the matrix file holds no matrix after its 'GF(q)' line",
+                 id="goodclasses-93312-header-only"),
+    pytest.param("goodclasses-93312", "order128_731", "GF(5)\n[[1, 0], [0, 1]]\n",
+                 "order128_731_action.mat gives matrices over GF(5); "
+                 "this check needs GF(3)", id="goodclasses-93312-gf5"),
+])
+def test_cli_reproduce_rejects_mismatched_matrix_field(
+        capsys, monkeypatch, tmp_path, check_id, stem, mat_text, message):
     from ctlab import reproduce
 
     user = tmp_path / "user"
     user.mkdir()
-    (user / "order128_144.grp").write_text("degree 2\n(1 2)\n")
-    (user / "order128_144_action.mat").write_text("GF(3)\n[[1, 0], [0, 1]]\n")
+    (user / f"{stem}.grp").write_text("degree 2\n(1 2)\n")
+    (user / f"{stem}_action.mat").write_text(mat_text)
     monkeypatch.setattr(reproduce, "DATA_DIR", str(tmp_path))
-    code = main(["reproduce", "unilift-625"])
+    code = main(["reproduce", check_id])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: order128_144_action.mat gives matrices over GF(3); "
-        "this check needs GF(5)"]
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_reproduce_small_check(capsys):
