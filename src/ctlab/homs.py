@@ -12,7 +12,8 @@ test.
 
 from __future__ import annotations
 
-from .errors import DEFAULT_BUDGET, BudgetExceeded, NotAHomomorphism
+from .errors import (DEFAULT_BUDGET, BudgetExceeded, NotAHomomorphism,
+                     VerificationFailed)
 from .permgroup import PermGroup, StabilizerChain
 from .perms import identity, pinv, pmul
 
@@ -85,7 +86,10 @@ class GroupHom:
             raise BudgetExceeded("kernel enumeration exceeds budget")
         idt = self.target.identity
         members = [g for g in self.source.elements() if self.image(g) == idt]
-        assert len(members) == ker_order
+        if len(members) != ker_order:
+            raise VerificationFailed(
+                f"{len(members)} elements map to the identity, "
+                f"expected the kernel order {ker_order}")
         return self.source.subgroup_from_elements(members)
 
     def automorphism_order(self, cap=10_000) -> int:

@@ -4,10 +4,18 @@ The chain construction is a deterministic Schreier-Sims in the style of
 Holt's SCHREIERSIMS: strong generators carry an explicit level range, orbits
 are grown breadth-first in a fixed order and Schreier generators are sifted
 in a fixed order, so the same generator list always produces the same chain.
+A chain grows one element at a time with ``StabilizerChain.extend``.
 Higher-level queries (classes, center, cores, quotients, Sylow subgroups)
 canonicalize their output and therefore do not depend on chain internals.
-Everything assumes desk scale: orders up to a few tens of thousands, degrees
-up to ~2000.
+
+``elements()`` closes the identity under the generators by breadth-first
+search and checks the count against the chain's order: it is the closure
+check the element scans rest on.  The scans (classes, center, centralizers
+and normalizers) then hold each element under its base-image key, its
+images of the chain's base points, so conjugating an element costs |base|
+lookups instead of two products at the full degree (see
+``_keyed_elements``).  Everything assumes desk scale: orders up to a few
+tens of thousands, degrees up to ~2000.
 """
 
 from __future__ import annotations
@@ -120,6 +128,15 @@ class StabilizerChain:
                 if img not in orbit:
                     orbit[img] = pmul(u, s)
                     queue.append(img)
+        if lvl.processed:
+            # A new generator can shorten the breadth-first tree; a Schreier
+            # generator sifted with a transversal element that has changed
+            # since must be sifted again.
+            moved = {t for t, u in lvl.orbit.items() if orbit[t] != u}
+            if moved:
+                gens = lvl.gens
+                lvl.processed = {(t, k) for t, k in lvl.processed
+                                 if t not in moved and gens[k][t] not in moved}
         lvl.orbit = orbit
         lvl.dirty = False
 
@@ -129,10 +146,26 @@ class StabilizerChain:
             if d == len(self.levels):
                 self.levels.append(_Level(self._pick_base(g), self.identity))
             self._assign(g, 0, d)
-        i = len(self.levels) - 1
+        self._complete(len(self.levels) - 1)
+
+    def _complete(self, i):
+        """Process levels i, i-1, ..., 0, going deeper again wherever a new
+        strong generator was inserted."""
         while i >= 0:
             stuck = self._process_level(i)
             i = i - 1 if stuck is None else stuck
+
+    def extend(self, g) -> bool:
+        """Add g to the group: False, with the chain unchanged, when g is
+        already a member.  The sift residue fixes the base points of the
+        levels above the one where it stopped, so it becomes a generator
+        of levels 0..j and the chain is completed from level j."""
+        residue, j = self._sift(g)
+        if residue == self.identity:
+            return False
+        self._assign(residue, 0, j)
+        self._complete(j)
+        return True
 
     def _process_level(self, i):
         """Sift Schreier generators of level i; return a deeper level index to
@@ -170,6 +203,10 @@ class StabilizerChain:
         return g, len(self.levels)
 
     # -- queries ---------------------------------------------------------
+    @property
+    def base(self):
+        return tuple(lvl.base for lvl in self.levels)
+
     def order(self) -> int:
         return prod(len(l.orbit) for l in self.levels) if self.levels else 1
 
@@ -231,7 +268,10 @@ class PermGroup:
                     if y not in seen:
                         seen.add(y)
                         queue.append(y)
-            assert len(seen) == self.order
+            if len(seen) != self.order:
+                raise VerificationFailed(
+                    f"closure under the generators has {len(seen)} elements, "
+                    f"the chain order is {self.order}")
             self._elements = sorted(seen)
         return self._elements
 
@@ -240,13 +280,8 @@ class PermGroup:
 
     def subgroup_from_elements(self, elems):
         """Small generating set for the subgroup generated by ``elems``."""
-        sel = []
         h = StabilizerChain(self.degree, [])
-        for x in sorted(set(elems)):
-            if x == self.identity or h.contains(x):
-                continue
-            sel.append(x)
-            h = StabilizerChain(self.degree, sel)
+        sel = [x for x in sorted(set(elems)) if h.extend(x)]
         return self.subgroup(sel, known_order=h.order())
 
     def is_subgroup_of(self, other) -> bool:
@@ -312,23 +347,31 @@ class PermGroup:
 
     def center(self):
         if self._center is None:
-            central = [x for x in self.elements()
-                       if all(pmul(x, s) == pmul(s, x) for s in self.gens)]
-            self._center = self.subgroup_from_elements(central)
+            self._center = self.subgroup_from_elements(
+                _centralizing(self, self.gens))
         return self._center
 
     def centralizer_of_subgroup(self, h, budget=DEFAULT_BUDGET):
+        if not h.is_subgroup_of(self):
+            raise NotASubgroup("centralizer of a subgroup requires a subgroup")
         if self.order > budget.scan_limit:
             raise Timeout("centralizer scan exceeds node budget")
-        cen = [x for x in self.elements()
-               if all(pmul(x, s) == pmul(s, x) for s in h.gens)]
-        return self.subgroup_from_elements(cen)
+        return self.subgroup_from_elements(_centralizing(self, h.gens))
 
     def normalizer(self, h, budget=DEFAULT_BUDGET):
+        """N_G(h): each g with g^-1 x g in h for every generator x of h,
+        tested on keys against the keys of h's elements."""
+        if not h.is_subgroup_of(self):
+            raise NotASubgroup("normalizer requires a subgroup")
         if self.order > budget.scan_limit:
             raise Timeout("normalizer scan exceeds node budget")
-        out = [g for g in self.elements()
-               if all(conj(x, g) in h for x in h.gens)]
+        base, keyed = _keyed_elements(self)
+        members = {tuple([y[b] for b in base]) for y in h.elements()}
+        out = []
+        for g in keyed.values():
+            pre = [g.index(b) for b in base]        # g^-1 at the base points
+            if all(tuple([g[x[c]] for c in pre]) in members for x in h.gens):
+                out.append(g)
         return self.subgroup_from_elements(out)
 
     # -- p-structure ---------------------------------------------------------
@@ -354,7 +397,9 @@ class PermGroup:
             if order_ok(ncl.order):
                 picked.append(rep)
         core = self.normal_closure(picked) if picked else self.subgroup([])
-        assert order_ok(core.order)
+        if not order_ok(core.order):
+            raise VerificationFailed(
+                f"the join of the admissible class closures has order {core.order}")
         return core
 
     def p_length(self, p) -> int:
@@ -369,7 +414,9 @@ class PermGroup:
             if g.order == 1:
                 break
             op = g.p_core(p)
-            assert op.order > 1, "solvable upper p-series stalled"
+            if op.order == 1:
+                raise VerificationFailed(
+                    f"upper {p}-series stalled at a group of order {g.order}")
             count += 1
             g = g.quotient(op).group
         return count
@@ -392,7 +439,10 @@ class PermGroup:
                 if y not in sub and ppow(y, p) in sub:
                     ext = y
                     break
-            assert ext is not None, "normalizer must contain a p-extension"
+            if ext is None:
+                raise VerificationFailed(
+                    f"the normalizer of a {p}-subgroup of order {sub.order} "
+                    "has no element extending it")
             sub = self.subgroup(list(sub.gens) + [ext], known_order=sub.order * p)
         return sub
 
@@ -476,7 +526,7 @@ class QuotientResult:
         graph are stored under those images (built on first use).  This is
         exact whether or not the action is regular.
         """
-        base = tuple(lvl.base for lvl in self.group.chain.levels)
+        base = self.group.chain.base
         if self._lifts is None:
             ident = self.source.identity
             self._lifts = {base: ident}
@@ -531,25 +581,56 @@ class ClassData:
         ]
 
 
+def _keyed_elements(group):
+    """(base, keyed): the base points of the group's chain, and a dict that
+    maps each element's base-image key ``tuple(x[b] for b in base)`` to the
+    element, in the sorted order of ``elements()``.
+
+    The keys are exact.  ``elements()`` is closed under the generators (its
+    breadth-first search), so it is the whole group G, and a conjugate of
+    an element of G by an element of G lies in G again.  The key count is
+    checked against |G|, so the base separates the elements of G: equal
+    keys mean equal elements.  The key of s^-1 y s is therefore
+    ``s[y[s^-1[b]]]`` over the base points b, |base| lookups where the full
+    permutation costs two products at the full degree; ``s.index(b)`` is
+    s^-1[b].
+    """
+    base = group.chain.base
+    keyed = {tuple([x[b] for b in base]): x for x in group.elements()}
+    if len(keyed) != group.order:
+        raise VerificationFailed(
+            f"{len(keyed)} base-image keys for a group of order {group.order}")
+    return base, keyed
+
+
+def _centralizing(group, gens):
+    """The elements x of the group with t^-1 x t = x for every t in gens
+    (members of the group), compared on keys."""
+    base, keyed = _keyed_elements(group)
+    moves = [(t, [t.index(b) for b in base]) for t in gens]
+    return [x for k, x in keyed.items()
+            if all(tuple([t[x[c]] for c in pre]) == k for t, pre in moves)]
+
+
 def _conjugacy_classes(group):
-    elems = group.elements()
-    genpairs = [(s, pinv(s)) for s in group.gens]
+    base, keyed = _keyed_elements(group)
+    moves = [(s, [s.index(b) for b in base]) for s in group.gens]
     assigned = set()
     classes = []
-    for x in elems:
-        if x in assigned:
+    for k in keyed:
+        if k in assigned:
             continue
-        orbit = {x}
-        queue = deque([x])
-        while queue:
-            y = queue.popleft()
-            for s, si in genpairs:
-                z = pmul(pmul(si, y), s)
+        orbit = {k}
+        queue = [k]
+        for key in queue:
+            y = keyed[key]
+            for s, pre in moves:
+                z = tuple([s[y[c]] for c in pre])
                 if z not in orbit:
                     orbit.add(z)
                     queue.append(z)
         assigned |= orbit
-        classes.append(sorted(orbit))
+        classes.append(sorted(keyed[z] for z in orbit))
     ident = group.identity
     classes.sort(key=lambda c: (c[0] != ident, perm_order(c[0]), len(c), c[0]))
     return ClassData(group, classes)

@@ -52,6 +52,19 @@ def center(elements):
             if all(mul(x, g) == mul(g, x) for g in elements)}
 
 
+def centralizer(elements, subset):
+    """The elements commuting with every member of ``subset``."""
+    return {x for x in elements
+            if all(mul(x, h) == mul(h, x) for h in subset)}
+
+
+def normalizer(elements, subset):
+    """The elements g with g^-1 subset g = subset."""
+    subset = set(subset)
+    return {g for g in elements
+            if {mul(mul(inv(g), h), g) for h in subset} == subset}
+
+
 def element_order(x):
     ident = tuple(range(len(x)))
     n = 1

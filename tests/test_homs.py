@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import ctlab
 from ctlab.errors import NotAHomomorphism
 from ctlab.forge import cyclic
 from ctlab.homs import GroupHom, conjugation_automorphism, hom_report, identity_hom
@@ -70,3 +76,29 @@ def test_evaluating_outside_source_raises(s3):
     ident = identity_hom(a3)
     with pytest.raises(ValueError):
         ident.image(parse_cycles("(1 2)", 3))
+
+
+_KERNEL_CHECK_UNDER_O = """
+import sys
+from ctlab.errors import VerificationFailed
+from ctlab.homs import GroupHom
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+qr = s3.quotient(s3.subgroup([(1, 2, 0)]))
+GroupHom.image = lambda self, g: self.target.identity
+try:
+    qr.hom.kernel()
+except VerificationFailed:
+    print("kernel")
+"""
+
+
+def test_kernel_check_survives_python_O():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ctlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _KERNEL_CHECK_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["kernel"]

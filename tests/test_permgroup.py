@@ -1,12 +1,19 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ctlab
+import ctlab.permgroup
 import oracles
 from ctlab.errors import InvalidPermutation, NotASubgroup, NotNormal, \
     NotSolvable
 from ctlab.forge import cyclic
-from ctlab.permgroup import PermGroup, group_from_generators
-from ctlab.perms import parse_cycles
+from ctlab.permgroup import PermGroup, StabilizerChain, group_from_generators
+from ctlab.perms import parse_cycles, pmul
 
 from conftest import perm_group
 
@@ -239,3 +246,98 @@ def test_normalizer_and_centralizer(d8, s4):
     c2 = s4.subgroup([parse_cycles("(1 2)", 4)])
     assert s4.normalizer(c2).order == 4
     assert s4.centralizer_of_subgroup(c2).order == 4
+
+
+def test_extend_resifts_after_the_transversal_changes():
+    # (1 3) shortens the breadth-first tree of 0 under the 5-cycle, so
+    # u_3 changes from s^3 to s*r; the Schreier generators sifted with the
+    # old u_3 must be sifted again, or the chain stops at order 30.
+    s, r = (1, 2, 3, 4, 0), (0, 3, 2, 1, 4)
+    chain = StabilizerChain(5, [s])
+    assert chain.extend(r)
+    assert chain.order() == 120
+    assert not chain.extend(pmul(r, s))
+    assert chain.order() == 120
+
+
+def test_centralizer_and_normalizer_match_oracles_on_corpus(corpus):
+    for name, g in corpus:
+        elems = g.elements()
+        cd = g.conjugacy_classes()
+        subgroups = [g.subgroup([r]) for r in cd.representatives]
+        subgroups += [g.derived_subgroup(), g.center()]
+        for h in subgroups:
+            hs = h.elements()
+            assert set(g.centralizer_of_subgroup(h).elements()) == \
+                oracles.centralizer(elems, hs), name
+            assert set(g.normalizer(h).elements()) == \
+                oracles.normalizer(elems, hs), name
+
+
+def test_scans_require_a_subgroup(a4):
+    c2 = group_from_generators(4, [parse_cycles("(1 2)", 4)])
+    with pytest.raises(NotASubgroup):
+        a4.centralizer_of_subgroup(c2)
+    with pytest.raises(NotASubgroup):
+        a4.normalizer(c2)
+
+
+def test_classes_make_no_full_degree_products(build864, monkeypatch):
+    # Classes are orbits of base-image keys: once the elements are listed,
+    # conjugation reads |base| points and multiplies no permutations.
+    grp = build864.group
+    g = PermGroup(grp.degree, grp.gens, check=False)
+    g.elements()
+    calls = []
+    for name in ("pmul", "pinv"):
+        real = getattr(ctlab.permgroup, name)
+        monkeypatch.setattr(ctlab.permgroup, name,
+                            lambda *a, real=real: calls.append(1) or real(*a))
+    cd = g.conjugacy_classes()
+    assert calls == []
+    monkeypatch.undo()
+    assert cd.classes == grp.conjugacy_classes().classes
+
+
+_CHECKS_UNDER_O = """
+import sys
+from ctlab.errors import VerificationFailed
+from ctlab.forge import dihedral
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, fn):
+    try:
+        fn()
+    except VerificationFailed:
+        raised.append(name)
+
+s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+s4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+short = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+short.gens = short.gens[:1]
+expect("elements", short.elements)
+real = PermGroup.subgroup
+PermGroup.subgroup = lambda self, gens, known_order=None: \
+    self if not gens else real(self, gens, known_order)
+expect("core", lambda: s3.p_core(2))
+PermGroup.subgroup = real
+real = PermGroup.p_core
+PermGroup.p_core = lambda self, p: self.subgroup([])
+expect("p_length", lambda: s4.p_length(2))
+PermGroup.p_core = real
+PermGroup.normalizer = lambda self, h, budget=None: h
+expect("sylow", lambda: dihedral(8).sylow_subgroup(2))
+print(" ".join(raised))
+"""
+
+
+def test_permgroup_checks_survive_python_O():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ctlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["elements", "core", "p_length", "sylow"]

@@ -1,0 +1,58 @@
+"""The key-based element scans of ``permgroup`` (centre, classes,
+centralizers, Sylow subgroups) against ``sympy.combinatorics``, an
+independent implementation (dev-only)."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+pytest.importorskip("sympy")
+
+from sympy.combinatorics import Permutation, PermutationGroup
+
+from ctlab.permgroup import PermGroup
+
+
+@st.composite
+def _group_and_subgroup(draw):
+    """A random group of degree <= 7 and a subgroup generated by words in
+    its generators."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    perm = st.permutations(range(n)).map(tuple)
+    gens = draw(st.lists(perm, min_size=1, max_size=3))
+    words = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=len(gens) - 1),
+                 min_size=1, max_size=4),
+        min_size=1, max_size=2))
+    sub = []
+    for word in words:
+        x = tuple(range(n))
+        for i in word:
+            x = tuple(gens[i][a] for a in x)
+        sub.append(x)
+    return n, gens, sub
+
+
+def _sympy(gens):
+    return PermutationGroup([Permutation(list(g)) for g in gens])
+
+
+def _element_set(group):
+    return {tuple(x.array_form) for x in group.generate()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_group_and_subgroup())
+def test_scans_agree_with_sympy(case):
+    n, gens, sub = case
+    g, ref = PermGroup(n, gens), _sympy(gens)
+    assert g.order == ref.order()
+    assert set(g.center().elements()) == _element_set(ref.center())
+    assert Counter(g.conjugacy_classes().sizes) == \
+        Counter(len(c) for c in ref.conjugacy_classes())
+    h = g.subgroup(sub)
+    assert set(g.centralizer_of_subgroup(h).elements()) == \
+        _element_set(ref.centralizer(_sympy(sub)))
+    for p in (2, 3, 5, 7):
+        assert g.sylow_subgroup(p).order == ref.sylow_subgroup(p).order()
