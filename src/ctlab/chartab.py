@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational, zeta
-from .errors import BudgetExceeded, DEFAULT_BUDGET, NotASubgroup, NotNormal
+from .errors import (BudgetExceeded, DEFAULT_BUDGET, NotASubgroup, NotNormal,
+                     VerificationFailed)
 from .permgroup import ClassData, PermGroup, direct_product
 from .perms import pinv, pmul
 
@@ -223,7 +224,8 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
                     if c:
                         for m in range(k):
                             recon[m] = (recon[m] + c * rows[s][m]) % ell
-                assert recon == [x % ell for x in images[r]], "space not invariant"
+                if recon != [x % ell for x in images[r]]:
+                    raise VerificationFailed("space not invariant")
             transposed = [[restricted[r][s] for r in range(d)] for s in range(d)]
             for lam in sorted(set(_poly_roots(_charpoly(restricted, ell), ell))):
                 shifted = [row[:] for row in transposed]
@@ -240,7 +242,8 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
                     lifted.append(vec)
                 new_spaces.append(_echelonize(lifted, ell))
         spaces = new_spaces
-    assert all(len(rows) == 1 for rows, _ in spaces), "splitting incomplete"
+    if len(spaces) != k or any(len(rows) != 1 for rows, _ in spaces):
+        raise VerificationFailed("splitting incomplete")
 
     inverse_of = [cd.inverse_class(i) for i in range(k)]
     inv_sizes = [pow(s, ell - 2, ell) for s in cd.sizes]
@@ -278,7 +281,8 @@ def _sorted_rows(rows):
         return all(v == ONE for v in row)
 
     rest = [row for row in rows if not is_trivial(row)]
-    assert len(rest) == len(rows) - 1, "exactly one trivial character expected"
+    if len(rest) != len(rows) - 1:
+        raise VerificationFailed("exactly one trivial character expected")
     rest.sort(key=lambda row: (row[0].sort_key(), tuple(v.sort_key() for v in row)))
     return [list(trivial)] + rest
 

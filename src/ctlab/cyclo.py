@@ -97,6 +97,56 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
+def integer_gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
+
+    ``rows`` is a rectangular integer matrix; elimination runs on its first
+    ``ncols`` columns, and any further columns ride along (an augmented
+    part).  Column c is skipped when no row at or below the current row r
+    has a nonzero entry there; otherwise the first such row is swapped up
+    to r and its entry p is the pivot.  Every other row i then becomes
+    (p * row_i - row_i[c] * row_r) / d, with d the previous pivot (1 at the
+    first).  Each entry stays a minor of the input, so the division is
+    exact; it is checked with ``divmod`` and a remainder raises
+    VerificationFailed.
+
+    Returns ``(rows, pivots, det)``: the reduced rows (new lists), the pivot
+    column of each of the first ``len(pivots)`` rows, and det.  Pivot row r
+    holds the last pivot D at column ``pivots[r]`` and 0 at the other pivot
+    columns, so the solution it carries is (entry) / D; the rows below the
+    pivot rows are zero on the first ``ncols`` columns.  ``det`` is the
+    signed determinant when the matrix is square (``len(rows) == ncols``)
+    and of full rank, and 0 otherwise.
+    """
+    rows = [list(row) for row in rows]
+    if any(len(row) != len(rows[0]) or len(row) < ncols for row in rows):
+        raise VerificationFailed("elimination needs a rectangular matrix")
+    pivots, sign, d = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            sign = -sign
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i == r or not any(row):      # a zero row stays zero
+                continue
+            f, new = row[c], []
+            for a, b in zip(row, prow):
+                q, rem = divmod(p * a - f * b, d)
+                if rem:
+                    raise VerificationFailed("Bareiss division is not exact")
+                new.append(q)
+            rows[i] = new
+        pivots.append(c)
+        d = p
+    det = sign * d if len(pivots) == ncols == len(rows) else 0
+    return rows, pivots, det
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and reduction tables
 # ---------------------------------------------------------------------------
@@ -106,12 +156,13 @@ def _poly_divmod_exact(num, den):
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        assert c % den[-1] == 0
-        q[i] = c // den[-1]
+        q[i], rem = divmod(num[i + len(den) - 1], den[-1])
+        if rem:
+            raise VerificationFailed("polynomial division is not exact")
         for j, d in enumerate(den):
             num[i + j] -= q[i] * d
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise VerificationFailed("polynomial division leaves a remainder")
     return q
 
 
@@ -181,33 +232,20 @@ def _galois_matrix(n: int, j: int) -> tuple:
 def _descent_solver(n: int, p: int):
     """Solver for rewriting invariant values from Q(zeta_n) into Q(zeta_{n/p}).
 
-    Returns a list of phi(m) rational rows R with d = R . v, where v is the
-    coefficient vector at conductor n and d the one at m = n/p.
+    Returns (den, rows): phi(m) integer rows R with d = R . v / den, where v
+    is the coefficient vector at conductor n and d the one at m = n/p.
     """
     m = n // p
     phi_n, phi_m = euler_phi(n), euler_phi(m)
     table = _power_table(n)
-    cols = [table[(p * i) % n] for i in range(phi_m)]
     # solve M d = v for all v in the column space: row-reduce [M | I]
-    rows = [[Fraction(cols[j][i]) for j in range(phi_m)] +
-            [Fraction(1 if k == i else 0) for k in range(phi_n)]
+    rows = [[table[(p * j) % n][i] for j in range(phi_m)] +
+            [1 if k == i else 0 for k in range(phi_n)]
             for i in range(phi_n)]
-    pivots = []
-    r = 0
-    for c in range(phi_m):
-        sel = next((i for i in range(r, phi_n) if rows[i][c]), None)
-        assert sel is not None, "descent columns must be independent"
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(phi_n):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(r)
-        r += 1
-    solver = [tuple(rows[pr][phi_m:]) for pr in pivots]
-    return solver
+    rows, pivots, _ = integer_gauss_jordan(rows, phi_m)
+    if len(pivots) != phi_m:
+        raise VerificationFailed("descent columns are dependent")
+    return rows[0][0], tuple(tuple(row[phi_m:]) for row in rows[:phi_m])
 
 
 def _apply_matrix(mat, vec, size):
@@ -388,7 +426,7 @@ class Cyclotomic:
         return f"Cyclotomic({self.serialize()})"
 
     def sort_key(self):
-        return (self.n, tuple(Fraction(c) for c in self.coeffs))
+        return (self.n, self.coeffs)
 
     def serialize(self) -> str:
         body = ",".join(str(c) for c in self.coeffs)
@@ -451,31 +489,27 @@ def _descend(n: int, vec):
         subgroup = [j for j in range(1, n) if j % m == 1 and gcd(j, n) == 1]
         if all(_apply_matrix(_galois_matrix(n, j), vec, phi) == list(vec)
                for j in subgroup if j != 1):
-            solver = _descent_solver(n, p)
-            d = [_dot(row, vec) for row in solver]
+            den, solver = _descent_solver(n, p)
+            d = [_dot(row, vec, den) for row in solver]
             # invariance guarantees consistency; verify the rewrite anyway
             table = _power_table(n)
-            check = [Fraction(0)] * phi
-            for i, di in enumerate(d):
-                if di:
-                    row = table[(p * i) % n]
-                    for j in range(phi):
-                        check[j] += di * row[j]
-            assert check == [Fraction(x) for x in vec], "descent rewrite failed"
+            embed = [table[(p * i) % n] for i in range(len(d))]
+            if _apply_matrix(embed, d, phi) != list(vec):
+                raise VerificationFailed("descent rewrite failed")
             if m % 4 == 2:
-                exp = {i: _as_int_or_fraction(c) for i, c in enumerate(d) if c}
-                return _canonicalize(m, exp)
-            return _descend(m, [_as_int_or_fraction(Fraction(x)) for x in d])
+                return _canonicalize(m, {i: c for i, c in enumerate(d) if c})
+            return _descend(m, d)
     return n, tuple(_as_int_or_fraction(Fraction(c)) if not isinstance(c, int) else c
                     for c in vec)
 
 
-def _dot(row, vec):
-    s = Fraction(0)
-    for a, b in zip(row, vec):
-        if a and b:
-            s += a * b
-    return _as_int_or_fraction(s)
+def _dot(row, vec, den):
+    """(row . vec) / den as an int or a Fraction, with one division."""
+    s = sum(a * b for a, b in zip(row, vec) if a and b)
+    if isinstance(s, int):
+        q, rem = divmod(s, den)
+        return Fraction(s, den) if rem else q
+    return _as_int_or_fraction(s / den)
 
 
 ZERO = Cyclotomic.from_rational(0)

@@ -164,10 +164,12 @@ def _chief_step(g: PermGroup, p: int):
     der = g.derived_subgroup()
     ab = g.order // der.order
     primes = prime_factors(ab)
-    assert primes, "nontrivial solvable groups have a prime quotient"
+    if not primes:
+        raise VerificationFailed("nontrivial solvable groups have a prime quotient")
     q = p if p in primes else max(primes)
     kernels = _index_q_kernels(g, q)
-    assert kernels
+    if not kernels:
+        raise VerificationFailed(f"no normal subgroup of index {q}")
     kernels.sort(key=lambda m: tuple(sorted(m.elements())))
     return q, kernels[0]
 

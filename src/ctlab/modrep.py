@@ -13,7 +13,9 @@ basis of Q(zeta).  Span tests modulo the prime ELL = 2^61 - 1 prune it: a
 vector outside a span mod ELL is no integer combination of it.  Every
 deletion is an exact integer sum, checked again, and full rank mod ELL
 proves the fixpoint independent; only a short rank mod ELL is decided again
-by exact rational elimination.
+by exact fraction-free elimination over the integers
+(``cyclo.integer_gauss_jordan``), the same kernel that solves for the
+decomposition matrix and computes the Cartan determinant.
 
 Blocks are linkage classes of the central characters omega_chi reduced in a
 deterministic F_{p^m}; decomposition matrices are the unique solutions of
@@ -24,13 +26,11 @@ non-negative and integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 
 from .chartab import CharacterTable
-from .cyclo import (Cyclotomic, ZERO, euler_phi, nu, p_part, p_prime_part,
-                    prime_field, rational, reduce_mod_p)
+from .cyclo import (ZERO, _reduce_expansion, integer_gauss_jordan, nu, p_part,
+                    p_prime_part, prime_field, rational, reduce_mod_p)
 from .errors import (
     AmbiguousBasicSet,
     MissingDefectGroup,
@@ -67,35 +67,14 @@ def _flatten(vectors):
     """Map tuples of algebraic integers in Q(zeta) to integer coordinate
     tuples on the power basis of their common field."""
     big = lcm(*(v.n for vec in vectors for v in vec))
-    width = euler_phi(big)
     out = []
     for vec in vectors:
         coords = []
         for v in vec:
-            coords.extend(_coords_at(v, big, width))
-        out.append(tuple(coords))
-    return out
-
-
-@lru_cache(maxsize=None)
-def _embed_rows(n, big):
-    from .cyclo import _power_table  # shared cache; reduced rows are exact
-
-    table = _power_table(big)
-    k = big // n
-    return tuple(table[(i * k) % big] for i in range(euler_phi(n)))
-
-
-def _coords_at(v: Cyclotomic, big: int, width: int):
-    out = [0] * width
-    for c, row in zip(v.coeffs, _embed_rows(v.n, big)):
-        if c:
-            if getattr(c, "denominator", 1) != 1:
+            if not v.is_algebraic_integer():
                 raise VerificationFailed(f"{v!r} is not an algebraic integer")
-            c = int(c)
-            for j in range(width):
-                if row[j]:
-                    out[j] += c * row[j]
+            coords.extend(_reduce_expansion(big, v._embedded(big)))
+        out.append(tuple(coords))
     return out
 
 
@@ -131,46 +110,27 @@ def _solve_in_basis(basis_vectors, targets):
     """Solve target = sum c_i basis_i exactly; unique solution per target.
 
     basis_vectors and targets are tuples of cyclotomics of equal length.
-    Returns a list of Fraction-coefficient lists.  Raises ValueError when a
-    target is not in the span or the basis is dependent.
+    Returns (den, numerators): c_i = numerators[t][i] / den for target t.
+    Raises ValueError when a target is not in the span or the basis is
+    dependent.
     """
     flat = _flatten(list(basis_vectors) + list(targets))
-    cols = flat[: len(basis_vectors)]
-    rhs = flat[len(basis_vectors):]
-    m = len(cols[0])
-    l = len(cols)
-    aug = [[cols[j][i] for j in range(l)] + [r[i] for r in rhs] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(l):
-        sel = next((i for i in range(r, m) if aug[i][c]), None)
-        if sel is None:
-            raise ValueError("dependent basis")
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = Fraction(1, aug[r][c])
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(r)
-        r += 1
-    for i in range(r, m):
-        if any(aug[i][l:]):
-            raise ValueError("target outside the span")
-    return [[aug[pr][l + t] for pr in pivots] for t in range(len(targets))]
+    l = len(basis_vectors)
+    rows, pivots, _ = integer_gauss_jordan(
+        [list(col) for col in zip(*flat)], l)
+    if len(pivots) != l:
+        raise ValueError("dependent basis")
+    if any(any(row[l:]) for row in rows[l:]):
+        raise ValueError("target outside the span")
+    den = rows[0][0] if l else 1
+    return den, [[row[l + t] for row in rows[:l]] for t in range(len(targets))]
 
 
 def linearly_independent(vectors) -> bool:
-    """Full rank mod ELL proves independence over Q; a short rank mod ELL is
-    decided again by exact rational elimination."""
-    if len(_ModEchelon(_flatten(vectors)).rows) == len(vectors):
-        return True
-    try:
-        _solve_in_basis(vectors, [])
-    except ValueError:
-        return False
-    return True
+    """Exact independence over Q: the rank of the integer coordinates."""
+    flat = _flatten(vectors)
+    _, pivots, _ = integer_gauss_jordan(flat, len(flat[0]) if flat else 0)
+    return len(pivots) == len(vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +142,11 @@ def _degree_of(vec) -> int:
     if d.denominator != 1:
         raise VerificationFailed(f"degree {d} is not an integer")
     return int(d)
+
+
+def _ibr_key(vec):
+    """The canonical order of IBr rows: by degree, then by values."""
+    return (_degree_of(vec), tuple(v.sort_key() for v in vec))
 
 
 class _DeletionRound:
@@ -250,9 +215,10 @@ def ibr_fong_swan(table: CharacterTable, p: int):
     regular = p_regular_classes(table.classes, p)
     if table.group.order % p != 0:
         return [restriction(row, regular) for row in table.values], regular
-    candidates = sorted(
-        {restriction(row, regular) for row in table.values},
-        key=lambda t: (-_degree_of(t), tuple(v.sort_key() for v in t)))
+    candidates = sorted({restriction(row, regular) for row in table.values},
+                        key=_ibr_key)
+    # descending degree; the stable sort keeps the value order within one
+    candidates.sort(key=_degree_of, reverse=True)
     coords = dict(zip(candidates, _flatten(candidates)))
     while True:
         rnd = _DeletionRound([coords[t] for t in candidates],
@@ -271,7 +237,7 @@ def ibr_fong_swan(table: CharacterTable, p: int):
         raise AmbiguousBasicSet(
             f"deletion fixpoint has {len(candidates)} members for "
             f"{len(regular)} p-regular classes")
-    candidates.sort(key=lambda t: (_degree_of(t), tuple(v.sort_key() for v in t)))
+    candidates.sort(key=_ibr_key)
     return candidates, regular
 
 
@@ -353,8 +319,7 @@ def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
         provenance = provenance or "fong-swan"
     else:
         regular = p_regular_classes(table.classes, p)
-        ibr = sorted((tuple(v) for v in supplied_ibr),
-                     key=lambda t: (_degree_of(t), tuple(v.sort_key() for v in t)))
+        ibr = sorted((tuple(v) for v in supplied_ibr), key=_ibr_key)
         provenance = provenance or "supplied"
     if not with_blocks:
         return BrauerData(table.group, table.classes, p, regular, list(ibr),
@@ -387,8 +352,7 @@ def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
 def brauer_data_without_table(group, classes, p, ibr_rows,
                               provenance="supplied") -> BrauerData:
     regular = p_regular_classes(classes, p)
-    rows = sorted((tuple(v) for v in ibr_rows),
-                  key=lambda t: (_degree_of(t), tuple(v.sort_key() for v in t)))
+    rows = sorted((tuple(v) for v in ibr_rows), key=_ibr_key)
     assert all(len(r) == len(regular) for r in rows)
     return BrauerData(group, classes, p, regular, rows, provenance=provenance)
 
@@ -397,43 +361,30 @@ def decomposition_matrix(table: CharacterTable, ibr, regular) -> list:
     """Unique non-negative integer solution of chi|p-reg = sum d_phi phi."""
     targets = [restriction(row, regular) for row in table.values]
     try:
-        sols = _solve_in_basis(ibr, targets)
+        den, sols = _solve_in_basis(ibr, targets)
     except ValueError as exc:
         raise NonIntegralDecomposition(str(exc)) from exc
     out = []
     for i, sol in enumerate(sols):
         row = []
-        for c in sol:
-            if c.denominator != 1 or c < 0:
+        for num in sol:
+            c, rem = divmod(num, den)
+            if rem or c < 0:
                 raise NonIntegralDecomposition(
-                    f"character {i} decomposes with coefficient {c}")
-            row.append(int(c))
+                    f"character {i} decomposes with coefficient "
+                    f"{f'{num}/{den}' if rem else c}")
+            row.append(c)
         out.append(row)
     return out
 
 
 def cartan_determinant(cartan) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    """Exact determinant of a square integer matrix (integer elimination)."""
     if not all(isinstance(x, int) for row in cartan for x in row):
         raise VerificationFailed("the Cartan matrix is not integral")
-    m = [list(row) for row in cartan]
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n):
-        sel = next((r for r in range(c, n) if m[r][c]), None)
-        if sel is None:
-            return 0
-        if sel != c:
-            m[c], m[sel] = m[sel], m[c]
-            sign = -sign
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                q, rem = divmod(m[r][j] * m[c][c] - m[r][c] * m[c][j], prev)
-                if rem:
-                    raise VerificationFailed("Bareiss division is not exact")
-                m[r][j] = q
-        prev = m[c][c]
-    return sign * prev
+    if any(len(row) != len(cartan) for row in cartan):
+        raise VerificationFailed("the Cartan matrix is not square")
+    return integer_gauss_jordan(cartan, len(cartan))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +209,44 @@ def test_golden_files(s3_table, d8_table):
         blob = json.dumps(table.to_json(), indent=1, sort_keys=True) + "\n"
         with open(path) as fh:
             assert fh.read() == blob, f"golden table mismatch for {name}"
+
+
+_TABLE_CHECKS_UNDER_O = """
+import sys
+from ctlab import chartab
+from ctlab.cyclo import ONE
+from ctlab.errors import VerificationFailed
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+
+def expect(name, fn):
+    try:
+        fn()
+    except VerificationFailed as exc:
+        raised.append(name + ":" + str(exc).replace(" ", "_"))
+
+real = chartab._echelonize
+chartab._echelonize = lambda rows, ell: (lambda out: (out[0], out[1][::-1]))(
+    real(rows, ell))
+expect("invariant", lambda: chartab.character_table(s3))
+chartab._echelonize = real
+real = chartab._poly_roots
+chartab._poly_roots = lambda poly, ell: []
+expect("splitting", lambda: chartab.character_table(s3))
+chartab._poly_roots = real
+expect("trivial", lambda: chartab._sorted_rows([[ONE], [ONE]]))
+print(" ".join(raised))
+"""
+
+
+def test_table_checks_survive_python_O():
+    src = str(Path(character_table.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _TABLE_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == [
+        "invariant:space_not_invariant", "splitting:splitting_incomplete",
+        "trivial:exactly_one_trivial_character_expected"]

@@ -14,7 +14,7 @@ from ctlab.cyclo import (Cyclotomic, DixonField, PrimeFieldCtx, ONE, ZERO,
                          dixon_lift, euler_phi, is_prime, nu, p_part,
                          p_prime_part, prime_factors, prime_field, rational,
                          reduce_mod_ell, reduce_mod_p, zeta)
-from ctlab.errors import LiftInconsistent, NotAlgebraicInteger
+from ctlab.errors import LiftInconsistent, NotAlgebraicInteger, VerificationFailed
 
 
 def test_minimal_polynomial_identities():
@@ -257,6 +257,59 @@ def test_field_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _FIELD_CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["root_order", "e_divides", "no_modulus"]
+
+
+_EXACTNESS_CHECKS_UNDER_O = """
+import sys
+from ctlab import cyclo
+from ctlab.errors import VerificationFailed
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, fn):
+    try:
+        fn()
+    except VerificationFailed as exc:
+        raised.append(name + ":" + str(exc).replace(" ", "_"))
+
+expect("poly_lead", lambda: cyclo._poly_divmod_exact([1, 0, 1], [0, 2]))
+expect("poly_rest", lambda: cyclo._poly_divmod_exact([1, 0, 1], [1, 1]))
+real = cyclo.integer_gauss_jordan
+cyclo.integer_gauss_jordan = lambda rows, ncols: (rows, [], 0)
+expect("descent_columns", lambda: cyclo.zeta(9, 3))
+cyclo.integer_gauss_jordan = real
+cyclo._descent_solver = lambda n, p: (1, [[0] * cyclo.euler_phi(n)] * 2)
+expect("descent_rewrite", lambda: cyclo.zeta(9, 3))
+print(" ".join(raised))
+"""
+
+
+def test_exactness_checks_survive_python_O():
+    src = str(Path(cyclo.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _EXACTNESS_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == [
+        "poly_lead:polynomial_division_is_not_exact",
+        "poly_rest:polynomial_division_leaves_a_remainder",
+        "descent_columns:descent_columns_are_dependent",
+        "descent_rewrite:descent_rewrite_failed"]
+
+
+def test_integer_gauss_jordan_contract():
+    # [[2, 1 | 5], [4, 3 | 11]]: x = (2, 1), det 2
+    rows, pivots, det = cyclo.integer_gauss_jordan([[2, 1, 5], [4, 3, 11]], 2)
+    assert pivots == [0, 1] and det == 2
+    assert rows == [[2, 0, 4], [0, 2, 2]]          # D = 2 on each pivot row
+    rows, pivots, det = cyclo.integer_gauss_jordan([[0, 1], [1, 0]], 2)
+    assert pivots == [0, 1] and det == -1            # one row swap
+    rows, pivots, det = cyclo.integer_gauss_jordan([[1, 2, 3], [2, 4, 7]], 3)
+    assert pivots == [0, 2] and det == 0             # column 1 skipped
+    assert rows[1] == [0, 0, 1] and rows[0][1] == 2
+    assert cyclo.integer_gauss_jordan([], 0) == ([], [], 1)
+    with pytest.raises(VerificationFailed):
+        cyclo.integer_gauss_jordan([[1, 2], [3]], 1)
 
 
 def test_prime_factors():

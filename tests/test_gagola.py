@@ -168,3 +168,38 @@ def test_tower_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
                                   "degree_of", "cartan", "blocks", "witness"]
+
+
+_CHIEF_STEP_CHECKS_UNDER_O = """
+import sys
+from ctlab import gagola
+from ctlab.errors import VerificationFailed
+from ctlab.forge import cyclic
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, fn):
+    try:
+        fn()
+    except VerificationFailed as exc:
+        raised.append(name + ":" + str(exc).replace(" ", "_"))
+
+real = gagola.prime_factors
+gagola.prime_factors = lambda n: []
+expect("primes", lambda: gagola._chief_step(cyclic(6), 2))
+gagola.prime_factors = real
+gagola._index_q_kernels = lambda g, q: []
+expect("kernels", lambda: gagola._chief_step(cyclic(6), 2))
+print(" ".join(raised))
+"""
+
+
+def test_chief_step_checks_survive_python_O():
+    src = str(Path(gagola_tower.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CHIEF_STEP_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == [
+        "primes:nontrivial_solvable_groups_have_a_prime_quotient",
+        "kernels:no_normal_subgroup_of_index_2"]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,7 +12,8 @@ from ctlab import modrep
 from ctlab.chartab import character_table, direct_product_table
 from ctlab.cyclo import rational
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
-                          NotCentralPPrime, VerificationFailed)
+                          NonIntegralDecomposition, NotCentralPPrime,
+                          VerificationFailed)
 from ctlab.forge import cyclic
 from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           brauer_data_for_product, brauer_kernel,
@@ -295,6 +297,33 @@ def test_cartan_determinant_rejects_non_integral():
         cartan_determinant([[Fraction(1, 2)]])
 
 
+@pytest.mark.parametrize("matrix", [[[2, 1, 0], [1, 2]], [[1], [2]], [[1, 2]]])
+def test_cartan_determinant_rejects_non_square(matrix):
+    with pytest.raises(VerificationFailed, match="not square"):
+        cartan_determinant(matrix)
+
+
+@pytest.mark.parametrize("ibr, chi, message", [
+    ([(2,)], (1,), "coefficient 1/2"),                  # non-integral
+    ([(1, 0), (0, 1)], (2, -1), "coefficient -1"),      # negative
+    ([(1, 0)], (0, 1), "target outside the span"),
+    ([(1, 2), (2, 4)], (1, 2), "dependent basis"),
+])
+def test_decomposition_matrix_error_paths(ibr, chi, message):
+    table = SimpleNamespace(values=_int_rows(chi))
+    with pytest.raises(NonIntegralDecomposition, match=message):
+        modrep.decomposition_matrix(table, _int_rows(*ibr), range(len(chi)))
+
+
+def test_decomposition_matrix_over_a_non_unit_pivot():
+    ibr = _int_rows((2, 1), (1, 3))                 # determinant 5
+    targets = _int_rows((3, 4), (2, 1), (4, 7))
+    assert modrep._solve_in_basis(ibr, targets) == (5, [[5, 5], [5, 0], [5, 10]])
+    table = SimpleNamespace(values=targets)
+    assert modrep.decomposition_matrix(table, ibr, range(2)) == \
+        [[1, 1], [1, 0], [1, 2]]
+
+
 # -- IBr golden: the deletion search's output, frozen as sha256 digests ------
 
 IBR_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
@@ -370,6 +399,41 @@ def test_blocks_match_golden():
     assert block_partitions() == golden
 
 
+# -- decomposition golden: decomposition matrix and Cartan determinant ------
+
+DECOMPOSITION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
+                                    "decomposition_digests.json")
+
+
+def _decomposition_digest(table, p):
+    """sha256 of the decomposition matrix in the deletion search's IBr basis
+    and of the Cartan determinant, or the name of the error on the way."""
+    try:
+        ibr, regular = ibr_fong_swan(table, p)
+    except AmbiguousBasicSet:
+        return "AmbiguousBasicSet"
+    dec = modrep.decomposition_matrix(table, ibr, regular)
+    cartan = [[sum(row[a] * row[b] for row in dec) for b in range(len(ibr))]
+              for a in range(len(ibr))]
+    blob = json.dumps({"decomposition": dec,
+                       "cartan_det": cartan_determinant(cartan)},
+                      separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def decomposition_digests():
+    return {f"{name} p={p}": _decomposition_digest(t, p)
+            for name, g in _ibr_golden_groups()
+            for t in [character_table(g)] for p in IBR_PRIMES}
+
+
+def test_decomposition_matches_golden():
+    with open(DECOMPOSITION_GOLDEN) as fh:
+        golden = json.load(fh)
+    assert len(golden) == 4 * len(_ibr_golden_groups())
+    assert decomposition_digests() == golden
+
+
 def _order3960_table():
     from ctlab.instances import order3960_build
 
@@ -406,3 +470,6 @@ if __name__ == "__main__":
         json.dump(ibr_digests(), fh, indent=1, sort_keys=True)
         fh.write("\n")
     write_block_golden(block_partitions())
+    with open(DECOMPOSITION_GOLDEN, "w") as fh:
+        json.dump(decomposition_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")

@@ -1,10 +1,15 @@
-"""The benchmark's layer tracer must find every entry point it names.
+"""Checks on the code itself.
 
+The benchmark's layer tracer must find every entry point it names:
 `perfbench/run.py --trace 1` wraps the functions listed in the tracer's
 ``SPANS``; a renamed or deleted one makes it fail with an AttributeError,
 so the names are checked here by installing and uninstalling the tracer.
+
+No module may gain an ``assert``: ``python -O`` strips them, so a check
+that carries a result must raise instead.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -45,3 +50,19 @@ def test_tracer_spans_resolve_and_uninstall():
         original = _entry(modname, name)
         assert original is not wrapper and wrapper.__wrapped__ is original, \
             (modname, name)
+
+
+# The asserts left are argument checks that carry no result.  Lower a
+# ceiling when its module sheds one; never raise it.
+ASSERT_CEILING = {"chartab": 4, "cyclo": 2, "grammar": 1, "modrep": 5}
+
+
+def test_assert_ratchet():
+    src = Path(__file__).resolve().parents[1] / "src" / "ctlab"
+    counts = {path.stem: sum(isinstance(node, ast.Assert)
+                             for node in ast.walk(ast.parse(path.read_text())))
+              for path in sorted(src.glob("*.py"))}
+    assert "gagola" in counts and "chartab" in counts
+    over = {mod: n for mod, n in counts.items()
+            if n > ASSERT_CEILING.get(mod, 0)}
+    assert not over, over
