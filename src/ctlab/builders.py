@@ -34,7 +34,7 @@ from .forge import (SemidirectResult, cyclic, matrix_to_vector_perm, semidirect,
 from .homs import GroupHom
 from .modrep import (BrauerData, LinearCharacter, NilpotencyCertificate,
                      brauer_data, linear_characters, rows_over_central)
-from .permgroup import PermGroup, direct_product, p_part
+from .permgroup import PermGroup, check_order, direct_product, p_part
 from .perms import conj
 
 
@@ -69,11 +69,11 @@ def _vector_semidirect(h_group: PermGroup, p: int, dim: int, mats,
         raise ActionKernelMismatch(
             f"action kernel has order {ker_order}, expected the center of "
             f"order {z_expected.order}")
-    v = PermGroup(len(vecs), vector_translations(p, dim, vecs, vidx),
-                  known_order=p ** dim)
+    v = PermGroup(len(vecs), vector_translations(p, dim, vecs, vidx))
     autos = [GroupHom(v, v, [conj(t, mp) for t in v.gens]) for mp in perms]
     sd = semidirect(v, h_group, autos)
-    v_sub = sd.group.subgroup(sd.n_gen_perms, known_order=p ** dim)
+    v_sub = sd.group.subgroup(sd.n_gen_perms)
+    check_order(v_sub, p ** dim, "the image of V in V : H")
     return sd.group, v_sub, sd.h_hom
 
 
@@ -115,8 +115,8 @@ def builder_plength(h_group: PermGroup, p: int, dim: int, mats,
     lam_index, _e, _phi = ramified[0]
     lams = linear_characters(z_sub)
     grp, v_sub, h_hom = _vector_semidirect(h_group, p, dim, mats, z_sub)
-    z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens],
-                         known_order=z_sub.order)
+    z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens])
+    check_order(z_big, z_sub.order, "the image of Z(H) in V : H")
     lam_vals = {h_hom.image(z): lams[lam_index](z) for z in z_sub.elements()}
     lam_big = LinearCharacter(z_big, lam_vals)
     # re-verify the certificate data: Z = O_{p'}(G), and G / C_G(V) = H / Z
@@ -295,8 +295,8 @@ def builder_unique_lift(h_group: PermGroup, p: int, dim: int, mats,
         raise VerificationFailed(
             "central type guarantees a fully ramified character, none found")
     lam_index = ramified[0]
-    z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens],
-                         known_order=z_sub.order)
+    z_big = grp.subgroup([h_hom.image(g) for g in z_sub.gens])
+    check_order(z_big, z_sub.order, "the image of Z(H) in V : H")
     lam_vals = {h_hom.image(z): lams[lam_index](z) for z in z_sub.elements()}
     lam_big = LinearCharacter(z_big, lam_vals)
     return UniqueLiftBuild(grp, v_sub, h_hom, z_big, lam_big, report, dim, p,

@@ -40,15 +40,6 @@ class CharacterTable:
     def __len__(self):
         return len(self.values)
 
-    def row(self, i):
-        return self.values[i]
-
-    def trivial_index(self) -> int:
-        return 0
-
-    def value(self, i, j) -> Cyclotomic:
-        return self.values[i][j]
-
     def to_json(self) -> dict:
         return {
             "order": self.group.order,
@@ -356,9 +347,6 @@ class ClassFunction:
         assert self.classes is other.classes
         return ClassFunction(self.classes,
                              [a - b for a, b in zip(self.values, other.values)])
-
-    def scale(self, c):
-        return ClassFunction(self.classes, [rational(c) * v for v in self.values])
 
     def degree(self):
         return self.values[0]

@@ -32,7 +32,6 @@ def _budget_from(args) -> Budget:
     return Budget(
         max_order=args.max_order or base.max_order,
         max_classes=args.max_classes or base.max_classes,
-        scan_limit=base.scan_limit,
     )
 
 

@@ -31,10 +31,6 @@ class NotAHomomorphism(CTLabError):
     pass
 
 
-class Timeout(CTLabError):
-    """A search exceeded its node budget."""
-
-
 class BudgetExceeded(CTLabError):
     pass
 
@@ -144,13 +140,12 @@ class Budget:
     """Cost guards for the exact engines.
 
     ``max_order`` caps character-table computations, ``max_classes`` the
-    class count fed to the eigenvalue splitting, ``scan_limit`` the element
-    scans used by normalizer/centralizer searches.
+    class count fed to the eigenvalue splitting.  Element scans have one
+    fixed bound, ``permgroup.SCAN_LIMIT``.
     """
 
     max_order: int = 20_000
     max_classes: int = 150
-    scan_limit: int = 60_000
 
     @staticmethod
     def from_env() -> "Budget":

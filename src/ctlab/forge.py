@@ -43,7 +43,7 @@ from .errors import (
     VerificationFailed,
 )
 from .homs import GroupHom
-from .permgroup import PermGroup, QuotientResult, direct_power
+from .permgroup import PermGroup, QuotientResult, check_order, direct_power
 from .perms import identity, pinv, pmul, ppow
 
 
@@ -52,7 +52,7 @@ from .perms import identity, pinv, pmul, ppow
 # ---------------------------------------------------------------------------
 
 def trivial_group() -> PermGroup:
-    return PermGroup(1, [], known_order=1)
+    return PermGroup(1, [])
 
 
 def cyclic(n: int) -> PermGroup:
@@ -60,7 +60,7 @@ def cyclic(n: int) -> PermGroup:
         raise UnsupportedFamily("cyclic groups need n >= 1")
     if n == 1:
         return trivial_group()
-    return PermGroup(n, [tuple((i + 1) % n for i in range(n))], known_order=n)
+    return PermGroup(n, [tuple((i + 1) % n for i in range(n))])
 
 
 def elem_abelian(p: int, k: int) -> PermGroup:
@@ -72,7 +72,7 @@ def elem_abelian(p: int, k: int) -> PermGroup:
         for x in range(p):
             img[i * p + x] = i * p + (x + 1) % p
         gens.append(tuple(img))
-    return PermGroup(p * k, gens, known_order=p ** k)
+    return PermGroup(p * k, gens)
 
 
 def dihedral(order: int) -> PermGroup:
@@ -83,7 +83,7 @@ def dihedral(order: int) -> PermGroup:
         return elem_abelian(2, 2)
     rot = tuple((i + 1) % m for i in range(m))
     ref = tuple((-i) % m for i in range(m))
-    return PermGroup(m, [rot, ref], known_order=order)
+    return PermGroup(m, [rot, ref])
 
 
 def quaternion(order: int) -> PermGroup:
@@ -109,7 +109,7 @@ def extraspecial(p: int, kind: str) -> PermGroup:
         idx = {v: i for i, v in enumerate(pts)}
         x = tuple(idx[((a + 1) % p, b, c)] for (a, b, c) in pts)
         y = tuple(idx[(a, (b + 1) % p, (c + a) % p)] for (a, b, c) in pts)
-        return PermGroup(p ** 3, [x, y], known_order=p ** 3)
+        return PermGroup(p ** 3, [x, y])
     base = cyclic(p * p)
     target = ppow(base.gens[0], 1 + p)
     auto = GroupHom(base, base, [target])
@@ -144,7 +144,7 @@ def check_square_matrices(mats, k: int) -> None:
 
 def sl2(q: int) -> PermGroup:
     g = mat_group(q, [[[1, 1], [0, 1]], [[0, 1], [q - 1, 0]]])
-    _check_order(g, q * (q * q - 1), f"SL(2, {q})")
+    check_order(g, q * (q * q - 1), f"SL(2, {q})")
     return g
 
 
@@ -154,14 +154,8 @@ def psl2(q: int) -> PermGroup:
         raise UnsupportedFamily("psl2 expects an odd prime >= 5")
     g = PermGroup(q + 1, [mobius_perm(q, [[1, 1], [0, 1]]),
                           mobius_perm(q, [[0, 1], [q - 1, 0]])])
-    _check_order(g, q * (q * q - 1) // 2, f"PSL(2, {q})")
+    check_order(g, q * (q * q - 1) // 2, f"PSL(2, {q})")
     return g
-
-
-def _check_order(g: PermGroup, expected: int, name: str) -> None:
-    if g.order != expected:
-        raise VerificationFailed(
-            f"{name} generated order {g.order}, expected {expected}")
 
 
 def mobius_perm(q: int, mat) -> tuple:
@@ -332,7 +326,7 @@ def wreath(m_group: PermGroup, q: int) -> WreathResult:
         gens.append(tuple(images))
     shift = tuple(((i // d + 1) % q) * d + (i % d) for i in range(q * d))
     gens.append(shift)
-    grp = PermGroup(q * d, gens, known_order=m_group.order ** q * q)
+    grp = PermGroup(q * d, gens)
     base_gens = []
     for i in range(q):
         for g in m_group.gens:
@@ -340,7 +334,8 @@ def wreath(m_group: PermGroup, q: int) -> WreathResult:
             for x, y in enumerate(g):
                 images[i * d + x] = i * d + y
             base_gens.append(tuple(images))
-    base = grp.subgroup(base_gens, known_order=m_group.order ** q)
+    base = grp.subgroup(base_gens)
+    check_order(base, m_group.order ** q, f"the base group M^{q}")
     return WreathResult(grp, base, q, d)
 
 
@@ -416,12 +411,12 @@ def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
         for i in range(q - 1):
             w_gens.append(pmul(emb(i, zg), emb(i + 1, zi)))
     w = kq.subgroup(w_gens)
-    _check_order(w, z.order ** (q - 1), f"the product-one subgroup of Z(K)^{q}")
+    check_order(w, z.order ** (q - 1), f"the product-one subgroup of Z(K)^{q}")
     a_gens = core_free_subgroup(k_group)
     s = kq.subgroup([emb(i, a) for i in range(q) for a in a_gens] + w_gens)
     qr = kq.coset_action(s)
-    _check_order(qr.group, k_group.order ** q // z.order ** (q - 1),
-                 f"the central product power K^{q}/W")
+    check_order(qr.group, k_group.order ** q // z.order ** (q - 1),
+                f"the central product power K^{q}/W")
     return CentralPowerResult(qr, kq, emb, split, w)
 
 

@@ -35,8 +35,8 @@ from .forge import (CentralPowerResult, central_product_power, cyclic,
 from .homs import GroupHom
 from .modrep import (brauer_data, brauer_induce, brauer_kernel_trivial,
                      p_regular_classes, _degree_of)
-from .permgroup import ClassData, PermGroup, QuotientResult, direct_product, \
-    p_prime_part
+from .permgroup import ClassData, PermGroup, QuotientResult, check_order, \
+    direct_product, p_prime_part
 from .perms import pinv, pmul, ppow, order as perm_order
 
 
@@ -151,7 +151,9 @@ def _index_q_kernels(g: PermGroup, q: int):
             continue
         seen.add(key)
         pre_gens = list(nq.gens) + [qr.lift(e) for e in members]
-        kernels.append(g.subgroup(pre_gens, known_order=g.order // q))
+        kernel = g.subgroup(pre_gens)
+        check_order(kernel, g.order // q, f"an index-{q} kernel")
+        kernels.append(kernel)
     return kernels
 
 
@@ -377,7 +379,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
         s_by_exp[dlog[qr_gm.image_of(rep)]] = rep
     images = []
     for g in g_grp.gens:
-        j = dlog[qr_gm.hom.image(g)]
+        j = dlog[qr_gm.image_of(g)]
         coords = []
         for a in range(q):
             m_a = pmul(pmul(s_by_exp[a], g), pinv(s_by_exp[(a + j) % q]))
@@ -409,8 +411,7 @@ def _base_level(g_grp: PermGroup, p: int) -> TowerLevel:
 def tower_budget(budget: Budget = DEFAULT_BUDGET) -> Budget:
     """Towers may exceed the generic class budget on q = p steps."""
     return Budget(max_order=budget.max_order,
-                  max_classes=max(budget.max_classes, 260),
-                  scan_limit=budget.scan_limit)
+                  max_classes=max(budget.max_classes, 260))
 
 
 def gagola_tower(g_grp: PermGroup, p: int, budget=DEFAULT_BUDGET) -> TowerCertificate:

@@ -12,8 +12,7 @@ test.
 
 from __future__ import annotations
 
-from .errors import (DEFAULT_BUDGET, BudgetExceeded, NotAHomomorphism,
-                     VerificationFailed)
+from .errors import BudgetExceeded, NotAHomomorphism, VerificationFailed
 from .permgroup import PermGroup, StabilizerChain
 from .perms import identity, pinv, pmul
 
@@ -78,12 +77,10 @@ class GroupHom:
                 and self.is_injective()
                 and all(im in self.source for im in self.gen_images))
 
-    def kernel(self, budget=DEFAULT_BUDGET) -> PermGroup:
+    def kernel(self) -> PermGroup:
         ker_order = self.source.order // self.image_group().order
         if ker_order == 1:
             return self.source.subgroup([])
-        if self.source.order > budget.scan_limit:
-            raise BudgetExceeded("kernel enumeration exceeds budget")
         idt = self.target.identity
         members = [g for g in self.source.elements() if self.image(g) == idt]
         if len(members) != ker_order:

@@ -116,8 +116,9 @@ def _solve_in_basis(basis_vectors, targets):
     """
     flat = _flatten(list(basis_vectors) + list(targets))
     l = len(basis_vectors)
+    # a coordinate that is zero in every vector is an equation 0 = 0
     rows, pivots, _ = integer_gauss_jordan(
-        [list(col) for col in zip(*flat)], l)
+        [list(col) for col in zip(*flat) if any(col)], l)
     if len(pivots) != l:
         raise ValueError("dependent basis")
     if any(any(row[l:]) for row in rows[l:]):

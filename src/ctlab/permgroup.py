@@ -4,9 +4,12 @@ The chain construction is a deterministic Schreier-Sims in the style of
 Holt's SCHREIERSIMS: strong generators carry an explicit level range, orbits
 are grown breadth-first in a fixed order and Schreier generators are sifted
 in a fixed order, so the same generator list always produces the same chain.
-A chain grows one element at a time with ``StabilizerChain.extend``.
-Higher-level queries (classes, center, cores, quotients, Sylow subgroups)
-canonicalize their output and therefore do not depend on chain internals.
+Every chain is built incrementally: ``StabilizerChain.extend`` sifts one
+element and completes the chain, and the chain of a generator list is the
+one that extending by each generator in turn builds.  Classes, center,
+cores and Sylow subgroups canonicalize their output and therefore do not
+depend on chain internals; the coset labels of ``coset_action`` follow the
+base of the subgroup's chain (``_coset_canonicalizer``).
 
 ``elements()`` closes the identity under the generators by breadth-first
 search and checks the count against the chain's order: it is the closure
@@ -15,7 +18,8 @@ and normalizers) then hold each element under its base-image key, its
 images of the chain's base points, so conjugating an element costs |base|
 lookups instead of two products at the full degree (see
 ``_keyed_elements``).  Everything assumes desk scale: orders up to a few
-tens of thousands, degrees up to ~2000.
+tens of thousands, degrees up to ~2000; no element scan runs on a group
+of order above ``SCAN_LIMIT``.
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ from math import lcm, prod
 from .cyclo import p_part, p_prime_part  # noqa: F401  (p_prime_part re-exported)
 from .errors import (
     BudgetExceeded,
-    DEFAULT_BUDGET,
     InvalidPermutation,
     NotASubgroup,
     NotNormal,
     NotSolvable,
-    Timeout,
     VerificationFailed,
 )
 from .perms import (
@@ -46,9 +48,8 @@ from .perms import (
     validate,
 )
 
-
-class _Done(Exception):
-    """Internal: chain reached a known target order."""
+SCAN_LIMIT = 60_000
+"""The largest order whose elements ``PermGroup.elements`` lists."""
 
 
 class _Level:
@@ -63,7 +64,8 @@ class _Level:
 
 
 class StabilizerChain:
-    """Base and strong generating set for a permutation group.
+    """Base and strong generating set for a permutation group, built by
+    extending the trivial chain by each generator in turn.
 
     ``base_preference`` prescribes the order in which candidate base points
     are tried (default: least moved point).  With ``on_restricted`` set, a
@@ -72,19 +74,15 @@ class StabilizerChain:
     multi-valued graphs.
     """
 
-    def __init__(self, degree, gens, known_order=None, base_preference=None,
-                 on_restricted=None):
+    def __init__(self, degree, gens, base_preference=None, on_restricted=None):
         self.degree = degree
         self.identity = identity(degree)
         self.levels = []
-        self._known_order = known_order
         self._preference = list(base_preference) if base_preference is not None \
             else list(range(degree))
         self._on_restricted = on_restricted
-        try:
-            self._build([g for g in gens if g != self.identity])
-        except _Done:
-            pass
+        for g in gens:
+            self.extend(g)
 
     # -- construction ---------------------------------------------------
     def _pick_base(self, g):
@@ -94,12 +92,6 @@ class StabilizerChain:
         if self._on_restricted is not None:
             self._on_restricted(g)
         raise InvalidPermutation("generator moves no admissible base point")
-
-    def _depth(self, g):
-        for i, lvl in enumerate(self.levels):
-            if g[lvl.base] != lvl.base:
-                return i
-        return len(self.levels)
 
     def _assign(self, g, lo, hi):
         """Make g a generator of levels lo..hi inclusive (creating level hi)."""
@@ -111,8 +103,6 @@ class StabilizerChain:
             lvl.dirty = True
         for l in range(lo, hi + 1):
             self._refresh_orbit(l)
-        if self._known_order is not None and self.order() == self._known_order:
-            raise _Done
 
     def _refresh_orbit(self, i):
         lvl = self.levels[i]
@@ -139,14 +129,6 @@ class StabilizerChain:
                                  if t not in moved and gens[k][t] not in moved}
         lvl.orbit = orbit
         lvl.dirty = False
-
-    def _build(self, gens):
-        for g in gens:
-            d = self._depth(g)
-            if d == len(self.levels):
-                self.levels.append(_Level(self._pick_base(g), self.identity))
-            self._assign(g, 0, d)
-        self._complete(len(self.levels) - 1)
 
     def _complete(self, i):
         """Process levels i, i-1, ..., 0, going deeper again wherever a new
@@ -223,17 +205,22 @@ class StabilizerChain:
 class PermGroup:
     """A finite permutation group on 0..degree-1 with cached structure data."""
 
-    def __init__(self, degree, gens, known_order=None, check=True):
-        self.degree = degree
+    def __init__(self, degree, gens, check=True):
         if check:
             gens = [validate(g, degree) for g in gens]
         ident = identity(degree)
-        self.gens = tuple(g for g in gens if g != ident)
-        self.chain = StabilizerChain(degree, self.gens, known_order=known_order)
-        self.order = self.chain.order()
-        if known_order is not None and self.order != known_order:
-            raise InvalidPermutation(
-                f"generated group has order {self.order}, expected {known_order}")
+        gens = tuple(g for g in gens if g != ident)
+        self._adopt(gens, StabilizerChain(degree, gens))
+
+    def _adopt(self, gens, chain):
+        """Take over ``chain``, the chain that extending by ``gens`` (a tuple
+        without the identity) in order builds."""
+        self.degree = chain.degree
+        self.gens = gens
+        self.chain = chain
+        self.order = chain.order()
+        for lvl in chain.levels:
+            lvl.processed = set()   # nothing extends a group's chain
         self._elements = None
         self._classes = None
         self._center = None
@@ -253,12 +240,15 @@ class PermGroup:
     def is_trivial(self):
         return self.order == 1
 
-    def elements(self, budget=DEFAULT_BUDGET):
-        """All elements, sorted lexicographically (cached)."""
+    def elements(self):
+        """All elements, sorted lexicographically (cached).  Every element
+        scan (classes, centre, centralizers, normalizers, kernels) starts
+        here, so this is the one place that bounds them by SCAN_LIMIT."""
         if self._elements is None:
-            if self.order > budget.scan_limit:
+            if self.order > SCAN_LIMIT:
                 raise BudgetExceeded(
-                    f"element enumeration of order {self.order} exceeds budget")
+                    f"element enumeration of order {self.order} exceeds "
+                    f"the scan limit {SCAN_LIMIT}")
             seen = {self.identity}
             queue = deque([self.identity])
             while queue:
@@ -275,14 +265,18 @@ class PermGroup:
             self._elements = sorted(seen)
         return self._elements
 
-    def subgroup(self, gens, known_order=None):
-        return PermGroup(self.degree, gens, known_order=known_order, check=False)
+    def subgroup(self, gens):
+        return PermGroup(self.degree, gens, check=False)
 
     def subgroup_from_elements(self, elems):
-        """Small generating set for the subgroup generated by ``elems``."""
-        h = StabilizerChain(self.degree, [])
-        sel = [x for x in sorted(set(elems)) if h.extend(x)]
-        return self.subgroup(sel, known_order=h.order())
+        """The subgroup generated by ``elems``, on the elements that enlarge
+        it in sorted order.  Extending by exactly those rebuilds the same
+        chain, so the chain built here is the subgroup's own."""
+        chain = StabilizerChain(self.degree, [])
+        sel = tuple(x for x in sorted(set(elems)) if chain.extend(x))
+        group = PermGroup.__new__(PermGroup)
+        group._adopt(sel, chain)
+        return group
 
     def is_subgroup_of(self, other) -> bool:
         return self.degree == other.degree and all(g in other for g in self.gens)
@@ -351,20 +345,16 @@ class PermGroup:
                 _centralizing(self, self.gens))
         return self._center
 
-    def centralizer_of_subgroup(self, h, budget=DEFAULT_BUDGET):
+    def centralizer_of_subgroup(self, h):
         if not h.is_subgroup_of(self):
             raise NotASubgroup("centralizer of a subgroup requires a subgroup")
-        if self.order > budget.scan_limit:
-            raise Timeout("centralizer scan exceeds node budget")
         return self.subgroup_from_elements(_centralizing(self, h.gens))
 
-    def normalizer(self, h, budget=DEFAULT_BUDGET):
+    def normalizer(self, h):
         """N_G(h): each g with g^-1 x g in h for every generator x of h,
         tested on keys against the keys of h's elements."""
         if not h.is_subgroup_of(self):
             raise NotASubgroup("normalizer requires a subgroup")
-        if self.order > budget.scan_limit:
-            raise Timeout("normalizer scan exceeds node budget")
         base, keyed = _keyed_elements(self)
         members = {tuple([y[b] for b in base]) for y in h.elements()}
         out = []
@@ -421,7 +411,7 @@ class PermGroup:
             g = g.quotient(op).group
         return count
 
-    def sylow_subgroup(self, p, budget=DEFAULT_BUDGET):
+    def sylow_subgroup(self, p):
         target = p_part(self.order, p)
         if target == 1:
             return self.subgroup([])
@@ -431,9 +421,9 @@ class PermGroup:
             if o % p == 0:
                 seed = ppow(rep, o // p)
                 break
-        sub = self.subgroup([seed], known_order=p)
+        sub = self.subgroup([seed])
         while sub.order < target:
-            nz = self.normalizer(sub, budget=budget)
+            nz = self.normalizer(sub)
             ext = None
             for y in nz.elements():
                 if y not in sub and ppow(y, p) in sub:
@@ -443,7 +433,10 @@ class PermGroup:
                 raise VerificationFailed(
                     f"the normalizer of a {p}-subgroup of order {sub.order} "
                     "has no element extending it")
-            sub = self.subgroup(list(sub.gens) + [ext], known_order=sub.order * p)
+            grown = self.subgroup(list(sub.gens) + [ext])
+            check_order(grown, sub.order * p,
+                        f"a {p}-subgroup extended by a normalizing element")
+            sub = grown
         return sub
 
     # -- coset actions and quotients -------------------------------------------
@@ -657,6 +650,14 @@ def _coset_canonicalizer(s):
     return canon
 
 
+def check_order(group: PermGroup, expected: int, name: str) -> None:
+    """Raise VerificationFailed unless the group has the order that its
+    construction, named ``name``, promises."""
+    if group.order != expected:
+        raise VerificationFailed(
+            f"{name} generated order {group.order}, expected {expected}")
+
+
 def group_from_generators(degree, gens) -> PermGroup:
     """Public constructor: validates generators and builds the chain."""
     return PermGroup(degree, [validate(g, degree) for g in gens], check=False)
@@ -678,7 +679,7 @@ def direct_product(a: PermGroup, b: PermGroup):
         return tuple(range(da)) + tuple(x + da for x in g)
 
     gens = [emb_a(g) for g in a.gens] + [emb_b(g) for g in b.gens]
-    grp = PermGroup(da + db, gens, known_order=a.order * b.order, check=False)
+    grp = PermGroup(da + db, gens, check=False)
 
     def split(g):
         return tuple(g[:da]), tuple(x - da for x in g[da:])
@@ -697,7 +698,7 @@ def direct_power(a: PermGroup, q: int):
         return tuple(images)
 
     gens = [emb(i, g) for i in range(q) for g in a.gens]
-    grp = PermGroup(d * q, gens, known_order=a.order ** q, check=False)
+    grp = PermGroup(d * q, gens, check=False)
 
     def split(g):
         return [tuple(g[i * d + x] - i * d for x in range(d)) for i in range(q)]

@@ -320,8 +320,7 @@ def check_goodclasses_93312() -> dict:
     except BudgetExceeded as exc:
         return {"status": "skipped",
                 "reason": f"supplied data accepted but the computation "
-                          f"exceeds the desk-scale budget ({exc}); raise "
-                          f"CTLAB_BUDGET to attempt it"}
+                          f"exceeds a desk-scale limit: {exc}"}
 
 
 def check_property_corpus() -> dict:

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 import ctlab
 import ctlab.permgroup
 import oracles
-from ctlab.errors import InvalidPermutation, NotASubgroup, NotNormal, \
-    NotSolvable
-from ctlab.forge import cyclic
-from ctlab.permgroup import PermGroup, StabilizerChain, group_from_generators
+from ctlab.errors import BudgetExceeded, InvalidPermutation, NotASubgroup, \
+    NotNormal, NotSolvable
+from ctlab.forge import cyclic, elem_abelian
+from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
+    group_from_generators
 from ctlab.perms import parse_cycles, pmul
 
 from conftest import perm_group
@@ -46,6 +47,10 @@ def test_public_constructor_takes_no_order_claim():
     assert group_from_generators(3, s3_gens).order == 6
     with pytest.raises(TypeError):
         group_from_generators(3, s3_gens, known_order=3)
+    with pytest.raises(TypeError):
+        PermGroup(3, s3_gens, known_order=3)
+    with pytest.raises(TypeError):
+        PermGroup(3, s3_gens).subgroup(s3_gens[:1], known_order=2)
 
 
 def test_class_data_s3(s3):
@@ -260,6 +265,35 @@ def test_extend_resifts_after_the_transversal_changes():
     assert chain.order() == 120
 
 
+def test_subgroup_from_elements_builds_one_chain(s4, monkeypatch):
+    # The chain that picks the generators is the subgroup's own chain.
+    built = []
+    real = StabilizerChain.__init__
+    monkeypatch.setattr(StabilizerChain, "__init__",
+                        lambda self, *a, **k: built.append(1) or real(self, *a, **k))
+    h = s4.subgroup_from_elements(s4.elements())
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert h.order == 24 and h.chain.order() == 24
+    rebuilt = PermGroup(4, h.gens)
+    assert h.chain.base == rebuilt.chain.base
+    assert [l.orbit for l in h.chain.levels] == \
+        [l.orbit for l in rebuilt.chain.levels]
+
+
+def test_element_scans_share_one_bound():
+    # Every scan lists the elements first, so all of them report the same
+    # BudgetExceeded (exit code 3) before allocating.
+    g = elem_abelian(2, 16)
+    assert g.order > SCAN_LIMIT
+    trivial = g.subgroup([])
+    for scan in (lambda: g.normalizer(trivial),
+                 lambda: g.centralizer_of_subgroup(trivial), g.center):
+        with pytest.raises(BudgetExceeded):
+            scan()
+    assert g._elements is None
+
+
 def test_centralizer_and_normalizer_match_oracles_on_corpus(corpus):
     for name, g in corpus:
         elems = g.elements()
@@ -320,15 +354,16 @@ short = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
 short.gens = short.gens[:1]
 expect("elements", short.elements)
 real = PermGroup.subgroup
-PermGroup.subgroup = lambda self, gens, known_order=None: \
-    self if not gens else real(self, gens, known_order)
+PermGroup.subgroup = lambda self, gens: self if not gens else real(self, gens)
 expect("core", lambda: s3.p_core(2))
+PermGroup.subgroup = lambda self, gens: real(self, gens[:1])
+expect("sylow_step", lambda: dihedral(8).sylow_subgroup(2))
 PermGroup.subgroup = real
 real = PermGroup.p_core
 PermGroup.p_core = lambda self, p: self.subgroup([])
 expect("p_length", lambda: s4.p_length(2))
 PermGroup.p_core = real
-PermGroup.normalizer = lambda self, h, budget=None: h
+PermGroup.normalizer = lambda self, h: h
 expect("sylow", lambda: dihedral(8).sylow_subgroup(2))
 print(" ".join(raised))
 """
@@ -340,4 +375,5 @@ def test_permgroup_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True,
                          timeout=120)
-    assert out.stdout.split() == ["elements", "core", "p_length", "sylow"]
+    assert out.stdout.split() == ["elements", "core", "sylow_step", "p_length",
+                                  "sylow"]

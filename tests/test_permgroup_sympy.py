@@ -1,6 +1,7 @@
 """The key-based element scans of ``permgroup`` (centre, classes,
-centralizers, Sylow subgroups) against ``sympy.combinatorics``, an
-independent implementation (dev-only)."""
+centralizers, Sylow subgroups) and its incrementally built chains (order,
+membership) against ``sympy.combinatorics``, an independent implementation
+(dev-only)."""
 
 from collections import Counter
 
@@ -56,3 +57,25 @@ def test_scans_agree_with_sympy(case):
         _element_set(ref.centralizer(_sympy(sub)))
     for p in (2, 3, 5, 7):
         assert g.sylow_subgroup(p).order == ref.sylow_subgroup(p).order()
+
+
+@st.composite
+def _elements_and_probes(draw):
+    """Random permutations of degree <= 9 in the role of group elements
+    (handed to ``subgroup_from_elements``) and of membership probes."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    perm = st.permutations(range(n)).map(tuple)
+    elems = draw(st.lists(perm, min_size=0, max_size=4))
+    probes = draw(st.lists(perm, min_size=1, max_size=4))
+    return n, elems, probes
+
+
+@settings(max_examples=40, deadline=None)
+@given(_elements_and_probes())
+def test_incremental_chain_agrees_with_sympy(case):
+    n, elems, probes = case
+    h = PermGroup(n, []).subgroup_from_elements(elems)
+    ref = _sympy(elems or [tuple(range(n))])
+    assert h.order == ref.order()
+    for x in probes + list(h.gens):
+        assert (x in h) == ref.contains(Permutation(list(x)))
