@@ -17,8 +17,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational, zeta
-from .errors import (BudgetExceeded, DEFAULT_BUDGET, NotASubgroup, NotNormal,
-                     VerificationFailed)
+from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
+                     NotASubgroup, NotNormal, VerificationFailed)
 from .permgroup import ClassData, PermGroup, direct_product
 from .perms import pinv, pmul
 
@@ -330,7 +330,9 @@ class ClassFunction:
     def __init__(self, classes: ClassData, values):
         values = tuple(v if isinstance(v, Cyclotomic) else rational(v)
                        for v in values)
-        assert len(values) == len(classes)
+        if len(values) != len(classes):
+            raise ClassDataMismatch(
+                f"{len(values)} values for {len(classes)} classes")
         self.classes = classes
         self.values = values
 
@@ -339,17 +341,22 @@ class ClassFunction:
                 and self.classes is other.classes and self.values == other.values)
 
     def __add__(self, other):
-        assert self.classes is other.classes
+        _same_classes(self, other)
         return ClassFunction(self.classes,
                              [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other):
-        assert self.classes is other.classes
+        _same_classes(self, other)
         return ClassFunction(self.classes,
                              [a - b for a, b in zip(self.values, other.values)])
 
     def degree(self):
         return self.values[0]
+
+
+def _same_classes(a: ClassFunction, b: ClassFunction) -> None:
+    if a.classes is not b.classes:
+        raise ClassDataMismatch("class functions on different class data")
 
 
 def row_function(table: CharacterTable, i: int) -> ClassFunction:
@@ -387,8 +394,8 @@ def restrict(chi: ClassFunction, sub_cd: ClassData, fusion) -> ClassFunction:
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    _same_classes(a, b)
     cd = a.classes
-    assert cd is b.classes
     total = cyclo_sum(rational(s) * x * y.conjugate()
                       for s, x, y in zip(cd.sizes, a.values, b.values))
     val = total / cd.group.order

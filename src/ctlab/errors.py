@@ -43,6 +43,11 @@ class VerificationFailed(CTLabError):
     """A computed result failed the exact check that certifies it."""
 
 
+# character layer
+class ClassDataMismatch(CTLabError):
+    """A class function does not match the class data it is used with."""
+
+
 # exact arithmetic layer
 class LiftInconsistent(CTLabError):
     pass

@@ -43,7 +43,8 @@ from .errors import (
     VerificationFailed,
 )
 from .homs import GroupHom
-from .permgroup import PermGroup, QuotientResult, check_order, direct_power
+from .permgroup import (PermGroup, QuotientResult, _keyed_elements, check_order,
+                        check_points, direct_power)
 from .perms import identity, pinv, pmul, ppow
 
 
@@ -60,12 +61,14 @@ def cyclic(n: int) -> PermGroup:
         raise UnsupportedFamily("cyclic groups need n >= 1")
     if n == 1:
         return trivial_group()
+    check_points(n, f"the cyclic group C_{n}")
     return PermGroup(n, [tuple((i + 1) % n for i in range(n))])
 
 
 def elem_abelian(p: int, k: int) -> PermGroup:
     if k < 1:
         raise UnsupportedFamily("exponent-p groups need k >= 1")
+    check_points(p * k, f"the elementary abelian group {p}^{k}")
     gens = []
     for i in range(k):
         img = list(range(p * k))
@@ -81,6 +84,7 @@ def dihedral(order: int) -> PermGroup:
     m = order // 2
     if m == 2:
         return elem_abelian(2, 2)
+    check_points(m, f"the dihedral group of order {order}")
     rot = tuple((i + 1) % m for i in range(m))
     ref = tuple((-i) % m for i in range(m))
     return PermGroup(m, [rot, ref])
@@ -105,6 +109,7 @@ def extraspecial(p: int, kind: str) -> PermGroup:
     if p == 2:
         return dihedral(8) if kind == "+" else quaternion(8)
     if kind == "+":
+        check_points(p ** 3, f"the extraspecial group {p}^(1+2)_+")
         pts = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
         idx = {v: i for i, v in enumerate(pts)}
         x = tuple(idx[((a + 1) % p, b, c)] for (a, b, c) in pts)
@@ -130,6 +135,9 @@ def mat_group(q: int, mats) -> PermGroup:
 def affine(p: int, k: int, mats) -> PermGroup:
     """C_p^k : <mats> on the p^k vectors; the generators are the
     translations by the standard basis vectors, then the matrices."""
+    if not _is_prime(p):
+        raise UnsupportedFamily("affine groups are supported over prime fields")
+    _check_space(p, k)
     check_square_matrices(mats, k)
     one = [[int(i == j) for j in range(k)] for i in range(k)]
     perms, vecs, idx = matrix_to_vector_perm([one] + list(mats), p)
@@ -186,7 +194,14 @@ def vector_translations(p: int, dim: int, vecs, idx) -> list:
             for i in range(dim)]
 
 
+def _check_space(q, n):
+    """Raise BudgetExceeded when F_q^n, q a prime, has more than MAX_POINTS
+    vectors.  As 2^17 > MAX_POINTS, the power is capped at q^17."""
+    check_points(q ** min(n, 17), f"F_{q}^{n}")
+
+
 def _vectors(q, n):
+    _check_space(q, n)
     out = [()]
     for _ in range(n):
         out = [v + (x,) for v in out for x in range(q)]
@@ -249,29 +264,31 @@ def _induced_action(n_group, h_group, autos):
     """N : H on |H| copies of N's domain: copy y carries n as alpha_y(n),
     k in H maps copy y to copy k^-1 y.  With pinv(k) n k = alpha_k(n), the
     action rule is alpha_(yk) = alpha_k o alpha_y; alpha_y is derived along
-    the Cayley graph of H and every edge is checked."""
-    ident = h_group.identity
-    alpha = {ident: list(n_group.gens)}   # y -> alpha_y on N's generators
-    queue = [ident]
-    for y in queue:
+    the Cayley graph of H, walked on the base-image keys of its elements,
+    and every edge is checked.  The copies follow H's sorted elements."""
+    base, keyed = _keyed_elements(h_group)
+    alpha = {base: list(n_group.gens)}   # key of y -> alpha_y on N's generators
+    queue = [base]
+    for key in queue:
         for hg, a in zip(h_group.gens, autos):
-            images = [a.image(x) for x in alpha[y]]
-            z = pmul(y, hg)
+            images = [a.image(x) for x in alpha[key]]
+            z = tuple([hg[c] for c in key])
             if z not in alpha:
                 alpha[z] = images
                 queue.append(z)
             elif alpha[z] != images:
                 raise ActionNotWellDefined(
                     "the action does not extend to a homomorphism H -> Aut(N)")
-    copies = sorted(alpha)
-    where = {y: i for i, y in enumerate(copies)}
+    where = {key: i for i, key in enumerate(keyed)}
     d = n_group.degree
-    n_perms = [tuple(i * d + alpha[y][j][x] for i, y in enumerate(copies)
+    n_perms = [tuple(i * d + alpha[key][j][x] for i, key in enumerate(keyed)
                      for x in range(d))
                for j in range(len(n_group.gens))]
-    h_perms = [tuple(where[pmul(ki, y)] * d + x for y in copies for x in range(d))
-               for ki in map(pinv, h_group.gens)]
-    return len(copies) * d, n_perms, h_perms
+    # the key of k^-1 y, for k a generator of H, is y[k^-1[b]] over the base
+    h_perms = [tuple(where[tuple([y[c] for c in pre])] * d + x
+                     for y in keyed.values() for x in range(d))
+               for pre in ([k.index(b) for b in base] for k in h_group.gens)]
+    return len(keyed) * d, n_perms, h_perms
 
 
 def _regular_action(n_group, h_group, autos):

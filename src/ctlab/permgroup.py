@@ -11,15 +11,19 @@ cores and Sylow subgroups canonicalize their output and therefore do not
 depend on chain internals; the coset labels of ``coset_action`` follow the
 base of the subgroup's chain (``_coset_canonicalizer``).
 
-``elements()`` closes the identity under the generators by breadth-first
-search and checks the count against the chain's order: it is the closure
-check the element scans rest on.  The scans (classes, center, centralizers
-and normalizers) then hold each element under its base-image key, its
-images of the chain's base points, so conjugating an element costs |base|
-lookups instead of two products at the full degree (see
-``_keyed_elements``).  Everything assumes desk scale: orders up to a few
-tens of thousands, degrees up to ~2000; no element scan runs on a group
-of order above ``SCAN_LIMIT``.
+``elements()`` lists the group as products of one transversal element per
+level, but only after proving that the chain is right for the generators:
+``verify_chain`` checks Schreier's lemma level by level, every generator
+must sift, and the generators' base-image keys, closed at |base| lookups
+a step, must number the chain's order.  These three checks are what the
+element scans rest on; nothing closes a group at the full degree.  The
+scans (classes, center, centralizers and normalizers) hold each element
+under its base-image key, its images of the chain's base points, so
+conjugating an element costs |base| lookups instead of two products at
+the full degree (see ``_keyed_elements``).  Everything assumes desk
+scale: orders up to a few tens of thousands, degrees up to ~2000; no
+element scan runs on a group of order above ``SCAN_LIMIT``, and no
+constructed domain has more than ``MAX_POINTS`` points.
 """
 
 from __future__ import annotations
@@ -50,6 +54,17 @@ from .perms import (
 
 SCAN_LIMIT = 60_000
 """The largest order whose elements ``PermGroup.elements`` lists."""
+
+MAX_POINTS = 100_000
+"""The largest domain that a construction or a coset action builds."""
+
+
+def check_points(n: int, name: str) -> None:
+    """Raise BudgetExceeded, before anything is allocated, when the domain
+    of ``name`` would have more than MAX_POINTS points."""
+    if n > MAX_POINTS:
+        raise BudgetExceeded(
+            f"{name} exceeds the domain limit of {MAX_POINTS} points")
 
 
 class _Level:
@@ -202,6 +217,55 @@ class StabilizerChain:
         return self._sift(g)[0]
 
 
+def verify_chain(chain) -> None:
+    """Check Schreier's lemma on ``chain`` without trusting its construction;
+    raise VerificationFailed at the first failure.
+
+    With S_i the generators of levels >= i and H_i = <S_i>, each level i
+    must satisfy: every s in S_i fixes b_0, ..., b_(i-1); the stored orbit
+    is the orbit of b_i under S_i; u_(b_i) is the identity and each stored
+    u_t maps b_i to t; and every Schreier generator u_t s u_(t^s)^-1 sifts
+    to the identity through levels i+1 onward.  By induction from the
+    bottom, the products P_i = {u_(k-1) ... u_i} then form the group H_i
+    and |H_i| = prod_(j >= i) |orbit_j|: if P_(i+1) = H_(i+1), the Schreier
+    check makes P_i closed under right multiplication by S_i, and it
+    contains the identity, so H_i <= P_i; H_(i+1) fixes b_i, so
+    |H_i| >= |orbit_i| |H_(i+1)| = |P_i|.
+    """
+    levels, base, ident = chain.levels, chain.base, chain.identity
+    strong, acc = [], {}
+    for lvl in reversed(levels):
+        acc.update(dict.fromkeys(lvl.gens))
+        strong.append(list(acc))
+    strong.reverse()
+    for i, (lvl, gens) in enumerate(zip(levels, strong)):
+        b, orbit = lvl.base, lvl.orbit
+        if any(s[c] != c for s in gens for c in base[:i]):
+            raise VerificationFailed(
+                f"a strong generator of level {i} moves an earlier base point")
+        reached = {b}
+        queue = [b]
+        for t in queue:
+            for s in gens:
+                if s[t] not in reached:
+                    reached.add(s[t])
+                    queue.append(s[t])
+        if reached != orbit.keys():
+            raise VerificationFailed(
+                f"level {i} stores {len(orbit)} orbit points, its strong "
+                f"generators reach {len(reached)}")
+        if orbit[b] != ident or any(u[b] != t for t, u in orbit.items()):
+            raise VerificationFailed(f"a transversal element of level {i} "
+                                     "does not map the base point to its point")
+        for t, u in orbit.items():
+            for s in gens:
+                u_ts, u_next = pmul(u, s), orbit[s[t]]
+                if u_ts != u_next and \
+                        chain._sift(pmul(u_ts, pinv(u_next)), i + 1)[0] != ident:
+                    raise VerificationFailed(
+                        f"a Schreier generator of level {i} does not sift")
+
+
 class PermGroup:
     """A finite permutation group on 0..degree-1 with cached structure data."""
 
@@ -243,26 +307,43 @@ class PermGroup:
     def elements(self):
         """All elements, sorted lexicographically (cached).  Every element
         scan (classes, centre, centralizers, normalizers, kernels) starts
-        here, so this is the one place that bounds them by SCAN_LIMIT."""
+        here, so this is the one place that bounds them by SCAN_LIMIT.
+
+        The elements are the products u_(k-1) ... u_0 of one transversal
+        element per level, listed only after three checks prove that they
+        are the group generated by ``gens``: ``verify_chain`` proves that
+        the chain's group H has order ``order`` = prod |orbits| and is that
+        product set; every generator sifts, so <gens> <= H; and the
+        base-image keys of <gens>, closed under the generators at |base|
+        lookups a step, number ``order``, so |<gens>| >= |H|.  Hence
+        <gens> = H, and the base separates its elements.
+        """
         if self._elements is None:
             if self.order > SCAN_LIMIT:
                 raise BudgetExceeded(
                     f"element enumeration of order {self.order} exceeds "
                     f"the scan limit {SCAN_LIMIT}")
-            seen = {self.identity}
-            queue = deque([self.identity])
-            while queue:
-                x = queue.popleft()
+            chain = self.chain
+            verify_chain(chain)
+            if any(chain.residue(g) != self.identity for g in self.gens):
+                raise VerificationFailed("a generator does not sift through its chain")
+            keys = {chain.base}
+            queue = [chain.base]
+            for key in queue:
                 for s in self.gens:
-                    y = pmul(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        queue.append(y)
-            if len(seen) != self.order:
+                    k = tuple([s[c] for c in key])
+                    if k not in keys:
+                        keys.add(k)
+                        queue.append(k)
+            if len(keys) != self.order:
                 raise VerificationFailed(
-                    f"closure under the generators has {len(seen)} elements, "
+                    f"the generators reach {len(keys)} base-image keys, "
                     f"the chain order is {self.order}")
-            self._elements = sorted(seen)
+            elems = [self.identity]
+            for lvl in reversed(chain.levels):
+                us = [u for t, u in lvl.orbit.items() if t != lvl.base]
+                elems += [pmul(y, u) for y in elems for u in us]
+            self._elements = sorted(elems)
         return self._elements
 
     def subgroup(self, gens):
@@ -451,8 +532,7 @@ class PermGroup:
         if not s.is_subgroup_of(self):
             raise NotASubgroup("coset action requires a subgroup")
         index = self.order // s.order
-        if index > 100_000:
-            raise BudgetExceeded(f"coset action of degree {index} out of desk scale")
+        check_points(index, "a coset action")
         canon = _coset_canonicalizer(s)
         t0 = canon(self.identity)
         reps = {t0}
@@ -579,11 +659,13 @@ def _keyed_elements(group):
     maps each element's base-image key ``tuple(x[b] for b in base)`` to the
     element, in the sorted order of ``elements()``.
 
-    The keys are exact.  ``elements()`` is closed under the generators (its
-    breadth-first search), so it is the whole group G, and a conjugate of
-    an element of G by an element of G lies in G again.  The key count is
-    checked against |G|, so the base separates the elements of G: equal
-    keys mean equal elements.  The key of s^-1 y s is therefore
+    The keys are exact.  ``elements()`` has proved that its list is the
+    whole group G generated by the generators (a verified chain whose
+    group contains every generator, and as many keys reached from the
+    generators as the chain's order), so a conjugate of an element of G by
+    an element of G lies in the list again.  The key count is checked
+    against |G|, so the base separates the elements of G: equal keys mean
+    equal elements.  The key of s^-1 y s is therefore
     ``s[y[s^-1[b]]]`` over the base points b, |base| lookups where the full
     permutation costs two products at the full degree; ``s.index(b)`` is
     s^-1[b].

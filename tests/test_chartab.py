@@ -250,3 +250,37 @@ def test_table_checks_survive_python_O():
     assert out.stdout.split() == [
         "invariant:space_not_invariant", "splitting:splitting_incomplete",
         "trivial:exactly_one_trivial_character_expected"]
+
+
+_CLASS_FUNCTION_CHECKS_UNDER_O = """
+import sys
+from ctlab.chartab import ClassFunction, inner_product
+from ctlab.errors import ClassDataMismatch
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)]).conjugacy_classes()
+other = PermGroup(3, [(1, 0, 2), (1, 2, 0)]).conjugacy_classes()
+a, b = ClassFunction(s3, [1, 1, 1]), ClassFunction(other, [1, 1, 1])
+
+def expect(name, fn):
+    try:
+        fn()
+    except ClassDataMismatch:
+        raised.append(name)
+
+expect("length", lambda: ClassFunction(s3, [1, 1]))
+expect("add", lambda: a + b)
+expect("sub", lambda: a - b)
+expect("inner", lambda: inner_product(a, b))
+print(" ".join(raised))
+"""
+
+
+def test_class_function_checks_survive_python_O():
+    src = str(Path(character_table.__code__.co_filename).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _CLASS_FUNCTION_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["length", "add", "sub", "inner"]

@@ -1,11 +1,14 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ctlab
 
@@ -136,6 +139,7 @@ def test_cli_gagola_verify(capsys):
     ("Affine(3, 1, [[[1, 1], [0, 1]]])", "expected 1 x 1 matrices"),
     ("mat GF(3) { [[1, 1], [0, 1]], [[1]] }", "expected 2 x 2 matrices"),
     ("mat GF(3) { }", "a matrix group needs at least one matrix"),
+    ("Affine(4, 2, [])", "affine groups are supported over prime fields"),
 ])
 def test_cli_rejects_misshapen_matrices(capsys, spec, message):
     code = main(["table", "-e", spec])
@@ -160,6 +164,52 @@ def test_cli_lifts_c4(capsys):
 def test_cli_budget_exit_code(capsys):
     code, _ = _run(capsys, ["table", "-e", "SL(2, 5)", "--max-order", "30"])
     assert code == 3
+
+
+@pytest.mark.parametrize("spec", [
+    "Cyclic(1000000000)", "Quaternion(2000000000)", "ElemAbelian(2, 1000000000)",
+    "Dihedral(2000000000)", "Extraspecial(1009, plus)",
+    "Affine(3, 1000000000, [])", "mat GF(1009) { [[1, 1], [0, 1]] }",
+])
+def test_cli_domain_bound_before_allocation(capsys, spec):
+    # each domain is checked against MAX_POINTS before a point is built
+    code = main(["table", "-e", spec])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "exceeds the domain limit of 100000 points" in captured.err
+
+
+def _stdout_without_input_digest(argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    out, n = re.subn(r'"input_digest":"[0-9a-f]{64}",', "", buf.getvalue())
+    assert code == 0 and n == 1
+    return out
+
+
+_PERM_INPUTS = [
+    ("S3", 3, ["(1 2)", "(1 2 3)", "(2 3)"], "3"),
+    ("D8", 4, ["(1 2 3 4)", "(1 3)", "(1 2)(3 4)"], "2"),
+    ("order72", 13, ["(1 4 7)(2 5 8)(3 6 9)", "(1 2 3)(4 5 6)(7 8 9)",
+                     "(2 3)(4 7)(5 9)(6 8)(10 11 12 13)", "(2 3)(5 6)(8 9)(11 13)"],
+     "3"),
+]
+
+
+@pytest.mark.parametrize("name, degree, gens, p", _PERM_INPUTS,
+                         ids=[case[0] for case in _PERM_INPUTS])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_cli_output_ignores_generator_order(name, degree, gens, p, data):
+    # the same group from a permuted generator list gives the same stdout,
+    # up to the digest of the input text
+    shuffled = data.draw(st.permutations(gens))
+    for command in (["table"], ["blocks", "-p", p]):
+        first, second = (_stdout_without_input_digest(
+            command + ["-e", f"perm {degree} {{ {', '.join(g)} }}"])
+            for g in (gens, shuffled))
+        assert first == second
 
 
 def test_cli_deterministic_bytes(capsys):

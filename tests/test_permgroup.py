@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,10 @@ import ctlab
 import ctlab.permgroup
 import oracles
 from ctlab.errors import BudgetExceeded, InvalidPermutation, NotASubgroup, \
-    NotNormal, NotSolvable
+    NotNormal, NotSolvable, VerificationFailed
 from ctlab.forge import cyclic, elem_abelian
 from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
-    group_from_generators
+    group_from_generators, verify_chain
 from ctlab.perms import parse_cycles, pmul
 
 from conftest import perm_group
@@ -331,6 +332,112 @@ def test_classes_make_no_full_degree_products(build864, monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert cd.classes == grp.conjugacy_classes().classes
+
+
+def test_elements_make_at_most_one_product_per_chain_element(build864,
+                                                             monkeypatch):
+    # Listing, with the generators' sifts, makes at most one product per
+    # element of the chain's G_0 > G_1 > ..., where closing G under its
+    # generators made |G| |gens|; the chain check makes at most k - i + 1
+    # per Schreier pair of level i (u_t s, the Schreier generator, and one
+    # per level it sifts through).
+    grp = build864.group
+    g = PermGroup(grp.degree, grp.gens, check=False)
+    levels = g.chain.levels
+    k = len(levels)
+    orbits = [len(l.orbit) for l in levels]
+    strong = [len(set().union(*(l.gens for l in levels[i:]))) for i in range(k)]
+    listing_bound = sum(prod(orbits[i:]) for i in range(k))
+    check_bound = sum(orbits[i] * strong[i] * (k - i + 1) for i in range(k))
+    calls, in_check = [], []
+    real_pmul, real_verify = ctlab.permgroup.pmul, ctlab.permgroup.verify_chain
+
+    def counting_verify(chain):
+        before = len(calls)
+        real_verify(chain)
+        in_check.append(len(calls) - before)
+
+    monkeypatch.setattr(ctlab.permgroup, "pmul",
+                        lambda a, b: calls.append(1) or real_pmul(a, b))
+    monkeypatch.setattr(ctlab.permgroup, "verify_chain", counting_verify)
+    elems = g.elements()
+    monkeypatch.undo()
+    assert len(in_check) == 1
+    assert len(calls) - in_check[0] <= listing_bound
+    assert in_check[0] <= check_bound
+    assert elems == grp.elements()
+
+
+def _drop_strong_generator(levels):
+    levels[0].gens.pop(0)
+
+
+def _swap_transversal(levels):
+    orbit = levels[0].orbit
+    orbit[1], orbit[2] = orbit[2], orbit[1]
+
+
+def _foreign_transversal(levels):
+    # still maps the base point to 4, but u_4 (1 2) is not in the level's
+    # group, so a Schreier generator fails to sift
+    orbit = levels[-1].orbit
+    orbit[4] = pmul(orbit[4], (1, 0, 2, 3, 4))
+
+
+@pytest.mark.parametrize("tamper", [_drop_strong_generator, _swap_transversal,
+                                    _foreign_transversal])
+def test_verify_chain_rejects_a_tampered_chain(tamper):
+    g = PermGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    verify_chain(g.chain)
+    tamper(g.chain.levels)
+    with pytest.raises(VerificationFailed):
+        verify_chain(g.chain)
+    with pytest.raises(VerificationFailed):
+        g.elements()
+    assert g._elements is None
+
+
+_CHAIN_CHECKS_UNDER_O = """
+import sys
+from ctlab.errors import VerificationFailed
+from ctlab.permgroup import PermGroup, verify_chain
+from ctlab.perms import pmul
+
+assert sys.flags.optimize
+raised = []
+
+def tampered(name, tamper):
+    g = PermGroup(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)])
+    tamper(g.chain.levels)
+    for fn in (lambda: verify_chain(g.chain), g.elements):
+        try:
+            fn()
+        except VerificationFailed:
+            raised.append(name)
+
+def swap(levels):
+    orbit = levels[0].orbit
+    orbit[1], orbit[2] = orbit[2], orbit[1]
+
+def foreign(levels):
+    orbit = levels[-1].orbit
+    orbit[4] = pmul(orbit[4], (1, 0, 2, 3, 4))
+
+tampered("drop", lambda levels: levels[0].gens.pop(0))
+tampered("swap", swap)
+tampered("foreign", foreign)
+print(" ".join(raised))
+"""
+
+
+def test_chain_checks_survive_python_O():
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ctlab.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", _CHAIN_CHECKS_UNDER_O],
+                         capture_output=True, text=True, env=env, check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["drop", "drop", "swap", "swap",
+                                  "foreign", "foreign"]
 
 
 _CHECKS_UNDER_O = """

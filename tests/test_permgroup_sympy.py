@@ -1,7 +1,7 @@
 """The key-based element scans of ``permgroup`` (centre, classes,
-centralizers, Sylow subgroups) and its incrementally built chains (order,
-membership) against ``sympy.combinatorics``, an independent implementation
-(dev-only)."""
+centralizers, Sylow subgroups), its element lists and derived series, and
+its incrementally built chains (order, membership) against
+``sympy.combinatorics``, an independent implementation (dev-only)."""
 
 from collections import Counter
 
@@ -12,6 +12,7 @@ pytest.importorskip("sympy")
 
 from sympy.combinatorics import Permutation, PermutationGroup
 
+import oracles
 from ctlab.permgroup import PermGroup
 
 
@@ -79,3 +80,27 @@ def test_incremental_chain_agrees_with_sympy(case):
     assert h.order == ref.order()
     for x in probes + list(h.gens):
         assert (x in h) == ref.contains(Permutation(list(x)))
+
+
+@st.composite
+def _two_orbit_group(draw):
+    """Generators of degree n <= 9 that keep {0..m-1} and {m..n-1} with
+    both parts at most 7 points, so the group has at most 7! 2! elements."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    m = draw(st.integers(min_value=max(0, n - 7), max_value=min(n, 7)))
+    part = st.tuples(st.permutations(range(m)), st.permutations(range(m, n)))
+    gens = draw(st.lists(part.map(lambda ab: tuple(ab[0]) + tuple(ab[1])),
+                         min_size=1, max_size=3))
+    return n, gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_orbit_group())
+def test_elements_and_derived_series_agree_with_closure_and_sympy(case):
+    n, gens = case
+    g, ref = PermGroup(n, gens), _sympy(gens)
+    elems = g.elements()
+    assert elems == sorted(oracles.closure(n, gens))
+    assert set(elems) == _element_set(ref)
+    assert [h.order for h in g.derived_series()] == \
+        [h.order() for h in ref.derived_series()]
