@@ -788,7 +788,10 @@ def dixon_lift(values_mod_ell, e: int, field: DixonField, degree_bound: int) -> 
     k = 0..e-1.  The multiplicities satisfy 0 <= m_j <= degree_bound < ell.
     """
     ell = field.ell
-    assert len(values_mod_ell) == e and field.e % e == 0
+    if len(values_mod_ell) != e or field.e % e:
+        raise LiftInconsistent(
+            f"{len(values_mod_ell)} residues for e = {e} in a field of "
+            f"exponent {field.e}")
     step = field.e // e
     inv_e = pow(e, ell - 2, ell)
     expansion = {}
@@ -809,7 +812,9 @@ def reduce_mod_ell(value: Cyclotomic, e: int, field: DixonField) -> int:
     """Residue of an algebraic integer in Q(zeta_e) under zeta_e -> omega."""
     if not value.is_algebraic_integer():
         raise NotAlgebraicInteger(f"{value!r} is not an algebraic integer")
-    assert field.e % value.n == 0 if value.n > 1 else True
+    if value.n > 1 and field.e % value.n:
+        raise LiftInconsistent(
+            f"a value in Q(zeta_{value.n}) in a field of exponent {field.e}")
     step = field.e // value.n if value.n > 1 else 0
     s = 0
     for i, c in enumerate(value.coeffs):

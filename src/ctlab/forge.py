@@ -160,6 +160,7 @@ def psl2(q: int) -> PermGroup:
     """PSL(2, q) on the q + 1 points of the projective line."""
     if not _is_prime(q) or q < 5:
         raise UnsupportedFamily("psl2 expects an odd prime >= 5")
+    check_points(q + 1, f"PSL(2, {q})")
     g = PermGroup(q + 1, [mobius_perm(q, [[1, 1], [0, 1]]),
                           mobius_perm(q, [[0, 1], [q - 1, 0]])])
     check_order(g, q * (q * q - 1) // 2, f"PSL(2, {q})")
@@ -248,7 +249,10 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResul
         if not (a.source is n_group and a.target is n_group
                 and a.is_automorphism()):
             raise ActionNotWellDefined("action images must be automorphisms of N")
-    if h_group.order * n_group.degree < n_group.order + h_group.degree:
+    induced = h_group.order * n_group.degree
+    regular = n_group.order + h_group.degree
+    check_points(min(induced, regular), "the semidirect product N : H")
+    if induced < regular:
         degree, n_perms, h_perms = _induced_action(n_group, h_group, autos)
     else:
         degree, n_perms, h_perms = _regular_action(n_group, h_group, autos)
@@ -335,6 +339,7 @@ class WreathResult:
 def wreath(m_group: PermGroup, q: int) -> WreathResult:
     """M wr C_q in the imprimitive action on q blocks."""
     d = m_group.degree
+    check_points(q * d, f"M wr C_{q}")
     gens = []
     for g in m_group.gens:
         images = list(range(q * d))

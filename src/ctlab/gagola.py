@@ -35,8 +35,8 @@ from .forge import (CentralPowerResult, central_product_power, cyclic,
 from .homs import GroupHom
 from .modrep import (brauer_data, brauer_induce, brauer_kernel_trivial,
                      p_regular_classes, _degree_of)
-from .permgroup import ClassData, PermGroup, QuotientResult, check_order, \
-    direct_product, p_prime_part
+from .permgroup import ClassData, PermGroup, QuotientResult, StabilizerChain, \
+    check_order, direct_product, p_prime_part
 from .perms import pinv, pmul, ppow, order as perm_order
 
 
@@ -110,70 +110,40 @@ class TowerCertificate:
 # chief chain selection
 # ---------------------------------------------------------------------------
 
-def _index_q_kernels(g: PermGroup, q: int):
-    der = g.derived_subgroup()
-    gens = [e for e in list(der.gens) + [ppow(x, q) for x in g.gens]
-            if e != g.identity]
-    nq = g.subgroup_from_elements(gens)
-    qr = g.quotient(nq)
-    v = qr.group
-    if v.order == 1:
-        return []
-    basis = []
-    span = {v.identity: ()}
-    for x in v.elements():
-        if x in span:
-            continue
-        new_span = {}
-        for e, co in span.items():
-            acc = e
-            for kk in range(q):
-                new_span[acc] = co + (kk,)
-                acc = pmul(acc, x)
-        basis.append(x)
-        span = new_span
-    r = len(basis)
-    kernels = []
-    seen = set()
-    for code in range(1, q ** r):
-        a = []
-        c = code
-        for _ in range(r):
-            a.append(c % q)
-            c //= q
-        lead = next(i for i, x in enumerate(a) if x)
-        if a[lead] != 1:
-            continue
-        members = [e for e, co in span.items()
-                   if sum(x * y for x, y in zip(a, co)) % q == 0]
-        key = tuple(sorted(members))
-        if key in seen:
-            continue
-        seen.add(key)
-        pre_gens = list(nq.gens) + [qr.lift(e) for e in members]
-        kernel = g.subgroup(pre_gens)
-        check_order(kernel, g.order // q, f"an index-{q} kernel")
-        kernels.append(kernel)
-    return kernels
-
-
 def _chief_step(g: PermGroup, p: int):
     """(q, M) for the next tower step: prefer q = p, else the largest prime.
 
     Preferring q = p keeps the p-steps at the top of the tower, where the
     input of the step is nonabelian, which is exactly what the q = p
-    construction requires."""
+    construction requires.
+
+    M is the normal subgroup of index q over N = G'G^q whose sorted element
+    list is least.  G/N is elementary abelian, so every subgroup A >= N is
+    normal and <A, x> has index [G:A]/q for any x outside A.  Starting from
+    N, G's elements are joined in sorted order until the index is q: each x
+    outside A is taken while [G:A] > q.  Then every element up to the last
+    one taken lies in M, and any other index-q subgroup over N that held
+    them all would contain M; so the other one lacks an element that M has
+    and that comes before every element it has and M lacks.
+    """
     der = g.derived_subgroup()
     ab = g.order // der.order
     primes = prime_factors(ab)
     if not primes:
         raise VerificationFailed("nontrivial solvable groups have a prime quotient")
     q = p if p in primes else max(primes)
-    kernels = _index_q_kernels(g, q)
-    if not kernels:
-        raise VerificationFailed(f"no normal subgroup of index {q}")
-    kernels.sort(key=lambda m: tuple(sorted(m.elements())))
-    return q, kernels[0]
+    chain = StabilizerChain(g.degree, [])
+    taken = [x for x in list(der.gens) + [ppow(x, q) for x in g.gens]
+             if chain.extend(x)]
+    if chain.order() * q < g.order:
+        for x in g.elements():
+            if chain.extend(x):
+                taken.append(x)
+                if chain.order() * q >= g.order:
+                    break
+    m = g.subgroup_from_elements(taken)
+    check_order(m, g.order // q, f"an index-{q} kernel")
+    return q, m
 
 
 # ---------------------------------------------------------------------------

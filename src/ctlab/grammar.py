@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ArityError, ParseError, UnsupportedFamily
+from .errors import ArityError, InvalidPermutation, ParseError, UnsupportedFamily
 from .perms import format_cycles, parse_cycles
 
 
@@ -69,11 +69,12 @@ class Keyword:
 
 @dataclass(frozen=True)
 class PermArg:
-    """A bare permutation inside a list argument (1-based cycle text)."""
-    perm: tuple   # ("RAW", cycle text, max point)
+    """A bare permutation inside a list argument (1-based cycle text),
+    read once the degree of the group it acts on is known."""
+    text: str
 
     def print(self) -> str:
-        return self.perm[1] if self.perm[1] else "()"
+        return self.text
 
 
 def _print_matrix(m):
@@ -184,6 +185,13 @@ def _parse_perm_lit(toks):
 
 def _parse_cycle_perm(toks, deg):
     """One permutation written as cycles (or '()' for the identity)."""
+    line, col = toks.peek()[2:]
+    return _cycles_to_perm(_read_cycles(toks), deg, line, col)
+
+
+def _read_cycles(toks):
+    """The text of one permutation written as cycles, every point checked
+    to be an integer."""
     kind, value, line, col = toks.peek()
     if value != "(":
         raise ParseError(f"expected a cycle, got {value!r}", line, col)
@@ -201,10 +209,13 @@ def _parse_cycle_perm(toks, deg):
             pts.append(tok[1])
         toks.expect("punct", ")")
         pieces.append("(" + " ".join(pts) + ")")
-    text = "".join(pieces)
+    return "".join(pieces)
+
+
+def _cycles_to_perm(text, deg, line=None, col=None):
     try:
-        return parse_cycles(text if text != "()" else "()", deg)
-    except Exception as exc:
+        return parse_cycles(text, deg)
+    except InvalidPermutation as exc:
         raise ParseError(str(exc), line, col) from exc
 
 
@@ -266,21 +277,8 @@ def _parse_arg(toks):
     if kind == "punct" and value == "[":
         return _parse_list(toks)
     if kind == "punct" and value == "(":
-        # bare permutation argument: degree inferred later
-        pieces = []
-        maxpt = 0
-        while toks.peek()[1] == "(":
-            toks.next()
-            pts = []
-            while toks.peek()[1] != ")":
-                tok = toks.next()
-                if tok[0] == "punct" and tok[1] == ",":
-                    continue
-                pts.append(tok[1])
-                maxpt = max(maxpt, int(tok[1]))
-            toks.expect("punct", ")")
-            pieces.append("(" + " ".join(pts) + ")")
-        return PermArg(("RAW", "".join(pieces), maxpt))
+        # bare permutation argument: read once its degree is known
+        return PermArg(_read_cycles(toks))
     if kind == "name":
         if value in ("perm", "mat"):
             return _parse_expr(toks)
@@ -408,11 +406,7 @@ def evaluate(node, budget=None):
 
 def _resolve_perm(arg, degree):
     if isinstance(arg, PermArg):
-        tag, text, maxpt = arg.perm
-        assert tag == "RAW"
-        if maxpt > degree:
-            raise ParseError(f"point {maxpt} out of range 1..{degree}")
-        return parse_cycles(text if text else "()", degree)
+        return _cycles_to_perm(arg.text, degree)
     raise ParseError(f"expected a permutation, got {arg!r}")
 
 

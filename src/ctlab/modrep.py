@@ -33,6 +33,7 @@ from .cyclo import (ZERO, _reduce_expansion, integer_gauss_jordan, nu, p_part,
                     p_prime_part, prime_field, rational, reduce_mod_p)
 from .errors import (
     AmbiguousBasicSet,
+    ClassDataMismatch,
     MissingDefectGroup,
     NonIntegralDecomposition,
     NoSuchBlock,
@@ -354,7 +355,9 @@ def brauer_data_without_table(group, classes, p, ibr_rows,
                               provenance="supplied") -> BrauerData:
     regular = p_regular_classes(classes, p)
     rows = sorted((tuple(v) for v in ibr_rows), key=_ibr_key)
-    assert all(len(r) == len(regular) for r in rows)
+    if any(len(r) != len(regular) for r in rows):
+        raise ClassDataMismatch(
+            f"an IBr row does not have one value per {p}-regular class")
     return BrauerData(group, classes, p, regular, rows, provenance=provenance)
 
 
@@ -401,7 +404,8 @@ class LinearCharacter:
 
     @staticmethod
     def from_table_row(table: CharacterTable, i: int) -> "LinearCharacter":
-        assert table.degrees[i] == 1
+        if table.degrees[i] != 1:
+            raise ClassDataMismatch(f"row {i} of the table is not a linear character")
         vals = {}
         for j, cls in enumerate(table.classes.classes):
             for x in cls:
@@ -417,7 +421,8 @@ def linear_characters(subgroup: PermGroup) -> list:
     from .chartab import character_table
 
     t = character_table(subgroup)
-    assert all(d == 1 for d in t.degrees), "linear_characters needs an abelian group"
+    if any(d != 1 for d in t.degrees):
+        raise ClassDataMismatch("linear_characters needs an abelian group")
     return [LinearCharacter.from_table_row(t, i) for i in range(len(t))]
 
 
@@ -496,7 +501,8 @@ def fong_block(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter,
 
 def lifts_of(bd: BrauerData, phi_index: int) -> list:
     """Ordinary rows whose p-regular restriction equals the given IBr row."""
-    assert bd.table is not None
+    if bd.table is None:
+        raise NoSuchBlock("lifts_of needs a table-backed BrauerData")
     target = tuple(bd.ibr[phi_index])
     return [i for i, row in enumerate(bd.table.values)
             if restriction(row, bd.regular) == target]
@@ -553,7 +559,9 @@ def brauer_data_for_product(product_table: CharacterTable, bd_a: BrauerData,
                             with_blocks=True) -> BrauerData:
     """IBr(A x B) as tensor products of the factor IBr, then standard assembly."""
     grp, _emb_a, _emb_b, split = product_data
-    assert product_table.group is grp and bd_a.p == bd_b.p
+    if product_table.group is not grp or bd_a.p != bd_b.p:
+        raise ClassDataMismatch(
+            "the product table and the factors' Brauer data do not match")
     p = bd_a.p
     regular = p_regular_classes(product_table.classes, p)
     pos_a = {c: t for t, c in enumerate(bd_a.regular)}
@@ -573,27 +581,25 @@ def brauer_trivial_regular_classes(bd: BrauerData, i: int) -> list:
     """p-regular classes where the i-th Brauer character equals its degree.
 
     These classes act trivially in the underlying representation; the full
-    kernel is the preimage of O_p of the quotient by the subgroup they
-    generate."""
+    kernel is the p-core over the normal subgroup they generate."""
     row = bd.ibr[i]
     deg = row[0]
     return [c for t, c in enumerate(bd.regular) if row[t] == deg]
 
 
 def brauer_kernel(bd: BrauerData, i: int):
-    """Kernel of the representation behind the i-th Brauer character."""
+    """Kernel K of the representation behind the i-th Brauer character.
+
+    A p-regular element acts trivially exactly when the character equals
+    its degree there, so M, the normal subgroup those classes generate,
+    holds every p-regular element of K and K/M is a p-group.  A normal
+    subgroup over M with a p-quotient acts as a normal p-subgroup, which
+    is trivial on an irreducible module in characteristic p.  So K is the
+    largest such subgroup, the p-core of G over M."""
     g = bd.group
-    k0 = brauer_trivial_regular_classes(bd, i)
-    members = [x for c in k0 for x in bd.classes.classes[c]]
-    m_sub = g.subgroup_from_elements(members)
-    qr = g.quotient(m_sub)
-    op = qr.group.p_core(bd.p)
-    ker_order = m_sub.order * op.order
-    if ker_order == 1:
-        return g.subgroup([])
-    lifted = [x for x in g.elements()
-              if qr.image_of(x) in op]
-    return g.subgroup_from_elements(lifted)
+    reps = bd.classes.representatives
+    m_sub = g.normal_closure([reps[c] for c in brauer_trivial_regular_classes(bd, i)])
+    return g._core(lambda n: p_part(n, bd.p), m_sub)
 
 
 def brauer_kernel_trivial(bd: BrauerData, i: int) -> bool:

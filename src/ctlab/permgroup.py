@@ -9,7 +9,9 @@ element and completes the chain, and the chain of a generator list is the
 one that extending by each generator in turn builds.  Classes, center,
 cores and Sylow subgroups canonicalize their output and therefore do not
 depend on chain internals; the coset labels of ``coset_action`` follow the
-base of the subgroup's chain (``_coset_canonicalizer``).
+base of the subgroup's chain (``_coset_canonicalizer``).  Cores and the
+p-length are computed inside G, as greedy joins of normal closures over
+the class representatives (``_core``); no quotient group is built.
 
 ``elements()`` lists the group as products of one transversal element per
 level, but only after proving that the chain is right for the generators:
@@ -380,22 +382,18 @@ class PermGroup:
 
     # -- normality / closures ----------------------------------------------
     def normal_closure(self, elems):
-        gens = [g for g in elems if g != self.identity]
-        h = self.subgroup_from_elements(gens)
-        frontier = list(h.gens)
-        while frontier:
-            new = []
-            for x in frontier:
-                for s in self.gens:
-                    c = conj(x, s)
-                    if c not in h:
-                        new.append(c)
-            if new:
-                h = self.subgroup_from_elements(list(h.gens) + new)
-                frontier = new
-            else:
-                frontier = []
-        return h
+        """The smallest normal subgroup containing ``elems``.  One chain is
+        extended by each element, and by the conjugates under the
+        generators of every element that enlarged it; the elements taken
+        then generate a subgroup that each generator normalizes."""
+        chain = StabilizerChain(self.degree, [])
+        taken = [x for x in elems if chain.extend(x)]
+        for x in taken:
+            for s in self.gens:
+                c = conj(x, s)
+                if chain.extend(c):
+                    taken.append(c)
+        return self.subgroup_from_elements(taken)
 
     def is_normal(self, n) -> bool:
         if not n.is_subgroup_of(self):
@@ -447,49 +445,65 @@ class PermGroup:
 
     # -- p-structure ---------------------------------------------------------
     def p_core(self, p):
-        """O_p(G): join of class closures that are p-groups."""
+        """O_p(G), the largest normal p-subgroup."""
         if ("p", p) not in self._cores:
-            self._cores[("p", p)] = self._core(lambda n: p_part(n, p) == n)
+            self._cores[("p", p)] = self._core(lambda n: p_part(n, p))
         return self._cores[("p", p)]
 
     def p_prime_core(self, p):
-        """O_{p'}(G): join of class closures of p'-order."""
+        """O_{p'}(G), the largest normal p'-subgroup."""
         if ("p'", p) not in self._cores:
-            self._cores[("p'", p)] = self._core(lambda n: n % p != 0)
+            self._cores[("p'", p)] = self._core(lambda n: p_prime_part(n, p))
         return self._cores[("p'", p)]
 
-    def _core(self, order_ok):
+    def _core(self, pi_part, above=None):
+        """The largest normal subgroup O >= A with O/A a pi-group, for A the
+        normal subgroup ``above`` (None: A = 1) and ``pi_part(n)`` the
+        pi-part of n.
+
+        The class representatives x are walked in canonical order.  x is
+        skipped when it is in the core already, or when x^(pi-part of its
+        order) is outside A, as then xA is no pi-element.  Otherwise the
+        normal closure of the core and x replaces the core when its index
+        over A is a pi-number.  This greedy join is O: two normal subgroups
+        over A with pi-quotients generate one, so x lies in O exactly when
+        its closure over A has a pi-quotient, and then so has its join with
+        any core inside O.  O is a union of classes, and each class has its
+        representative taken.  The final check reads |A| from a chain built
+        apart from the walk.
+        """
+        core = start = above if above is not None else self.normal_closure([])
         cd = self.conjugacy_classes()
-        picked = []
-        for rep in cd.representatives:
-            if rep == self.identity:
+        for x, o in zip(cd.representatives, cd.element_orders):
+            if x in core or ppow(x, pi_part(o)) not in start:
                 continue
-            ncl = self.normal_closure([rep])
-            if order_ok(ncl.order):
-                picked.append(rep)
-        core = self.normal_closure(picked) if picked else self.subgroup([])
-        if not order_ok(core.order):
-            raise VerificationFailed(
-                f"the join of the admissible class closures has order {core.order}")
+            joined = self.normal_closure(list(core.gens) + [x])
+            index = joined.order // start.order
+            if pi_part(index) == index:
+                core = joined
+        base = (above if above is not None else self.subgroup([])).order
+        index, rest = divmod(core.order, base)
+        if rest or pi_part(index) != index:
+            raise VerificationFailed(f"a core of order {core.order} has "
+                                     f"no pi-index over order {base}")
         return core
 
     def p_length(self, p) -> int:
+        """The number of p-factors in the upper p-series
+        1 <= O_p' <= O_p'p <= O_p'pp' <= ... <= G, each term the core over
+        the one before, computed inside G."""
         if not self.is_solvable():
             raise NotSolvable("p-length is defined here for solvable groups only")
-        g = self
         count = 0
-        while g.order > 1:
-            opp = g.p_prime_core(p)
-            if opp.order > 1:
-                g = g.quotient(opp).group
-            if g.order == 1:
-                break
-            op = g.p_core(p)
-            if op.order == 1:
+        term = self.p_prime_core(p)
+        while term.order < self.order:
+            nxt = self._core(lambda n: p_part(n, p), term)
+            if nxt.order == term.order:
                 raise VerificationFailed(
-                    f"upper {p}-series stalled at a group of order {g.order}")
+                    f"upper {p}-series stalled at a group of order "
+                    f"{self.order // term.order}")
             count += 1
-            g = g.quotient(op).group
+            term = self._core(lambda n: p_prime_part(n, p), nxt)
         return count
 
     def sylow_subgroup(self, p):

@@ -208,3 +208,99 @@ def least_field_modulus(p, e):
         if order % e == 0:
             return f
     return None
+
+
+def commutator_subgroup(elements, gens):
+    """G' as the normal closure of the commutators of the generators."""
+    comms = [mul(mul(inv(a), inv(b)), mul(a, b)) for a in gens for b in gens]
+    return normal_closure_of(elements, comms)
+
+
+def _generators_of(subset):
+    """A generating list of the subgroup ``subset``, taken greedily."""
+    subset = sorted(subset)
+    degree = len(subset[0])
+    gens, span = [], {tuple(range(degree))}
+    for x in subset:
+        if x not in span:
+            gens.append(x)
+            span = closure(degree, gens)
+    return gens
+
+
+def pi_core_over(elements, above, is_pi):
+    """O_pi over the normal subgroup ``above``: the largest normal subgroup
+    containing it with a pi-number index.  It is the join of the normal
+    closures <x^G, above> whose index over above is a pi-number, and x
+    runs over one member of each class."""
+    above = set(above)
+    seed = _generators_of(above)
+    picked = list(seed)
+    for cls in conjugacy_partition(elements):
+        x = min(cls)
+        if is_pi(len(normal_closure_of(elements, seed + [x])) // len(above)):
+            picked.append(x)
+    return normal_closure_of(elements, picked)
+
+
+def p_length(elements, p):
+    """The number of p-factors of the upper p-series 1 <= O_p' <= O_p'p
+    <= ... <= G, each term the core over the one before; None when the
+    series stalls (G not p-solvable)."""
+    def is_p(n):
+        return p_part(n, p) == n
+
+    def is_p_prime(n):
+        return n % p != 0
+
+    degree = len(next(iter(elements)))
+    term = pi_core_over(elements, {tuple(range(degree))}, is_p_prime)
+    count = 0
+    while len(term) < len(elements):
+        nxt = pi_core_over(elements, term, is_p)
+        if len(nxt) == len(term):
+            return None
+        count += 1
+        term = pi_core_over(elements, nxt, is_p_prime)
+    return count
+
+
+def index_q_kernels(elements, gens, q):
+    """Every subgroup of index q over N = G'G^q, as a sorted tuple, found
+    by enumeration: G/N = F_q^r gets coordinates from a basis of cosets,
+    and each nonzero functional with leading coefficient 1 gives one
+    kernel."""
+    powers = []
+    for g in gens:
+        x = tuple(range(len(g)))
+        for _ in range(q):
+            x = mul(x, g)
+        powers.append(x)
+    comms = [mul(mul(inv(a), inv(b)), mul(a, b)) for a in gens for b in gens]
+    n = normal_closure_of(elements, comms + powers)
+
+    def coset(x):
+        return min(mul(h, x) for h in n)
+
+    ident = tuple(range(len(next(iter(elements)))))
+    span = {coset(ident): ((), ident)}
+    for x in sorted(elements):
+        if coset(x) in span:
+            continue
+        grown = {}
+        for co, rep in span.values():
+            acc = rep
+            for k in range(q):
+                grown[coset(acc)] = (co + (k,), acc)
+                acc = mul(acc, x)
+        span = grown
+    r = len(next(iter(span.values()))[0])
+    coords = {x: span[coset(x)][0] for x in elements}
+    kernels = set()
+    for code in range(1, q ** r):
+        a = [code // q ** i % q for i in range(r)]
+        if a[next(i for i, c in enumerate(a) if c)] != 1:
+            continue
+        kernels.add(tuple(sorted(x for x, co in coords.items()
+                                 if sum(c * y for c, y in zip(a, co)) % q == 0)))
+    return sorted(kernels)

@@ -140,6 +140,9 @@ def test_cli_gagola_verify(capsys):
     ("mat GF(3) { [[1, 1], [0, 1]], [[1]] }", "expected 2 x 2 matrices"),
     ("mat GF(3) { }", "a matrix group needs at least one matrix"),
     ("Affine(4, 2, [])", "affine groups are supported over prime fields"),
+    # a bare permutation argument reads its cycles like a perm literal
+    ("Semidirect(Cyclic(3), Cyclic(2), [[(1 a)]])",
+     "expected a point, got 'a' (line 1, column 39)"),
 ])
 def test_cli_rejects_misshapen_matrices(capsys, spec, message):
     code = main(["table", "-e", spec])
@@ -170,6 +173,7 @@ def test_cli_budget_exit_code(capsys):
     "Cyclic(1000000000)", "Quaternion(2000000000)", "ElemAbelian(2, 1000000000)",
     "Dihedral(2000000000)", "Extraspecial(1009, plus)",
     "Affine(3, 1000000000, [])", "mat GF(1009) { [[1, 1], [0, 1]] }",
+    "PSL(2, 100003)", "Wreath(Cyclic(400), 400)",
 ])
 def test_cli_domain_bound_before_allocation(capsys, spec):
     # each domain is checked against MAX_POINTS before a point is built

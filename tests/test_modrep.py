@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -462,6 +465,42 @@ def test_order3960_blocks_at_p5_in_time():
     assert sum(b.k() for b in bd.blocks) == len(table.values)
     assert sum(b.l() for b in bd.blocks) == len(bd.ibr)
     assert all(b.k() == b.l() == 1 for b in bd.blocks if b.defect == 0)
+
+
+_ARGUMENT_CHECKS_UNDER_O = """
+import sys
+from ctlab.chartab import character_table
+from ctlab.errors import ClassDataMismatch, NoSuchBlock
+from ctlab.forge import dihedral
+from ctlab.modrep import (brauer_data, brauer_data_without_table, lifts_of,
+                          linear_characters)
+from ctlab.permgroup import PermGroup
+
+assert sys.flags.optimize
+raised = []
+
+def expect(name, error, fn):
+    try:
+        fn()
+    except error:
+        raised.append(name)
+
+bd = brauer_data(character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)])), 2)
+bare = brauer_data_without_table(bd.group, bd.classes, 2, bd.ibr)
+expect("lifts_of", NoSuchBlock, lambda: lifts_of(bare, 0))
+expect("linear_characters", ClassDataMismatch,
+       lambda: linear_characters(dihedral(8)))
+print(" ".join(raised))
+"""
+
+
+def test_argument_checks_survive_python_O():
+    src = str(Path(modrep.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-O", "-c", _ARGUMENT_CHECKS_UNDER_O],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True,
+                         timeout=120)
+    assert out.stdout.split() == ["lifts_of", "linear_characters"]
 
 
 if __name__ == "__main__":

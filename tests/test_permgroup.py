@@ -5,7 +5,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ctlab
 import ctlab.permgroup
@@ -245,6 +245,48 @@ def test_random_small_groups_agree_with_oracle(gens):
     assert len(cd) == len(oracles.conjugacy_partition(elems))
 
 
+@st.composite
+def _small_groups(draw):
+    """A group on at most 7 points: 1-3 generators that either permute the
+    first n <= 5 points freely or keep the blocks {0..a-1} and {a..n-1},
+    a <= 4 and n - a <= 3 (then the group is solvable)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=5))
+        perm = st.permutations(range(n)).map(tuple)
+    else:
+        a = draw(st.integers(min_value=1, max_value=4))
+        n = a + draw(st.integers(min_value=0, max_value=3))
+        perm = st.tuples(st.permutations(range(a)),
+                         st.permutations(range(a, n))).map(lambda t: t[0] + t[1])
+    return PermGroup(n, draw(st.lists(perm, min_size=1, max_size=3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_groups(), st.sampled_from([2, 3]))
+# G/G'G^q of rank 2, where the chief step has a kernel to choose
+@example(perm_group(4, "(1 2)", "(3 4)"), 2)
+@example(perm_group(6, "(1 2 3)", "(4 5 6)"), 3)
+@example(perm_group(7, "(1 2 3 4)", "(1 3)", "(5 6 7)", "(5 6)"), 2)
+def test_cores_p_length_and_chief_step_agree_with_oracles(g, p):
+    from ctlab.cyclo import prime_factors
+    from ctlab.gagola import _chief_step
+
+    elems = oracles.closure(g.degree, g.gens)
+    trivial = {g.identity}
+    assert set(g.p_core(p).elements()) == oracles.pi_core_over(
+        elems, trivial, lambda n: oracles.p_part(n, p) == n)
+    assert set(g.p_prime_core(p).elements()) == oracles.pi_core_over(
+        elems, trivial, lambda n: n % p != 0)
+    if g.order == 1 or not g.is_solvable():
+        return
+    assert g.p_length(p) == oracles.p_length(elems, p)
+    q, m = _chief_step(g, p)
+    primes = prime_factors(len(elems) // len(
+        oracles.commutator_subgroup(elems, g.gens)))
+    assert q == (p if p in primes else max(primes))
+    assert m.elements() == list(oracles.index_q_kernels(elems, g.gens, q)[0])
+
+
 def test_normalizer_and_centralizer(d8, s4):
     z = d8.center()
     assert d8.normalizer(z).order == 8
@@ -466,10 +508,10 @@ expect("core", lambda: s3.p_core(2))
 PermGroup.subgroup = lambda self, gens: real(self, gens[:1])
 expect("sylow_step", lambda: dihedral(8).sylow_subgroup(2))
 PermGroup.subgroup = real
-real = PermGroup.p_core
-PermGroup.p_core = lambda self, p: self.subgroup([])
+real = PermGroup._core
+PermGroup._core = lambda self, pi_part, above=None: above or self.subgroup([])
 expect("p_length", lambda: s4.p_length(2))
-PermGroup.p_core = real
+PermGroup._core = real
 PermGroup.normalizer = lambda self, h: h
 expect("sylow", lambda: dihedral(8).sylow_subgroup(2))
 print(" ".join(raised))

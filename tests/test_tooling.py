@@ -52,9 +52,9 @@ def test_tracer_spans_resolve_and_uninstall():
             (modname, name)
 
 
-# The asserts left are argument checks that carry no result.  Lower a
-# ceiling when its module sheds one; never raise it.
-ASSERT_CEILING = {"cyclo": 2, "grammar": 1, "modrep": 5}
+# No module holds an assert: every check raises a CTLabError, which
+# python -O cannot strip.  Never add a ceiling here.
+ASSERT_CEILING = {}
 
 
 def test_assert_ratchet():
