@@ -47,7 +47,7 @@ class TowerLevel:
     regular: list
     mu_values: tuple             # witness values on the p-regular classes
     center: PermGroup
-    center_quotient: QuotientResult
+    center_quotient: QuotientResult   # group/center, by conjugation on classes
     embedding: GroupHom          # current chain subgroup -> group/center
     table: object = None         # present only when a table was required
 
@@ -320,7 +320,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
     _verify(deg * deg == p_prime_part(h_grp.order // z_h.order, p),
             "witness degree does not square to the p'-central index")
 
-    qr_h = h_grp.quotient(z_h)
+    qr_h = h_grp.inner_action()
     new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, qr_h, None,
                            table=table_h)
     record = StepRecord(q, "q=p" if q == p else "q!=p", augmented,

@@ -17,7 +17,7 @@ equal tree.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ArityError, InvalidPermutation, ParseError, UnsupportedFamily
 from .perms import format_cycles, parse_cycles
@@ -70,8 +70,11 @@ class Keyword:
 @dataclass(frozen=True)
 class PermArg:
     """A bare permutation inside a list argument (1-based cycle text),
-    read once the degree of the group it acts on is known."""
+    read once the degree of the group it acts on is known; ``line`` and
+    ``col`` locate it for error messages and take no part in equality."""
     text: str
+    line: int = field(default=None, compare=False)
+    col: int = field(default=None, compare=False)
 
     def print(self) -> str:
         return self.text
@@ -278,7 +281,7 @@ def _parse_arg(toks):
         return _parse_list(toks)
     if kind == "punct" and value == "(":
         # bare permutation argument: read once its degree is known
-        return PermArg(_read_cycles(toks))
+        return PermArg(_read_cycles(toks), line, col)
     if kind == "name":
         if value in ("perm", "mat"):
             return _parse_expr(toks)
@@ -406,7 +409,7 @@ def evaluate(node, budget=None):
 
 def _resolve_perm(arg, degree):
     if isinstance(arg, PermArg):
-        return _cycles_to_perm(arg.text, degree)
+        return _cycles_to_perm(arg.text, degree, arg.line, arg.col)
     raise ParseError(f"expected a permutation, got {arg!r}")
 
 

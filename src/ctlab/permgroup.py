@@ -6,10 +6,13 @@ are grown breadth-first in a fixed order and Schreier generators are sifted
 in a fixed order, so the same generator list always produces the same chain.
 Every chain is built incrementally: ``StabilizerChain.extend`` sifts one
 element and completes the chain, and the chain of a generator list is the
-one that extending by each generator in turn builds.  Classes, center,
-cores and Sylow subgroups canonicalize their output and therefore do not
-depend on chain internals; the coset labels of ``coset_action`` follow the
-base of the subgroup's chain (``_coset_canonicalizer``).  Cores and the
+one that extending by each generator in turn builds; a level keeps the
+inverse of a transversal element once a sift has computed it.  Classes,
+center, cores and Sylow subgroups canonicalize their output and therefore
+do not depend on chain internals.  The coset labels of ``coset_action``
+follow the base of the subgroup's chain (``_coset_canonicalizer``), while
+``inner_action`` realises G/Z(G) by conjugation on the classes of the
+generators and labels them in sorted element order.  Cores and the
 p-length are computed inside G, as greedy joins of normal closures over
 the class representatives (``_core``); no quotient group is built.
 
@@ -70,14 +73,23 @@ def check_points(n: int, name: str) -> None:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "orbit", "processed", "dirty")
+    __slots__ = ("base", "gens", "orbit", "inverses", "processed", "dirty")
 
     def __init__(self, base, ident):
         self.base = base
         self.gens = []          # generators assigned to this level
         self.orbit = {base: ident}
+        self.inverses = {}      # point t -> u_t^-1, filled on first use
         self.processed = set()  # (point, gen position) Schreier pairs already sifted
         self.dirty = True
+
+
+def _inverse(cache, orbit, t):
+    """u_t^-1 for the transversal ``orbit``, kept in ``cache``."""
+    inv = cache.get(t)
+    if inv is None:
+        inv = cache[t] = pinv(orbit[t])
+    return inv
 
 
 class StabilizerChain:
@@ -145,6 +157,7 @@ class StabilizerChain:
                 lvl.processed = {(t, k) for t, k in lvl.processed
                                  if t not in moved and gens[k][t] not in moved}
         lvl.orbit = orbit
+        lvl.inverses = {}
         lvl.dirty = False
 
     def _complete(self, i):
@@ -178,10 +191,11 @@ class StabilizerChain:
                     continue
                 lvl.processed.add((t, k))
                 s = lvl.gens[k]
-                u_ts, u_next = pmul(u_t, s), lvl.orbit[s[t]]
-                if u_ts == u_next:      # trivial Schreier generator
+                t_next = s[t]
+                u_ts = pmul(u_t, s)
+                if u_ts == lvl.orbit[t_next]:   # trivial Schreier generator
                     continue
-                sg = pmul(u_ts, pinv(u_next))
+                sg = pmul(u_ts, _inverse(lvl.inverses, lvl.orbit, t_next))
                 residue, j = self._sift(sg, i + 1)
                 if residue == self.identity:
                     continue
@@ -189,17 +203,21 @@ class StabilizerChain:
                 return j
         return None
 
-    def _sift(self, g, start=0):
-        for i in range(start, len(self.levels)):
-            lvl = self.levels[i]
+    def _sift(self, g, start=0, inverses=None):
+        """(residue, level where the sift stopped).  Each step divides by
+        u^-1 from the level's inverse cache, or from ``inverses`` (one
+        dict per level) when given."""
+        levels = self.levels
+        for i in range(start, len(levels)):
+            lvl = levels[i]
             img = g[lvl.base]
             if img == lvl.base:
                 continue
-            u = lvl.orbit.get(img)
-            if u is None:
+            if img not in lvl.orbit:
                 return g, i
-            g = pmul(g, pinv(u))
-        return g, len(self.levels)
+            cache = lvl.inverses if inverses is None else inverses[i]
+            g = pmul(g, _inverse(cache, lvl.orbit, img))
+        return g, len(levels)
 
     # -- queries ---------------------------------------------------------
     @property
@@ -233,8 +251,12 @@ def verify_chain(chain) -> None:
     check makes P_i closed under right multiplication by S_i, and it
     contains the identity, so H_i <= P_i; H_(i+1) fixes b_i, so
     |H_i| >= |orbit_i| |H_(i+1)| = |P_i|.
+
+    The inverses of the transversal elements are computed here afresh,
+    never read from the chain's cache.
     """
     levels, base, ident = chain.levels, chain.base, chain.identity
+    inverses = [{} for _ in levels]
     strong, acc = [], {}
     for lvl in reversed(levels):
         acc.update(dict.fromkeys(lvl.gens))
@@ -261,9 +283,10 @@ def verify_chain(chain) -> None:
                                      "does not map the base point to its point")
         for t, u in orbit.items():
             for s in gens:
-                u_ts, u_next = pmul(u, s), orbit[s[t]]
-                if u_ts != u_next and \
-                        chain._sift(pmul(u_ts, pinv(u_next)), i + 1)[0] != ident:
+                u_ts = pmul(u, s)
+                if u_ts != orbit[s[t]] and chain._sift(
+                        pmul(u_ts, _inverse(inverses[i], orbit, s[t])),
+                        i + 1, inverses)[0] != ident:
                     raise VerificationFailed(
                         f"a Schreier generator of level {i} does not sift")
 
@@ -549,25 +572,27 @@ class PermGroup:
         check_points(index, "a coset action")
         canon = _coset_canonicalizer(s)
         t0 = canon(self.identity)
-        reps = {t0}
-        queue = deque([t0])
-        while queue:
-            t = queue.popleft()
-            for g in self.gens:
-                c = canon(pmul(t, g))
-                if c not in reps:
-                    reps.add(c)
+        moves = {t0: None}      # coset representative -> its images under gens
+        queue = [t0]
+        for t in queue:
+            moves[t] = row = [canon(pmul(t, g)) for g in self.gens]
+            for c in row:
+                if c not in moves:
+                    moves[c] = None
                     queue.append(c)
-        transversal = sorted(reps)
+        transversal = sorted(moves)
         if len(transversal) != index:
             raise VerificationFailed(
                 f"{len(transversal)} cosets found, expected the index {index}")
         pos = {t: i for i, t in enumerate(transversal)}
-        gen_images = [
-            tuple(pos[canon(pmul(t, g))] for t in transversal) for g in self.gens
-        ]
+        gen_images = [tuple([pos[moves[t][j]] for t in transversal])
+                      for j in range(len(self.gens))]
         group = PermGroup(index, gen_images, check=False)
-        return QuotientResult(self, group, gen_images, transversal, pos, canon)
+
+        def image_of(g):
+            return tuple(pos[canon(pmul(t, g))] for t in transversal)
+
+        return QuotientResult(self, group, gen_images, image_of, transversal)
 
     def quotient(self, n):
         """G / n on the right cosets of the normal subgroup n (a regular
@@ -580,17 +605,61 @@ class PermGroup:
                 f"quotient of order {qr.group.order} on {qr.group.degree} cosets")
         return qr
 
+    def inner_action(self):
+        """G/Z(G) as the conjugation action x -> g^-1 x g on X, the union of
+        the conjugacy classes of the generators.
+
+        X contains a generating set, so the kernel is C_G(<X>) = Z(G); the
+        image group's order, computed from its chain, must be |G|/|Z(G)|,
+        or VerificationFailed is raised.  The points are X in sorted
+        element order, so the labels depend only on that set of classes.
+        An element is conjugated on base-image keys, |base| lookups a
+        point (see ``_keyed_elements``): the conjugate of x in X by g in G
+        lies in X again, and distinct keys on X make each lookup exact.
+        """
+        cd = self.conjugacy_classes()
+        points = sorted({x for g in self.gens for x in cd.classes[cd.index[g]]})
+        base = self.chain.base
+        pos = {tuple([x[b] for b in base]): i for i, x in enumerate(points)}
+        if len(pos) != len(points):
+            raise VerificationFailed(
+                f"{len(pos)} base-image keys for {len(points)} class elements")
+
+        def conjugation(g):
+            pre = [g.index(b) for b in base]       # g^-1 at the base points
+            return tuple([pos[tuple([g[x[c]] for c in pre])] for x in points])
+
+        gen_images = [conjugation(g) for g in self.gens]
+        group = PermGroup(len(points), gen_images, check=False)
+        z = self.center()
+        if group.order * z.order != self.order:
+            raise VerificationFailed(
+                f"inner action of order {group.order} with a centre of order "
+                f"{z.order} in a group of order {self.order}")
+
+        def image_of(g):
+            if g not in self:
+                raise NotASubgroup("the element does not lie in the group")
+            return conjugation(g)
+
+        return QuotientResult(self, group, gen_images, image_of)
+
 
 class QuotientResult:
-    """A coset action: the image group, generator images, canonical transversal."""
+    """A homomorphism from ``source`` onto a permutation group, given by the
+    images of the source's generators: the image group, ``gen_images`` and
+    ``image_of``, the image of any element of the source.  ``coset_action``
+    builds it on right cosets and keeps their sorted canonical
+    ``transversal``; ``inner_action`` builds it by conjugation and has
+    none.  ``hom`` and ``lift`` read only the generator images.
+    """
 
-    def __init__(self, source, group, gen_images, transversal, pos, canon):
+    def __init__(self, source, group, gen_images, image_of, transversal=None):
         self.source = source
         self.group = group
         self.gen_images = gen_images
+        self.image_of = image_of
         self.transversal = transversal
-        self._pos = pos
-        self._canon = canon
         self._hom = None
         self._lifts = None
 
@@ -601,9 +670,6 @@ class QuotientResult:
 
             self._hom = GroupHom(self.source, self.group, self.gen_images)
         return self._hom
-
-    def image_of(self, g):
-        return tuple(self._pos[self._canon(pmul(t, g))] for t in self.transversal)
 
     def lift(self, w):
         """A preimage of an element of the image group.

@@ -76,6 +76,9 @@ def test_tower_degrees(tower_s3_p5, tower_c6_p2):
     # U = K^q / W on the cosets of A^q W lets N : C_q take the induced action
     assert tower_s3_p5.tower.degree <= 112
     assert tower_c6_p2.tower.degree <= 54
+    # H/Z(H) acts by conjugation on the classes of H's generators
+    assert tower_s3_p5.embedding.target.degree == 34
+    assert tower_c6_p2.embedding.target.degree == 22
 
 
 def test_tower_embedding_is_injective_into_central_quotient(tower_s3_p5):

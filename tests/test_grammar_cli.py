@@ -143,6 +143,9 @@ def test_cli_gagola_verify(capsys):
     # a bare permutation argument reads its cycles like a perm literal
     ("Semidirect(Cyclic(3), Cyclic(2), [[(1 a)]])",
      "expected a point, got 'a' (line 1, column 39)"),
+    # and reports a point out of range at its position, as a perm literal does
+    ("Semidirect(Cyclic(3), Cyclic(2), [[(1 5)]])",
+     "point out of range 1..3 in '(1 5)' (line 1, column 36)"),
 ])
 def test_cli_rejects_misshapen_matrices(capsys, spec, message):
     code = main(["table", "-e", spec])

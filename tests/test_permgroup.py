@@ -287,6 +287,38 @@ def test_cores_p_length_and_chief_step_agree_with_oracles(g, p):
     assert m.elements() == list(oracles.index_q_kernels(elems, g.gens, q)[0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(_small_groups(), st.randoms(use_true_random=False))
+@example(perm_group(4, "(1 2 3 4)", "(1 3)"), __import__("random").Random(0))
+def test_inner_action_is_the_central_quotient(g, rnd):
+    elems = sorted(oracles.closure(g.degree, g.gens))
+    centre = oracles.center(elems)
+    qr = g.inner_action()
+    images = {x: qr.image_of(x) for x in elems}
+    ident = qr.group.identity
+    assert {x for x in elems if images[x] == ident} == centre
+    assert qr.group.order * len(centre) == len(elems)
+    for _ in range(20):
+        x, y = rnd.choice(elems), rnd.choice(elems)
+        assert images[pmul(x, y)] == pmul(images[x], images[y])
+    for x in elems:
+        assert oracles.mul(oracles.inv(x), qr.lift(images[x])) in centre
+    gens = list(g.gens)
+    rnd.shuffle(gens)
+    other = PermGroup(g.degree, gens).inner_action()
+    assert set(other.group.gens) == set(qr.group.gens)
+    assert all(other.image_of(x) == images[x] for x in elems)
+
+
+def test_inner_action_rejects_an_element_outside(s3):
+    qr = PermGroup(4, [(1, 2, 0, 3), (1, 0, 2, 3)]).inner_action()
+    assert qr.group.degree == 5 and qr.group.order == 6
+    with pytest.raises(NotASubgroup):
+        qr.image_of((0, 1, 3, 2))
+    with pytest.raises(NotASubgroup):
+        qr.image_of(s3.gens[0])
+
+
 def test_normalizer_and_centralizer(d8, s4):
     z = d8.center()
     assert d8.normalizer(z).order == 8
@@ -302,10 +334,14 @@ def test_extend_resifts_after_the_transversal_changes():
     # old u_3 must be sifted again, or the chain stops at order 30.
     s, r = (1, 2, 3, 4, 0), (0, 3, 2, 1, 4)
     chain = StabilizerChain(5, [s])
+    assert chain.contains(pmul(pmul(s, s), s))    # caches u_3^-1 = s^-3
     assert chain.extend(r)
     assert chain.order() == 120
     assert not chain.extend(pmul(r, s))
     assert chain.order() == 120
+    # each cached inverse belongs to the transversal element stored now
+    assert all(pmul(lvl.orbit[t], inv) == chain.identity
+               for lvl in chain.levels for t, inv in lvl.inverses.items())
 
 
 def test_subgroup_from_elements_builds_one_chain(s4, monkeypatch):
@@ -514,6 +550,8 @@ expect("p_length", lambda: s4.p_length(2))
 PermGroup._core = real
 PermGroup.normalizer = lambda self, h: h
 expect("sylow", lambda: dihedral(8).sylow_subgroup(2))
+PermGroup.center = lambda self: self.subgroup([])
+expect("inner_action", dihedral(8).inner_action)
 print(" ".join(raised))
 """
 
@@ -525,4 +563,4 @@ def test_permgroup_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True,
                          timeout=120)
     assert out.stdout.split() == ["elements", "core", "sylow_step", "p_length",
-                                  "sylow"]
+                                  "sylow", "inner_action"]
