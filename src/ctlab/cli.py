@@ -109,14 +109,8 @@ def cmd_blocks(args) -> int:
     bd = brauer_data(table, args.p)
     refutations = {}
     for i, blk in enumerate(bd.blocks):
-        if blk.defect == 0:
-            dg = group.subgroup([])
-        elif bd.is_maximal_defect(blk):
-            dg = group.sylow_subgroup(args.p)
-        else:
-            dg = None
         try:
-            refutations[i] = nilpotency_refute(blk, bd, defect_group=dg)
+            refutations[i] = nilpotency_refute(blk, bd)
         except MissingDefectGroup:
             continue
     payload = report_envelope("blocks", text, {

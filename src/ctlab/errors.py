@@ -58,6 +58,10 @@ class NotAlgebraicInteger(CTLabError):
 
 
 # modular layer
+class NotAPrime(CTLabError):
+    """The prime of a modular computation or tower is not a prime."""
+
+
 class AmbiguousBasicSet(CTLabError):
     pass
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .cyclo import is_prime
 from .errors import (
     ActionNotWellDefined,
     InvalidWitness,
@@ -66,6 +67,8 @@ def cyclic(n: int) -> PermGroup:
 
 
 def elem_abelian(p: int, k: int) -> PermGroup:
+    if not is_prime(p):
+        raise UnsupportedFamily(f"elementary abelian groups need a prime p, got {p}")
     if k < 1:
         raise UnsupportedFamily("exponent-p groups need k >= 1")
     check_points(p * k, f"the elementary abelian group {p}^{k}")
@@ -106,6 +109,8 @@ def extraspecial(p: int, kind: str) -> PermGroup:
     (dihedral for p = 2), '-' is exponent p^2 (quaternion for p = 2)."""
     if kind not in ("+", "-"):
         raise UnsupportedFamily("extraspecial kind must be '+' or '-'")
+    if not is_prime(p):
+        raise UnsupportedFamily(f"extraspecial groups need a prime p, got {p}")
     if p == 2:
         return dihedral(8) if kind == "+" else quaternion(8)
     if kind == "+":
@@ -123,7 +128,7 @@ def extraspecial(p: int, kind: str) -> PermGroup:
 
 def mat_group(q: int, mats) -> PermGroup:
     """Matrix group over F_q acting on the nonzero vectors."""
-    if not _is_prime(q):
+    if not is_prime(q):
         raise UnsupportedFamily("matrix groups are supported over prime fields")
     if not mats:
         raise UnsupportedFamily("a matrix group needs at least one matrix")
@@ -135,7 +140,7 @@ def mat_group(q: int, mats) -> PermGroup:
 def affine(p: int, k: int, mats) -> PermGroup:
     """C_p^k : <mats> on the p^k vectors; the generators are the
     translations by the standard basis vectors, then the matrices."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise UnsupportedFamily("affine groups are supported over prime fields")
     _check_space(p, k)
     check_square_matrices(mats, k)
@@ -158,7 +163,7 @@ def sl2(q: int) -> PermGroup:
 
 def psl2(q: int) -> PermGroup:
     """PSL(2, q) on the q + 1 points of the projective line."""
-    if not _is_prime(q) or q < 5:
+    if not is_prime(q) or q < 5:
         raise UnsupportedFamily("psl2 expects an odd prime >= 5")
     check_points(q + 1, f"PSL(2, {q})")
     g = PermGroup(q + 1, [mobius_perm(q, [[1, 1], [0, 1]]),
@@ -181,11 +186,18 @@ def mobius_perm(q: int, mat) -> tuple:
 
 
 def matrix_to_vector_perm(mats, p: int, include_zero=True):
-    """Permutations of F_p^n induced by matrices (shared point order)."""
+    """Permutations of F_p^n induced by matrices (shared point order);
+    UnsupportedFamily for a singular matrix, which permutes no vector set."""
     n = len(mats[0])
     vecs = [v for v in _vectors(p, n) if include_zero or any(v)]
     idx = {v: i for i, v in enumerate(vecs)}
-    return [tuple(idx[_matvec(m, v, p)] for v in vecs) for m in mats], vecs, idx
+    perms = []
+    for m in mats:
+        images = tuple(idx.get(_matvec(m, v, p)) for v in vecs)
+        if None in images or len(set(images)) != len(images):
+            raise UnsupportedFamily(f"the matrix {m} is singular over GF({p})")
+        perms.append(images)
+    return perms, vecs, idx
 
 
 def vector_translations(p: int, dim: int, vecs, idx) -> list:
@@ -211,12 +223,6 @@ def _vectors(q, n):
 
 def _matvec(m, v, q):
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) % q for i in range(len(v)))
-
-
-def _is_prime(n):
-    from .cyclo import is_prime
-
-    return is_prime(n)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +344,8 @@ class WreathResult:
 
 def wreath(m_group: PermGroup, q: int) -> WreathResult:
     """M wr C_q in the imprimitive action on q blocks."""
+    if q < 1:
+        raise UnsupportedFamily("wreath products need q >= 1")
     d = m_group.degree
     check_points(q * d, f"M wr C_{q}")
     gens = []
@@ -425,6 +433,8 @@ def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
     """U = K^q / W with W the product-one subgroup of Z(K)^q, realized on
     the right cosets of A^q W for the core-free subgroup A of K chosen by
     ``core_free_subgroup``; the order check proves the kernel is W."""
+    if q < 1:
+        raise UnsupportedFamily("central product powers need q >= 1")
     kq, emb, split = direct_power(k_group, q)
     z = k_group.center()
     w_gens = []

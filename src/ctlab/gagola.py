@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chartab import ClassFunction, character_table, fusion_through_hom, inner_product
-from .cyclo import prime_factors, rational, zeta
-from .errors import (Budget, DEFAULT_BUDGET, DegenerateStep, NotSolvable,
-                     VerificationFailed)
+from .cyclo import is_prime, prime_factors, rational, zeta
+from .errors import (Budget, DEFAULT_BUDGET, DegenerateStep, NotAPrime,
+                     NotSolvable, VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
 from .homs import GroupHom
@@ -385,6 +385,8 @@ def tower_budget(budget: Budget = DEFAULT_BUDGET) -> Budget:
 
 
 def gagola_tower(g_grp: PermGroup, p: int, budget=DEFAULT_BUDGET) -> TowerCertificate:
+    if not is_prime(p):
+        raise NotAPrime(f"p = {p} is not a prime")
     if not g_grp.is_solvable():
         raise NotSolvable("towers are built over solvable groups")
     budget = tower_budget(budget)

@@ -12,7 +12,8 @@ test.
 
 from __future__ import annotations
 
-from .errors import BudgetExceeded, NotAHomomorphism, VerificationFailed
+from .errors import (BudgetExceeded, NotAHomomorphism, NotASubgroup,
+                     VerificationFailed)
 from .permgroup import PermGroup, StabilizerChain
 from .perms import identity, pinv, pmul
 
@@ -53,7 +54,7 @@ class GroupHom:
         ds, dt = self._ds, self.target.degree
         residue = self._graph.residue(_pair(g, identity(dt), ds))
         if any(residue[i] != i for i in range(ds)):
-            raise ValueError("element does not lie in the source group")
+            raise NotASubgroup("element does not lie in the source group")
         shadow = tuple(residue[ds + x] - ds for x in range(dt))
         return pinv(shadow)
 

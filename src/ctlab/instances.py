@@ -31,7 +31,6 @@ from .perms import commutator, conj, pinv
 @dataclass
 class Order54Report:
     group: PermGroup
-    candidates_passing: int
     automorphism: GroupHom
 
 
@@ -39,19 +38,16 @@ class Order54Report:
 def order54_group() -> Order54Report:
     """3^(1+2) extended by an involution centralizing the center.
 
-    Searches the order-2 automorphisms fixing the center pointwise; every
-    candidate whose extension has 2-central type is counted, and the first
-    (in the canonical generator-pair order) is returned.
+    Searches the order-2 automorphisms fixing the center pointwise, in the
+    canonical generator-pair order, and returns the first whose extension
+    has 2-central type.
     """
     n27 = extraspecial(3, "+")
     z_elems = set(n27.center().elements())
     x_gen, y_gen = n27.gens
     zc = commutator(x_gen, y_gen)
     noncentral = [e for e in n27.elements() if e not in z_elems]
-    passing = []
-    first = None
     for a in noncentral:
-        ai = pinv(a)
         for b in noncentral:
             if commutator(a, b) != zc:
                 continue
@@ -69,13 +65,9 @@ def order54_group() -> Order54Report:
             h = sd.group
             bd = brauer_data(character_table(h), 2, with_blocks=False)
             if is_p_central_type(bd).is_p_central_type:
-                passing.append(alpha)
-                if first is None:
-                    first = (h, alpha)
-    if first is None:
-        raise VerificationFailed("no involution of 3^(1+2) centralizing its "
-                                 "center gives a 2-central-type extension")
-    return Order54Report(first[0], len(passing), first[1])
+                return Order54Report(h, alpha)
+    raise VerificationFailed("no involution of 3^(1+2) centralizing its "
+                             "center gives a 2-central-type extension")
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,11 @@ Blocks are linkage classes of the central characters omega_chi reduced in a
 deterministic F_{p^m}; decomposition matrices are the unique solutions of
 the restriction equations in the IBr basis and are verified to be
 non-negative and integral.
+
+A block's defect group D is named by one rule, ``known_defect_group``: the
+trivial subgroup at defect 0, a Sylow p-subgroup at maximal defect.  For any
+other defect ``nilpotency_refute`` needs a certificate or raises
+MissingDefectGroup.
 """
 
 from __future__ import annotations
@@ -29,14 +34,15 @@ from dataclasses import dataclass
 from math import lcm
 
 from .chartab import CharacterTable
-from .cyclo import (ZERO, _reduce_expansion, integer_gauss_jordan, nu, p_part,
-                    p_prime_part, prime_field, rational, reduce_mod_p)
+from .cyclo import (ZERO, _reduce_expansion, integer_gauss_jordan, is_prime, nu,
+                    p_part, p_prime_part, prime_field, rational, reduce_mod_p)
 from .errors import (
     AmbiguousBasicSet,
     ClassDataMismatch,
     MissingDefectGroup,
     NonIntegralDecomposition,
     NoSuchBlock,
+    NotAPrime,
     NotCentralPPrime,
     VerificationFailed,
 )
@@ -252,8 +258,6 @@ class Block:
     ordinary: tuple
     brauer: tuple
     defect: int
-    defect_group: object = None
-    defect_group_provenance: str = ""
 
     def k(self):
         return len(self.ordinary)
@@ -316,6 +320,8 @@ class BrauerData:
 def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
                 provenance=None, with_blocks=True) -> BrauerData:
     """Assemble IBr, decomposition and Cartan matrices, and linked blocks."""
+    if not is_prime(p):
+        raise NotAPrime(f"p = {p} is not a prime")
     if supplied_ibr is None:
         ibr, regular = ibr_fong_swan(table, p)
         provenance = provenance or "fong-swan"
@@ -337,13 +343,10 @@ def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
     l = len(ibr)
     cartan = [[sum(dec[i][a] * dec[i][b] for i in range(len(dec)))
                for b in range(l)] for a in range(l)]
-    blocks = block_partition(table, p)
     filled = []
-    for blk in blocks:
-        brauer_idx = sorted({j for i in blk.ordinary for j in range(l)
-                             if dec[i][j] != 0})
-        filled.append(Block(blk.ordinary, tuple(brauer_idx), blk.defect,
-                            blk.defect_group, blk.defect_group_provenance))
+    for blk in block_partition(table, p):
+        brauer_idx = sorted({j for i in blk.ordinary for j in range(l) if dec[i][j]})
+        filled.append(Block(blk.ordinary, tuple(brauer_idx), blk.defect))
     seen = [j for blk in filled for j in blk.brauer]
     if sorted(seen) != list(range(l)):
         raise VerificationFailed("an IBr lies in no block or in two blocks")
@@ -456,27 +459,16 @@ def ibr_over_central(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter) -> 
                              lam)
 
 
-@dataclass
-class FongBlockReport:
-    block: Block
-    k: int
-    l: int
-    defect: int
-    maximal_defect: bool
-    ibr_indices: tuple
-
-
-def fong_block(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter,
-               with_defect_group=True) -> FongBlockReport:
+def fong_block(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter) -> Block:
     """The unique block of G whose ordinary characters all lie over lam.
 
     Requires z_sub central of p'-order (the situation of the block
-    applications); verifies IBr(B) = IBr(G | lam) computed independently.
+    applications); verifies IBr(B) = IBr(G | lam) computed independently,
+    and returns the block, one of ``bd.blocks``.
     """
-    g = bd.group
     if z_sub.order % bd.p == 0:
         raise NotCentralPPrime(f"|Z| = {z_sub.order} is divisible by p = {bd.p}")
-    if not is_central(z_sub, g):
+    if not is_central(z_sub, bd.group):
         raise NotCentralPPrime("subgroup is not central")
     if bd.table is None or bd.blocks is None:
         raise NoSuchBlock("fong_block needs a full table-backed BrauerData")
@@ -488,15 +480,9 @@ def fong_block(bd: BrauerData, z_sub: PermGroup, lam: LinearCharacter,
     if len(cand) != 1:
         raise NoSuchBlock(f"{len(cand)} blocks lie over lambda; expected one")
     blk = cand[0]
-    ibr_lam = ibr_over_central(bd, z_sub, lam)
-    if tuple(ibr_lam) != blk.brauer:
+    if tuple(ibr_over_central(bd, z_sub, lam)) != blk.brauer:
         raise NoSuchBlock("IBr(B) differs from the Clifford constituents over lambda")
-    maximal = bd.is_maximal_defect(blk)
-    if maximal and with_defect_group and blk.defect_group is None:
-        blk.defect_group = g.sylow_subgroup(bd.p)
-        blk.defect_group_provenance = "sylow-for-maximal-defect"
-    return FongBlockReport(blk, blk.k(), blk.l(), blk.defect, maximal,
-                           tuple(ibr_lam))
+    return blk
 
 
 def lifts_of(bd: BrauerData, phi_index: int) -> list:
@@ -523,9 +509,25 @@ class RefutationResult:
     reason: str
 
 
-def nilpotency_refute(block: Block, bd: BrauerData, defect_group=None,
+def known_defect_group(bd: BrauerData, block: Block):
+    """A defect group of the block when its defect names one: the trivial
+    subgroup at defect 0, a Sylow p-subgroup at maximal defect; else None."""
+    if block.defect == 0:
+        return bd.group.subgroup([])
+    if bd.is_maximal_defect(block):
+        return bd.group.sylow_subgroup(bd.p)
+    return None
+
+
+def nilpotency_refute(block: Block, bd: BrauerData,
                       certificate: NilpotencyCertificate = None) -> RefutationResult:
-    """Refute nilpotency or report 'undetermined' (never claims nilpotency)."""
+    """Refute nilpotency or report 'undetermined' (never claims nilpotency).
+
+    Tests l(B) != 1, then the certificate's inertial quotient, then k(B) =
+    k(D), which holds in a nilpotent block (Broue-Puig).  Only the last test
+    names D: trivial at defect 0, Sylow at maximal defect; at any other
+    defect it is 'undetermined' with a certificate, MissingDefectGroup without.
+    """
     l = block.l()
     if l != 1:
         return RefutationResult(True, f"l(B) = {l} != 1")
@@ -536,12 +538,13 @@ def nilpotency_refute(block: Block, bd: BrauerData, defect_group=None,
                 True,
                 f"inertial quotient of order {q} above a subpair is not a "
                 f"{bd.p}-group ({certificate.description})")
-    dg = defect_group if defect_group is not None else block.defect_group
+    dg = known_defect_group(bd, block)
     if dg is None:
         if certificate is not None:
             return RefutationResult(False, "undetermined")
         raise MissingDefectGroup(
-            "need a defect group or a construction certificate")
+            f"defect {block.defect} is neither 0 nor maximal, so no defect "
+            "group is known; need a construction certificate")
     k_d = len(dg.conjugacy_classes())
     if k_d != block.k():
         return RefutationResult(

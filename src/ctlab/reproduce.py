@@ -24,7 +24,8 @@ from .gagola import gagola_tower
 from .grammar import parse_generator_file, parse_matrix_file
 from .instances import (order72_build, order720_build, order864_build,
                         sl217_brauer_data, sl25_squared_data)
-from .modrep import brauer_data, fong_block, lifts_of, nilpotency_refute
+from .modrep import (brauer_data, fong_block, known_defect_group, lifts_of,
+                     nilpotency_refute)
 from .permgroup import group_from_generators
 from .perms import parse_cycles
 
@@ -42,16 +43,16 @@ def check_order72() -> dict:
     table = character_table(g)
     bd = brauer_data(table, 3)
     blocks = bd.blocks
-    fb = fong_block(bd, build.z_sub, build.lam)
-    res = nilpotency_refute(fb.block, bd)
-    k_defect_group = len(fb.block.defect_group.conjugacy_classes())
-    ok = (g.order == 72 and len(blocks) == 2 and fb.l == 1 and fb.defect == 2
-          and res.refuted and fb.k == 6 and k_defect_group == 9)
+    blk = fong_block(bd, build.z_sub, build.lam)
+    res = nilpotency_refute(blk, bd)
+    k_defect_group = len(known_defect_group(bd, blk).conjugacy_classes())
+    ok = (g.order == 72 and len(blocks) == 2 and res.refuted and k_defect_group == 9
+          and (blk.k(), blk.l(), blk.defect) == (6, 1, 2))
     return {
         "status": "pass" if ok else "fail",
         "order": g.order,
         "block_count": len(blocks),
-        "nonprincipal": {"k": fb.k, "l": fb.l, "defect": fb.defect},
+        "nonprincipal": {"k": blk.k(), "l": blk.l(), "defect": blk.defect},
         "k_defect_group": k_defect_group,
         "refuted_nilpotent": res.refuted,
         "reason": res.reason,
@@ -64,16 +65,17 @@ def check_order864() -> dict:
     plen = g.p_length(2)
     table = character_table(g)
     bd = brauer_data(table, 2)
-    fb = fong_block(bd, build.z_sub, build.lam)
-    res = nilpotency_refute(fb.block, bd, certificate=build.certificate)
-    ok = (g.order == 864 and plen == 2 and fb.maximal_defect and fb.l == 1
+    blk = fong_block(bd, build.z_sub, build.lam)
+    res = nilpotency_refute(blk, bd, certificate=build.certificate)
+    maximal = bd.is_maximal_defect(blk)
+    ok = (g.order == 864 and plen == 2 and maximal and blk.l() == 1
           and res.refuted)
     return {
         "status": "pass" if ok else "fail",
         "order": g.order,
         "p_length": plen,
-        "block": {"k": fb.k, "l": fb.l, "defect": fb.defect,
-                  "maximal": fb.maximal_defect},
+        "block": {"k": blk.k(), "l": blk.l(), "defect": blk.defect,
+                  "maximal": maximal},
         "refuted_nilpotent": res.refuted,
         "reason": res.reason,
     }
@@ -289,11 +291,11 @@ def _run_user_unilift(stem: str, p: int) -> dict:
     except HypothesisFails as exc:
         return {"status": "fail", "detail": str(exc)}
     bd = brauer_data(character_table(build.group), p)
-    fb = fong_block(bd, build.z_sub, build.lam)
-    lifts = lifts_of(bd, fb.block.brauer[0])
-    ok = fb.l == 1 and len(lifts) == 1
+    blk = fong_block(bd, build.z_sub, build.lam)
+    lifts = lifts_of(bd, blk.brauer[0])
+    ok = blk.l() == 1 and len(lifts) == 1
     return {"status": "pass" if ok else "fail", "order": build.group.order,
-            "l": fb.l, "lifts": len(lifts)}
+            "l": blk.l(), "lifts": len(lifts)}
 
 
 def check_unilift_625() -> dict:

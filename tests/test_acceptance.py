@@ -13,8 +13,8 @@ import pytest
 import oracles
 from ctlab.chartab import character_table, verify_orthogonality
 from ctlab.forge import cyclic, quaternion
-from ctlab.modrep import (brauer_data, fong_block, lifts_of,
-                          nilpotency_refute, restriction)
+from ctlab.modrep import (brauer_data, fong_block, known_defect_group,
+                          lifts_of, nilpotency_refute, restriction)
 from ctlab.permgroup import p_part
 from ctlab.reproduce import CHECKS
 
@@ -44,14 +44,14 @@ def test_criterion_01_order72_blocks():
         assert g.order == 72
         bd = brauer_data(character_table(g), 3)
         assert len(bd.blocks) == 2
-        fb = fong_block(bd, build.z_sub, build.lam)
-        assert fb.l == 1 and fb.defect == 2
+        blk = fong_block(bd, build.z_sub, build.lam)
+        assert blk.l() == 1 and blk.defect == 2
         # k(B) precomputed by the brute-force oracle run: 6; k(C_3^2) = 9
-        assert fb.k == 6
-        d = fb.block.defect_group
+        assert blk.k() == 6
+        d = known_defect_group(bd, blk)
         assert len(oracles.conjugacy_partition(
             oracles.closure(d.degree, d.gens))) == 9
-        res = nilpotency_refute(fb.block, bd)
+        res = nilpotency_refute(blk, bd)
         assert res.refuted
 
 

@@ -57,9 +57,9 @@ def test_plength_regular_module_option():
     assert build.dim == 4
     assert build.group.order == 3 ** 4 * 8
     bd = brauer_data(character_table(build.group), 3)
-    fb = fong_block(bd, build.z_sub, build.lam)
-    assert fb.l == 1 and fb.maximal_defect
-    res = nilpotency_refute(fb.block, bd, certificate=build.certificate)
+    blk = fong_block(bd, build.z_sub, build.lam)
+    assert blk.l() == 1 and bd.is_maximal_defect(blk)
+    res = nilpotency_refute(blk, bd, certificate=build.certificate)
     assert res.refuted
 
 
@@ -73,8 +73,8 @@ def test_plength_order864(build864):
     assert core.order == 3 and core.is_subgroup_of(build864.z_sub)
     # the degree identity for the fully ramified situation
     bd = brauer_data(character_table(g), 2)
-    fb = fong_block(bd, build864.z_sub, build864.lam)
-    phi_deg = bd.ibr_degrees()[fb.block.brauer[0]]
+    blk = fong_block(bd, build864.z_sub, build864.lam)
+    phi_deg = bd.ibr_degrees()[blk.brauer[0]]
     assert phi_deg ** 2 == p_prime_part(g.order // build864.z_sub.order, 2)
 
 

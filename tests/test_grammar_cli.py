@@ -154,6 +154,54 @@ def test_cli_rejects_misshapen_matrices(capsys, spec, message):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["ctype", "-p", "4", "-e", "Cyclic(4)"], "p = 4 is not a prime"),
+    (["blocks", "-p", "1", "-e", "Cyclic(2)"], "p = 1 is not a prime"),
+    (["blocks", "-p", "0", "-e", "Cyclic(2)"], "p = 0 is not a prime"),
+    (["blocks", "-p", "4", "-e", "Cyclic(2)"], "p = 4 is not a prime"),
+    (["lifts", "-p", "6", "-e", "Cyclic(2)"], "p = 6 is not a prime"),
+    (["gagola", "-p", "1", "-e", "Cyclic(2)"], "p = 1 is not a prime"),
+    (["table", "-e", "Gagola(Cyclic(2), p=1)"], "p = 1 is not a prime"),
+    (["table", "-e", "ElemAbelian(4, 2)"],
+     "elementary abelian groups need a prime p, got 4"),
+    (["table", "-e", "Extraspecial(4, plus)"],
+     "extraspecial groups need a prime p, got 4"),
+    (["table", "-e", "CyclicExt(Cyclic(3), [(1 2 3)], 2, (1 2))"],
+     "element does not lie in the source group"),
+    (["table", "-e", "Wreath(Cyclic(2), 0)"], "wreath products need q >= 1"),
+    (["table", "-e", "CentralProductPower(Cyclic(2), 0)"],
+     "central product powers need q >= 1"),
+    (["table", "-e", "mat GF(3) { [[0]] }"], "the matrix [[0]] is singular over GF(3)"),
+    (["table", "-e", "mat GF(5) { [[1, 2], [2, 4]] }"],
+     "the matrix [[1, 2], [2, 4]] is singular over GF(5)"),
+])
+def test_cli_rejects_bad_primes_and_constructions(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
+def test_cli_blocks_names_each_sylow_defect_group_once(capsys, monkeypatch):
+    # only the k(B) = k(D) test names D, so a Sylow subgroup is computed at
+    # most once per block with l(B) = 1 and maximal defect
+    from ctlab.instances import order864_build
+    from ctlab.permgroup import PermGroup
+
+    order864_build()
+    calls = []
+    real = PermGroup.sylow_subgroup
+    monkeypatch.setattr(PermGroup, "sylow_subgroup",
+                        lambda self, p: calls.append(p) or real(self, p))
+    code, data = _run(capsys, ["blocks", "-p", "2", "-e", "Instance(order864)"])
+    monkeypatch.undo()
+    assert code == 0
+    blocks = data["modular"]["blocks"]
+    needing = [b for b in blocks if b["l"] == 1 and b["maximal_defect"]]
+    assert needing and len(calls) <= len(needing)
+    assert all(b["refuted_nilpotent"] for b in needing)
+
+
 def test_cli_gagola_degenerate_exit_code(capsys):
     code, data = _run(capsys, ["gagola", "-p", "3", "-e", "Cyclic(3)"])
     assert code == 2

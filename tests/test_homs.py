@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import ctlab
-from ctlab.errors import NotAHomomorphism
+from ctlab.errors import NotAHomomorphism, NotASubgroup
 from ctlab.forge import cyclic
 from ctlab.homs import GroupHom, conjugation_automorphism, hom_report, identity_hom
 from ctlab.permgroup import direct_power
@@ -74,7 +74,7 @@ def test_conjugation_automorphism(q8):
 def test_evaluating_outside_source_raises(s3):
     a3 = s3.subgroup([parse_cycles("(1 2 3)", 3)])
     ident = identity_hom(a3)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotASubgroup):
         ident.image(parse_cycles("(1 2)", 3))
 
 

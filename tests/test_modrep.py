@@ -17,12 +17,13 @@ from ctlab.cyclo import rational
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
                           NonIntegralDecomposition, NotCentralPPrime,
                           VerificationFailed)
-from ctlab.forge import cyclic
+from ctlab.forge import cyclic, dihedral
 from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           brauer_data_for_product, brauer_kernel,
                           brauer_kernel_trivial, block_partition,
                           cartan_determinant, fong_block, ibr_fong_swan,
-                          lifts_of, linear_characters, nilpotency_refute,
+                          ibr_over_central, known_defect_group, lifts_of,
+                          linear_characters, nilpotency_refute,
                           p_regular_classes, restriction)
 from ctlab.permgroup import p_part
 
@@ -133,8 +134,8 @@ def test_fong_block_d8_p5(d8, d8_table):
     bd = brauer_data(d8_table, 5)
     z = d8.center()
     lams = linear_characters(z)
-    fb = fong_block(bd, z, lams[1])
-    assert fb.k == 1 and fb.l == 1 and fb.defect == 0
+    blk = fong_block(bd, z, lams[1])
+    assert (blk.k(), blk.l(), blk.defect) == (1, 1, 0)
 
 
 def test_fong_block_requires_central_p_prime(s3, s3_table):
@@ -149,35 +150,48 @@ def test_fong_block_order72(build72):
     g = build72.group
     t = character_table(g)
     bd = brauer_data(t, 3)
-    fb = fong_block(bd, build72.z_sub, build72.lam)
-    assert (fb.k, fb.l, fb.defect, fb.maximal_defect) == (6, 1, 2, True)
-    assert fb.block.defect_group.order == 9
+    blk = fong_block(bd, build72.z_sub, build72.lam)
+    assert any(b is blk for b in bd.blocks)
+    assert (blk.k(), blk.l(), blk.defect, bd.is_maximal_defect(blk)) == (6, 1, 2, True)
+    assert known_defect_group(bd, blk).order == 9
     # IBr(B) via the decomposition matrix agrees with the Clifford route
-    assert fb.block.brauer == fb.ibr_indices
+    assert blk.brauer == tuple(ibr_over_central(bd, build72.z_sub, build72.lam))
 
 
 def test_nilpotency_refutation_order72(build72):
-    g = build72.group
-    bd = brauer_data(character_table(g), 3)
-    fb = fong_block(bd, build72.z_sub, build72.lam)
-    res = nilpotency_refute(fb.block, bd)
+    # D is named from the block's defect alone, so the answer does not
+    # depend on call order: a fresh BrauerData refutes, and so it does
+    # after fong_block has run on it
+    bd = brauer_data(character_table(build72.group), 3)
+    blk = next(b for b in bd.blocks if b.l() == 1)
+    res = nilpotency_refute(blk, bd)
     assert res.refuted
     assert "k(B) = 6" in res.reason and "k(D) = 9" in res.reason
+    assert fong_block(bd, build72.z_sub, build72.lam) is blk
+    assert nilpotency_refute(blk, bd) == res
 
 
-def test_nilpotency_defect_zero_not_refuted(s3_table, s3):
+def test_nilpotency_defect_zero_not_refuted(s3_table):
     bd = brauer_data(s3_table, 2)
     blk = bd.blocks[1]
     assert blk.defect == 0
-    res = nilpotency_refute(blk, bd, defect_group=s3.subgroup([]))
+    assert known_defect_group(bd, blk).order == 1
+    res = nilpotency_refute(blk, bd)
     assert not res.refuted and res.reason == "undetermined"
 
 
-def test_nilpotency_needs_data(s3_table):
-    bd = brauer_data(s3_table, 2)
-    blk = bd.blocks[1]
+def test_nilpotency_needs_data():
+    # D12 = S3 x C2 at p = 2: the block over the degree-2 character of S3
+    # has k = 2, l = 1 and defect 1, neither 0 nor maximal (2)
+    bd = brauer_data(character_table(dihedral(12)), 2)
+    blk = next(b for b in bd.blocks if b.defect == 1)
+    assert (blk.k(), blk.l()) == (2, 1) and not bd.is_maximal_defect(blk)
+    assert known_defect_group(bd, blk) is None
     with pytest.raises(MissingDefectGroup):
         nilpotency_refute(blk, bd)
+    cert = NilpotencyCertificate(2, "a 2-group")
+    res = nilpotency_refute(blk, bd, certificate=cert)
+    assert not res.refuted and res.reason == "undetermined"
 
 
 def test_nilpotency_certificate_route(s3_table):
