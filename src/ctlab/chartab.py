@@ -7,6 +7,17 @@ recovery of every value as an element of Q(zeta_ord(g)) by the inverse DFT
 over the power map.  Rows are sorted with the trivial character first and
 then by (degree, lexicographic value vector), so tables are reproducible
 bit for bit regardless of the generating set.
+
+A class matrix M_i is kept as sparse columns ``[(j, count), ...]``, and
+only the columns in the support of a space still to split are built.  An
+entry needs the class of x^-1 rep_m for x in K_i, found by its base-image
+key ``tuple(y[b] for b in base)`` over the base of G's chain in
+``ClassData.key_index``, so the class lookup costs |base| point lookups
+and no product at the full degree; ``ClassData.powers`` walks the powers
+of a representative on keys the same way.  The keys are exact: the base
+of a verified chain separates G, and the key map is checked to hold |G|
+distinct keys, so the class lists cover G (see ``ClassData.key_index``).
+M_i applied to a vector is the sum of the columns in its support.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rat
 from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
                      NotASubgroup, NotNormal, VerificationFailed)
 from .permgroup import ClassData, PermGroup, direct_product
-from .perms import pinv, pmul
 
 
 class CharacterTable:
@@ -32,10 +42,19 @@ class CharacterTable:
         self.values = tuple(tuple(row) for row in values)
         self.degrees = tuple(int(row[0].as_rational()) for row in self.values)
         self.exponent = lcm(1, *classes.element_orders)
-        self.power_maps = {
-            p: tuple(classes.power_class(i, p) for i in range(len(classes)))
-            for p in _prime_divisors(self.exponent)
-        }
+        self._power_maps = None
+
+    @property
+    def power_maps(self):
+        """{p: the class of rep_i^p for each class i}, for each prime p
+        dividing the exponent (built on first use)."""
+        if self._power_maps is None:
+            classes = self.classes
+            self._power_maps = {
+                p: tuple(classes.power_class(i, p) for i in range(len(classes)))
+                for p in _prime_divisors(self.exponent)
+            }
+        return self._power_maps
 
     def __len__(self):
         return len(self.values)
@@ -159,6 +178,29 @@ def _poly_roots(poly, ell):
 # Dixon-Schneider
 # ---------------------------------------------------------------------------
 
+def class_matrix_columns(classes: ClassData, i, ms):
+    """The columns ms of the class matrix M_i, as a dict m -> ``[(j, count),
+    ...]``.
+
+    M_i[j][m] = #{(x, y) in K_i x K_j : x y = rep_m}, so column m counts
+    the classes of x^-1 rep_m over x in K_i.  Its key is ``rep_m[x^-1[b]]``
+    over the base points b, looked up in ``classes.key_index``;
+    ``x.index(b)`` is x^-1[b].
+    """
+    key_index = classes.key_index
+    base = classes.group.chain.base
+    pres = [[x.index(b) for b in base] for x in classes.classes[i]]
+    out = {}
+    for m in ms:
+        rep = classes.representatives[m]
+        col = {}
+        for pre in pres:
+            j = key_index[tuple([rep[c] for c in pre])]
+            col[j] = col.get(j, 0) + 1
+        out[m] = sorted(col.items())
+    return out
+
+
 def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
     """Irreducible ordinary characters via eigenspace splitting mod ell."""
     if group.order > budget.max_order:
@@ -175,26 +217,15 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
     field = DixonField(exponent, lower)
     ell = field.ell
 
-    matrices = {}
-
-    def class_matrix(i):
-        # M[j][m] = #{(x, y) in K_i x K_j : x y = rep_m}
-        if i not in matrices:
-            mat = [[0] * k for _ in range(k)]
-            inv_elts = [pinv(x) for x in cd.classes[i]]
-            for m, rep in enumerate(cd.representatives):
-                for xi in inv_elts:
-                    j = cd.index[pmul(xi, rep)]
-                    mat[j][m] += 1
-            matrices[i] = mat
-        return matrices[i]
-
     spaces = [_echelonize([[1 if c == r else 0 for c in range(k)]
                            for r in range(k)], ell)]
     for i in range(1, k):
         if all(len(rows) == 1 for rows, _ in spaces):
             break
-        mat = class_matrix(i)
+        # only the columns in the support of a space still to split
+        support = {m for rows, _ in spaces if len(rows) > 1
+                   for r in rows for m, c in enumerate(r) if c}
+        columns = class_matrix_columns(cd, i, support)
         new_spaces = []
         for rows, pivots in spaces:
             d = len(rows)
@@ -203,9 +234,12 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
                 continue
             images = []
             for r in rows:
-                w = [sum(mat[j][m] * r[m] for m in range(k) if r[m]) % ell
-                     for j in range(k)]
-                images.append(w)
+                w = [0] * k
+                for m, c in enumerate(r):
+                    if c:
+                        for j, n in columns[m]:
+                            w[j] += c * n
+                images.append([x % ell for x in w])
             # restricted matrix R[r][s]: image of basis r in basis coordinates
             restricted = [[images[r][pc] for pc in pivots] for r in range(d)]
             # confirm invariance
@@ -236,7 +270,8 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
     if len(spaces) != k or any(len(rows) != 1 for rows, _ in spaces):
         raise VerificationFailed("splitting incomplete")
 
-    inverse_of = [cd.inverse_class(i) for i in range(k)]
+    powers = [cd.powers(m) for m in range(k)]
+    inverse_of = [p[-1] for p in powers]     # the class of rep_m^(|rep_m| - 1)
     inv_sizes = [pow(s, ell - 2, ell) for s in cd.sizes]
     rows_out = []
     for rows, _ in spaces:
@@ -249,18 +284,10 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
         degree = next(d for d in range(1, isqrt(group.order) + 1)
                       if d * d % ell == target)
         residues = [degree * omega[m] % ell * inv_sizes[m] % ell for m in range(k)]
-        values = []
-        for m in range(k):
-            n_m = cd.element_orders[m]
-            rep = cd.representatives[m]
-            power_residues = []
-            y = group.identity
-            for _ in range(n_m):
-                power_residues.append(residues[cd.index[y]])
-                y = pmul(y, rep)
-            # power_residues[t] = chi(rep^t); rotate so index matches power
-            values.append(dixon_lift(power_residues, n_m, field, degree))
-        rows_out.append(values)
+        # the residues of chi(rep_m^t), t = 0 .. |rep_m| - 1
+        rows_out.append([dixon_lift([residues[j] for j in powers[m]],
+                                    cd.element_orders[m], field, degree)
+                         for m in range(k)])
     return CharacterTable(group, cd, _sorted_rows(rows_out))
 
 

@@ -314,6 +314,37 @@ def _parse_list(toks):
 # evaluation
 # ---------------------------------------------------------------------------
 
+def _is_int(arg):
+    return isinstance(arg, int)
+
+
+def _is_perm(arg):
+    return isinstance(arg, PermArg)
+
+
+def _list_of(test):
+    return lambda arg: isinstance(arg, tuple) and all(test(x) for x in arg)
+
+
+# The kind of each argument of a construction, by the letters of _KINDS.
+# Gagola takes a group expression and p=<prime>.
+_SIGNATURES = {
+    "Cyclic": "i", "ElemAbelian": "ii", "Extraspecial": "in", "Dihedral": "i",
+    "Quaternion": "i", "SL": "ii", "PSL": "ii", "Direct": "gg", "Wreath": "gi",
+    "CentralProductPower": "gi", "Semidirect": "ggA", "CyclicExt": "gPip",
+    "Affine": "iiM", "Instance": "n",
+}
+_KINDS = {
+    "i": ("int", _is_int),
+    "g": ("a group expression", lambda arg: isinstance(arg, (PermLit, MatLit, Call))),
+    "n": ("a name", lambda arg: isinstance(arg, str)),
+    "p": ("a permutation", _is_perm),
+    "P": ("a list of permutations", _list_of(_is_perm)),
+    "A": ("a list of permutation lists", _list_of(_list_of(_is_perm))),
+    "M": ("a list of integer matrices", _list_of(_list_of(_list_of(_is_int)))),
+}
+
+
 def evaluate(node, budget=None):
     """Evaluate a spec tree to a PermGroup."""
     from .errors import DEFAULT_BUDGET
@@ -331,52 +362,45 @@ def evaluate(node, budget=None):
         raise ParseError(f"cannot evaluate {node!r}")
     name = node.name
     args = node.args
-
-    def need(n):
-        if len(args) != n:
-            raise ArityError(f"{name} takes {n} arguments, got {len(args)}")
+    kinds = _SIGNATURES.get(name)
+    if kinds is not None:
+        if len(args) != len(kinds):
+            raise ArityError(f"{name} takes {len(kinds)} arguments, got {len(args)}")
+        for arg, kind in zip(args, kinds):
+            what, test = _KINDS[kind]
+            if not test(arg):
+                raise ParseError(f"expected {what}, got {_print_arg(arg)!r}")
 
     if name == "Cyclic":
-        need(1)
         return forge.cyclic(args[0])
     if name == "ElemAbelian":
-        need(2)
         return forge.elem_abelian(args[0], args[1])
     if name == "Extraspecial":
-        need(2)
         kind = {"plus": "+", "minus": "-"}.get(args[1])
         if kind is None:
             raise ParseError("Extraspecial kind must be plus or minus")
         return forge.extraspecial(args[0], kind)
     if name == "Dihedral":
-        need(1)
         return forge.dihedral(args[0])
     if name == "Quaternion":
-        need(1)
         return forge.quaternion(args[0])
     if name == "SL":
-        need(2)
         if args[0] != 2:
             raise UnsupportedFamily("only SL(2, q) is built in")
         return forge.sl2(args[1])
     if name == "PSL":
-        need(2)
         if args[0] != 2:
             raise UnsupportedFamily("only PSL(2, q) is built in")
         return forge.psl2(args[1])
     if name == "Direct":
-        need(2)
         from .permgroup import direct_product
 
         return direct_product(evaluate(args[0], budget), evaluate(args[1], budget))[0]
     if name == "Wreath":
-        need(2)
         return forge.wreath(evaluate(args[0], budget), args[1]).group
     if name == "CentralProductPower":
-        need(2)
         return forge.central_product_power(evaluate(args[0], budget), args[1]).group
     if name == "Semidirect":
-        need(3)
         n_grp = evaluate(args[0], budget)
         h_grp = evaluate(args[1], budget)
         autos = []
@@ -385,14 +409,12 @@ def evaluate(node, budget=None):
             autos.append(GroupHom(n_grp, n_grp, perms))
         return forge.semidirect(n_grp, h_grp, autos).group
     if name == "CyclicExt":
-        need(4)
         n_grp = evaluate(args[0], budget)
         images = [_resolve_perm(p, n_grp.degree) for p in args[1]]
         alpha = GroupHom(n_grp, n_grp, images)
         x = _resolve_perm(args[3], n_grp.degree)
         return forge.cyclic_extension_build(n_grp, alpha, args[2], x).group
     if name == "Affine":
-        need(3)
         return forge.affine(args[0], args[1], [list(map(list, m)) for m in args[2]])
     if name == "Gagola":
         if len(args) != 2 or not isinstance(args[1], Keyword) or args[1].key != "p":
@@ -402,15 +424,12 @@ def evaluate(node, budget=None):
         return gagola_tower(evaluate(args[0], budget), args[1].value,
                             budget=budget).tower
     if name == "Instance":
-        need(1)
         return _instance_group(args[0])
     raise ParseError(f"unknown construction {name!r}")
 
 
 def _resolve_perm(arg, degree):
-    if isinstance(arg, PermArg):
-        return _cycles_to_perm(arg.text, degree, arg.line, arg.col)
-    raise ParseError(f"expected a permutation, got {arg!r}")
+    return _cycles_to_perm(arg.text, degree, arg.line, arg.col)
 
 
 def _instance_group(name):

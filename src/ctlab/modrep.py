@@ -30,7 +30,7 @@ MissingDefectGroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import lcm
 
 from .chartab import CharacterTable
@@ -308,6 +308,8 @@ class BrauerData:
     cartan: list = None            # l x l integer matrix
     blocks: list = None
     provenance: str = "fong-swan"
+    # the Sylow p-subgroup, a cache that only known_defect_group fills
+    sylow: PermGroup = field(default=None, init=False, repr=False, compare=False)
 
     def ibr_degrees(self):
         return [_degree_of(v) for v in self.ibr]
@@ -511,11 +513,14 @@ class RefutationResult:
 
 def known_defect_group(bd: BrauerData, block: Block):
     """A defect group of the block when its defect names one: the trivial
-    subgroup at defect 0, a Sylow p-subgroup at maximal defect; else None."""
+    subgroup at defect 0, a Sylow p-subgroup at maximal defect (the same
+    one, ``bd.sylow``, for every block of bd); else None."""
     if block.defect == 0:
         return bd.group.subgroup([])
     if bd.is_maximal_defect(block):
-        return bd.group.sylow_subgroup(bd.p)
+        if bd.sylow is None:
+            bd.sylow = bd.group.sylow_subgroup(bd.p)
+        return bd.sylow
     return None
 
 

@@ -25,8 +25,10 @@ element scans rest on; nothing closes a group at the full degree.  The
 scans (classes, center, centralizers and normalizers) hold each element
 under its base-image key, its images of the chain's base points, so
 conjugating an element costs |base| lookups instead of two products at
-the full degree (see ``_keyed_elements``).  Everything assumes desk
-scale: orders up to a few tens of thousands, degrees up to ~2000; no
+the full degree (see ``_keyed_elements``); ``ClassData.key_index`` maps
+the key of each class element to its class, checked the same way, and
+power maps and class matrices are looked up in it.  Everything assumes
+desk scale: orders up to a few tens of thousands, degrees up to ~2000; no
 element scan runs on a group of order above ``SCAN_LIMIT``, and no
 constructed domain has more than ``MAX_POINTS`` points.
 """
@@ -713,15 +715,53 @@ class ClassData:
         for i, c in enumerate(classes):
             for x in c:
                 self.index[x] = i
+        self._key_index = None
+        self._powers = {}
 
     def __len__(self):
         return len(self.classes)
 
-    def power_class(self, i, k) -> int:
-        return self.index[ppow(self.representatives[i], k)]
+    @property
+    def key_index(self):
+        """A dict from the base-image key ``tuple(x[b] for b in base)`` of
+        each listed element x, over the base of the group's chain, to its
+        class (built on first use).
 
-    def inverse_class(self, i) -> int:
-        return self.index[pinv(self.representatives[i])]
+        The keys are exact.  The chain is verified, so the base separates
+        the group G: only the identity fixes every base point, and distinct
+        elements of G have distinct keys.  The class lists hold elements of
+        G, and the map must hold |G| distinct keys, or VerificationFailed
+        is raised; so the lists cover G, and the key of any element of G
+        names its class.
+        """
+        if self._key_index is None:
+            base = self.group.chain.base
+            keys = {tuple([x[b] for b in base]): i
+                    for i, c in enumerate(self.classes) for x in c}
+            if len(keys) != self.group.order:
+                raise VerificationFailed(
+                    f"{len(keys)} base-image keys in the class lists of a "
+                    f"group of order {self.group.order}")
+            self._key_index = keys
+        return self._key_index
+
+    def powers(self, i) -> list:
+        """The class of rep_i^t for t = 0 .. |rep_i| - 1, walked on the
+        base-image keys (|base| lookups a power, no product)."""
+        if i not in self._powers:
+            key_index = self.key_index
+            rep = self.representatives[i]
+            key = self.group.chain.base
+            out = []
+            for _ in range(self.element_orders[i]):
+                out.append(key_index[key])
+                key = tuple([rep[c] for c in key])
+            self._powers[i] = out
+        return self._powers[i]
+
+    def power_class(self, i, k) -> int:
+        powers = self.powers(i)
+        return powers[k % len(powers)]
 
     def describe(self):
         return [

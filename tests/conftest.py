@@ -2,13 +2,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ctlab.forge import (central_product_power, cyclic, dihedral, elem_abelian,
                          extraspecial, mat_group, quaternion, semidirect, sl2)
 from ctlab.homs import GroupHom
-from ctlab.permgroup import direct_product, group_from_generators
+from ctlab.permgroup import PermGroup, direct_product, group_from_generators
 from ctlab.perms import parse_cycles, pinv, ppow
 from ctlab.reproduce import _tower
 
@@ -16,6 +17,22 @@ from ctlab.reproduce import _tower
 def perm_group(degree, *cycle_strings):
     return group_from_generators(
         degree, [parse_cycles(s, degree) for s in cycle_strings])
+
+
+@st.composite
+def small_groups(draw):
+    """A group on at most 7 points: 1-3 generators that either permute the
+    first n <= 5 points freely or keep the blocks {0..a-1} and {a..n-1},
+    a <= 4 and n - a <= 3 (then the group is solvable)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=1, max_value=5))
+        perm = st.permutations(range(n)).map(tuple)
+    else:
+        a = draw(st.integers(min_value=1, max_value=4))
+        n = a + draw(st.integers(min_value=0, max_value=3))
+        perm = st.tuples(st.permutations(range(a)),
+                         st.permutations(range(a, n))).map(lambda t: t[0] + t[1])
+    return PermGroup(n, draw(st.lists(perm, min_size=1, max_size=3)))
 
 
 @pytest.fixture(scope="session")

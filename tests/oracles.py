@@ -65,6 +65,20 @@ def normalizer(elements, subset):
             if {mul(mul(inv(g), h), g) for h in subset} == subset}
 
 
+def class_matrix(group, i):
+    """The class matrix M_i[j][m] = #{(x, y) in K_i x K_j : x y = rep_m},
+    dense: one full product x^-1 rep_m per (x, m), found in
+    ``ClassData.index``."""
+    cd = group.conjugacy_classes()
+    k = len(cd)
+    mat = [[0] * k for _ in range(k)]
+    for x in cd.classes[i]:
+        xi = inv(x)
+        for m, rep in enumerate(cd.representatives):
+            mat[cd.index[mul(xi, rep)]][m] += 1
+    return mat
+
+
 def element_order(x):
     ident = tuple(range(len(x)))
     n = 1

@@ -5,18 +5,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from ctlab.chartab import (character_kernel, character_predicates,
-                           character_table, class_fusion, decompose,
-                           direct_product_table, induce, inner_product,
+                           character_table, class_fusion, class_matrix_columns,
+                           decompose, direct_product_table, induce, inner_product,
                            irr_over, restrict, row_function, verify_orthogonality)
 from ctlab.cyclo import ONE, rational
 from ctlab.errors import BudgetExceeded, NotASubgroup, NotNormal, Budget
 from ctlab.forge import cyclic, dihedral, extraspecial
 from ctlab.permgroup import direct_product
-from ctlab.perms import parse_cycles
+from ctlab.perms import parse_cycles, ppow
 
-from conftest import perm_group
+from conftest import perm_group, small_groups
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -87,6 +89,33 @@ def test_degrees_divide_order_and_linear_count(corpus_tables):
 def test_orthogonality_whole_corpus(corpus_tables):
     for name, g, t in corpus_tables:
         assert verify_orthogonality(t), name
+
+
+def _assert_columns_and_powers_match_oracle(g, name):
+    cd = g.conjugacy_classes()
+    k = len(cd)
+    for i in range(k):
+        dense = oracles.class_matrix(g, i)
+        columns = class_matrix_columns(cd, i, range(k))
+        for m in range(k):
+            want = [(j, dense[j][m]) for j in range(k) if dense[j][m]]
+            assert columns[m] == want, (name, i, m)
+            assert sum(n for _, n in columns[m]) == cd.sizes[i], (name, i, m)
+        # the powers walked on keys are the classes of the full powers
+        rep = cd.representatives[i]
+        assert cd.powers(i) == [cd.index[ppow(rep, t)]
+                                for t in range(cd.element_orders[i])], (name, i)
+
+
+def test_class_matrix_columns_match_dense_oracle(corpus_tables):
+    for name, g, _ in corpus_tables:
+        _assert_columns_and_powers_match_oracle(g, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_groups())
+def test_class_matrix_columns_match_dense_oracle_random(g):
+    _assert_columns_and_powers_match_oracle(g, g.gens)
 
 
 def test_budget_guard():
@@ -216,7 +245,7 @@ import sys
 from ctlab import chartab
 from ctlab.cyclo import ONE
 from ctlab.errors import VerificationFailed
-from ctlab.permgroup import PermGroup
+from ctlab.permgroup import ClassData, PermGroup
 
 assert sys.flags.optimize
 raised = []
@@ -238,6 +267,11 @@ chartab._poly_roots = lambda poly, ell: []
 expect("splitting", lambda: chartab.character_table(s3))
 chartab._poly_roots = real
 expect("trivial", lambda: chartab._sorted_rows([[ONE], [ONE]]))
+# class lists that miss an element of G: one too few base-image keys
+short = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+short._classes = ClassData(short, [c[:-1] if len(c) == 3 else c
+                                   for c in short.conjugacy_classes().classes])
+expect("keys", lambda: chartab.character_table(short))
 print(" ".join(raised))
 """
 
@@ -249,7 +283,8 @@ def test_table_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == [
         "invariant:space_not_invariant", "splitting:splitting_incomplete",
-        "trivial:exactly_one_trivial_character_expected"]
+        "trivial:exactly_one_trivial_character_expected",
+        "keys:5_base-image_keys_in_the_class_lists_of_a_group_of_order_6"]
 
 
 _CLASS_FUNCTION_CHECKS_UNDER_O = """

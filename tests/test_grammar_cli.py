@@ -174,6 +174,13 @@ def test_cli_rejects_misshapen_matrices(capsys, spec, message):
     (["table", "-e", "mat GF(3) { [[0]] }"], "the matrix [[0]] is singular over GF(3)"),
     (["table", "-e", "mat GF(5) { [[1, 2], [2, 4]] }"],
      "the matrix [[1, 2], [2, 4]] is singular over GF(5)"),
+    # each construction argument is checked for its kind before use
+    (["table", "-e", "Cyclic(Cyclic(2))"], "expected int, got 'Cyclic(2)'"),
+    (["table", "-e", "ElemAbelian(Cyclic(2), 2)"], "expected int, got 'Cyclic(2)'"),
+    (["table", "-e", "Semidirect(Cyclic(3), Cyclic(2), [5])"],
+     "expected a list of permutation lists, got '[5]'"),
+    (["table", "-e", "Affine(3, 1, [[5]])"],
+     "expected a list of integer matrices, got '[[5]]'"),
 ])
 def test_cli_rejects_bad_primes_and_constructions(capsys, argv, message):
     code = main(argv)
@@ -183,8 +190,8 @@ def test_cli_rejects_bad_primes_and_constructions(capsys, argv, message):
 
 
 def test_cli_blocks_names_each_sylow_defect_group_once(capsys, monkeypatch):
-    # only the k(B) = k(D) test names D, so a Sylow subgroup is computed at
-    # most once per block with l(B) = 1 and maximal defect
+    # only the k(B) = k(D) test names D, and every maximal-defect block of
+    # one BrauerData shares its Sylow subgroup, so it is computed once
     from ctlab.instances import order864_build
     from ctlab.permgroup import PermGroup
 
@@ -198,7 +205,7 @@ def test_cli_blocks_names_each_sylow_defect_group_once(capsys, monkeypatch):
     assert code == 0
     blocks = data["modular"]["blocks"]
     needing = [b for b in blocks if b["l"] == 1 and b["maximal_defect"]]
-    assert needing and len(calls) <= len(needing)
+    assert len(needing) == 2 and calls == [2]
     assert all(b["refuted_nilpotent"] for b in needing)
 
 

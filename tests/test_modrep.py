@@ -171,6 +171,21 @@ def test_nilpotency_refutation_order72(build72):
     assert nilpotency_refute(blk, bd) == res
 
 
+def test_check_order72_computes_one_sylow_subgroup(build72, monkeypatch):
+    # nilpotency_refute and the k(D) count share the BrauerData's Sylow
+    # subgroup, so the check computes it once (twice before it was kept)
+    from ctlab.permgroup import PermGroup
+    from ctlab.reproduce import check_order72
+
+    calls = []
+    real = PermGroup.sylow_subgroup
+    monkeypatch.setattr(PermGroup, "sylow_subgroup",
+                        lambda self, p: calls.append(p) or real(self, p))
+    result = check_order72()
+    assert result["status"] == "pass" and result["k_defect_group"] == 9
+    assert calls == [3]
+
+
 def test_nilpotency_defect_zero_not_refuted(s3_table):
     bd = brauer_data(s3_table, 2)
     blk = bd.blocks[1]

@@ -17,7 +17,7 @@ from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
     group_from_generators, verify_chain
 from ctlab.perms import parse_cycles, pmul
 
-from conftest import perm_group
+from conftest import perm_group, small_groups
 
 
 def test_s3_from_generators(s3):
@@ -245,24 +245,8 @@ def test_random_small_groups_agree_with_oracle(gens):
     assert len(cd) == len(oracles.conjugacy_partition(elems))
 
 
-@st.composite
-def _small_groups(draw):
-    """A group on at most 7 points: 1-3 generators that either permute the
-    first n <= 5 points freely or keep the blocks {0..a-1} and {a..n-1},
-    a <= 4 and n - a <= 3 (then the group is solvable)."""
-    if draw(st.booleans()):
-        n = draw(st.integers(min_value=1, max_value=5))
-        perm = st.permutations(range(n)).map(tuple)
-    else:
-        a = draw(st.integers(min_value=1, max_value=4))
-        n = a + draw(st.integers(min_value=0, max_value=3))
-        perm = st.tuples(st.permutations(range(a)),
-                         st.permutations(range(a, n))).map(lambda t: t[0] + t[1])
-    return PermGroup(n, draw(st.lists(perm, min_size=1, max_size=3)))
-
-
 @settings(max_examples=80, deadline=None)
-@given(_small_groups(), st.sampled_from([2, 3]))
+@given(small_groups(), st.sampled_from([2, 3]))
 # G/G'G^q of rank 2, where the chief step has a kernel to choose
 @example(perm_group(4, "(1 2)", "(3 4)"), 2)
 @example(perm_group(6, "(1 2 3)", "(4 5 6)"), 3)
@@ -288,7 +272,7 @@ def test_cores_p_length_and_chief_step_agree_with_oracles(g, p):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_small_groups(), st.randoms(use_true_random=False))
+@given(small_groups(), st.randoms(use_true_random=False))
 @example(perm_group(4, "(1 2 3 4)", "(1 3)"), __import__("random").Random(0))
 def test_inner_action_is_the_central_quotient(g, rnd):
     elems = sorted(oracles.closure(g.degree, g.gens))

@@ -7,6 +7,9 @@ so the names are checked here by installing and uninstalling the tracer.
 
 No module may gain an ``assert``: ``python -O`` strips them, so a check
 that carries a result must raise instead.
+
+The class matrices of a character table are looked up on base-image keys:
+counting ``perms.pmul`` calls keeps full-degree products out of them.
 """
 
 import ast
@@ -66,3 +69,35 @@ def test_assert_ratchet():
     over = {mod: n for mod, n in counts.items()
             if n > ASSERT_CEILING.get(mod, 0)}
     assert not over, over
+
+
+def _pmul_calls_in_character_table(group, monkeypatch):
+    from ctlab import perms
+    from ctlab.chartab import character_table
+
+    group.conjugacy_classes()
+    calls = []
+    real = perms.pmul
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ctlab") and getattr(mod, "pmul", None) is real:
+            monkeypatch.setattr(mod, "pmul",
+                                lambda a, b: calls.append(1) or real(a, b))
+    character_table(group).power_maps
+    monkeypatch.undo()
+    return len(calls)
+
+
+# products at the full degree that a character table and its power maps
+# may take once the classes are known: both are walked on base-image keys
+PMUL_CEILING = 0
+
+
+def test_character_table_pmul_ratchet(tower_c6_p2, monkeypatch):
+    # one full product per (x, rep_m) made 85,155 calls on the order-3960
+    # build and 15,834 on the order-486 tower level; power maps through
+    # ppow would make some per class and prime
+    from ctlab.instances import order3960_build
+
+    for group in (order3960_build().group, tower_c6_p2.tower):
+        calls = _pmul_calls_in_character_table(group, monkeypatch)
+        assert calls <= PMUL_CEILING, (group.order, calls)
