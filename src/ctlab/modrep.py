@@ -1,26 +1,44 @@
 """Modular layer: p-regular classes, Brauer characters, blocks, defects.
 
 Brauer characters of p-solvable groups are extracted from the ordinary table
-by the restriction/deletion procedure: start with all distinct restrictions
-to p-regular classes, then repeatedly remove, largest degree first, any
-member that is a non-negative integer combination of members of smaller
-degree.  The fixpoint equals IBr exactly when every Brauer character lifts;
-otherwise the size check fails and AmbiguousBasicSet is raised, and the
-caller may supply an IBr matrix from an independent source.
+by Fong-Swan: every Brauer character lifts, so IBr is a subset of the
+restrictions of Irr to the p-regular classes.  One pass over the distinct
+restrictions, sorted by ascending degree, keeps a restriction when it lies
+outside the span of those kept before it.  By induction on the degree the
+kept members of degree below d are the IBr of degree below d: an
+irreducible restriction lies outside the span of the other IBr, and a
+reducible one is a non-negative integer combination of IBr of smaller
+degree.  A restriction that is not kept and is no such combination shows
+that some Brauer character does not lift, and AmbiguousBasicSet is raised;
+the caller may supply an IBr matrix from an independent source.  The
+restrictions span the class functions on the p-regular classes, so that
+count decides nothing about lifting: the kept members are IBr, one per
+p-regular class, when every Brauer character lifts, and any other count is
+a VerificationFailed.
 
-The search runs on the integer coordinates of the restrictions on the power
-basis of Q(zeta).  Span tests modulo the prime ELL = 2^61 - 1 prune it: a
-vector outside a span mod ELL is no integer combination of it.  Every
-deletion is an exact integer sum, checked again, and full rank mod ELL
-proves the fixpoint independent; only a short rank mod ELL is decided again
-by exact fraction-free elimination over the integers
-(``cyclo.integer_gauss_jordan``), the same kernel that solves for the
-decomposition matrix and computes the Cartan determinant.
+The pass runs on the integer coordinates of the restrictions on the power
+basis of Q(zeta), in one echelon form modulo the prime ELL = 2^61 - 1 whose
+rows carry their coefficients in the kept vectors.  It is sound because:
 
-Blocks are linkage classes of the central characters omega_chi reduced in a
-deterministic F_{p^m}; decomposition matrices are the unique solutions of
-the restriction equations in the IBr basis and are verified to be
-non-negative and integral.
+* kept rows are independent mod ELL, so they are independent over Q, and
+  the coefficients mod ELL of a vector in their span are unique;
+* a true decomposition psi = sum d_j phi_j with d_j >= 0 has d_j <= deg psi
+  < ELL, so lifting the coefficients into [0, deg psi] recovers d exactly;
+  when the sum of the lifted combination is not psi on the integer
+  coordinates, no such combination exists;
+* a non-negative solution for a distinct candidate cannot use a kept member
+  of equal or larger degree, so no separate degree check is needed.
+
+Only a failed combination is decided again by exact fraction-free
+elimination over the integers (``cyclo.integer_gauss_jordan``), the same
+kernel that solves for the decomposition matrix and computes the Cartan
+determinant: a non-negative integer solution there, or none at all, means
+the tests mod ELL and over Q disagree (VerificationFailed).
+
+Blocks are linkage classes of the central characters omega_chi on the
+p-regular class sums, reduced in a deterministic F_{p^m}; decomposition
+matrices are the unique solutions of the restriction equations in the IBr
+basis and are verified to be non-negative and integral.
 
 A block's defect group D is named by one rule, ``known_defect_group``: the
 trivial subgroup at defect 0, a Sylow p-subgroup at maximal defect.  For any
@@ -86,31 +104,31 @@ def _flatten(vectors):
 
 
 class _ModEchelon:
-    """Row echelon form mod ELL of vectors added one at a time.  Row k is
-    reduced against rows 0..k-1 only, so the span of the first r rows is the
-    span of the vectors added before them."""
+    """Row echelon form mod ELL of the vectors kept so far.  Each row carries
+    its coefficients in the kept vectors, so a vector that reduces to zero
+    has its coefficients read off the reduction."""
 
-    def __init__(self, vectors=()):
-        self.rows = []
-        self.pivots = []
-        for vec in vectors:
-            self.add(vec)
-
-    def residue(self, vec, nrows=None):
-        v = [x % ELL for x in vec]
-        for b, pc in zip(self.rows[:nrows], self.pivots):
-            f = v[pc]
-            if f:
-                v = [(x - f * y) % ELL for x, y in zip(v, b)]
-        return v
+    def __init__(self):
+        self.rows = []      # (pivot column, row, its coefficients in the kept)
 
     def add(self, vec):
-        v = self.residue(vec)
+        """None when vec enlarges the span, and then vec is kept; otherwise
+        vec's coefficients mod ELL in the kept vectors."""
+        v = [x % ELL for x in vec]
+        coeffs = [0] * len(self.rows)
+        for pc, row, row_coeffs in self.rows:
+            f = v[pc]
+            if f:
+                v = [(x - f * y) % ELL for x, y in zip(v, row)]
+                for j, y in enumerate(row_coeffs):
+                    coeffs[j] = (coeffs[j] + f * y) % ELL
         pc = next((j for j, x in enumerate(v) if x), None)
-        if pc is not None:
-            inv = pow(v[pc], -1, ELL)
-            self.rows.append([x * inv % ELL for x in v])
-            self.pivots.append(pc)
+        if pc is None:
+            return coeffs
+        inv = pow(v[pc], -1, ELL)
+        self.rows.append((pc, [x * inv % ELL for x in v],
+                          [-c * inv % ELL for c in coeffs] + [inv]))
+        return None
 
 
 def _solve_in_basis(basis_vectors, targets):
@@ -134,13 +152,6 @@ def _solve_in_basis(basis_vectors, targets):
     return den, [[row[l + t] for row in rows[:l]] for t in range(len(targets))]
 
 
-def linearly_independent(vectors) -> bool:
-    """Exact independence over Q: the rank of the integer coordinates."""
-    flat = _flatten(vectors)
-    _, pivots, _ = integer_gauss_jordan(flat, len(flat[0]) if flat else 0)
-    return len(pivots) == len(vectors)
-
-
 # ---------------------------------------------------------------------------
 # the Fong-Swan extraction
 # ---------------------------------------------------------------------------
@@ -157,96 +168,51 @@ def _ibr_key(vec):
     return (_degree_of(vec), tuple(v.sort_key() for v in vec))
 
 
-class _DeletionRound:
-    """One round of the deletion search over integer coordinate vectors
-    sorted by descending degree, so that the vectors of smaller degree than
-    any one of them form a suffix.  One echelon mod ELL of the suffixes and
-    one memo serve every target of the round."""
-
-    def __init__(self, vecs, degs):
-        self.vecs, self.degs, self.memo = vecs, degs, {}
-        self.echelon = _ModEchelon()
-        self.span_rows = [0] * (len(vecs) + 1)   # echelon rows spanning vecs[i:]
-        for i in range(len(vecs) - 1, -1, -1):
-            self.echelon.add(vecs[i])
-            self.span_rows[i] = len(self.echelon.rows)
-
-    def search(self, i, tgt, deg):
-        """A witness ((j, c), ...), j >= i and c > 0, with tgt = sum c vecs[j]
-        and deg = sum c degs[j]; None when there is none.  A tgt outside the
-        span of vecs[i:] mod ELL is no integer combination of them, so a
-        false "in span" costs time and never a wrong answer."""
-        if deg == 0:
-            return None if any(tgt) else ()
-        if i == len(self.vecs):
-            return None
-        key = (i, tgt, deg)
-        if key not in self.memo:
-            found = None
-            if not any(self.echelon.residue(tgt, self.span_rows[i])):
-                row, d = self.vecs[i], self.degs[i]
-                for c in range(deg // d, -1, -1):
-                    rest = self.search(i + 1, tuple(x - c * y for x, y in zip(tgt, row)),
-                                       deg - c * d)
-                    if rest is not None:
-                        found = ((i, c),) + rest if c else rest
-                        break
-            self.memo[key] = found
-        return self.memo[key]
-
-
-def _decomposable(rnd: _DeletionRound, k: int):
-    """Witness that vecs[k] is a non-negative integer combination of the
-    vectors of smaller degree, or None."""
-    degs = rnd.degs
-    first = next((j for j in range(k, len(degs)) if degs[j] < degs[k]), len(degs))
-    return rnd.search(first, rnd.vecs[k], degs[k])
-
-
-def _check_witness(rnd: _DeletionRound, k: int, witness):
-    total = [0] * len(rnd.vecs[k])
-    for j, c in witness:
-        if rnd.degs[j] >= rnd.degs[k] or c <= 0:
-            raise VerificationFailed(f"bad deletion witness term {(j, c)}")
-        total = [a + c * b for a, b in zip(total, rnd.vecs[j])]
-    if tuple(total) != rnd.vecs[k]:
-        raise VerificationFailed("deletion witness does not sum to its target")
-
-
 def ibr_fong_swan(table: CharacterTable, p: int):
     """IBr as sorted value tuples on the p-regular classes.
 
-    Runs the restriction/deletion procedure; raises AmbiguousBasicSet when
-    the fixpoint does not have exactly one member per p-regular class (the
-    p-solvable guarantee fails for some non-p-solvable groups).
+    One ascending pass over the distinct restrictions: a candidate is kept
+    when it enlarges the span of those kept before it, and is otherwise
+    checked to be their non-negative integer combination.  Raises
+    AmbiguousBasicSet when it is not (the p-solvable guarantee fails for some
+    non-p-solvable groups), and VerificationFailed when the test mod ELL and
+    the exact one disagree.
     """
     regular = p_regular_classes(table.classes, p)
     if table.group.order % p != 0:
         return [restriction(row, regular) for row in table.values], regular
     candidates = sorted({restriction(row, regular) for row in table.values},
                         key=_ibr_key)
-    # descending degree; the stable sort keeps the value order within one
-    candidates.sort(key=_degree_of, reverse=True)
-    coords = dict(zip(candidates, _flatten(candidates)))
-    while True:
-        rnd = _DeletionRound([coords[t] for t in candidates],
-                             [_degree_of(t) for t in candidates])
-        for k in range(len(candidates)):
-            witness = _decomposable(rnd, k)
-            if witness is not None:
-                _check_witness(rnd, k, witness)
-                del candidates[k]
-                break
-        else:
-            break
-    if len(candidates) != len(regular) or not (
-            len(rnd.echelon.rows) == len(candidates)
-            or linearly_independent(candidates)):
+    echelon, kept, kept_vecs = _ModEchelon(), [], []
+    for cand, vec in zip(candidates, _flatten(candidates)):
+        coeffs = echelon.add(vec)
+        if coeffs is None:
+            kept.append(cand)
+            kept_vecs.append(vec)
+            continue
+        deg = _degree_of(cand)
+        if all(c <= deg for c in coeffs):      # lifted into [0, deg]
+            total = [0] * len(vec)
+            for c, kv in zip(coeffs, kept_vecs):
+                if c:
+                    total = [a + c * b for a, b in zip(total, kv)]
+            if tuple(total) == vec:
+                continue
+        try:
+            den, (sol,) = _solve_in_basis(kept, [cand])
+        except ValueError as exc:
+            raise VerificationFailed("a restriction in the span mod ELL is "
+                                     f"not in the span: {exc}") from exc
+        if all(num % den == 0 and num * den >= 0 for num in sol):
+            raise VerificationFailed("the coefficients mod ELL missed a "
+                                     "non-negative integer combination")
         raise AmbiguousBasicSet(
-            f"deletion fixpoint has {len(candidates)} members for "
-            f"{len(regular)} p-regular classes")
-    candidates.sort(key=_ibr_key)
-    return candidates, regular
+            f"a restriction of degree {deg} is no non-negative integer "
+            f"combination of those kept before it")
+    if len(kept) != len(regular):
+        raise VerificationFailed(f"{len(kept)} restrictions kept for "
+                                 f"{len(regular)} p-regular classes")
+    return kept, regular
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +233,21 @@ class Block:
 
 
 def central_character_residues(table: CharacterTable, p: int):
-    """Per row, the tuple of reductions of omega_chi(K) in F_{p^m}."""
+    """Per row, the tuple of reductions of omega_chi(K) in F_{p^m}, K over
+    the p-regular classes.
+
+    Two characters lie in one block exactly when their central characters
+    agree mod p on every class sum.  The block idempotents lie in the span
+    of the p-regular class sums (Osima), so agreement on those decides it.
+    """
     ctx = prime_field(p, p_prime_part(table.exponent, p))
+    sizes = table.classes.sizes
+    regular = p_regular_classes(table.classes, p)
     out = []
     for row in table.values:
         deg = row[0].as_rational()
-        resids = []
-        for j, size in enumerate(table.classes.sizes):
-            omega = row[j] * size / deg
-            resids.append(reduce_mod_p(omega, p, ctx))
-        out.append(tuple(resids))
+        out.append(tuple(reduce_mod_p(row[j] * sizes[j] / deg, p, ctx)
+                         for j in regular))
     return out
 
 

@@ -129,7 +129,3 @@ def parse_cycles(text: str, degree: int) -> Perm:
             images[a] = b
         used.update(pts)
     return validate(images, degree)
-
-
-def moved_points(p: Perm):
-    return [i for i, j in enumerate(p) if i != j]

@@ -121,6 +121,27 @@ def build720():
     return order720_build()
 
 
+# the k = 2 stand-in for the paper's unique-lift blocks: H_2 = 2^(1+4)_+, the
+# central product of two D8, acting on F_3^4 through the order-72 build's
+# matrices, one 2 x 2 diagonal block per D8 factor
+@pytest.fixture(scope="session")
+def standin_k2():
+    from ctlab.builders import builder_plength
+
+    d8, k = dihedral(8), 2
+    d8_mats = [[[2, 0], [0, 2]], [[1, 0], [0, 2]]]   # rotation -> -1, reflection
+    cpp = central_product_power(d8, k)
+    gens, mats = [], []
+    for i in range(k):
+        for g, m in zip(d8.gens, d8_mats):
+            gens.append(cpp.quotient.image_of(cpp.embed_coordinate(i, g)))
+            mats.append([[m[r - 2 * i][c - 2 * i]
+                          if 2 * i <= r < 2 * i + 2 and 2 * i <= c < 2 * i + 2
+                          else int(r == c) for c in range(2 * k)]
+                         for r in range(2 * k)])
+    return builder_plength(cpp.group.subgroup(gens), 3, 2 * k, mats)
+
+
 # the towers come from the reproduce checks' per-process cache, so the
 # acceptance criteria and these fixtures build each tower once
 @pytest.fixture(scope="session")

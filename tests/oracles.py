@@ -318,3 +318,25 @@ def index_q_kernels(elements, gens, q):
         kernels.add(tuple(sorted(x for x, co in coords.items()
                                  if sum(c * y for c, y in zip(a, co)) % q == 0)))
     return sorted(kernels)
+
+
+def linearly_independent(vectors):
+    """Exact independence over Q of tuples of cyclotomics: the rank of their
+    integer coordinates, by elimination over Fractions."""
+    from fractions import Fraction
+
+    from ctlab.modrep import _flatten
+
+    rows = [[Fraction(x) for x in vec] for vec in _flatten(vectors)]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            if f:
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == len(vectors)

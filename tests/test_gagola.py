@@ -158,8 +158,12 @@ real = modrep.block_partition
 modrep.block_partition = lambda t, p: real(t, p)[1:]
 expect("blocks", lambda: modrep.brauer_data(s3, 2))
 modrep.block_partition = real
-modrep._decomposable = lambda rnd, k: ((len(rnd.vecs) - 1, 1),)
-expect("witness", lambda: modrep.ibr_fong_swan(s3, 3))
+real = modrep._ModEchelon.add
+modrep._ModEchelon.add = lambda self, vec: real(self, vec) or self.rows.pop() and None
+expect("count", lambda: modrep.ibr_fong_swan(s3, 3))
+modrep._ModEchelon.add = lambda self, vec: [c + 1 for c in real(self, vec) or ()] or None
+expect("coefficient", lambda: modrep.ibr_fong_swan(s3, 3))
+modrep._ModEchelon.add = real
 print(" ".join(raised))
 """
 
@@ -170,7 +174,8 @@ def test_tower_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
-                                  "degree_of", "cartan", "blocks", "witness"]
+                                  "degree_of", "cartan", "blocks", "count",
+                                  "coefficient"]
 
 
 _CHIEF_STEP_CHECKS_UNDER_O = """

@@ -121,13 +121,23 @@ def test_block_sums_and_cartan_on_corpus(corpus_tables):
 
 
 def test_ibr_square_nonsingular(corpus_tables):
-    from ctlab.modrep import linearly_independent
-
     for name, g, t in corpus_tables:
         for p in (2, 3, 5):
             bd = brauer_data(t, p)
             assert len(bd.ibr) == len(bd.regular), name
-            assert linearly_independent(bd.ibr), name
+            assert oracles.linearly_independent(bd.ibr), name
+
+
+def test_standin_k2_blocks(standin_k2):
+    # order 2592 and 117 classes at p = 3: one pass over the restrictions
+    # and the p-regular class sums take well under the 1 s bound
+    table = character_table(standin_k2.group)
+    start = time.perf_counter()
+    bd = brauer_data(table, 3)
+    elapsed = time.perf_counter() - start
+    assert sorted(((b.k(), b.l()) for b in bd.blocks if b.defect == 4),
+                  reverse=True) == [(81, 16), (36, 1)]
+    assert elapsed < 1.0, elapsed
 
 
 def test_fong_block_d8_p5(d8, d8_table):
@@ -269,12 +279,25 @@ def _int_rows(*rows):
     return [tuple(rational(x) for x in row) for row in rows]
 
 
+def _stub_table(*rows):
+    """A table with the given integer rows whose classes are all p-regular
+    for p = 2, with a group order that sends it through the pass."""
+    return SimpleNamespace(
+        values=_int_rows(*rows), group=SimpleNamespace(order=2),
+        classes=SimpleNamespace(element_orders=[1] * len(rows[0])))
+
+
 def test_independent_over_q_though_dependent_mod_ell():
     rows = _int_rows((1, 0), (1, modrep.ELL))
-    assert len(modrep._ModEchelon(modrep._flatten(rows)).rows) == 1  # short mod ELL
-    assert modrep.linearly_independent(rows)                      # exact fallback
-    assert not modrep.linearly_independent(_int_rows((1, 2), (2, 4)))
-    assert modrep.linearly_independent(_int_rows((1, 2), (2, 5)))
+    echelon = modrep._ModEchelon()
+    vecs = modrep._flatten(rows)
+    assert echelon.add(vecs[0]) is None
+    assert echelon.add(vecs[1]) == [1]                  # in the span mod ELL
+    assert oracles.linearly_independent(rows)           # but not over Q
+    assert not oracles.linearly_independent(_int_rows((1, 2), (2, 4)))
+    assert oracles.linearly_independent(_int_rows((1, 2), (2, 5)))
+    with pytest.raises(VerificationFailed, match="not in the span"):
+        ibr_fong_swan(_stub_table((1, 0), (1, modrep.ELL)), 2)
 
 
 @pytest.mark.parametrize("target, smaller", [
@@ -283,25 +306,41 @@ def test_independent_over_q_though_dependent_mod_ell():
     ((2, 0), [(1, 2), (1, 1)]),         # 4 (1, 1) - 2 (1, 2): a negative term
 ])
 def test_span_mod_ell_alone_deletes_nothing(target, smaller):
-    rnd = modrep._DeletionRound([target] + smaller, [2] + [1] * len(smaller))
-    assert not any(rnd.echelon.residue(target, rnd.span_rows[1]))
-    assert modrep._decomposable(rnd, 0) is None
+    # the target is in the span of the smaller rows mod ELL, and no
+    # non-negative integer combination of them: a combination over Q that
+    # is fractional or negative means a Brauer character does not lift,
+    # none at all that the test mod ELL was wrong
+    rows = _int_rows(target, *smaller)
+    error = (VerificationFailed if oracles.linearly_independent(rows)
+             else AmbiguousBasicSet)
+    with pytest.raises(error):
+        ibr_fong_swan(_stub_table(target, *smaller), 2)
 
 
 def test_deletion_witness():
-    rnd = modrep._DeletionRound([(2, 0), (1, 1), (1, -1)], [2, 1, 1])
-    witness = modrep._decomposable(rnd, 0)
-    assert sorted(witness) == [(1, 1), (2, 1)]
-    modrep._check_witness(rnd, 0, witness)
+    # (2, 0) = (1, 1) + (1, -1): dropped, with its coefficients as witness
+    ibr, regular = ibr_fong_swan(_stub_table((2, 0), (1, 1), (1, -1)), 2)
+    assert ibr == sorted(_int_rows((1, 1), (1, -1)), key=modrep._ibr_key)
+    assert regular == [0, 1]
+    echelon = modrep._ModEchelon()
+    assert echelon.add((1, 1)) is None and echelon.add((1, -1)) is None
+    assert echelon.add((2, 0)) == [1, 1]
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda rnd, k: ((len(rnd.vecs) - 1, 1),),    # sums to the wrong vector
-    lambda rnd, k: ((k, 1),),                     # not of smaller degree
-])
+# a wrong coefficient: the exact solve finds the combination it missed
+_WRONG_COEFFICIENT = lambda ech, coeffs: coeffs and [c + 1 for c in coeffs]
+# an echelon that drops every kept row: the count check
+_DROPPED_ROWS = lambda ech, coeffs: coeffs or ech.rows.pop() and None
+
+
+@pytest.mark.parametrize("corrupt", [_WRONG_COEFFICIENT, _DROPPED_ROWS])
 def test_corrupted_deletion_witness_raises(s3_table, monkeypatch, corrupt):
-    monkeypatch.setattr(modrep, "_decomposable", corrupt)
-    with pytest.raises(VerificationFailed):
+    message = {_WRONG_COEFFICIENT: "missed",
+               _DROPPED_ROWS: "3 restrictions kept for 2"}[corrupt]
+    real = modrep._ModEchelon.add
+    monkeypatch.setattr(modrep._ModEchelon, "add",
+                        lambda self, vec: corrupt(self, real(self, vec)))
+    with pytest.raises(VerificationFailed, match=message):
         ibr_fong_swan(s3_table, 3)
 
 
@@ -356,7 +395,7 @@ def test_decomposition_matrix_over_a_non_unit_pivot():
         [[1, 1], [1, 0], [1, 2]]
 
 
-# -- IBr golden: the deletion search's output, frozen as sha256 digests ------
+# -- IBr golden: the Fong-Swan pass's output, frozen as sha256 digests -----
 
 IBR_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
                           "ibr_digests.json")
@@ -379,7 +418,7 @@ def _ibr_golden_groups():
 
 def _ibr_digest(table, p):
     """sha256 of the IBr value tuples and the regular class indices, or the
-    name of the error the deletion search raises."""
+    name of the error the Fong-Swan pass raises."""
     try:
         ibr, regular = ibr_fong_swan(table, p)
     except AmbiguousBasicSet:
@@ -438,7 +477,7 @@ DECOMPOSITION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 
 
 def _decomposition_digest(table, p):
-    """sha256 of the decomposition matrix in the deletion search's IBr basis
+    """sha256 of the decomposition matrix in the Fong-Swan IBr basis
     and of the Cartan determinant, or the name of the error on the way."""
     try:
         ibr, regular = ibr_fong_swan(table, p)

@@ -9,7 +9,9 @@ No module may gain an ``assert``: ``python -O`` strips them, so a check
 that carries a result must raise instead.
 
 The class matrices of a character table are looked up on base-image keys:
-counting ``perms.pmul`` calls keeps full-degree products out of them.
+counting ``perms.pmul`` calls keeps full-degree products out of them.  The
+Fong-Swan pass decides membership mod ELL: counting
+``cyclo.integer_gauss_jordan`` calls keeps exact solves off its fast path.
 """
 
 import ast
@@ -71,18 +73,15 @@ def test_assert_ratchet():
     assert not over, over
 
 
-def _pmul_calls_in_character_table(group, monkeypatch):
-    from ctlab import perms
-    from ctlab.chartab import character_table
-
-    group.conjugacy_classes()
+def _calls_while(real, run, monkeypatch):
+    """Calls of the ctlab function ``real`` while ``run()`` runs, counted
+    through every ctlab module that holds it."""
     calls = []
-    real = perms.pmul
     for name, mod in list(sys.modules.items()):
-        if name.startswith("ctlab") and getattr(mod, "pmul", None) is real:
-            monkeypatch.setattr(mod, "pmul",
-                                lambda a, b: calls.append(1) or real(a, b))
-    character_table(group).power_maps
+        if name.startswith("ctlab") and getattr(mod, real.__name__, None) is real:
+            monkeypatch.setattr(mod, real.__name__,
+                                lambda *args: calls.append(1) or real(*args))
+    run()
     monkeypatch.undo()
     return len(calls)
 
@@ -96,8 +95,33 @@ def test_character_table_pmul_ratchet(tower_c6_p2, monkeypatch):
     # one full product per (x, rep_m) made 85,155 calls on the order-3960
     # build and 15,834 on the order-486 tower level; power maps through
     # ppow would make some per class and prime
+    from ctlab import perms
+    from ctlab.chartab import character_table
     from ctlab.instances import order3960_build
 
     for group in (order3960_build().group, tower_c6_p2.tower):
-        calls = _pmul_calls_in_character_table(group, monkeypatch)
+        group.conjugacy_classes()
+        calls = _calls_while(perms.pmul,
+                             lambda: character_table(group).power_maps,
+                             monkeypatch)
         assert calls <= PMUL_CEILING, (group.order, calls)
+
+
+# exact eliminations the Fong-Swan pass may run where every Brauer character
+# lifts: membership is decided mod ELL and each combination by one integer
+# sum, so an exact solve runs only on the way to an error
+GAUSS_CEILING = 0
+
+
+def test_fong_swan_gauss_jordan_ratchet(build72, build864, monkeypatch):
+    from ctlab import cyclo
+    from ctlab.chartab import character_table
+    from ctlab.instances import order3960_build
+    from ctlab.modrep import ibr_fong_swan
+
+    for group in (build72.group, build864.group, order3960_build().group):
+        table = character_table(group)
+        for p in (2, 3, 5):
+            calls = _calls_while(cyclo.integer_gauss_jordan,
+                                 lambda: ibr_fong_swan(table, p), monkeypatch)
+            assert calls <= GAUSS_CEILING, (group.order, p, calls)
