@@ -30,7 +30,8 @@ from math import isqrt, lcm
 from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational, zeta
 from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
                      NotASubgroup, NotNormal, VerificationFailed)
-from .permgroup import ClassData, PermGroup, direct_product
+from .permgroup import ClassData, PermGroup, check_scan, direct_product
+from .perms import order as perm_order
 
 
 class CharacterTable:
@@ -314,18 +315,22 @@ def _prime_divisors(n):
 def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     """Table of A x B from factor tables; no eigensplitting involved.
 
+    The classes of A x B are the products of a class of A and one of B.
+    Each is listed as the pairs x + y, y shifted past A's points: both
+    factor lists are sorted and every x has A's degree, so the pairs in
+    nested order are sorted already.  The classes list every element, so
+    the product's order is checked against SCAN_LIMIT first.
+
     Returns (table, product_group_data) where the second item carries the
     direct-product embeddings for later fusion work.
     """
+    check_scan(ta.group.order * tb.group.order)
     grp, emb_a, emb_b, split = direct_product(ta.group, tb.group)
-    classes = []
-    for ca in ta.classes.classes:
-        for cb in tb.classes.classes:
-            cls = sorted(_merge(x, y, ta.group.degree) for x in ca for y in cb)
-            classes.append(cls)
+    da = ta.group.degree
+    shifted = [[tuple([p + da for p in y]) for y in cb] for cb in tb.classes.classes]
+    classes = [[x + y for x in ca for y in cb]
+               for ca in ta.classes.classes for cb in shifted]
     ident = grp.identity
-    from .perms import order as perm_order
-
     classes.sort(key=lambda c: (c[0] != ident, perm_order(c[0]), len(c), c[0]))
     cd = ClassData(grp, classes)
     grp._classes = cd
@@ -339,10 +344,6 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
             rows.append(row)
     table = CharacterTable(grp, cd, _sorted_rows(rows))
     return table, (grp, emb_a, emb_b, split)
-
-
-def _merge(x, y, da):
-    return tuple(x) + tuple(p + da for p in y)
 
 
 # ---------------------------------------------------------------------------

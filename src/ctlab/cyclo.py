@@ -335,10 +335,13 @@ class Cyclotomic:
     def __mul__(self, other):
         other = _coerce(other)
         if self.n == 1:
+            # a nonzero rational multiple of a canonical value is canonical
             c = self.coeffs[0]
+            if not c:
+                return ZERO
             return Cyclotomic(other.n,
-                              tuple(_as_int_or_fraction(Fraction(c) * x) if x else 0
-                                    for x in other.coeffs))
+                              tuple([_as_int_or_fraction(c * x) for x in other.coeffs]),
+                              _canonical=True)
         if other.n == 1:
             return other.__mul__(self)
         big = self.n * other.n // gcd(self.n, other.n)
@@ -778,7 +781,7 @@ class DixonField:
         for g in range(2, ell):
             if all(pow(g, (ell - 1) // q, ell) != 1 for q in factors):
                 return g
-        raise AssertionError
+        raise VerificationFailed(f"no primitive root mod {ell}: it is not a prime")
 
 
 def dixon_lift(values_mod_ell, e: int, field: DixonField, degree_bound: int) -> Cyclotomic:

@@ -144,6 +144,11 @@ class ArityError(ParseError):
     pass
 
 
+# reproduction checks
+class UnknownCheck(CTLabError):
+    """No reproduction check has the requested id."""
+
+
 @dataclass(frozen=True)
 class Budget:
     """Cost guards for the exact engines.

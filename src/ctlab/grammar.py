@@ -94,7 +94,7 @@ def _print_arg(a):
         return a
     if isinstance(a, tuple):   # generic list argument
         return "[" + ", ".join(_print_arg(x) for x in a) + "]"
-    raise AssertionError(f"unprintable argument {a!r}")
+    raise ParseError(f"unprintable argument {a!r}")
 
 
 def print_spec(node) -> str:

@@ -9,12 +9,15 @@ element and completes the chain, and the chain of a generator list is the
 one that extending by each generator in turn builds; a level keeps the
 inverse of a transversal element once a sift has computed it.  Classes,
 center, cores and Sylow subgroups canonicalize their output and therefore
-do not depend on chain internals.  The coset labels of ``coset_action``
-follow the base of the subgroup's chain (``_coset_canonicalizer``), while
-``inner_action`` realises G/Z(G) by conjugation on the classes of the
-generators and labels them in sorted element order.  Cores and the
-p-length are computed inside G, as greedy joins of normal closures over
-the class representatives (``_core``); no quotient group is built.
+do not depend on chain internals.  The centre is read off the classes: its
+elements are the members of the classes of size 1.  The coset labels of
+``coset_action`` follow the base of the subgroup's chain
+(``_coset_canonicalizer``), while ``inner_action`` realises G/Z(G) by
+conjugation on the classes of the generators and labels them in sorted
+element order.  Cores and the p-length are computed inside G, as greedy
+joins of normal closures over the class representatives (``_core``); each
+core grows one chain, whose copy is extended by a candidate and kept when
+the candidate joins, and no quotient group is built.
 
 ``elements()`` lists the group as products of one transversal element per
 level, but only after proving that the chain is right for the generators:
@@ -22,7 +25,7 @@ level, but only after proving that the chain is right for the generators:
 must sift, and the generators' base-image keys, closed at |base| lookups
 a step, must number the chain's order.  These three checks are what the
 element scans rest on; nothing closes a group at the full degree.  The
-scans (classes, center, centralizers and normalizers) hold each element
+scans (classes, centralizers and normalizers) hold each element
 under its base-image key, its images of the chain's base points, so
 conjugating an element costs |base| lookups instead of two products at
 the full degree (see ``_keyed_elements``); ``ClassData.key_index`` maps
@@ -66,6 +69,15 @@ MAX_POINTS = 100_000
 """The largest domain that a construction or a coset action builds."""
 
 
+def check_scan(order: int) -> None:
+    """Raise BudgetExceeded, before anything is listed, when a group of
+    this order has more than SCAN_LIMIT elements."""
+    if order > SCAN_LIMIT:
+        raise BudgetExceeded(
+            f"element enumeration of order {order} exceeds "
+            f"the scan limit {SCAN_LIMIT}")
+
+
 def check_points(n: int, name: str) -> None:
     """Raise BudgetExceeded, before anything is allocated, when the domain
     of ``name`` would have more than MAX_POINTS points."""
@@ -84,6 +96,16 @@ class _Level:
         self.inverses = {}      # point t -> u_t^-1, filled on first use
         self.processed = set()  # (point, gen position) Schreier pairs already sifted
         self.dirty = True
+
+    def copy(self):
+        new = _Level.__new__(_Level)
+        new.base = self.base
+        new.gens = list(self.gens)
+        new.orbit = dict(self.orbit)
+        new.inverses = dict(self.inverses)
+        new.processed = set(self.processed)
+        new.dirty = self.dirty
+        return new
 
 
 def _inverse(cache, orbit, t):
@@ -221,6 +243,18 @@ class StabilizerChain:
             g = pmul(g, _inverse(cache, lvl.orbit, img))
         return g, len(levels)
 
+    def copy(self):
+        """A chain for the same group that extends independently of this
+        one.  It keeps the sifted Schreier pairs, so extending the copy
+        does the work that extending this chain would."""
+        new = StabilizerChain.__new__(StabilizerChain)
+        new.degree = self.degree
+        new.identity = self.identity
+        new.levels = [lvl.copy() for lvl in self.levels]
+        new._preference = self._preference
+        new._on_restricted = self._on_restricted
+        return new
+
     # -- queries ---------------------------------------------------------
     @property
     def base(self):
@@ -333,8 +367,8 @@ class PermGroup:
 
     def elements(self):
         """All elements, sorted lexicographically (cached).  Every element
-        scan (classes, centre, centralizers, normalizers, kernels) starts
-        here, so this is the one place that bounds them by SCAN_LIMIT.
+        scan (classes, centralizers, normalizers, kernels) starts here, so
+        this is where ``check_scan`` bounds them by SCAN_LIMIT.
 
         The elements are the products u_(k-1) ... u_0 of one transversal
         element per level, listed only after three checks prove that they
@@ -346,10 +380,7 @@ class PermGroup:
         <gens> = H, and the base separates its elements.
         """
         if self._elements is None:
-            if self.order > SCAN_LIMIT:
-                raise BudgetExceeded(
-                    f"element enumeration of order {self.order} exceeds "
-                    f"the scan limit {SCAN_LIMIT}")
+            check_scan(self.order)
             chain = self.chain
             verify_chain(chain)
             if any(chain.residue(g) != self.identity for g in self.gens):
@@ -407,18 +438,10 @@ class PermGroup:
 
     # -- normality / closures ----------------------------------------------
     def normal_closure(self, elems):
-        """The smallest normal subgroup containing ``elems``.  One chain is
-        extended by each element, and by the conjugates under the
-        generators of every element that enlarged it; the elements taken
-        then generate a subgroup that each generator normalizes."""
+        """The smallest normal subgroup containing ``elems``, grown on one
+        chain from the trivial group (``_grow_normal``)."""
         chain = StabilizerChain(self.degree, [])
-        taken = [x for x in elems if chain.extend(x)]
-        for x in taken:
-            for s in self.gens:
-                c = conj(x, s)
-                if chain.extend(c):
-                    taken.append(c)
-        return self.subgroup_from_elements(taken)
+        return self.subgroup_from_elements(_grow_normal(chain, elems, self.gens))
 
     def is_normal(self, n) -> bool:
         if not n.is_subgroup_of(self):
@@ -444,9 +467,13 @@ class PermGroup:
         return self.derived_series()[-1].order == 1
 
     def center(self):
+        """Z(G), generated by the members of the classes of size 1: a class
+        is one element exactly when every generator centralizes it.  The
+        centre is read off ``conjugacy_classes()`` and scans nothing itself."""
         if self._center is None:
+            cd = self.conjugacy_classes()
             self._center = self.subgroup_from_elements(
-                _centralizing(self, self.gens))
+                [c[0] for c in cd.classes if len(c) == 1])
         return self._center
 
     def centralizer_of_subgroup(self, h):
@@ -488,24 +515,35 @@ class PermGroup:
 
         The class representatives x are walked in canonical order.  x is
         skipped when it is in the core already, or when x^(pi-part of its
-        order) is outside A, as then xA is no pi-element.  Otherwise the
-        normal closure of the core and x replaces the core when its index
-        over A is a pi-number.  This greedy join is O: two normal subgroups
-        over A with pi-quotients generate one, so x lies in O exactly when
-        its closure over A has a pi-quotient, and then so has its join with
-        any core inside O.  O is a union of classes, and each class has its
-        representative taken.  The final check reads |A| from a chain built
-        apart from the walk.
+        order) is outside A, as then xA is no pi-element.  Otherwise a copy
+        of the core's one chain grows to the normal closure of the core and
+        x (``_grow_normal``; the core is normal, so only the conjugates of
+        the elements that enlarge the copy are sifted), and the copy
+        becomes the core's chain when its index over A is a pi-number.
+        This greedy join is O: two normal subgroups over A with
+        pi-quotients generate one, so x lies in O exactly when its closure
+        over A has a pi-quotient, and then so has its join with any core
+        inside O.  O is a union of classes, and each class has its
+        representative taken.  The core group is built once, at the end,
+        on A's generators and the elements taken; the final check reads
+        its order from that new chain and |A| from a chain built apart
+        from the walk.
         """
-        core = start = above if above is not None else self.normal_closure([])
+        gens = above.gens if above is not None else ()
+        chain = StabilizerChain(self.degree, gens)
+        start = chain.copy()            # A, while the core's chain grows
+        taken = list(gens)
         cd = self.conjugacy_classes()
         for x, o in zip(cd.representatives, cd.element_orders):
-            if x in core or ppow(x, pi_part(o)) not in start:
+            if chain.contains(x) or not start.contains(ppow(x, pi_part(o))):
                 continue
-            joined = self.normal_closure(list(core.gens) + [x])
-            index = joined.order // start.order
+            grown = chain.copy()
+            joined = _grow_normal(grown, [x], self.gens)
+            index = grown.order() // start.order()
             if pi_part(index) == index:
-                core = joined
+                chain = grown
+                taken += joined
+        core = self.subgroup_from_elements(taken)
         base = (above if above is not None else self.subgroup([])).order
         index, rest = divmod(core.order, base)
         if rest or pi_part(index) != index:
@@ -796,6 +834,21 @@ def _keyed_elements(group):
         raise VerificationFailed(
             f"{len(keyed)} base-image keys for a group of order {group.order}")
     return base, keyed
+
+
+def _grow_normal(chain, elems, gens):
+    """Extend ``chain`` by each of ``elems``, then by the conjugates under
+    ``gens`` of every element that enlarged it; return the elements that
+    enlarged it.  When ``gens`` normalize the chain's group before, it then
+    holds the normal closure of that group and ``elems``: the elements
+    taken have their conjugates in it, and so has the group before."""
+    taken = [x for x in elems if chain.extend(x)]
+    for x in taken:
+        for s in gens:
+            c = conj(x, s)
+            if chain.extend(c):
+                taken.append(c)
+    return taken
 
 
 def _centralizing(group, gens):

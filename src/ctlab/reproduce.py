@@ -18,7 +18,7 @@ from .centraltype import fully_ramified_search, is_p_central_type
 from .chartab import character_table, direct_product_table, fusion_through_hom, \
     restrict, row_function, inner_product as chi_inner, ClassFunction
 from .errors import (BudgetExceeded, DegenerateStep, HypothesisFails,
-                     ParseError, VerificationFailed)
+                     ParseError, UnknownCheck, VerificationFailed)
 from .forge import cyclic, dihedral, quaternion, sl2
 from .gagola import gagola_tower
 from .grammar import parse_generator_file, parse_matrix_file
@@ -374,8 +374,8 @@ CHECKS = {
 
 def run_check(name: str) -> dict:
     if name not in CHECKS:
-        raise KeyError(f"unknown reproduction id {name!r}; "
-                       f"available: {', '.join(sorted(CHECKS))}")
+        raise UnknownCheck(f"unknown reproduction id {name!r}; "
+                           f"available: {', '.join(sorted(CHECKS))}")
     out = CHECKS[name]()
     out["id"] = name
     out.setdefault("status", "fail")

@@ -15,7 +15,7 @@ from ctlab.chartab import (character_kernel, character_predicates,
 from ctlab.cyclo import ONE, rational
 from ctlab.errors import BudgetExceeded, NotASubgroup, NotNormal, Budget
 from ctlab.forge import cyclic, dihedral, extraspecial
-from ctlab.permgroup import direct_product
+from ctlab.permgroup import PermGroup, direct_product
 from ctlab.perms import parse_cycles, ppow
 
 from conftest import perm_group, small_groups
@@ -142,6 +142,18 @@ def test_direct_product_table_equals_direct_table(s3_table):
                                 character_table(cyclic(3)))[0]
     direct = character_table(d8c3.group)
     assert d8c3.values == direct.values
+
+
+@pytest.mark.parametrize("factors", [("S3", "C2"), ("D8", "C3")])
+def test_direct_product_classes_equal_scanned_classes(factors, s3, d8):
+    # the classes listed from the factors' classes in nested order, with no
+    # sort, are those that a fresh group on the same generators scans
+    groups = {"S3": s3, "D8": d8, "C2": cyclic(2), "C3": cyclic(3)}
+    ta, tb = (character_table(groups[name]) for name in factors)
+    grp = direct_product_table(ta, tb)[0].group
+    fresh = PermGroup(grp.degree, grp.gens, check=False)
+    assert fresh._classes is None
+    assert grp.conjugacy_classes().classes == fresh.conjugacy_classes().classes
 
 
 def test_class_fusion_examples(d8, s3):

@@ -95,6 +95,27 @@ def test_ring_axioms(a, b, c):
     assert a + b == b + a and a * b == b * a
 
 
+fraction_values = st.builds(
+    lambda n, coeffs, den: Cyclotomic.from_expansion(
+        n, {e: Fraction(c, den) for e, c in enumerate(coeffs)}),
+    st.sampled_from([1, 2, 3, 4, 5, 6, 8, 9, 12]),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.fractions(min_value=-5, max_value=5, max_denominator=6) | st.just(0),
+       fraction_values)
+def test_rational_scaling_keeps_canonical_form(c, v):
+    # c * v skips canonicalisation; it must equal the canonicalised product
+    full = Cyclotomic(v.n, [c * x for x in v.coeffs])
+    for got in (rational(c) * v, v * rational(c), c * v):
+        assert (got.n, got.coeffs) == (full.n, full.coeffs)
+        assert got.serialize() == full.serialize() and hash(got) == hash(full)
+        assert all(type(x) is type(y) for x, y in zip(got.coeffs, full.coeffs))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_values)
 def test_conjugation_involution_and_norm(a):

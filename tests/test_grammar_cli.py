@@ -434,3 +434,43 @@ def test_cli_rejects_bad_budget_env(value, argv):
     assert out.returncode == 1
     assert out.stdout == ""
     assert out.stderr.count("\n") == 1 and "CTLAB_BUDGET" in out.stderr
+
+
+def test_cli_reproduce_unknown_id():
+    # an unknown id is a usage error: one "error:" line, no traceback
+    src = str(Path(ctlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "ctlab.cli", "reproduce", "bogus-id"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr.count("\n") == 1
+    assert out.stderr.startswith("error: unknown reproduction id 'bogus-id'")
+    assert "order864-plength" in out.stderr
+
+
+def test_cli_product_over_scan_limit_exits_before_listing(capsys, monkeypatch):
+    # |SL(2, 5) x PSL(2, 11)| = 79,200 > SCAN_LIMIT: the product shortcut
+    # raises before it builds the product group or lists a class
+    from ctlab import chartab
+    from ctlab.errors import BudgetExceeded
+
+    raised, built = [], []
+    real = chartab.direct_product_table
+    real_product = chartab.direct_product
+    monkeypatch.setattr(chartab, "direct_product",
+                        lambda a, b: built.append(1) or real_product(a, b))
+
+    def tracked(ta, tb):
+        try:
+            return real(ta, tb)
+        except BudgetExceeded:
+            raised.append((ta.group.order, tb.group.order))
+            raise
+
+    monkeypatch.setattr(chartab, "direct_product_table", tracked)
+    code = main(["ctype", "-e", "Direct(SL(2, 5), PSL(2, 11))"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "scan limit 60000" in captured.err
+    assert raised == [(120, 660)] and built == []

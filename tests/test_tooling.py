@@ -5,13 +5,18 @@ The benchmark's layer tracer must find every entry point it names:
 ``SPANS``; a renamed or deleted one makes it fail with an AttributeError,
 so the names are checked here by installing and uninstalling the tracer.
 
-No module may gain an ``assert``: ``python -O`` strips them, so a check
-that carries a result must raise instead.
+No module may gain an ``assert`` or a ``raise AssertionError``: ``python
+-O`` strips the first, and the second escapes the CLI's error handling as a
+traceback, so a check that carries a result raises a CTLabError instead.
 
 The class matrices of a character table are looked up on base-image keys:
 counting ``perms.pmul`` calls keeps full-degree products out of them.  The
 Fong-Swan pass decides membership mod ELL: counting
 ``cyclo.integer_gauss_jordan`` calls keeps exact solves off its fast path.
+The centre is read off the classes and the product table lists its classes
+without a scan, and a core grows one chain: the central-type report on
+SL(2, 5) x SL(2, 5) lists no element of the product, and a ``pmul`` count
+bounds the p-length of the order-864 build.
 """
 
 import ast
@@ -57,14 +62,24 @@ def test_tracer_spans_resolve_and_uninstall():
             (modname, name)
 
 
-# No module holds an assert: every check raises a CTLabError, which
-# python -O cannot strip.  Never add a ceiling here.
+# No module holds an assert or raises AssertionError: every check raises a
+# CTLabError, which python -O cannot strip and the CLI reports in one line.
+# Never add a ceiling here.
 ASSERT_CEILING = {}
+
+
+def _is_assertion(node):
+    if isinstance(node, ast.Assert):
+        return True
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
 def test_assert_ratchet():
     src = Path(__file__).resolve().parents[1] / "src" / "ctlab"
-    counts = {path.stem: sum(isinstance(node, ast.Assert)
+    counts = {path.stem: sum(_is_assertion(node)
                              for node in ast.walk(ast.parse(path.read_text())))
               for path in sorted(src.glob("*.py"))}
     assert "gagola" in counts and "chartab" in counts
@@ -125,3 +140,33 @@ def test_fong_swan_gauss_jordan_ratchet(build72, build864, monkeypatch):
             calls = _calls_while(cyclo.integer_gauss_jordan,
                                  lambda: ibr_fong_swan(table, p), monkeypatch)
             assert calls <= GAUSS_CEILING, (group.order, p, calls)
+
+
+def test_product_report_lists_no_elements():
+    # the centre comes from the size-1 classes that direct_product_table
+    # lists, so the report on the order-14,400 product scans nothing; the
+    # centre read by a scan listed all 14,400 elements
+    from ctlab.centraltype import central_type_report
+    from ctlab.instances import sl25_squared_data
+
+    table, bd = sl25_squared_data.__wrapped__()
+    rep = central_type_report(table, bd)
+    assert (rep.order, rep.center_order) == (14_400, 4)
+    assert table.group._elements is None
+
+
+# full-degree products of p_length(2) on a fresh copy of the order-864 build
+# with its classes computed; two chains built from scratch for each core
+# candidate made 27,601
+PLENGTH_PMUL_CEILING = 16_031
+
+
+def test_core_pmul_ratchet(build864, monkeypatch):
+    from ctlab import perms
+    from ctlab.permgroup import PermGroup
+
+    g = build864.group
+    group = PermGroup(g.degree, g.gens, check=False)
+    group.conjugacy_classes()
+    calls = _calls_while(perms.pmul, lambda: group.p_length(2), monkeypatch)
+    assert calls <= PLENGTH_PMUL_CEILING, calls
