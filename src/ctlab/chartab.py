@@ -18,6 +18,11 @@ of a representative on keys the same way.  The keys are exact: the base
 of a verified chain separates G, and the key map is checked to hold |G|
 distinct keys, so the class lists cover G (see ``ClassData.key_index``).
 M_i applied to a vector is the sum of the columns in its support.
+
+Many (character, class) pairs share a lift, so one table call keeps a memo
+keyed on the whole input of ``dixon_lift``: the element order e, the row's
+degree and the residues on the powers of the class.  A value found there
+came from ``dixon_lift`` on that same input, bound check included.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rat
 from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
                      NotASubgroup, NotNormal, VerificationFailed)
 from .permgroup import ClassData, PermGroup, check_scan, direct_product
-from .perms import order as perm_order
 
 
 class CharacterTable:
@@ -274,6 +278,7 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
     powers = [cd.powers(m) for m in range(k)]
     inverse_of = [p[-1] for p in powers]     # the class of rep_m^(|rep_m| - 1)
     inv_sizes = [pow(s, ell - 2, ell) for s in cd.sizes]
+    lifts = {}
     rows_out = []
     for rows, _ in spaces:
         v = rows[0]
@@ -285,10 +290,16 @@ def character_table(group: PermGroup, budget=DEFAULT_BUDGET) -> CharacterTable:
         degree = next(d for d in range(1, isqrt(group.order) + 1)
                       if d * d % ell == target)
         residues = [degree * omega[m] % ell * inv_sizes[m] % ell for m in range(k)]
-        # the residues of chi(rep_m^t), t = 0 .. |rep_m| - 1
-        rows_out.append([dixon_lift([residues[j] for j in powers[m]],
-                                    cd.element_orders[m], field, degree)
-                         for m in range(k)])
+        row = []
+        for m in range(k):
+            # the residues of chi(rep_m^t), t = 0 .. |rep_m| - 1
+            e = cd.element_orders[m]
+            on_powers = tuple([residues[j] for j in powers[m]])
+            key = (e, degree, on_powers)
+            if key not in lifts:
+                lifts[key] = dixon_lift(on_powers, e, field, degree)
+            row.append(lifts[key])
+        rows_out.append(row)
     return CharacterTable(group, cd, _sorted_rows(rows_out))
 
 
@@ -330,8 +341,6 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     shifted = [[tuple([p + da for p in y]) for y in cb] for cb in tb.classes.classes]
     classes = [[x + y for x in ca for y in cb]
                for ca in ta.classes.classes for cb in shifted]
-    ident = grp.identity
-    classes.sort(key=lambda c: (c[0] != ident, perm_order(c[0]), len(c), c[0]))
     cd = ClassData(grp, classes)
     grp._classes = cd
     reps_split = [split(r) for r in cd.representatives]

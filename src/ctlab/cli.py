@@ -21,17 +21,24 @@ import sys
 import time
 
 from .errors import Budget, BudgetExceeded, CTLabError, DEFAULT_BUDGET, \
-    DegenerateStep, VerificationFailed
+    DegenerateStep, InvalidBudget, VerificationFailed
 from .grammar import evaluate, parse_spec, print_spec
 from .reports import (block_report, canonical_json, group_summary,
                       report_envelope, table_report)
 
 
 def _budget_from(args) -> Budget:
+    """The default budget with --max-order and --max-classes applied;
+    raises InvalidBudget for a value below 1."""
     base = DEFAULT_BUDGET
+    for flag, value in (("--max-order", args.max_order),
+                        ("--max-classes", args.max_classes)):
+        if value is not None and value < 1:
+            raise InvalidBudget(f"{flag} must be a positive integer, got {value}")
     return Budget(
-        max_order=args.max_order or base.max_order,
-        max_classes=args.max_classes or base.max_classes,
+        max_order=base.max_order if args.max_order is None else args.max_order,
+        max_classes=(base.max_classes if args.max_classes is None
+                     else args.max_classes),
     )
 
 

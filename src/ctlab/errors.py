@@ -36,7 +36,7 @@ class BudgetExceeded(CTLabError):
 
 
 class InvalidBudget(CTLabError):
-    """CTLAB_BUDGET is not a positive integer."""
+    """CTLAB_BUDGET, --max-order or --max-classes is not a positive integer."""
 
 
 class VerificationFailed(CTLabError):

@@ -18,8 +18,10 @@ witnessing p-central type, and a prime q, and produces the next level:
   from the full table.
 
 The abelian q = p corner (K central) is reported as DegenerateStep: no
-faithful witness can exist there.  The final certificate re-derives all four
-claimed properties from scratch.
+faithful witness can exist there.  The final certificate re-checks each of
+the four claimed properties on the final level's group, centre, embedding and
+Brauer data; it searches the IBr rows that the last step computed for a
+faithful witness of square degree, and builds no table of its own.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .errors import (Budget, DEFAULT_BUDGET, DegenerateStep, NotAPrime,
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
 from .homs import GroupHom
-from .modrep import (brauer_data, brauer_induce, brauer_kernel_trivial,
-                     p_regular_classes, _degree_of)
+from .modrep import (BrauerData, brauer_data, brauer_induce,
+                     brauer_kernel_trivial, p_regular_classes, _degree_of)
 from .permgroup import ClassData, PermGroup, QuotientResult, StabilizerChain, \
     check_order, direct_product, p_prime_part
 from .perms import pinv, pmul, ppow, order as perm_order
@@ -49,7 +51,7 @@ class TowerLevel:
     center: PermGroup
     center_quotient: QuotientResult   # group/center, by conjugation on classes
     embedding: GroupHom          # current chain subgroup -> group/center
-    table: object = None         # present only when a table was required
+    brauer: BrauerData = None    # the step's IBr data, when it needed a table
 
 
 @dataclass
@@ -279,11 +281,13 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
     tau_vals = [tau_times_one(n_cd.representatives[i]) for i in n_regular]
     fusion = fusion_through_hom(sd.n_hom, n_cd, h_grp)
 
-    table_h = None
+    bd_h = None
+    if h_grp.order % p == 0:
+        # the witness is certified in IBr(H), computed from the full table
+        bd_h = brauer_data(character_table(h_grp, budget=budget), p,
+                           with_blocks=False)
     if q == p:
-        # the unique degree-preserving extension sits in IBr of the table
-        table_h = character_table(h_grp, budget=budget)
-        bd_h = brauer_data(table_h, p, with_blocks=False)
+        # the unique degree-preserving extension
         pos_h = {c: i for i, c in enumerate(bd_h.regular)}
         matches = [idx for idx, row in enumerate(bd_h.ibr)
                    if all(row[pos_h[fusion[c]]] == tau_vals[a]
@@ -298,10 +302,8 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
                                 regular_h)
         mu_values = tuple(induced)
         deg = _degree_of(mu_values)
-        if h_grp.order % p == 0:
-            # rare shape (a q = p step below this one); certify via the table
-            table_h = character_table(h_grp, budget=budget)
-            bd_h = brauer_data(table_h, p, with_blocks=False)
+        if bd_h is not None:
+            # rare shape (a q = p step below this one)
             matches = [idx for idx, row in enumerate(bd_h.ibr)
                        if tuple(row) == mu_values]
             _verify(len(matches) == 1, f"induced witness count {len(matches)}")
@@ -322,7 +324,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
 
     qr_h = h_grp.inner_action()
     new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, qr_h, None,
-                           table=table_h)
+                           brauer=bd_h)
     record = StepRecord(q, "q=p" if q == p else "q!=p", augmented,
                         h_grp.order, z_h.order, deg, method, eq3)
     return _StepData(new_level, record, sd, cpp, t, l_embed, n_embed, q)
@@ -428,8 +430,8 @@ def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel) -> dict:
         "center_order": z.order,
     }
     target = p_prime_part(h.order // z.order, p)
-    if level.table is not None:
-        bd = brauer_data(level.table, p, with_blocks=False)
+    bd = level.brauer
+    if bd is not None:
         witness = next((i for i, row in enumerate(bd.ibr)
                         if _degree_of(row) ** 2 == target
                         and brauer_kernel_trivial(bd, i)), None)

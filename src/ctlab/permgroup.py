@@ -743,12 +743,17 @@ class ClassData:
     """
 
     def __init__(self, group, classes):
+        """``classes`` lists each class as a sorted element list, in any
+        order; they are put in the canonical order here."""
+        ident = group.identity
+        keyed = sorted((c[0] != ident, perm_order(c[0]), len(c), c[0], i)
+                       for i, c in enumerate(classes))
         self.group = group
-        self.classes = classes  # list of sorted element lists
+        self.classes = classes = [classes[key[-1]] for key in keyed]
         self.representatives = [c[0] for c in classes]
         self.sizes = [len(c) for c in classes]
         self.centralizer_orders = [group.order // len(c) for c in classes]
-        self.element_orders = [perm_order(r) for r in self.representatives]
+        self.element_orders = [key[1] for key in keyed]
         self.index = {}
         for i, c in enumerate(classes):
             for x in c:
@@ -879,8 +884,6 @@ def _conjugacy_classes(group):
                     queue.append(z)
         assigned |= orbit
         classes.append(sorted(keyed[z] for z in orbit))
-    ident = group.identity
-    classes.sort(key=lambda c: (c[0] != ident, perm_order(c[0]), len(c), c[0]))
     return ClassData(group, classes)
 
 

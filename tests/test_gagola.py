@@ -58,6 +58,39 @@ def test_tower_c6_p2_goes_through_green_extension(tower_c6_p2):
     assert cert.steps[1].witness_method == "table-extension"
 
 
+def test_certificate_searches_the_brauer_data_it_is_handed(monkeypatch):
+    # the certificate reads the last step's BrauerData instead of computing
+    # its own; it must still search that data for the witness
+    from dataclasses import replace
+
+    from ctlab import gagola
+
+    levels = []
+    real = gagola._verify_certificate
+
+    def capture(g_grp, p, level):
+        levels.append(level)
+        return real(g_grp, p, level)
+
+    monkeypatch.setattr(gagola, "_verify_certificate", capture)
+    c6 = cyclic(6)
+    assert gagola_tower(c6, 2).ok
+    level = levels[0]
+    bd = level.brauer
+
+    def witness_property(keep):
+        rows = [row for row in bd.ibr if keep(tuple(row))]
+        copy = replace(level, brauer=replace(bd, ibr=rows))
+        return real(c6, 2, copy)["faithful_witness_with_square_degree"]
+
+    # the witness has one faithful IBr row of degree 9 beside it, its complex
+    # conjugate; the search finds that row once the witness row is gone
+    assert level.mu_values in [tuple(row) for row in bd.ibr]
+    assert witness_property(lambda row: row != level.mu_values)["holds"]
+    prop = witness_property(lambda row: row[0] != level.mu_values[0])
+    assert prop["holds"] is False and prop["degree"] is None
+
+
 def test_tower_s3_p5(tower_s3_p5):
     cert = tower_s3_p5
     assert cert.tower.order == 1944

@@ -436,6 +436,21 @@ def test_cli_rejects_bad_budget_env(value, argv):
     assert out.stderr.count("\n") == 1 and "CTLAB_BUDGET" in out.stderr
 
 
+@pytest.mark.parametrize("flag", ["--max-order", "--max-classes"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_rejects_non_positive_budget_flags(flag, value):
+    # a budget below 1 is a usage error, neither the default nor a limit
+    src = str(Path(ctlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CTLAB_BUDGET", None)
+    out = subprocess.run([sys.executable, "-m", "ctlab.cli", "table", flag, value,
+                          "-e", "PSL(2, 7)"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert out.stderr == f"error: {flag} must be a positive integer, got {value}\n"
+
+
 def test_cli_reproduce_unknown_id():
     # an unknown id is a usage error: one "error:" line, no traceback
     src = str(Path(ctlab.__file__).resolve().parents[1])

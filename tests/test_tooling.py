@@ -16,7 +16,12 @@ Fong-Swan pass decides membership mod ELL: counting
 The centre is read off the classes and the product table lists its classes
 without a scan, and a core grows one chain: the central-type report on
 SL(2, 5) x SL(2, 5) lists no element of the product, and a ``pmul`` count
-bounds the p-length of the order-864 build.
+bounds the p-length of the order-864 build.  A table lifts each distinct
+input of ``cyclo.dixon_lift`` once: the lifts are counted on the order-486
+tower level and the order-3960 build, and no input is lifted twice.  A tower
+runs Fong-Swan once per level that needs a table: the certificate reads the
+last step's Brauer data, and ``ibr_fong_swan`` runs once for the C6 tower
+at p = 2.
 """
 
 import ast
@@ -170,3 +175,57 @@ def test_core_pmul_ratchet(build864, monkeypatch):
     group.conjugacy_classes()
     calls = _calls_while(perms.pmul, lambda: group.p_length(2), monkeypatch)
     assert calls <= PLENGTH_PMUL_CEILING, calls
+
+
+# lifts a character table may make: one per distinct (e, degree, residues)
+# input, kept in a memo for the table call.  One lift per (character, class)
+# pair made 3,364 on the order-486 tower level and 441 on the order-3960
+# build
+LIFT_CEILINGS = {486: 35, 3960: 150}
+
+
+def test_character_table_lift_ratchet(tower_c6_p2, monkeypatch):
+    from ctlab import cyclo
+    from ctlab.chartab import character_table
+    from ctlab.instances import order3960_build
+
+    for group in (tower_c6_p2.tower, order3960_build().group):
+        group.conjugacy_classes()
+        calls = _calls_while(cyclo.dixon_lift,
+                             lambda: character_table(group), monkeypatch)
+        assert calls <= LIFT_CEILINGS[group.order], (group.order, calls)
+
+
+def test_character_table_lifts_each_input_once(tower_c6_p2, monkeypatch):
+    from ctlab import chartab, cyclo
+
+    real = cyclo.dixon_lift
+    inputs = []
+
+    def recording(values, e, field, degree):
+        inputs.append((e, degree, tuple(values)))
+        return real(values, e, field, degree)
+
+    monkeypatch.setattr(chartab, "dixon_lift", recording)
+    table = chartab.character_table(tower_c6_p2.tower)
+    assert len(table) == 58
+    assert inputs and len(set(inputs)) == len(inputs)
+
+
+# Fong-Swan passes in the C6 tower at p = 2: the certificate reads the IBr
+# data of the last step, which ran the only pass; the certificate ran its own
+# second pass on the same table before
+FONG_SWAN_CALLS = 1
+
+
+def test_tower_fong_swan_ratchet(monkeypatch):
+    from ctlab.forge import cyclic
+    from ctlab.gagola import gagola_tower
+    from ctlab.modrep import ibr_fong_swan
+
+    certs = []
+    calls = _calls_while(ibr_fong_swan,
+                         lambda: certs.append(gagola_tower(cyclic(6), 2)),
+                         monkeypatch)
+    assert certs[0].ok
+    assert calls == FONG_SWAN_CALLS, calls
