@@ -32,9 +32,9 @@ import json
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational, zeta
+from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational
 from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
-                     NotASubgroup, NotNormal, VerificationFailed)
+                     NotASubgroup, VerificationFailed)
 from .permgroup import ClassData, PermGroup, check_scan, direct_product
 
 
@@ -442,50 +442,6 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 def decompose(table: CharacterTable, f: ClassFunction) -> list:
     """Multiplicities <f, chi_i> for every row of the table."""
     return [inner_product(f, row_function(table, i)) for i in range(len(table))]
-
-
-def irr_over(table: CharacterTable, n_sub: PermGroup, n_table: CharacterTable,
-             lam_index: int) -> list:
-    """Indices of table rows lying over the n_table row lam (n_sub normal)."""
-    if not table.group.is_normal(n_sub):
-        raise NotNormal("irr_over requires a normal subgroup")
-    fus = class_fusion(n_sub, table.group)
-    lam = row_function(n_table, lam_index)
-    out = []
-    for i in range(len(table)):
-        restr = restrict(row_function(table, i), n_table.classes, fus)
-        if inner_product(restr, lam) != 0:
-            out.append(i)
-    return out
-
-
-def character_kernel(table: CharacterTable, i: int) -> PermGroup:
-    """Union of the classes where the value equals the degree, as a subgroup."""
-    deg = table.values[i][0]
-    members = []
-    for j, cls in enumerate(table.classes.classes):
-        if table.values[i][j] == deg:
-            members.extend(cls)
-    return table.group.subgroup_from_elements(members)
-
-
-def character_center(table: CharacterTable, i: int) -> PermGroup:
-    """Classes where |value| equals the degree, as a subgroup."""
-    deg2 = table.values[i][0] * table.values[i][0]
-    members = []
-    for j, cls in enumerate(table.classes.classes):
-        if table.values[i][j].abs_square() == deg2:
-            members.extend(cls)
-    return table.group.subgroup_from_elements(members)
-
-
-def character_predicates(table: CharacterTable, i: int) -> dict:
-    ker = character_kernel(table, i)
-    return {
-        "kernel_order": ker.order,
-        "is_faithful": ker.order == 1,
-        "center_order": character_center(table, i).order,
-    }
 
 
 def verify_orthogonality(table: CharacterTable) -> bool:

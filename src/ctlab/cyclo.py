@@ -27,7 +27,7 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import LiftInconsistent, NotAlgebraicInteger, VerificationFailed
 
@@ -289,15 +289,6 @@ class Cyclotomic:
         return Cyclotomic(m, vec, _canonical=True)
 
     # predicates ----------------------------------------------------------
-    def is_rational(self) -> bool:
-        return self.n == 1
-
-    def is_zero(self) -> bool:
-        return self.n == 1 and not self.coeffs[0]
-
-    def is_integer(self) -> bool:
-        return self.n == 1 and isinstance(self.coeffs[0], int)
-
     def is_algebraic_integer(self) -> bool:
         return all(isinstance(c, int) for c in self.coeffs)
 
@@ -377,41 +368,6 @@ class Cyclotomic:
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self.n - 1) if self.n > 1 else self
 
-    def abs_square(self) -> "Cyclotomic":
-        return self * self.conjugate()
-
-    def power(self, k: int) -> "Cyclotomic":
-        result = ONE
-        base = self
-        if k < 0:
-            raise ValueError("negative powers unsupported")
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def root_of_unity_multiple(self):
-        """(m, n, e) with self = m * zeta_n^e for an integer m >= 0, else None."""
-        if self.is_zero():
-            return (0, 1, 0)
-        s = self.abs_square()
-        if not s.is_integer():
-            return None
-        m = isqrt(int(s.coeffs[0]))
-        if m * m != int(s.coeffs[0]):
-            return None
-        for e in range(self.n):
-            cand = Cyclotomic.from_expansion(self.n, {e: m})
-            if cand == self:
-                return (m, self.n, e)
-            if -cand == self:
-                hn = 2 * self.n if self.n % 2 else self.n
-                shift = (e * (hn // self.n) + hn // 2) % hn
-                return (m, hn, shift)
-        return None
-
     # protocol ------------------------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, Cyclotomic):
@@ -434,16 +390,6 @@ class Cyclotomic:
     def serialize(self) -> str:
         body = ",".join(str(c) for c in self.coeffs)
         return f"[{self.n};{body}]"
-
-    @staticmethod
-    def deserialize(text: str) -> "Cyclotomic":
-        inner = text.strip()
-        if not (inner.startswith("[") and inner.endswith("]")):
-            raise ValueError(f"bad cyclotomic literal {text!r}")
-        head, _, body = inner[1:-1].partition(";")
-        n = int(head)
-        coeffs = [Fraction(tok) for tok in body.split(",")] if body else []
-        return Cyclotomic(n, tuple(coeffs))
 
 
 def _coerce(x) -> Cyclotomic:

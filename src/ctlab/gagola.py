@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .chartab import ClassFunction, character_table, fusion_through_hom, inner_product
 from .cyclo import is_prime, prime_factors, rational, zeta
-from .errors import (Budget, DEFAULT_BUDGET, DegenerateStep, NotAPrime,
+from .errors import (DEFAULT_BUDGET, DegenerateStep, NotAPrime,
                      NotSolvable, VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
@@ -380,18 +380,11 @@ def _base_level(g_grp: PermGroup, p: int) -> TowerLevel:
     return TowerLevel(k, cd, [0], (ONE,), k, qr, emb)
 
 
-def tower_budget(budget: Budget = DEFAULT_BUDGET) -> Budget:
-    """Towers may exceed the generic class budget on q = p steps."""
-    return Budget(max_order=budget.max_order,
-                  max_classes=max(budget.max_classes, 260))
-
-
 def gagola_tower(g_grp: PermGroup, p: int, budget=DEFAULT_BUDGET) -> TowerCertificate:
     if not is_prime(p):
         raise NotAPrime(f"p = {p} is not a prime")
     if not g_grp.is_solvable():
         raise NotSolvable("towers are built over solvable groups")
-    budget = tower_budget(budget)
     chain = []
     current = g_grp
     while current.order > 1:

@@ -465,12 +465,6 @@ def parse_generator_file(text: str):
     return degree, perms
 
 
-def print_generator_file(degree, perms) -> str:
-    out = [f"degree {degree}"]
-    out.extend(format_cycles(p) for p in perms)
-    return "\n".join(out) + "\n"
-
-
 def parse_matrix_file(text: str):
     """'GF(q)' header, then one matrix per line as nested brackets."""
     lines = [ln.strip() for ln in text.splitlines()]

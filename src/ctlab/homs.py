@@ -15,7 +15,7 @@ from __future__ import annotations
 from .errors import (BudgetExceeded, NotAHomomorphism, NotASubgroup,
                      VerificationFailed)
 from .permgroup import PermGroup, StabilizerChain
-from .perms import identity, pinv, pmul
+from .perms import identity, pinv
 
 
 def _pair(g, h, ds):
@@ -69,9 +69,6 @@ class GroupHom:
     def is_injective(self) -> bool:
         return self.image_group().order == self.source.order
 
-    def is_surjective(self) -> bool:
-        return self.image_group().order == self.target.order
-
     def is_automorphism(self) -> bool:
         return (self.source.degree == self.target.degree
                 and self.source.order == self.target.order
@@ -109,26 +106,3 @@ class GroupHom:
         return GroupHom(self.source, other.target,
                         [other.image(im) for im in self.gen_images])
 
-
-def identity_hom(g: PermGroup) -> GroupHom:
-    return GroupHom(g, g, list(g.gens))
-
-
-def hom_report(phi: GroupHom) -> dict:
-    """Kernel/image/injectivity summary; automorphism order when applicable."""
-    out = {
-        "kernel_order": phi.source.order // phi.image_group().order,
-        "image_order": phi.image_group().order,
-        "injective": phi.is_injective(),
-        "automorphism": phi.is_automorphism(),
-    }
-    if out["automorphism"]:
-        out["automorphism_order"] = phi.automorphism_order()
-    return out
-
-
-def conjugation_automorphism(group: PermGroup, w) -> GroupHom:
-    """Inner automorphism g -> w^{-1} g w."""
-    wi = pinv(tuple(w))
-    images = [pmul(pmul(wi, g), tuple(w)) for g in group.gens]
-    return GroupHom(group, group, images)

@@ -17,7 +17,7 @@ from .builders import (RegularActionBuild, VectorActionBuild,
                        builder_nonsolvable, builder_plength)
 from .centraltype import is_p_central_type
 from .chartab import character_table, direct_product_table
-from .cyclo import Cyclotomic, p_prime_part, prime_field, zeta
+from .cyclo import Cyclotomic, p_prime_part, prime_field
 from .errors import NotAHomomorphism, VerificationFailed
 from .forge import (cyclic, dihedral, extraspecial, matrix_to_vector_perm,
                     mobius_perm, psl2, semidirect, sl2)
@@ -95,13 +95,10 @@ def order864_build() -> VectorActionBuild:
     return builder_plength(h54, 2, dim=4, mats=mats)
 
 
-@lru_cache(maxsize=None)
-def order720_build() -> RegularActionBuild:
-    """(SL(2,5) x C_3) : C_2 with the diagonal action swapping the two
-    Brauer characters of the faithful defect-1 block at p = 3."""
-    h = sl2(5)
-    # determinant -2: a non-square mod 5
-    w = matrix_to_vector_perm([[[0, 1], [2, 0]]], 5, include_zero=False)[0][0]
+def _swapping_build(h, w) -> RegularActionBuild:
+    """(H x C_3) : C_2, the involution conjugating H by w and inverting C_3;
+    the action swaps the two Brauer characters of a faithful block of H at
+    p = 3 with l = 2."""
     alpha = GroupHom(h, h, [conj(g, w) for g in h.gens])
     q3 = cyclic(3)
     alpha_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
@@ -109,21 +106,23 @@ def order720_build() -> RegularActionBuild:
     block_index = next(i for i, blk in enumerate(bd.blocks)
                        if blk.l() == 2 and 0 not in blk.ordinary)
     return builder_nonsolvable(h, 3, block_index, alpha, 2, q3, alpha_q)
+
+
+@lru_cache(maxsize=None)
+def order720_build() -> RegularActionBuild:
+    """(SL(2,5) x C_3) : C_2 with the diagonal action swapping the two
+    Brauer characters of the faithful defect-1 block at p = 3."""
+    # determinant -2: a non-square mod 5
+    w = matrix_to_vector_perm([[[0, 1], [2, 0]]], 5, include_zero=False)[0][0]
+    return _swapping_build(sl2(5), w)
 
 
 @lru_cache(maxsize=None)
 def order3960_build() -> RegularActionBuild:
     """(PSL(2,11) x C_3) : C_2, the simple-group variant of the order-720
     construction."""
-    h = psl2(11)
     w = mobius_perm(11, [[0, 1], [3, 0]])  # det -3 non-square; w^2 scalar
-    alpha = GroupHom(h, h, [conj(g, w) for g in h.gens])
-    q3 = cyclic(3)
-    alpha_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
-    bd = brauer_data(character_table(h), 3)
-    block_index = next(i for i, blk in enumerate(bd.blocks)
-                       if blk.l() == 2 and 0 not in blk.ordinary)
-    return builder_nonsolvable(h, 3, block_index, alpha, 2, q3, alpha_q)
+    return _swapping_build(psl2(11), w)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,11 @@ def _ibr_key(vec):
 
 
 def ibr_fong_swan(table: CharacterTable, p: int):
-    """IBr as sorted value tuples on the p-regular classes.
+    """IBr as value tuples on the p-regular classes, and those classes.
+
+    When p does not divide |G|, IBr is Irr and the rows come in table order;
+    otherwise they come in ``_ibr_key`` order (degree, then values).  Block
+    and lift indices in reports follow this order.
 
     One ascending pass over the distinct restrictions: a candidate is kept
     when it enlarges the span of those kept before it, and is otherwise
@@ -273,7 +277,9 @@ class BrauerData:
     classes: ClassData
     p: int
     regular: list
-    ibr: list                      # value tuples on the regular classes, sorted
+    # value tuples on the regular classes: in table order when Fong-Swan
+    # finds them and p does not divide |G|, else in _ibr_key order
+    ibr: list
     table: CharacterTable = None
     decomposition: list = None     # k x l integer matrix
     cartan: list = None            # l x l integer matrix
@@ -564,21 +570,6 @@ def brauer_trivial_regular_classes(bd: BrauerData, i: int) -> list:
     row = bd.ibr[i]
     deg = row[0]
     return [c for t, c in enumerate(bd.regular) if row[t] == deg]
-
-
-def brauer_kernel(bd: BrauerData, i: int):
-    """Kernel K of the representation behind the i-th Brauer character.
-
-    A p-regular element acts trivially exactly when the character equals
-    its degree there, so M, the normal subgroup those classes generate,
-    holds every p-regular element of K and K/M is a p-group.  A normal
-    subgroup over M with a p-quotient acts as a normal p-subgroup, which
-    is trivial on an irreducible module in characteristic p.  So K is the
-    largest such subgroup, the p-core of G over M."""
-    g = bd.group
-    reps = bd.classes.representatives
-    m_sub = g.normal_closure([reps[c] for c in brauer_trivial_regular_classes(bd, i)])
-    return g._core(lambda n: p_part(n, bd.p), m_sub)
 
 
 def brauer_kernel_trivial(bd: BrauerData, i: int) -> bool:

@@ -362,9 +362,6 @@ class PermGroup:
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
-    def is_trivial(self):
-        return self.order == 1
-
     def elements(self):
         """All elements, sorted lexicographically (cached).  Every element
         scan (classes, centralizers, normalizers, kernels) starts here, so
@@ -419,9 +416,6 @@ class PermGroup:
 
     def is_subgroup_of(self, other) -> bool:
         return self.degree == other.degree and all(g in other for g in self.gens)
-
-    def is_abelian(self) -> bool:
-        return all(pmul(a, b) == pmul(b, a) for a in self.gens for b in self.gens)
 
     def exponent(self) -> int:
         cd = self.conjugacy_classes()
@@ -691,7 +685,7 @@ class QuotientResult:
     ``image_of``, the image of any element of the source.  ``coset_action``
     builds it on right cosets and keeps their sorted canonical
     ``transversal``; ``inner_action`` builds it by conjugation and has
-    none.  ``hom`` and ``lift`` read only the generator images.
+    none.  ``lift`` reads only the generator images.
     """
 
     def __init__(self, source, group, gen_images, image_of, transversal=None):
@@ -700,16 +694,7 @@ class QuotientResult:
         self.gen_images = gen_images
         self.image_of = image_of
         self.transversal = transversal
-        self._hom = None
         self._lifts = None
-
-    @property
-    def hom(self):
-        if self._hom is None:
-            from .homs import GroupHom
-
-            self._hom = GroupHom(self.source, self.group, self.gen_images)
-        return self._hom
 
     def lift(self, w):
         """A preimage of an element of the image group.

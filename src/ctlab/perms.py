@@ -22,10 +22,6 @@ def identity(degree: int) -> Perm:
     return tuple(range(degree))
 
 
-def is_identity(p: Perm) -> bool:
-    return all(i == j for i, j in enumerate(p))
-
-
 def validate(p, degree=None) -> Perm:
     """Return p as a tuple, raising InvalidPermutation unless it is a bijection."""
     t = tuple(p)

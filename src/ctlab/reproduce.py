@@ -131,39 +131,31 @@ def _tensor_row(tn, th, tq, ndata, i, j):
     return ClassFunction(tn.classes, vals)
 
 
-def check_sl25_squared() -> dict:
-    tp, bdp = sl25_squared_data()
-    rep = is_p_central_type(bdp)
-    z = tp.group.center()
-    ramified = fully_ramified_search(bdp, z)
-    witness_degree = (bdp.ibr_degrees()[rep.modular_witness]
-                      if rep.modular_witness is not None else None)
-    ok = rep.is_p_central_type and witness_degree == 12 and ramified == []
-    return {
-        "status": "pass" if ok else "fail",
-        "order": tp.group.order,
-        "is_p_central_type": rep.is_p_central_type,
-        "witness_degree": witness_degree,
-        "fully_ramified": ramified,
-    }
-
-
-def check_sl2_17() -> dict:
-    bd = sl217_brauer_data()
+def _converse_counterexample(bd, **extra) -> dict:
+    """p-central type with a degree-12 witness, yet no IBr fully ramified
+    over the centre: a counterexample to the fully-ramified converse."""
     rep = is_p_central_type(bd)
-    z = bd.group.center()
-    ramified = fully_ramified_search(bd, z)
+    ramified = fully_ramified_search(bd, bd.group.center())
     witness_degree = (bd.ibr_degrees()[rep.modular_witness]
                       if rep.modular_witness is not None else None)
     ok = rep.is_p_central_type and witness_degree == 12 and ramified == []
     return {
         "status": "pass" if ok else "fail",
         "order": bd.group.order,
-        "ibr_degrees": bd.ibr_degrees(),
+        **extra,
         "is_p_central_type": rep.is_p_central_type,
         "witness_degree": witness_degree,
         "fully_ramified": ramified,
     }
+
+
+def check_sl25_squared() -> dict:
+    return _converse_counterexample(sl25_squared_data()[1])
+
+
+def check_sl2_17() -> dict:
+    bd = sl217_brauer_data()
+    return _converse_counterexample(bd, ibr_degrees=bd.ibr_degrees())
 
 
 def check_sl25_ibr() -> dict:

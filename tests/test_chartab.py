@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 import oracles
-from ctlab.chartab import (character_kernel, character_predicates,
-                           character_table, class_fusion, class_matrix_columns,
+from ctlab.chartab import (character_table, class_fusion, class_matrix_columns,
                            decompose, direct_product_table, induce, inner_product,
-                           irr_over, restrict, row_function, verify_orthogonality)
+                           restrict, row_function, verify_orthogonality)
 from ctlab.cyclo import ONE, rational
-from ctlab.errors import BudgetExceeded, NotASubgroup, NotNormal, Budget
+from ctlab.errors import BudgetExceeded, NotASubgroup, Budget
 from ctlab.forge import cyclic, dihedral, extraspecial
 from ctlab.permgroup import PermGroup, direct_product
 from ctlab.perms import parse_cycles, ppow
@@ -214,28 +213,6 @@ def test_frobenius_reciprocity(s4):
             lhs = inner_product(ind, chi)
             rhs = inner_product(theta, restrict(chi, t_sub.classes, fus))
             assert lhs == rhs
-
-
-def test_irr_over_examples(d8, d8_table, s3, s3_table):
-    z = d8.center()
-    tz = character_table(z)
-    assert irr_over(d8_table, z, tz, 1) == [4]
-    # trivial lambda: everything inflated from G/N
-    over_trivial = irr_over(d8_table, z, tz, 0)
-    assert len(over_trivial) == 4
-    a3 = s3.subgroup([parse_cycles("(1 2 3)", 3)])
-    with pytest.raises(NotNormal):
-        irr_over(s3_table, s3.subgroup([parse_cycles("(1 2)", 3)]),
-                 character_table(s3.subgroup([parse_cycles("(1 2)", 3)])), 0)
-
-
-def test_character_predicates(s3_table, d8_table):
-    assert character_predicates(s3_table, 0) == {
-        "kernel_order": 6, "is_faithful": False, "center_order": 6}
-    assert character_predicates(s3_table, 1)["kernel_order"] == 3
-    pred = character_predicates(d8_table, 4)
-    assert pred["is_faithful"] and pred["center_order"] == 2
-    assert character_kernel(s3_table, 1).order == 3
 
 
 def test_inner_product_rows_orthonormal(sl25_table):

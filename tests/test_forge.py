@@ -26,8 +26,12 @@ def _order_multiset(g):
     return sorted(porder(e) for e in g.elements())
 
 
+def _is_abelian(g):
+    return all(pmul(a, b) == pmul(b, a) for a in g.gens for b in g.gens)
+
+
 def test_standard_families():
-    assert cyclic(6).order == 6 and cyclic(6).is_abelian()
+    assert cyclic(6).order == 6 and _is_abelian(cyclic(6))
     assert cyclic(1).order == 1
     assert elem_abelian(2, 3).order == 8 and elem_abelian(2, 3).exponent() == 2
     assert dihedral(10).order == 10
@@ -249,8 +253,9 @@ def _check_realisation(name, k, q, cpp):
     qr, u = cpp.quotient, cpp.group
     # every w through the action map as a hom (image_of on all of U would
     # cost |U| [K^q : A^q W] coset canonicalisations)
+    hom = GroupHom(qr.source, qr.group, qr.gen_images)
     for w in u.elements():
-        assert qr.hom.image(qr.lift(w)) == w, (name, q)
+        assert hom.image(qr.lift(w)) == w, (name, q)
     for w in u.gens:
         assert qr.image_of(qr.lift(w)) == w, (name, q)
     for g in cpp.w_subgroup.gens:
@@ -279,7 +284,7 @@ def test_central_product_power_invariants(corpus):
             z = k.center()
             assert cpp.group.order == k.order ** q // z.order ** (q - 1), name
             zu = cpp.group.center()
-            if not k.is_abelian():
+            if not _is_abelian(k):
                 assert zu.order == z.order, name
                 assert zu.exponent() == z.exponent(), name
                 assert _order_multiset(zu) == _order_multiset(z), name

@@ -15,8 +15,9 @@ import ctlab
 from ctlab.cli import main
 from ctlab.errors import ArityError, ParseError, UnsupportedFamily
 from ctlab.grammar import (evaluate, parse_generator_file, parse_matrix_file,
-                           parse_spec, print_generator_file, print_spec)
+                           parse_spec, print_spec)
 from ctlab.permgroup import group_from_generators
+from ctlab.perms import format_cycles
 
 
 SPECS = [
@@ -76,7 +77,7 @@ def test_generator_file_roundtrip():
     text = "# demo\ndegree 4\n(1 2)(3 4)\n(1 3)\n"
     degree, perms = parse_generator_file(text)
     assert degree == 4 and len(perms) == 2
-    printed = print_generator_file(degree, perms)
+    printed = "degree 4\n" + "\n".join(format_cycles(p) for p in perms)
     degree2, perms2 = parse_generator_file(printed)
     assert degree2 == degree and perms2 == perms
 
@@ -449,6 +450,20 @@ def test_cli_rejects_non_positive_budget_flags(flag, value):
     assert out.returncode == 1
     assert out.stdout == "" and "Traceback" not in out.stderr
     assert out.stderr == f"error: {flag} must be a positive integer, got {value}\n"
+
+
+def test_cli_tower_honours_max_classes():
+    # a tower gets the budget it is given, as a table does: the C6 tower at
+    # p = 2 tabulates a 58-class level
+    src = str(Path(ctlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CTLAB_BUDGET", None)
+    out = subprocess.run([sys.executable, "-m", "ctlab.cli", "gagola", "-p", "2",
+                          "--max-classes", "5", "-e", "Cyclic(6)"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 3
+    assert out.stdout == ""
+    assert out.stderr.count("\n") == 1 and out.stderr.startswith("budget exceeded:")
 
 
 def test_cli_reproduce_unknown_id():

@@ -8,17 +8,17 @@ import pytest
 import ctlab
 from ctlab.errors import NotAHomomorphism, NotASubgroup
 from ctlab.forge import cyclic
-from ctlab.homs import GroupHom, conjugation_automorphism, hom_report, identity_hom
+from ctlab.homs import GroupHom
 from ctlab.permgroup import direct_power
-from ctlab.perms import parse_cycles, pinv, ppow
+from ctlab.perms import conj, parse_cycles, pinv, ppow
 
 
 def test_inversion_on_c3():
     c3 = cyclic(3)
     inv = GroupHom(c3, c3, [pinv(c3.gens[0])])
-    rep = hom_report(inv)
-    assert rep == {"kernel_order": 1, "image_order": 3, "injective": True,
-                   "automorphism": True, "automorphism_order": 2}
+    assert inv.kernel().order == 1 and inv.image_group().order == 3
+    assert inv.is_injective() and inv.is_automorphism()
+    assert inv.automorphism_order() == 2
 
 
 def test_shift_on_cube_has_order_three(s3):
@@ -42,7 +42,7 @@ def test_quotient_style_hom():
     assert not h.is_injective()
     assert h.kernel().order == 2
     assert h.image(ppow(c4.gens[0], 2)) == c2.identity
-    assert h.is_surjective()
+    assert h.image_group().order == c2.order
 
 
 def test_image_evaluation_on_words(s4):
@@ -56,14 +56,14 @@ def test_image_evaluation_on_words(s4):
 
 
 def test_composition(s3):
-    ident = identity_hom(s3)
+    ident = GroupHom(s3, s3, list(s3.gens))
     comp = ident.then(ident)
     assert comp.gen_images == list(s3.gens)
 
 
 def test_conjugation_automorphism(q8):
     w = q8.gens[0]
-    inner = conjugation_automorphism(q8, w)
+    inner = GroupHom(q8, q8, [conj(g, w) for g in q8.gens])
     assert inner.is_automorphism()
     assert inner.automorphism_order() in (1, 2, 4)
     # conjugation fixes the center pointwise
@@ -73,7 +73,7 @@ def test_conjugation_automorphism(q8):
 
 def test_evaluating_outside_source_raises(s3):
     a3 = s3.subgroup([parse_cycles("(1 2 3)", 3)])
-    ident = identity_hom(a3)
+    ident = GroupHom(a3, a3, list(a3.gens))
     with pytest.raises(NotASubgroup):
         ident.image(parse_cycles("(1 2)", 3))
 
@@ -89,7 +89,7 @@ s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
 qr = s3.quotient(s3.subgroup([(1, 2, 0)]))
 GroupHom.image = lambda self, g: self.target.identity
 try:
-    qr.hom.kernel()
+    GroupHom(qr.source, qr.group, qr.gen_images).kernel()
 except VerificationFailed:
     print("kernel")
 """

@@ -9,6 +9,10 @@ No module may gain an ``assert`` or a ``raise AssertionError``: ``python
 -O`` strips the first, and the second escapes the CLI's error handling as a
 traceback, so a check that carries a result raises a CTLabError instead.
 
+Every function, class and method in ``src/ctlab`` is reached: referenced
+from reached code in the package, named in the tracer's ``SPANS``, or
+allowlisted with a reason.  Code that only tests call is deleted instead.
+
 The class matrices of a character table are looked up on base-image keys:
 counting ``perms.pmul`` calls keeps full-degree products out of them.  The
 Fong-Swan pass decides membership mod ELL: counting
@@ -91,6 +95,69 @@ def test_assert_ratchet():
     over = {mod: n for mod, n in counts.items()
             if n > ASSERT_CEILING.get(mod, 0)}
     assert not over, over
+
+
+# Definitions that nothing in src/ctlab reaches and that stay anyway.
+REACH_ALLOWLIST = {
+    "ctlab.cyclo.reduce_mod_ell": "the inverse of dixon_lift; test_cyclo's "
+                                  "round trip checks the lift against it",
+    "ctlab.instances.order3960_build": "the blocks-3960 benchmark workload "
+                                       "and the builder tests build it",
+}
+
+
+def _definitions(node, prefix="", in_class=False):
+    """(qualified name, node, is_method) for each non-dunder def or class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield prefix + child.name, child, in_class
+            yield from _definitions(child, prefix + child.name + ".",
+                                    isinstance(child, ast.ClassDef))
+        else:
+            yield from _definitions(child, prefix, in_class)
+
+
+def test_every_definition_is_reached():
+    """Each function, class and method in src/ctlab is referenced by code
+    that is itself reached, is a tracer entry point, or is allowlisted.
+    A reference is a name (or, for a method, an attribute) of the same
+    spelling outside the definition; references inside unreached
+    definitions do not count, so dead code cannot keep dead code alive."""
+    src = Path(__file__).resolve().parents[1] / "src" / "ctlab"
+    defs, refs = [], []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        mod = "ctlab." + path.stem
+        defs += [(mod, qual, node, is_method)
+                 for qual, node, is_method in _definitions(tree)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                refs.append((mod, n.lineno, n.id, False))
+            elif isinstance(n, ast.Attribute):
+                refs.append((mod, n.lineno, n.attr, True))
+    roots = {(mod, name) for mod, names in _load_tracer().SPANS.values()
+             for name in names}
+    roots |= {tuple(key.rsplit(".", 1)) for key in REACH_ALLOWLIST}
+
+    def inside(ref, d):
+        return ref[0] == d[0] and d[2].lineno <= ref[1] <= d[2].end_lineno
+
+    def reaches(ref, d, unreached):
+        _mod, _line, name, is_attribute = ref
+        return (name == d[2].name and (is_attribute or not d[3])
+                and not inside(ref, d)
+                and not any(inside(ref, u) for u in unreached))
+
+    unreached = []
+    while True:
+        found = [d for d in defs if (d[0], d[1]) not in roots
+                 and not any(reaches(ref, d, unreached) for ref in refs)]
+        if found == unreached:
+            break
+        unreached = found
+    assert len(defs) > 300 and ("ctlab.cyclo", "reduce_mod_ell") in roots
+    assert not unreached, " ".join(f"{d[0]}.{d[1]}" for d in unreached)
 
 
 def _calls_while(real, run, monkeypatch):
