@@ -387,9 +387,6 @@ class ClassFunction:
         return ClassFunction(self.classes,
                              [a - b for a, b in zip(self.values, other.values)])
 
-    def degree(self):
-        return self.values[0]
-
 
 def _same_classes(a: ClassFunction, b: ClassFunction) -> None:
     if a.classes is not b.classes:

@@ -8,22 +8,21 @@ congruent to 2 mod 4, and 1 for rationals).  Two values are equal iff their
 hash key.
 
 The finite-field side provides F_ell contexts for the character-table
-engine (ell = 1 mod e) and F_{p^m} contexts for reducing algebraic integers
-modulo a prime ideal over p, with a fixed primitive root convention so block
-partitions are reproducible.  An F_{p^m} context is F_p[x]/(f) with f the
-lexicographically least monic irreducible of degree m (constant term
-outermost) whose root has order divisible by e.  The search skips every
-constant term that cannot be the norm of such a root, tests irreducibility
-by Ben-Or's gcd test and tests e | order with one power per prime of e;
-see ``PrimeFieldCtx``.  ``prime_field(p, e)`` caches one context per (p, e).
-All F_p[x]/(f) arithmetic runs through one kernel, ``_fp_mulmod``, which
-packs coefficients into one integer (Kronecker substitution), multiplies
-once and folds the high half back with precomputed rows x^k mod f.
+engine (ell = 1 mod e) and F_{p^m} contexts with a fixed primitive root
+convention, which serve SL(2, q) in its defining characteristic (m <= 2
+there); blocks compare integer coordinates mod p and need no such field.
+An F_{p^m} context is F_p[x]/(f) with f the lexicographically least monic
+irreducible of degree m (constant term outermost) whose root has order
+divisible by e.  The search skips every constant term that cannot be the
+norm of such a root, tests irreducibility by Ben-Or's gcd test and tests
+e | order with one power per prime of e; see ``PrimeFieldCtx``.
+``prime_field(p, e)`` caches one context per (p, e).  All F_p[x]/(f)
+arithmetic runs through one kernel, ``_fp_mulmod``: a plain product
+followed by the remainder modulo f.
 """
 
 from __future__ import annotations
 
-import struct
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -549,9 +548,6 @@ class PrimeFieldCtx:
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
     def mul(self, a, b):
         return _fp_mulmod(a, b, self.modulus, self.p)
 
@@ -575,61 +571,16 @@ def _x_mod(f, p):
     return ((-f[0]) % p,) if m == 1 else (0, 1) + (0,) * (m - 2)
 
 
-# Kronecker substitution: a coefficient tuple is packed into one int, each
-# coefficient in a fixed number of bytes, so a polynomial product is one
-# integer product as long as no coefficient overflows its field.
-_STRUCT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-def _pack(coeffs, width):
-    code = _STRUCT_CODES.get(width)
-    if code is None:
-        raw = b"".join(c.to_bytes(width, "little") for c in coeffs)
-    else:
-        raw = struct.pack(f"<{len(coeffs)}{code}", *coeffs)
-    return int.from_bytes(raw, "little")
-
-
-def _unpack(n, width, count):
-    raw = n.to_bytes(width * count, "little")
-    code = _STRUCT_CODES.get(width)
-    if code is None:
-        return [int.from_bytes(raw[i:i + width], "little")
-                for i in range(0, len(raw), width)]
-    return struct.unpack(f"<{count}{code}", raw)
-
-
-@lru_cache(maxsize=128)
-def _fold_table(f, p):
-    """Byte width of a packed coefficient and the packed rows x^k mod f,
-    k = m .. 2m-2, for ``_fp_mulmod``.  A product coefficient is at most
-    m(p-1)^2, and folding adds at most (m-1)(p-1)^2 more."""
-    m = len(f) - 1
-    width = 1
-    while 256 ** width <= 2 * m * (p - 1) ** 2:
-        width *= 2
-    rows = []
-    row = [(-c) % p for c in f[:m]]
-    for _ in range(m - 1):
-        rows.append(_pack(row, width))
-        top = row[-1]
-        row = [(r - top * c) % p for r, c in zip([0] + row[:-1], f)]
-    return width, rows
-
-
 def _fp_mulmod(a, b, f, p):
     """a * b in F_p[x]/(f) for monic f; a, b and the result are coefficient
     tuples (ascending) of length at most deg f, entries in [0, p)."""
-    m = len(f) - 1
-    width, rows = _fold_table(f, p)
-    prod = _pack(a, width) * _pack(b, width)
-    low_bits = 8 * width * m
-    acc = prod & ((1 << low_bits) - 1)
-    for c, row in zip(_unpack(prod >> low_bits, width, m - 1), rows):
-        c %= p
-        if c:
-            acc += c * row
-    return tuple(c % p for c in _unpack(acc, width, m))
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    rem = _poly_rem(prod, f, p)
+    return tuple(rem) + (0,) * (len(f) - 1 - len(rem))
 
 
 def _fp_powmod(a, k, f, p):
@@ -770,34 +721,3 @@ def reduce_mod_ell(value: Cyclotomic, e: int, field: DixonField) -> int:
         if c:
             s += c * field.omega_pows[(i * step) % field.e]
     return s % field.ell
-
-
-def reduce_mod_p(value: Cyclotomic, p: int, ctx: PrimeFieldCtx):
-    """Image of an algebraic integer under a fixed prime ideal over p.
-
-    The p-part of the conductor collapses to 1; the p'-part maps to the
-    context's primitive root convention.
-    """
-    if not value.is_algebraic_integer():
-        raise NotAlgebraicInteger(f"{value!r} is not an algebraic integer")
-    n = value.n
-    if n == 1:
-        return ctx.scalar(value.coeffs[0])
-    n_p = p_part(n, p)
-    n_rest = n // n_p
-    if n_rest > 1 and ctx.e % n_rest != 0:
-        raise ValueError(f"context supports conductors dividing {ctx.e}, got {n_rest}")
-    if n_rest == 1:
-        image_of_zeta = ctx.one
-    else:
-        # zeta_n = zeta_{n_p}^x zeta_{n_rest}^y with x n_rest + y n_p = 1 (mod n)
-        y = pow(n_p, -1, n_rest)
-        image_of_zeta = ctx.omega_pows[(ctx.e // n_rest) * y % ctx.e]
-    out = ctx.zero
-    power = ctx.one
-    for c in value.coeffs:
-        if c:
-            term = ctx.mul(ctx.scalar(c), power)
-            out = ctx.add(out, term)
-        power = ctx.mul(power, image_of_zeta)
-    return out

@@ -36,9 +36,11 @@ determinant: a non-negative integer solution there, or none at all, means
 the tests mod ELL and over Q disagree (VerificationFailed).
 
 Blocks are linkage classes of the central characters omega_chi on the
-p-regular class sums, reduced in a deterministic F_{p^m}; decomposition
-matrices are the unique solutions of the restriction equations in the IBr
-basis and are verified to be non-negative and integral.
+p-regular class sums, compared modulo p on their integer coordinates on the
+power basis of Q(zeta_N), p prime to N (see
+``central_character_residues``); decomposition matrices are the unique
+solutions of the restriction equations in the IBr basis and are verified
+to be non-negative and integral.
 
 A block's defect group D is named by one rule, ``known_defect_group``: the
 trivial subgroup at defect 0, a Sylow p-subgroup at maximal defect.  For any
@@ -53,7 +55,7 @@ from math import lcm
 
 from .chartab import CharacterTable
 from .cyclo import (ZERO, _reduce_expansion, integer_gauss_jordan, is_prime, nu,
-                    p_part, p_prime_part, prime_field, rational, reduce_mod_p)
+                    p_part, rational)
 from .errors import (
     AmbiguousBasicSet,
     ClassDataMismatch,
@@ -237,21 +239,41 @@ class Block:
 
 
 def central_character_residues(table: CharacterTable, p: int):
-    """Per row, the tuple of reductions of omega_chi(K) in F_{p^m}, K over
-    the p-regular classes.
+    """Per row, the integer coordinates of omega_chi(K) mod p, K over the
+    p-regular classes.
 
     Two characters lie in one block exactly when their central characters
-    agree mod p on every class sum.  The block idempotents lie in the span
-    of the p-regular class sums (Osima), so agreement on those decides it.
+    agree modulo a prime ideal P over p on every class sum.  The block
+    idempotents lie in the span of the p-regular class sums (Osima), so
+    agreement on those decides it.  On a p-regular class the values lie in
+    Q(zeta_N) with p prime to N, so p is unramified there and pZ[zeta_N] is
+    the intersection of the primes over p.  The partition does not depend
+    on the choice of P (Isaacs, Character Theory of Finite Groups, ch. 15),
+    so agreement modulo every prime over p, that is modulo pZ[zeta_N], is
+    agreement modulo P.  Z[zeta_N] has the power basis as an integral basis,
+    so omega_chi(K) = |K| chi(g_K) / chi(1) is read off integer coordinates
+    by exact division and compared mod p.
     """
-    ctx = prime_field(p, p_prime_part(table.exponent, p))
     sizes = table.classes.sizes
     regular = p_regular_classes(table.classes, p)
+    rows = [restriction(row, regular) for row in table.values]
+    if any(v.n % p == 0 for row in rows for v in row):
+        raise VerificationFailed(f"a value on a {p}-regular class has "
+                                 f"conductor divisible by {p}")
+    flat = _flatten(rows)
+    width = len(flat[0]) // len(regular)
+    scale = [sizes[j] for j in regular for _ in range(width)]
     out = []
-    for row in table.values:
-        deg = row[0].as_rational()
-        out.append(tuple(reduce_mod_p(row[j] * sizes[j] / deg, p, ctx)
-                         for j in regular))
+    for deg, coords in zip(table.degrees, flat):
+        residues = []
+        for size, c in zip(scale, coords):
+            q, r = divmod(size * c, deg)
+            if r:
+                raise VerificationFailed(
+                    f"a central character value of a degree-{deg} "
+                    "character is not an algebraic integer")
+            residues.append(q % p)
+        out.append(tuple(residues))
     return out
 
 

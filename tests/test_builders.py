@@ -12,7 +12,7 @@ from ctlab.builders import (builder_nonsolvable, builder_plength,
 from ctlab.chartab import character_table
 from ctlab.errors import (ActionKernelMismatch, HypothesisFails,
                           NotCentralPPrime, NotRegularOnIBr, TrivialQAction)
-from ctlab.forge import cyclic, dihedral, matrix_to_vector_perm, quaternion, sl2
+from ctlab.forge import cyclic, dihedral, matrix_to_vector_perm, quaternion
 from ctlab.homs import GroupHom
 from ctlab.modrep import brauer_data, fong_block, nilpotency_refute
 from ctlab.permgroup import p_prime_part

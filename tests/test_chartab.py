@@ -14,7 +14,7 @@ from ctlab.chartab import (character_table, class_fusion, class_matrix_columns,
 from ctlab.cyclo import ONE, rational
 from ctlab.errors import BudgetExceeded, NotASubgroup, Budget
 from ctlab.forge import cyclic, dihedral, extraspecial
-from ctlab.permgroup import PermGroup, direct_product
+from ctlab.permgroup import PermGroup
 from ctlab.perms import parse_cycles, ppow
 
 from conftest import perm_group, small_groups

@@ -13,8 +13,8 @@ from ctlab.cyclo import (Cyclotomic, DixonField, PrimeFieldCtx, ONE, ZERO,
                          _fp_mulmod, _poly_rem, cyclotomic_polynomial,
                          dixon_lift, euler_phi, is_prime, nu, p_part,
                          p_prime_part, prime_factors, prime_field, rational,
-                         reduce_mod_ell, reduce_mod_p, zeta)
-from ctlab.errors import LiftInconsistent, NotAlgebraicInteger, VerificationFailed
+                         reduce_mod_ell, zeta)
+from ctlab.errors import LiftInconsistent, VerificationFailed
 
 
 def test_minimal_polynomial_identities():
@@ -184,41 +184,6 @@ def test_dixon_lift_roundtrip(e, ms):
                  ZERO)
     assert lifted == expect
     assert reduce_mod_ell(lifted, e, field) == vals[1 % e]
-
-
-def test_reduce_mod_p_examples():
-    ctx3 = PrimeFieldCtx(3, 1)
-    assert reduce_mod_p(rational(7), 3, ctx3) == ctx3.one
-    assert reduce_mod_p(zeta(3), 3, ctx3) == ctx3.one
-    ctx9 = PrimeFieldCtx(3, 8)
-    assert ctx9.m == 2
-    img = reduce_mod_p(zeta(8), 3, ctx9)
-    order = 1
-    x = img
-    while x != ctx9.one:
-        x = ctx9.mul(x, img)
-        order += 1
-    assert order == 8
-
-
-def test_reduce_mod_p_requires_integrality():
-    ctx = PrimeFieldCtx(3, 4)
-    with pytest.raises(NotAlgebraicInteger):
-        reduce_mod_p(zeta(4) / 2, 3, ctx)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
-                max_size=4),
-       st.lists(st.integers(min_value=-3, max_value=3), min_size=1,
-                max_size=4))
-def test_reduce_mod_p_is_a_ring_map(ca, cb):
-    ctx = PrimeFieldCtx(5, 8)
-    a = Cyclotomic.from_expansion(8, {e: c for e, c in enumerate(ca)})
-    b = Cyclotomic.from_expansion(8, {e: c for e, c in enumerate(cb)})
-    ra, rb = reduce_mod_p(a, 5, ctx), reduce_mod_p(b, 5, ctx)
-    assert reduce_mod_p(a + b, 5, ctx) == ctx.add(ra, rb)
-    assert reduce_mod_p(a * b, 5, ctx) == ctx.mul(ra, rb)
 
 
 def test_prime_field_ctx_modulus_is_deterministic():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from ctlab import modrep
 from ctlab.chartab import character_table, direct_product_table
-from ctlab.cyclo import rational
+from ctlab.cyclo import Cyclotomic, euler_phi, prime_field, rational, zeta
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
                           NonIntegralDecomposition, NotCentralPPrime,
                           VerificationFailed)
@@ -26,8 +27,6 @@ from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           linear_characters, nilpotency_refute,
                           p_regular_classes, restriction)
 from ctlab.permgroup import p_part
-
-from conftest import perm_group
 
 
 def test_p_regular_classes(s3_table, sl25_table):
@@ -74,6 +73,78 @@ def test_block_partition_s3(s3_table):
     assert len(blocks2) == 2
     assert blocks2[0].ordinary == (0, 1) and blocks2[0].defect == 1
     assert blocks2[1].ordinary == (2,) and blocks2[1].defect == 0
+
+
+@pytest.mark.parametrize("value, message", [
+    (rational(1), "not an algebraic integer"),     # omega = 3 * 1 / 2
+    (zeta(4), "not an algebraic integer"),         # omega = 3 * i / 2
+    (zeta(3), "conductor divisible by 3"),
+])
+def test_central_characters_must_be_integral(s3_table, value, message):
+    # the degree-2 row of S3, tampered on the class of the 3 transpositions
+    k = s3_table.classes.element_orders.index(2)
+    i = s3_table.degrees.index(2)
+    values = list(s3_table.values)
+    values[i] = values[i][:k] + (value,) + values[i][k + 1:]
+    tampered = SimpleNamespace(values=values, degrees=s3_table.degrees,
+                               classes=s3_table.classes)
+    assert modrep.central_character_residues(s3_table, 3)
+    with pytest.raises(VerificationFailed, match=message):
+        modrep.central_character_residues(tampered, 3)
+
+
+def _coordinates(a, n):
+    """a's integer coordinates on the power basis of Q(zeta_n)."""
+    return modrep._flatten([(a, zeta(n))])[0][:euler_phi(n)]
+
+
+def _vanishing(coords, n, ctx):
+    """The k prime to n at which sum c_i zeta_n^i maps to 0 in F_{p^m}
+    under zeta_n -> omega^k: one prime over p per Frobenius orbit of k."""
+    out = set()
+    for k in range(1, n):
+        if gcd(k, n) == 1:
+            image = ctx.zero
+            for i, c in enumerate(coords):
+                image = ctx.add(image, ctx.mul(ctx.scalar(c),
+                                               ctx.omega_pows[k * i % n]))
+            if image == ctx.zero:
+                out.add(k)
+    return out
+
+
+def test_an_element_in_one_prime_over_2_only():
+    a = 1 + zeta(7) + zeta(7, 2) + zeta(7, 4)     # (1 + sqrt(-7)) / 2
+    assert a * a - a == rational(-2)
+    coords = _coordinates(a, 7)
+    assert coords == (1, 1, 1, 0, 1, 0)
+    assert _vanishing(coords, 7, prime_field(2, 7)) == {1, 2, 4}
+
+
+# (n, p) with p prime to n and ord_n(p) <= 6
+UNRAMIFIED = [(7, 2), (5, 2), (9, 2), (15, 2), (13, 3), (8, 3), (11, 3),
+              (12, 5), (21, 5)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(UNRAMIFIED),
+       st.lists(st.integers(min_value=-2, max_value=2), min_size=21,
+                max_size=21),
+       st.booleans())
+def test_coordinates_mod_p_decide_every_prime_over_p(case, coeffs, times_p):
+    # p is unramified in Q(zeta_n), so pZ[zeta_n] is the intersection of the
+    # primes over p: a's coordinates are all 0 mod p exactly when a vanishes
+    # under every zeta_n -> omega^k
+    n, p = case
+    a = Cyclotomic.from_expansion(n, dict(enumerate(coeffs[:n])))
+    if times_p:
+        a = a * p
+    ctx = prime_field(p, n)
+    assert ctx.m <= 6
+    coords = _coordinates(a, n)
+    units = {k for k in range(1, n) if gcd(k, n) == 1}
+    assert (all(c % p == 0 for c in coords)
+            == (_vanishing(coords, n, ctx) == units))
 
 
 def test_decomposition_s3(s3_table):
@@ -532,11 +603,7 @@ def test_order3960_blocks_at_p7_are_defect_zero():
 
 
 def test_order3960_blocks_at_p5_in_time():
-    # the F_{5^10} modulus search once scanned 5^9 dead candidates here
-    from ctlab import cyclo
-
     table = _order3960_table()
-    cyclo.prime_field.cache_clear()
     started = time.perf_counter()
     bd = brauer_data(table, 5)        # checks each IBr lies in one block
     assert time.perf_counter() - started < 10.0
