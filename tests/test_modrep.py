@@ -497,22 +497,37 @@ def _ibr_golden_groups():
         ("order3960", order3960_build().group)]
 
 
-def _ibr_digest(table, p):
-    """sha256 of the IBr value tuples and the regular class indices, or the
-    name of the error the Fong-Swan pass raises."""
-    try:
-        ibr, regular = ibr_fong_swan(table, p)
-    except AmbiguousBasicSet:
-        return "AmbiguousBasicSet"
+# SL(2, q) in its defining characteristic, from the symmetric powers
+SL2_CHAR_P = (2, 3, 5, 7, 11, 13)
+
+
+def _rows_digest(ibr, regular):
+    """sha256 of the IBr value tuples and the regular class indices."""
     blob = json.dumps({"ibr": [[v.serialize() for v in row] for row in ibr],
                        "regular": list(regular)}, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _ibr_digest(table, p):
+    """The digest of the Fong-Swan pass's output, or the name of the error
+    it raises."""
+    try:
+        return _rows_digest(*ibr_fong_swan(table, p))
+    except AmbiguousBasicSet:
+        return "AmbiguousBasicSet"
+
+
 def ibr_digests():
-    return {f"{name} p={p}": _ibr_digest(t, p)
-            for name, g in _ibr_golden_groups()
-            for t in [character_table(g)] for p in IBR_PRIMES}
+    from ctlab.instances import sl2_char_p_brauer
+
+    out = {f"{name} p={p}": _ibr_digest(t, p)
+           for name, g in _ibr_golden_groups()
+           for t in [character_table(g)] for p in IBR_PRIMES}
+    for q in SL2_CHAR_P:
+        bd = sl2_char_p_brauer(q)
+        out[f"SL(2,{q}) symmetric powers p={q}"] = _rows_digest(bd.ibr,
+                                                                bd.regular)
+    return out
 
 
 def test_ibr_matches_golden():
