@@ -1,4 +1,5 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n) and small finite fields.
+"""Exact arithmetic in cyclotomic fields Q(zeta_n), and F_ell for the
+character-table engine.
 
 Values are kept in a canonical form that makes equality structural:
 coefficients on the power basis 1, z, ..., z^(phi(n)-1) after reduction
@@ -7,25 +8,15 @@ congruent to 2 mod 4, and 1 for rationals).  Two values are equal iff their
 (conductor, coefficient vector) pairs are equal, and that pair is also the
 hash key.
 
-The finite-field side provides F_ell contexts for the character-table
-engine (ell = 1 mod e) and F_{p^m} contexts with a fixed primitive root
-convention, which serve SL(2, q) in its defining characteristic (m <= 2
-there); blocks compare integer coordinates mod p and need no such field.
-An F_{p^m} context is F_p[x]/(f) with f the lexicographically least monic
-irreducible of degree m (constant term outermost) whose root has order
-divisible by e.  The search skips every constant term that cannot be the
-norm of such a root, tests irreducibility by Ben-Or's gcd test and tests
-e | order with one power per prime of e; see ``PrimeFieldCtx``.
-``prime_field(p, e)`` caches one context per (p, e).  All F_p[x]/(f)
-arithmetic runs through one kernel, ``_fp_mulmod``: a plain product
-followed by the remainder modulo f.
+The finite-field side is F_ell with ell = 1 mod e and a fixed primitive
+e-th root of unity (``DixonField``), which the Dixon-Schneider lift uses;
+blocks compare integer coordinates mod p and need no finite field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import gcd
 
 from .errors import LiftInconsistent, NotAlgebraicInteger, VerificationFailed
@@ -83,17 +74,6 @@ def p_part(n: int, p: int) -> int:
 
 def p_prime_part(n: int, p: int) -> int:
     return n // p_part(n, p)
-
-
-def multiplicative_order(a: int, n: int) -> int:
-    a %= n
-    if gcd(a, n) != 1:
-        raise ValueError("order undefined: gcd != 1")
-    k, x = 1, a
-    while x != 1:
-        x = x * a % n
-        k += 1
-    return k
 
 
 def integer_gauss_jordan(rows, ncols):
@@ -477,180 +457,6 @@ def cyclo_sum(values) -> Cyclotomic:
 
 def rational(x) -> Cyclotomic:
     return Cyclotomic.from_rational(x)
-
-
-# ---------------------------------------------------------------------------
-# finite field contexts
-# ---------------------------------------------------------------------------
-
-class PrimeFieldCtx:
-    """F_{p^m} = F_p[x]/(f) with a fixed primitive e-th root of unity.
-
-    ``f`` is the lexicographically least monic irreducible of degree
-    m = ord_e(p) whose root has multiplicative order divisible by e;
-    ``omega = root^(ord/e)``.  Writing f = a0 + a1 x + ... + x^m, the search
-    runs over (a0, a1, ..., a_(m-1)) in lexicographic order, a0 outermost,
-    and skips a whole a0 block when a0 cannot be the norm of such a root:
-    the norm of a root alpha is (-1)^m a0 = alpha^c with c = (p^m-1)/(p-1),
-    so e | ord(alpha) forces e/gcd(e, c) | ord((-1)^m a0) in F_p^*.  Every
-    skipped f would fail the order test, so the pruning never changes f.
-    Elements are coefficient tuples of length m.  For m = 1 this is the prime
-    field and tuples have length 1.  Use ``prime_field(p, e)``, which builds
-    each context once.
-    """
-
-    def __init__(self, p: int, e: int):
-        self.p = p
-        self.e = e
-        self.m = 1 if e <= 1 else multiplicative_order(p, e)
-        self.zero = (0,) * self.m
-        self.one = (1,) + (0,) * (self.m - 1)
-        if e <= 1:
-            self.modulus = (0, 1)   # x, the least monic irreducible of degree 1
-            self.omega = self.one
-        else:
-            self.modulus, root_order = self._find_modulus()
-            if root_order % e:
-                raise VerificationFailed(
-                    f"root of {self.modulus} has order {root_order}, "
-                    f"not divisible by {e}")
-            self.omega = self.pow(_x_mod(self.modulus, p), root_order // e)
-        pows = [self.one]
-        for _ in range(max(e - 1, 0)):
-            pows.append(self.mul(pows[-1], self.omega))
-        self.omega_pows = tuple(pows)
-
-    def _find_modulus(self):
-        """(f, order of its root) for the least f as in the class docstring."""
-        p, m, e = self.p, self.m, self.e
-        total = p ** m - 1
-        if total % e:
-            raise VerificationFailed(f"e = {e} does not divide {p}^{m} - 1")
-        norm_order = e // gcd(e, total // (p - 1))
-        sign = -1 if m % 2 else 1
-        # q^a | ord(x) iff x^(total / q^(nu_q(total) - a + 1)) != 1
-        tests = [total // q ** (nu(total, q) - nu(e, q) + 1)
-                 for q in prime_factors(e)]
-        for a0 in range(1, p):
-            if multiplicative_order(sign * a0, p) % norm_order:
-                continue
-            for rest in product(range(p), repeat=m - 1):
-                f = (a0,) + rest + (1,)
-                if not _poly_irreducible(f, p):
-                    continue
-                x = _x_mod(f, p)
-                if all(_fp_powmod(x, k, f, p) != self.one for k in tests):
-                    return f, _element_order_mod(x, f, p)
-        raise VerificationFailed(f"no modulus of degree {m} over F_{p} "
-                                 f"has a root of order divisible by {e}")
-
-    # element ops ---------------------------------------------------------
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        return _fp_mulmod(a, b, self.modulus, self.p)
-
-    def pow(self, a, k):
-        return _fp_powmod(a, k, self.modulus, self.p)
-
-    def scalar(self, c: int):
-        return (c % self.p,) + (0,) * (self.m - 1)
-
-
-@lru_cache(maxsize=None)
-def prime_field(p: int, e: int) -> PrimeFieldCtx:
-    """The F_{p^m} context for (p, e), built once per process; callers must
-    not mutate it."""
-    return PrimeFieldCtx(p, e)
-
-
-def _x_mod(f, p):
-    """The class of x in F_p[x]/(f) as a coefficient tuple."""
-    m = len(f) - 1
-    return ((-f[0]) % p,) if m == 1 else (0, 1) + (0,) * (m - 2)
-
-
-def _fp_mulmod(a, b, f, p):
-    """a * b in F_p[x]/(f) for monic f; a, b and the result are coefficient
-    tuples (ascending) of length at most deg f, entries in [0, p)."""
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    rem = _poly_rem(prod, f, p)
-    return tuple(rem) + (0,) * (len(f) - 1 - len(rem))
-
-
-def _fp_powmod(a, k, f, p):
-    """a^k in F_p[x]/(f) by square-and-multiply."""
-    result = (1,) + (0,) * (len(f) - 2)
-    while k:
-        if k & 1:
-            result = _fp_mulmod(result, a, f, p)
-        a = _fp_mulmod(a, a, f, p)
-        k >>= 1
-    return result
-
-
-def _poly_irreducible(f, p) -> bool:
-    """Ben-Or: a monic f of degree m is irreducible over F_p iff
-    gcd(x^(p^i) - x, f) = 1 for every i <= m/2, since a reducible f has an
-    irreducible factor of some degree i <= m/2, and it divides x^(p^i) - x."""
-    m = len(f) - 1
-    xp = _x_mod(f, p)
-    for _ in range(m // 2):
-        xp = _fp_powmod(xp, p, f, p)
-        diff = list(xp)
-        diff[1] = (diff[1] - 1) % p
-        if _poly_gcd_nontrivial(diff, f, p):
-            return False
-    return True
-
-
-def _poly_trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem(a, b, p):
-    """Remainder of a modulo b over F_p (b nonzero)."""
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for j, y in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * y) % p
-        a = _poly_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_gcd_nontrivial(a, b, p) -> bool:
-    """True iff gcd(a, b) over F_p has degree >= 1."""
-    a = _poly_trim([x % p for x in a])
-    b = _poly_trim([x % p for x in b])
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return len(a) > 1
-
-
-def _element_order_mod(x, f, p):
-    """Multiplicative order of x in F_p[t]/(f)."""
-    m = len(f) - 1
-    one = (1,) + (0,) * (m - 1)
-    total = p ** m - 1
-    order = total
-    for q in prime_factors(total):
-        while order % q == 0 and _fp_powmod(x, order // q, f, p) == one:
-            order //= q
-    return order
 
 
 # ---------------------------------------------------------------------------

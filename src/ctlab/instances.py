@@ -17,7 +17,7 @@ from .builders import (RegularActionBuild, VectorActionBuild,
                        builder_nonsolvable, builder_plength)
 from .centraltype import is_p_central_type
 from .chartab import character_table, direct_product_table
-from .cyclo import Cyclotomic, p_prime_part, prime_field
+from .cyclo import Cyclotomic, p_prime_part
 from .errors import NotAHomomorphism, VerificationFailed
 from .forge import (cyclic, dihedral, extraspecial, matrix_to_vector_perm,
                     mobius_perm, psl2, semidirect, sl2)
@@ -140,6 +140,31 @@ def sl25_squared_data():
     return tp, bdp
 
 
+def _f_q2_omega(q: int, e: int):
+    """(f, powers): a primitive e-th root of unity omega in F_{q^2} =
+    F_q[x]/(f), and omega^0, ..., omega^(e-1) as pairs (a, b) = a + b x.
+
+    f = x^2 + a1 x + a0, given as (a0, a1, 1), is the least (a0, a1), a0
+    outermost, that has no root in F_q and whose root x has multiplicative
+    order divisible by e; omega = x^(ord / e).  Such an f is irreducible,
+    so x is a unit and the list of its powers closes after ord <= q^2 - 1
+    steps.
+    """
+    for a0 in range(q):
+        for a1 in range(q):
+            if any((t * t + a1 * t + a0) % q == 0 for t in range(q)):
+                continue
+            x_pows, (a, b) = [], (1, 0)
+            while not x_pows or (a, b) != (1, 0):
+                x_pows.append((a, b))
+                # (a + b x) x = -a0 b + (a - a1 b) x, as x^2 = -a1 x - a0
+                a, b = -a0 * b % q, (a - a1 * b) % q
+            if len(x_pows) % e == 0:
+                return (a0, a1, 1), tuple(x_pows[::len(x_pows) // e])
+    raise VerificationFailed(f"no x^2 + a1 x + a0 without a root in F_{q} "
+                             f"has a root of order divisible by {e}")
+
+
 @lru_cache(maxsize=None)
 def sl2_char_p_brauer(q: int):
     """IBr of SL(2, q) in its defining characteristic, from the symmetric
@@ -150,6 +175,12 @@ def sl2_char_p_brauer(q: int):
     the geometric sum of zeta^(j(m - 2i)); this is standard defining-
     characteristic theory, independent of the table engine, and is verified
     against the restriction route for small q by the tests.
+
+    The eigenvalues are named in F_{q^2}: with omega the fixed primitive
+    e'-th root of unity of ``_f_q2_omega`` (e' the q'-part of the
+    exponent), a class of trace t gets the least j with omega^j + omega^-j
+    = t.  This fixes the columns; a Galois conjugate of omega would give
+    the same degrees and other values.
     """
     from math import lcm
 
@@ -161,7 +192,7 @@ def sl2_char_p_brauer(q: int):
             f"SL(2, {q}) has {len(regular)} {q}-regular classes, expected {q}")
     exp = lcm(1, *cd.element_orders)
     e_prime = p_prime_part(exp, q)
-    ctx = prime_field(q, e_prime)
+    _modulus, omega_pows = _f_q2_omega(q, e_prime)
     # the point order of sl2(q): the nonzero vectors of F_q^2
     _perms, vecs, idx = matrix_to_vector_perm([[[1, 0], [0, 1]]], q,
                                               include_zero=False)
@@ -175,11 +206,13 @@ def sl2_char_p_brauer(q: int):
     exponents = []
     for c in regular:
         m = matrix_of(cd.representatives[c])
-        tr = (m[0][0] + m[1][1]) % q
-        trace_elem = ctx.scalar(tr)
-        j = next(jj for jj in range(e_prime)
-                 if ctx.add(ctx.omega_pows[jj],
-                            ctx.omega_pows[(-jj) % e_prime]) == trace_elem)
+        trace = ((m[0][0] + m[1][1]) % q, 0)
+        j = next((k for k in range(e_prime)
+                  if tuple((a + b) % q for a, b in
+                           zip(omega_pows[k], omega_pows[-k])) == trace), None)
+        if j is None:
+            raise VerificationFailed(f"no omega^j + omega^-j in F_{q}^2 "
+                                     f"equals the trace {trace[0]}")
         exponents.append(j)
     rows = []
     for m in range(q):

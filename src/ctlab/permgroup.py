@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from math import lcm, prod
 
-from .cyclo import p_part, p_prime_part  # noqa: F401  (p_prime_part re-exported)
+from .cyclo import p_part, p_prime_part
 from .errors import (
     BudgetExceeded,
     InvalidPermutation,

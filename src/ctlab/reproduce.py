@@ -1,10 +1,11 @@
 """Reproduction harness: one runnable check per acceptance target.
 
 Each check returns a JSON-ready dict with a "status" of "pass", "fail",
-"skipped" (user-supplied data absent) or "degenerate" (an expected
-degenerate outcome).  Checks that need catalogue groups look for generator
-and matrix files under data/user/ and are skipped, never failed, when the
-files are missing.
+"skipped" (user-supplied data absent, or over a desk-scale bound) or
+"degenerate" (an expected degenerate outcome).  Checks that need catalogue
+groups look for generator and matrix files under data/user/ and are
+skipped, never failed, when the files are missing or the computation they
+ask for exceeds a bound such as the table budget or ``SCAN_LIMIT``.
 """
 
 from __future__ import annotations
@@ -273,6 +274,12 @@ def _data_missing(stem: str) -> dict:
                       f"and {stem}_action.mat under data/user/"}
 
 
+def _over_bound(exc: BudgetExceeded) -> dict:
+    return {"status": "skipped",
+            "reason": f"supplied data accepted but the computation "
+                      f"exceeds a desk-scale limit: {exc}"}
+
+
 def _run_user_unilift(stem: str, p: int) -> dict:
     loaded = _user_action(stem, p)
     if loaded is None:
@@ -280,9 +287,11 @@ def _run_user_unilift(stem: str, p: int) -> dict:
     h, mats = loaded
     try:
         build = builder_unique_lift(h, p, len(mats[0]), mats)
+        bd = brauer_data(character_table(build.group), p)
     except HypothesisFails as exc:
         return {"status": "fail", "detail": str(exc)}
-    bd = brauer_data(character_table(build.group), p)
+    except BudgetExceeded as exc:
+        return _over_bound(exc)
     blk = fong_block(bd, build.z_sub, build.lam)
     lifts = lifts_of(bd, blk.brauer[0])
     ok = blk.l() == 1 and len(lifts) == 1
@@ -312,9 +321,7 @@ def check_goodclasses_93312() -> dict:
         return {"status": "pass" if ok else "fail",
                 "order": grp.order, "full_defect_blocks": counts}
     except BudgetExceeded as exc:
-        return {"status": "skipped",
-                "reason": f"supplied data accepted but the computation "
-                          f"exceeds a desk-scale limit: {exc}"}
+        return _over_bound(exc)
 
 
 def check_property_corpus() -> dict:

@@ -188,6 +188,24 @@ def _monic_products(p, m):
     return out
 
 
+def _root_powers(p, f):
+    """x^0, x^1, ..., x^(ord - 1) in F_p[x]/(f) for monic f of degree m
+    with f(0) != 0, as ascending coefficient tuples of length m, each the
+    one before multiplied by x, until the list closes at 1."""
+    m = len(f) - 1
+
+    def times_x(a):
+        shifted = (0,) + a
+        top = shifted[m]
+        return tuple((c - top * fc) % p for c, fc in zip(shifted[:m], f))
+
+    one = (1,) + (0,) * (m - 1)
+    powers = [one]
+    while times_x(powers[-1]) != one:
+        powers.append(times_x(powers[-1]))
+    return powers
+
+
 def least_field_modulus(p, e):
     """The least monic irreducible f of degree m = ord_e(p) over F_p whose
     root has multiplicative order divisible by e (e >= 2, p not dividing
@@ -201,27 +219,22 @@ def least_field_modulus(p, e):
     while (p ** m - 1) % e:
         m += 1
     reducible = _monic_products(p, m)
-
-    def times_x(a, f):
-        shifted = (0,) + a
-        top = shifted[m]
-        return tuple((c - top * fc) % p for c, fc in zip(shifted[:m], f))
-
-    one = (1,) + (0,) * (m - 1)
     for tail in product(range(p), repeat=m):
         f = tail + (1,)
-        if f in reducible:
+        if f in reducible or not f[0]:     # f(0) = 0: the root is 0
             continue
-        root = times_x(one, f)
-        if not any(root):
-            continue                       # f = x, whose root is 0
-        power, order = root, 1
-        while power != one:
-            power = times_x(power, f)
-            order += 1
-        if order % e == 0:
+        if len(_root_powers(p, f)) % e == 0:
             return f
     return None
+
+
+def field_omega_powers(p, e):
+    """(f, powers) with f = least_field_modulus(p, e), omega = x^(ord / e)
+    in F_p[x]/(f) and powers = (omega^0, ..., omega^(e-1)), read off the
+    listed powers of the root x."""
+    f = least_field_modulus(p, e)
+    powers = _root_powers(p, f)
+    return f, tuple(powers[::len(powers) // e])
 
 
 def commutator_subgroup(elements, gens):

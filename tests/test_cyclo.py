@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ctlab import cyclo
-from ctlab.cyclo import (Cyclotomic, DixonField, PrimeFieldCtx, ONE, ZERO,
-                         _fp_mulmod, _poly_rem, cyclotomic_polynomial,
-                         dixon_lift, euler_phi, is_prime, nu, p_part,
-                         p_prime_part, prime_factors, prime_field, rational,
-                         reduce_mod_ell, zeta)
+from ctlab.cyclo import (Cyclotomic, DixonField, ONE, ZERO,
+                         cyclotomic_polynomial, dixon_lift, euler_phi,
+                         is_prime, nu, p_part, p_prime_part, prime_factors,
+                         rational, reduce_mod_ell, zeta)
 from ctlab.errors import LiftInconsistent, VerificationFailed
+from ctlab.instances import _f_q2_omega
 
 
 def test_minimal_polynomial_identities():
@@ -186,67 +186,52 @@ def test_dixon_lift_roundtrip(e, ms):
     assert reduce_mod_ell(lifted, e, field) == vals[1 % e]
 
 
-def test_prime_field_ctx_modulus_is_deterministic():
-    c1 = PrimeFieldCtx(3, 8)
-    c2 = PrimeFieldCtx(3, 8)
-    assert c1.modulus == c2.modulus and c1.omega == c2.omega
-    cached = prime_field(3, 8)
-    assert prime_field(3, 8) is cached
-    assert cached.modulus == c1.modulus and cached.omega_pows == c1.omega_pows
-
-
-def _small_field_pairs():
-    """Every (p, e) with e >= 2 and p^m <= 3^6, where m = ord_e(p)."""
-    for p in filter(is_prime, range(2, 3 ** 6)):
-        m = 1
-        while p ** m <= 3 ** 6:
-            for e in range(2, p ** m):
-                if (p ** m - 1) % e == 0 and all((p ** k - 1) % e
-                                                 for k in range(1, m)):
-                    yield p, e
-            m += 1
+def _quadratic_field_pairs():
+    """Every (q, e) with ord_e(q) = 2 and q^2 <= 3^6."""
+    for q in filter(is_prime, range(2, 28)):
+        for e in range(2, q * q):
+            if (q * q - 1) % e == 0 and (q - 1) % e:
+                yield q, e
 
 
 def test_prime_field_modulus_matches_enumeration_oracle():
-    pairs = list(_small_field_pairs())
-    assert len(pairs) > 1000
-    for p, e in pairs:
-        ctx = PrimeFieldCtx(p, e)
-        assert ctx.modulus == oracles.least_field_modulus(p, e), (p, e)
-        assert len(set(ctx.omega_pows)) == e
-        assert ctx.mul(ctx.omega_pows[e - 1], ctx.omega) == ctx.one
+    # SL(2, q)'s eigenvalue field F_{q^2}: the least modulus and omega's
+    # powers against plain enumeration over F_q[x]
+    pairs = list(_quadratic_field_pairs())
+    assert len(pairs) == 83
+    for q, e in pairs:
+        assert _f_q2_omega(q, e) == oracles.field_omega_powers(q, e), (q, e)
 
 
 _FIELD_CHECKS_UNDER_O = """
 import sys
-from ctlab import cyclo
+from ctlab import instances
 from ctlab.errors import VerificationFailed
 
 assert sys.flags.optimize
 raised = []
 
-def expect(name, patch, value):
-    real = getattr(cyclo, patch)
-    setattr(cyclo, patch, value)
+def expect(name, fn):
     try:
-        cyclo.PrimeFieldCtx(3, 8)
+        fn()
     except VerificationFailed:
         raised.append(name)
-    setattr(cyclo, patch, real)
 
-expect("root_order", "_element_order_mod", lambda x, f, p: 4)
-expect("e_divides", "multiplicative_order", lambda a, n: 3)
-expect("no_modulus", "_poly_irreducible", lambda f, p: False)
+expect("no_modulus", lambda: instances._f_q2_omega(3, 5))
+instances._f_q2_omega = lambda q, e: ((0, 0, 1), ((1, 0),) * e)
+expect("no_exponent", lambda: instances.sl2_char_p_brauer(5))
 print(" ".join(raised))
 """
 
 
 def test_field_checks_survive_python_O():
+    # 5 does not divide 3^2 - 1, so no modulus over F_3 serves; with every
+    # omega^j = 1, only trace 2 finds an exponent j
     src = str(Path(cyclo.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _FIELD_CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["root_order", "e_divides", "no_modulus"]
+    assert out.stdout.split() == ["no_modulus", "no_exponent"]
 
 
 _EXACTNESS_CHECKS_UNDER_O = """
@@ -315,27 +300,3 @@ def test_valuation_helpers_match_oracle():
             assert p_part(n, p) == part
             assert p ** nu(n, p) == part
             assert p_prime_part(n, p) == n // part
-
-
-@st.composite
-def _mulmod_case(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
-    m = draw(st.integers(min_value=1, max_value=4))
-    coeff = st.integers(min_value=0, max_value=p - 1)
-    f = tuple(draw(st.lists(coeff, min_size=m, max_size=m))) + (1,)
-    a = draw(st.lists(coeff, min_size=m, max_size=m))
-    b = draw(st.lists(coeff, min_size=m, max_size=m))
-    return p, f, a, b
-
-
-@settings(max_examples=200, deadline=None)
-@given(_mulmod_case())
-def test_fp_mulmod_matches_schoolbook_then_remainder(case):
-    p, f, a, b = case
-    m = len(f) - 1
-    prod = [0] * (2 * m - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] += x * y
-    rem = _poly_rem(prod, f, p)
-    assert _fp_mulmod(a, b, f, p) == tuple(rem) + (0,) * (m - len(rem))

@@ -347,6 +347,24 @@ def test_cli_reproduce_rejects_mismatched_matrix_field(
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
+def test_reproduce_skips_supplied_data_over_a_bound(monkeypatch):
+    # unilift-625's V : H has order 80,000, over the table budget and
+    # SCAN_LIMIT: the check reports the bound instead of ending the run
+    from ctlab import reproduce
+    from ctlab.errors import BudgetExceeded
+    from ctlab.forge import cyclic
+
+    def over_bound(*args):
+        raise BudgetExceeded("group order 80000 exceeds SCAN_LIMIT 60000")
+
+    monkeypatch.setattr(reproduce, "_user_action",
+                        lambda stem, p: (cyclic(2), [[[1, 0], [0, 1]]]))
+    monkeypatch.setattr(reproduce, "builder_unique_lift", over_bound)
+    out = reproduce.run_check("unilift-625")
+    assert out["status"] == "skipped"
+    assert out["reason"].endswith("exceeds SCAN_LIMIT 60000")
+
+
 def test_cli_reproduce_small_check(capsys):
     code, data = _run(capsys, ["reproduce", "lifts-c4"])
     assert code == 0 and data["status"] == "pass"

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from ctlab import modrep
 from ctlab.chartab import character_table, direct_product_table
-from ctlab.cyclo import Cyclotomic, euler_phi, prime_field, rational, zeta
+from ctlab.cyclo import Cyclotomic, euler_phi, rational, zeta
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
                           NonIntegralDecomposition, NotCentralPPrime,
                           VerificationFailed)
@@ -98,17 +99,25 @@ def _coordinates(a, n):
     return modrep._flatten([(a, zeta(n))])[0][:euler_phi(n)]
 
 
-def _vanishing(coords, n, ctx):
+@lru_cache(maxsize=None)
+def _omega_powers(p, n):
+    """omega^0, ..., omega^(n-1) in F_{p^m}, m = ord_n(p), from the
+    enumeration oracle."""
+    return oracles.field_omega_powers(p, n)[1]
+
+
+def _vanishing(coords, n, p):
     """The k prime to n at which sum c_i zeta_n^i maps to 0 in F_{p^m}
     under zeta_n -> omega^k: one prime over p per Frobenius orbit of k."""
+    powers = _omega_powers(p, n)
     out = set()
     for k in range(1, n):
         if gcd(k, n) == 1:
-            image = ctx.zero
+            image = [0] * len(powers[0])
             for i, c in enumerate(coords):
-                image = ctx.add(image, ctx.mul(ctx.scalar(c),
-                                               ctx.omega_pows[k * i % n]))
-            if image == ctx.zero:
+                image = [(a + c * b) % p
+                         for a, b in zip(image, powers[k * i % n])]
+            if not any(image):
                 out.add(k)
     return out
 
@@ -118,7 +127,7 @@ def test_an_element_in_one_prime_over_2_only():
     assert a * a - a == rational(-2)
     coords = _coordinates(a, 7)
     assert coords == (1, 1, 1, 0, 1, 0)
-    assert _vanishing(coords, 7, prime_field(2, 7)) == {1, 2, 4}
+    assert _vanishing(coords, 7, 2) == {1, 2, 4}
 
 
 # (n, p) with p prime to n and ord_n(p) <= 6
@@ -139,12 +148,11 @@ def test_coordinates_mod_p_decide_every_prime_over_p(case, coeffs, times_p):
     a = Cyclotomic.from_expansion(n, dict(enumerate(coeffs[:n])))
     if times_p:
         a = a * p
-    ctx = prime_field(p, n)
-    assert ctx.m <= 6
+    assert len(_omega_powers(p, n)[0]) <= 6
     coords = _coordinates(a, n)
     units = {k for k in range(1, n) if gcd(k, n) == 1}
     assert (all(c % p == 0 for c in coords)
-            == (_vanishing(coords, n, ctx) == units))
+            == (_vanishing(coords, n, p) == units))
 
 
 def test_decomposition_s3(s3_table):

@@ -25,8 +25,7 @@ input of ``cyclo.dixon_lift`` once: the lifts are counted on the order-486
 tower level and the order-3960 build, and no input is lifted twice.  A tower
 runs Fong-Swan once per level that needs a table: the certificate reads the
 last step's Brauer data, and ``ibr_fong_swan`` runs once for the C6 tower
-at p = 2.  Blocks compare integer coordinates mod p: the order-3960 blocks
-at p = 3 build no F_{p^m} context.
+at p = 2.
 
 No module in ``src/ctlab`` or ``tests`` imports a name it never uses,
 except on a line marked ``# noqa: F401`` (a re-export).
@@ -300,33 +299,6 @@ def test_tower_fong_swan_ratchet(monkeypatch):
                          monkeypatch)
     assert certs[0].ok
     assert calls == FONG_SWAN_CALLS, calls
-
-
-# F_{p^m} contexts that the Brauer data of the order-3960 table at p = 3 may
-# build: blocks compare integer coordinates mod p; reducing the central
-# characters into a field built F_{3^20}
-PRIME_FIELD_CEILING = 0
-
-
-def test_blocks_build_no_prime_field(monkeypatch):
-    from ctlab import cyclo
-    from ctlab.chartab import character_table
-    from ctlab.instances import order3960_build
-    from ctlab.modrep import brauer_data
-
-    table = character_table(order3960_build().group)
-    cyclo.prime_field.cache_clear()
-    built = []
-    real = cyclo.PrimeFieldCtx.__init__
-
-    def counting(self, p, e):
-        built.append((p, e))
-        real(self, p, e)
-
-    monkeypatch.setattr(cyclo.PrimeFieldCtx, "__init__", counting)
-    bd = brauer_data(table, 3)
-    assert sum(b.k() for b in bd.blocks) == len(table.values)
-    assert len(built) <= PRIME_FIELD_CEILING, built
 
 
 def _unused_imports(path):
