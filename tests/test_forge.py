@@ -363,7 +363,8 @@ def test_cyclic_extension_induced_action():
 GENERATOR_DIGESTS = {
     "Q8": "5212dbc5452443a0", "Q12": "8a9426f2262eee74",
     "Q16": "4118f9605ce29cf8", "Q32": "291a6cc5fe65e99e",
-    "order72": "f01d0874d6504d6d", "order864": "cb1e95d104969411",
+    "order54": "30b65ca18801c6ea", "order72": "f01d0874d6504d6d",
+    "order864": "cb1e95d104969411",
 }
 
 
@@ -373,6 +374,8 @@ def test_realisations_keep_generator_tuples(name):
 
     if name.startswith("Q"):
         g = quaternion(int(name[1:]))
+    elif name == "order54":
+        g = instances.order54_group().group
     else:
         g = getattr(instances, f"{name}_build")().group
     digest = hashlib.sha256(repr((g.degree, g.gens)).encode()).hexdigest()
