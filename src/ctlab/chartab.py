@@ -343,14 +343,12 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
                for ca in ta.classes.classes for cb in shifted]
     cd = ClassData(grp, classes)
     grp._classes = cd
-    reps_split = [split(r) for r in cd.representatives]
-    rows = []
-    for ra in ta.values:
-        for rb in tb.values:
-            row = []
-            for x, y in reps_split:
-                row.append(ra[ta.group.class_of(x)] * rb[tb.group.class_of(y)])
-            rows.append(row)
+    pairs = []
+    for r in cd.representatives:
+        x, y = split(r)
+        pairs.append((ta.group.class_of(x), tb.group.class_of(y)))
+    rows = [[ra[i] * rb[j] for i, j in pairs]
+            for ra in ta.values for rb in tb.values]
     table = CharacterTable(grp, cd, _sorted_rows(rows))
     return table, (grp, emb_a, emb_b, split)
 

@@ -3,8 +3,9 @@
 No group catalogue is consulted: the order-54 acting group is found by
 searching the involutory automorphisms of the exponent-3 extraspecial group
 of order 27 that centralize its center and selecting those whose extension
-is of 2-central type; the bigger groups are the block-builder outputs over
-explicit matrix actions.  Everything is cached per process, deterministic,
+is of 2-central type.  Such an involution acts as -1 on N/Z (see
+``order54_group``), so only the lifts of -1 are searched.  The bigger
+groups are the block-builder outputs over explicit matrix actions.  Everything is cached per process, deterministic,
 and re-verified downstream by the tests.
 """
 
@@ -25,7 +26,7 @@ from .homs import GroupHom
 from .modrep import (brauer_data, brauer_data_for_product,
                      brauer_data_without_table, p_regular_classes)
 from .permgroup import PermGroup
-from .perms import commutator, conj, pinv
+from .perms import commutator, conj, pinv, pmul
 
 
 @dataclass
@@ -41,14 +42,26 @@ def order54_group() -> Order54Report:
     Searches the order-2 automorphisms fixing the center pointwise, in the
     canonical generator-pair order, and returns the first whose extension
     has 2-central type.
+
+    Only the pairs (a, b) in x^-1 Z x y^-1 Z are tried, for N = <x, y> and
+    Z = Z(N) = <z>, z = [x, y].  An automorphism alpha fixing Z pointwise
+    keeps the commutator form, [alpha(u), alpha(v)] = alpha([u, v]) =
+    [u, v], so it acts on N/Z = F_3^2 through SL(2, 3), whose only
+    involution is -1.  Its image there is not 1: an automorphism trivial
+    on N/Z and on Z is g -> g f(g) for a homomorphism f: N -> Z, of order
+    1 or 3.  So an involution has alpha(x) in x^-1 Z and alpha(y) in
+    y^-1 Z.  Both cosets are walked in the sorted element order, so the
+    first pair that passes every check below is the first one of the
+    search over all noncentral pairs.
     """
     n27 = extraspecial(3, "+")
-    z_elems = set(n27.center().elements())
+    z_elems = n27.center().elements()
     x_gen, y_gen = n27.gens
     zc = commutator(x_gen, y_gen)
-    noncentral = [e for e in n27.elements() if e not in z_elems]
-    for a in noncentral:
-        for b in noncentral:
+    x_lifts = sorted(pmul(pinv(x_gen), c) for c in z_elems)
+    y_lifts = sorted(pmul(pinv(y_gen), c) for c in z_elems)
+    for a in x_lifts:
+        for b in y_lifts:
             if commutator(a, b) != zc:
                 continue
             try:

@@ -17,7 +17,10 @@ conjugation on the classes of the generators and labels them in sorted
 element order.  Cores and the p-length are computed inside G, as greedy
 joins of normal closures over the class representatives (``_core``); each
 core grows one chain, whose copy is extended by a candidate and kept when
-the candidate joins, and no quotient group is built.
+the candidate joins, dropped as soon as its index fails, and no quotient
+group is built.  A Sylow subgroup grows one element at a time, each found
+by walking the normalizer's elements (``_normalizing``), which is never
+built as a group.
 
 ``elements()`` lists the group as products of one transversal element per
 level, but only after proving that the chain is right for the generators:
@@ -475,20 +478,6 @@ class PermGroup:
             raise NotASubgroup("centralizer of a subgroup requires a subgroup")
         return self.subgroup_from_elements(_centralizing(self, h.gens))
 
-    def normalizer(self, h):
-        """N_G(h): each g with g^-1 x g in h for every generator x of h,
-        tested on keys against the keys of h's elements."""
-        if not h.is_subgroup_of(self):
-            raise NotASubgroup("normalizer requires a subgroup")
-        base, keyed = _keyed_elements(self)
-        members = {tuple([y[b] for b in base]) for y in h.elements()}
-        out = []
-        for g in keyed.values():
-            pre = [g.index(b) for b in base]        # g^-1 at the base points
-            if all(tuple([g[x[c]] for c in pre]) in members for x in h.gens):
-                out.append(g)
-        return self.subgroup_from_elements(out)
-
     # -- p-structure ---------------------------------------------------------
     def p_core(self, p):
         """O_p(G), the largest normal p-subgroup."""
@@ -514,6 +503,10 @@ class PermGroup:
         x (``_grow_normal``; the core is normal, so only the conjugates of
         the elements that enlarge the copy are sifted), and the copy
         becomes the core's chain when its index over A is a pi-number.
+        The growth stops, and x is rejected, as soon as the copy's index
+        over A is no pi-number: the copy holds a group K with
+        A <= K <= M, M the closure, so |K : A| divides |M : A|, and M
+        fails as well.  A candidate that joins is grown in full.
         This greedy join is O: two normal subgroups over A with
         pi-quotients generate one, so x lies in O exactly when its closure
         over A has a pi-quotient, and then so has its join with any core
@@ -527,14 +520,18 @@ class PermGroup:
         chain = StabilizerChain(self.degree, gens)
         start = chain.copy()            # A, while the core's chain grows
         taken = list(gens)
+        start_order = start.order()
+
+        def pi_index(order):
+            return pi_part(order // start_order) == order // start_order
+
         cd = self.conjugacy_classes()
         for x, o in zip(cd.representatives, cd.element_orders):
             if chain.contains(x) or not start.contains(ppow(x, pi_part(o))):
                 continue
             grown = chain.copy()
-            joined = _grow_normal(grown, [x], self.gens)
-            index = grown.order() // start.order()
-            if pi_part(index) == index:
+            joined = _grow_normal(grown, [x], self.gens, pi_index)
+            if joined is not None:
                 chain = grown
                 taken += joined
         core = self.subgroup_from_elements(taken)
@@ -564,6 +561,14 @@ class PermGroup:
         return count
 
     def sylow_subgroup(self, p):
+        """A Sylow p-subgroup, grown from the element of order p in the
+        first class whose order p divides.  Each step takes the least y
+        in the sorted element order that normalizes the p-subgroup S so
+        far, lies outside S and has y^p in S (``_normalizing``); then
+        <S, y> has order p|S|.  Such a y exists while |S| is below the
+        p-part of |G|: S is then proper in a Sylow subgroup P, so in
+        N_P(S), and N_G(S)/S has an element of order p.  The normalizer
+        is walked, never built as a group."""
         target = p_part(self.order, p)
         if target == 1:
             return self.subgroup([])
@@ -575,12 +580,8 @@ class PermGroup:
                 break
         sub = self.subgroup([seed])
         while sub.order < target:
-            nz = self.normalizer(sub)
-            ext = None
-            for y in nz.elements():
-                if y not in sub and ppow(y, p) in sub:
-                    ext = y
-                    break
+            ext = next((y for y in _normalizing(self, sub)
+                        if y not in sub and ppow(y, p) in sub), None)
             if ext is None:
                 raise VerificationFailed(
                     f"the normalizer of a {p}-subgroup of order {sub.order} "
@@ -826,19 +827,44 @@ def _keyed_elements(group):
     return base, keyed
 
 
-def _grow_normal(chain, elems, gens):
+def _grow_normal(chain, elems, gens, keep=None):
     """Extend ``chain`` by each of ``elems``, then by the conjugates under
     ``gens`` of every element that enlarged it; return the elements that
     enlarged it.  When ``gens`` normalize the chain's group before, it then
     holds the normal closure of that group and ``elems``: the elements
-    taken have their conjugates in it, and so has the group before."""
-    taken = [x for x in elems if chain.extend(x)]
+    taken have their conjugates in it, and so has the group before.
+
+    With ``keep``, ``keep(order)`` is asked after each extension that
+    enlarged the chain, and the growth stops at the first false answer
+    and returns None; the chain is then left part-grown."""
+    taken = []
+
+    def take(x):
+        if not chain.extend(x):
+            return True
+        taken.append(x)
+        return keep is None or keep(chain.order())
+
+    if not all(take(x) for x in elems):
+        return None
     for x in taken:
-        for s in gens:
-            c = conj(x, s)
-            if chain.extend(c):
-                taken.append(c)
+        if not all(take(conj(x, s)) for s in gens):
+            return None
     return taken
+
+
+def _normalizing(group, h):
+    """The elements g of the group with g^-1 x g in h for every generator
+    x of h, in sorted order, tested on keys against the keys of h's
+    elements."""
+    if not h.is_subgroup_of(group):
+        raise NotASubgroup("normalizer requires a subgroup")
+    base, keyed = _keyed_elements(group)
+    members = {tuple([y[b] for b in base]) for y in h.elements()}
+    for g in keyed.values():
+        pre = [g.index(b) for b in base]        # g^-1 at the base points
+        if all(tuple([g[x[c]] for c in pre]) in members for x in h.gens):
+            yield g
 
 
 def _centralizing(group, gens):

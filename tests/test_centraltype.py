@@ -4,11 +4,12 @@ from ctlab.centraltype import (central_type_report, fully_ramified_search,
                                humphreys_equal_degree, is_central_type,
                                is_p_central_type, over_count_vs_quotient)
 from ctlab.chartab import character_table
-from ctlab.errors import NotCentral, NotNormal
+from ctlab.errors import NotAHomomorphism, NotCentral, NotNormal
 from ctlab.forge import cyclic, extraspecial
+from ctlab.homs import GroupHom
 from ctlab.modrep import brauer_data, linear_characters
 from ctlab.permgroup import direct_product, p_prime_part
-from ctlab.perms import parse_cycles
+from ctlab.perms import commutator, parse_cycles, pinv, pmul
 
 
 def test_is_central_type_basics(s3_table, d8_table):
@@ -46,6 +47,32 @@ def test_order54_is_2_central(build54):
     assert rep.is_p_central_type
     assert bd.ibr_degrees()[rep.modular_witness] == 3
     assert p_prime_part(h.order // h.center().order, 2) == 9
+
+
+def test_order54_involutions_are_the_lifts_of_minus_one():
+    # order54_group tries only the pairs in x^-1 Z x y^-1 Z; over every
+    # noncentral pair (a, b) with [a, b] = z, the maps x -> a, y -> b that
+    # are involutory automorphisms fixing Z are exactly those nine
+    n27 = extraspecial(3, "+")
+    x, y = n27.gens
+    z = commutator(x, y)
+    centre = n27.center().elements()
+    noncentral = [e for e in n27.elements() if e not in centre]
+    found = set()
+    for a in noncentral:
+        for b in noncentral:
+            if commutator(a, b) != z:
+                continue
+            try:
+                alpha = GroupHom(n27, n27, [a, b])
+            except NotAHomomorphism:
+                continue
+            if (alpha.is_automorphism() and (a, b) != (x, y)
+                    and alpha.image(a) == x and alpha.image(b) == y):
+                found.add((a, b))
+    lifts = {(pmul(pinv(x), c), pmul(pinv(y), d))
+             for c in centre for d in centre}
+    assert len(lifts) == 9 and found == lifts
 
 
 def test_fully_ramified_d8_p7(d8, d8_table):

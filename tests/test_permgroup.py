@@ -16,7 +16,7 @@ from ctlab.errors import BudgetExceeded, InvalidPermutation, NotASubgroup, \
 from ctlab.forge import cyclic, elem_abelian
 from ctlab.homs import GroupHom
 from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
-    group_from_generators, verify_chain
+    _normalizing, group_from_generators, verify_chain
 from ctlab.perms import parse_cycles, pmul
 
 from conftest import perm_group, small_groups
@@ -213,6 +213,43 @@ def test_p_length_generator_invariance():
     assert g1.p_length(2) == g2.p_length(2) == 2
 
 
+def test_core_rejection_drops_no_candidate(corpus, build864, monkeypatch):
+    # _core stops growing a candidate once its index fails; growing every
+    # candidate in full and asking keep once, at the end, must take the same
+    # cores, with the same generators, also over A in the upper p-series
+    real_grow = ctlab.permgroup._grow_normal
+    real_core = PermGroup._core
+    groups = [g for _, g in corpus] + [build864.group]
+
+    def cores():
+        seen = []
+
+        def recording(self, pi_part, above=None):
+            core = real_core(self, pi_part, above)
+            seen.append(core.gens)
+            return core
+
+        monkeypatch.setattr(PermGroup, "_core", recording)
+        for grp in groups:
+            g = PermGroup(grp.degree, grp.gens, check=False)
+            for p in (2, 3):
+                g.p_core(p)
+                g.p_prime_core(p)
+                if g.is_solvable():
+                    g.p_length(p)
+        monkeypatch.setattr(PermGroup, "_core", real_core)
+        return seen
+
+    def full_growth(chain, elems, gens, keep=None):
+        taken = real_grow(chain, elems, gens)
+        return taken if keep is None or keep(chain.order()) else None
+
+    pruned = cores()
+    monkeypatch.setattr(ctlab.permgroup, "_grow_normal", full_growth)
+    assert len(pruned) > 4 * len(groups)
+    assert cores() == pruned
+
+
 def test_p_prime_core_contains_every_normal_p_prime_closure(corpus):
     # Every normal p'-subgroup is a join of single-class normal closures,
     # so containment of those closures verifies maximality.
@@ -311,10 +348,10 @@ def test_inner_action_rejects_an_element_outside(s3):
 
 def test_normalizer_and_centralizer(d8, s4):
     z = d8.center()
-    assert d8.normalizer(z).order == 8
+    assert len(list(_normalizing(d8, z))) == 8
     assert d8.centralizer_of_subgroup(z).order == 8
     c2 = s4.subgroup([parse_cycles("(1 2)", 4)])
-    assert s4.normalizer(c2).order == 4
+    assert len(list(_normalizing(s4, c2))) == 4
     assert s4.centralizer_of_subgroup(c2).order == 4
 
 
@@ -356,7 +393,7 @@ def test_element_scans_share_one_bound():
     g = elem_abelian(2, 16)
     assert g.order > SCAN_LIMIT
     trivial = g.subgroup([])
-    for scan in (lambda: g.normalizer(trivial),
+    for scan in (lambda: next(_normalizing(g, trivial)),
                  lambda: g.centralizer_of_subgroup(trivial), g.center):
         with pytest.raises(BudgetExceeded):
             scan()
@@ -373,8 +410,9 @@ def test_centralizer_and_normalizer_match_oracles_on_corpus(corpus):
             hs = h.elements()
             assert set(g.centralizer_of_subgroup(h).elements()) == \
                 oracles.centralizer(elems, hs), name
-            assert set(g.normalizer(h).elements()) == \
-                oracles.normalizer(elems, hs), name
+            normal = list(_normalizing(g, h))
+            assert normal == sorted(normal), name
+            assert set(normal) == oracles.normalizer(elems, hs), name
 
 
 def test_scans_require_a_subgroup(a4):
@@ -382,7 +420,7 @@ def test_scans_require_a_subgroup(a4):
     with pytest.raises(NotASubgroup):
         a4.centralizer_of_subgroup(c2)
     with pytest.raises(NotASubgroup):
-        a4.normalizer(c2)
+        next(_normalizing(a4, c2))
 
 
 def test_classes_make_no_full_degree_products(build864, monkeypatch):
@@ -511,6 +549,7 @@ def test_chain_checks_survive_python_O():
 _CHECKS_UNDER_O = """
 import sys
 from ctlab.errors import VerificationFailed
+import ctlab.permgroup
 from ctlab.forge import dihedral
 from ctlab.permgroup import PermGroup
 
@@ -538,7 +577,7 @@ real = PermGroup._core
 PermGroup._core = lambda self, pi_part, above=None: above or self.subgroup([])
 expect("p_length", lambda: s4.p_length(2))
 PermGroup._core = real
-PermGroup.normalizer = lambda self, h: h
+ctlab.permgroup._normalizing = lambda group, h: iter(())
 expect("sylow", lambda: dihedral(8).sylow_subgroup(2))
 PermGroup.center = lambda self: self.subgroup([])
 expect("inner_action", dihedral(8).inner_action)

@@ -232,8 +232,9 @@ def test_product_report_lists_no_elements():
 
 # full-degree products of p_length(2) on a fresh copy of the order-864 build
 # with its classes computed; two chains built from scratch for each core
-# candidate made 27,601
-PLENGTH_PMUL_CEILING = 16_031
+# candidate made 27,601, and growing each rejected candidate to its full
+# closure made 16,031
+PLENGTH_PMUL_CEILING = 9_754
 
 
 def test_core_pmul_ratchet(build864, monkeypatch):
@@ -245,6 +246,42 @@ def test_core_pmul_ratchet(build864, monkeypatch):
     group.conjugacy_classes()
     calls = _calls_while(perms.pmul, lambda: group.p_length(2), monkeypatch)
     assert calls <= PLENGTH_PMUL_CEILING, calls
+
+
+# full-degree products of sylow_subgroup(2) on a fresh copy of the order-864
+# build with its classes computed; building each step's normalizer as a
+# group, chain and element list, made 3,571
+SYLOW_PMUL_CEILING = 723
+
+
+def test_sylow_pmul_ratchet(build864, monkeypatch):
+    from ctlab import perms
+    from ctlab.permgroup import PermGroup
+
+    g = build864.group
+    group = PermGroup(g.degree, g.gens, check=False)
+    group.conjugacy_classes()
+    calls = _calls_while(perms.pmul, lambda: group.sylow_subgroup(2),
+                         monkeypatch)
+    assert calls <= SYLOW_PMUL_CEILING, calls
+
+
+# automorphisms the order-54 search builds: an involution fixing the centre
+# acts as -1 on N/Z, so only the nine lifts of -1 are candidates; the search
+# over every noncentral pair built 137
+ORDER54_HOM_CEILING = 2
+
+
+def test_order54_search_ratchet(monkeypatch):
+    from ctlab.homs import GroupHom
+    from ctlab.instances import order54_group
+
+    calls = []
+    real = GroupHom.__init__
+    monkeypatch.setattr(GroupHom, "__init__",
+                        lambda self, *a: calls.append(1) or real(self, *a))
+    order54_group.__wrapped__()
+    assert len(calls) <= ORDER54_HOM_CEILING, len(calls)
 
 
 # lifts a character table may make: one per distinct (e, degree, residues)
