@@ -8,6 +8,14 @@ congruent to 2 mod 4, and 1 for rationals).  Two values are equal iff their
 (conductor, coefficient vector) pairs are equal, and that pair is also the
 hash key.
 
+The conductor is found by descent (``_descend``): for a prime p | n with
+m = n/p > 1, a value v lies in Q(zeta_m) iff it equals its relative trace
+divided by [Q(zeta_n) : Q(zeta_m)], which is read off v term by term --
+zeta_n^e goes to zeta_m^(e/p) when p | e and to 0 otherwise if p^2 | n, and
+with b = e * p^-1 mod m to zeta_m^b when p | e and to -zeta_m^b / (p - 1)
+otherwise if p || n.  Embedding the result back at n and comparing with v
+is the membership test, and no linear system is solved.
+
 The finite-field side is F_ell with ell = 1 mod e and a fixed primitive
 e-th root of unity (``DixonField``), which the Dixon-Schneider lift uses;
 blocks compare integer coordinates mod p and need no finite field.
@@ -61,6 +69,9 @@ def euler_phi(n: int) -> int:
 
 def nu(n: int, p: int) -> int:
     """Exponent of the prime p in the positive integer n."""
+    if n <= 0 or p < 2:
+        raise VerificationFailed(f"no exponent of {p} in {n}: it needs n >= 1 "
+                                 f"and p >= 2")
     k = 0
     while n % p == 0:
         n //= p
@@ -74,56 +85,6 @@ def p_part(n: int, p: int) -> int:
 
 def p_prime_part(n: int, p: int) -> int:
     return n // p_part(n, p)
-
-
-def integer_gauss_jordan(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
-
-    ``rows`` is a rectangular integer matrix; elimination runs on its first
-    ``ncols`` columns, and any further columns ride along (an augmented
-    part).  Column c is skipped when no row at or below the current row r
-    has a nonzero entry there; otherwise the first such row is swapped up
-    to r and its entry p is the pivot.  Every other row i then becomes
-    (p * row_i - row_i[c] * row_r) / d, with d the previous pivot (1 at the
-    first).  Each entry stays a minor of the input, so the division is
-    exact; it is checked with ``divmod`` and a remainder raises
-    VerificationFailed.
-
-    Returns ``(rows, pivots, det)``: the reduced rows (new lists), the pivot
-    column of each of the first ``len(pivots)`` rows, and det.  Pivot row r
-    holds the last pivot D at column ``pivots[r]`` and 0 at the other pivot
-    columns, so the solution it carries is (entry) / D; the rows below the
-    pivot rows are zero on the first ``ncols`` columns.  ``det`` is the
-    signed determinant when the matrix is square (``len(rows) == ncols``)
-    and of full rank, and 0 otherwise.
-    """
-    rows = [list(row) for row in rows]
-    if any(len(row) != len(rows[0]) or len(row) < ncols for row in rows):
-        raise VerificationFailed("elimination needs a rectangular matrix")
-    pivots, sign, d = [], 1, 1
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if sel is None:
-            continue
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-            sign = -sign
-        prow, p = rows[r], rows[r][c]
-        for i, row in enumerate(rows):
-            if i == r or not any(row):      # a zero row stays zero
-                continue
-            f, new = row[c], []
-            for a, b in zip(row, prow):
-                q, rem = divmod(p * a - f * b, d)
-                if rem:
-                    raise VerificationFailed("Bareiss division is not exact")
-                new.append(q)
-            rows[i] = new
-        pivots.append(c)
-        d = p
-    det = sign * d if len(pivots) == ncols == len(rows) else 0
-    return rows, pivots, det
 
 
 # ---------------------------------------------------------------------------
@@ -198,43 +159,6 @@ def _as_int_or_fraction(c):
     if isinstance(c, Fraction):
         return int(c) if c.denominator == 1 else c
     return c
-
-
-@lru_cache(maxsize=None)
-def _galois_matrix(n: int, j: int) -> tuple:
-    """Rows i: coefficient vector of sigma_j(z^i) = z^(ij) mod Phi_n."""
-    table = _power_table(n)
-    return tuple(table[(i * j) % n] for i in range(euler_phi(n)))
-
-
-@lru_cache(maxsize=None)
-def _descent_solver(n: int, p: int):
-    """Solver for rewriting invariant values from Q(zeta_n) into Q(zeta_{n/p}).
-
-    Returns (den, rows): phi(m) integer rows R with d = R . v / den, where v
-    is the coefficient vector at conductor n and d the one at m = n/p.
-    """
-    m = n // p
-    phi_n, phi_m = euler_phi(n), euler_phi(m)
-    table = _power_table(n)
-    # solve M d = v for all v in the column space: row-reduce [M | I]
-    rows = [[table[(p * j) % n][i] for j in range(phi_m)] +
-            [1 if k == i else 0 for k in range(phi_n)]
-            for i in range(phi_n)]
-    rows, pivots, _ = integer_gauss_jordan(rows, phi_m)
-    if len(pivots) != phi_m:
-        raise VerificationFailed("descent columns are dependent")
-    return rows[0][0], tuple(tuple(row[phi_m:]) for row in rows[:phi_m])
-
-
-def _apply_matrix(mat, vec, size):
-    out = [0] * size
-    for c, row in zip(vec, mat):
-        if c:
-            for j in range(size):
-                if row[j]:
-                    out[j] += c * row[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +264,8 @@ class Cyclotomic:
             return self
         if gcd(j, self.n) != 1:
             raise ValueError("galois exponent must be coprime to the conductor")
-        vec = _apply_matrix(_galois_matrix(self.n, j % self.n), self.coeffs,
-                            euler_phi(self.n))
-        return Cyclotomic(self.n, tuple(vec))
+        return Cyclotomic.from_expansion(
+            self.n, {i * j: c for i, c in enumerate(self.coeffs) if c})
 
     def conjugate(self) -> "Cyclotomic":
         return self.galois(self.n - 1) if self.n > 1 else self
@@ -404,41 +327,48 @@ def _canonicalize(n: int, expansion: dict):
 
 
 def _descend(n: int, vec):
-    phi = euler_phi(n)
-    if n == 1:
-        return 1, (_as_int_or_fraction(Fraction(vec[0])) if not isinstance(vec[0], int)
-                   else vec[0],)
+    """Minimal canonical form of the value with reduced vector ``vec`` at
+    conductor n (n not 2 mod 4).
+
+    For a prime p | n with m = n/p > 1, v lies in Q(zeta_m) iff it equals
+    t = Tr(v) / [Q(zeta_n) : Q(zeta_m)], the relative trace over the
+    sigma_j with j = 1 mod m divided by their number.  t is read off v term
+    by term:
+
+    * p^2 | n: zeta_n^e -> zeta_m^(e/p) when p | e, and 0 otherwise;
+    * p || n: with b = e * p^-1 mod m, zeta_n^e -> zeta_m^b when p | e,
+      and -zeta_m^b / (p - 1) otherwise.
+
+    t is reduced at m and embedded back (zeta_m^i = zeta_n^(p i), reduced
+    at n).  Equality with v is the membership test, and t is then the
+    vector at m; otherwise the next prime is tried.
+    """
     if all(not c for c in vec[1:]):
         return 1, (_as_int_or_fraction(vec[0]),)
     for p in prime_factors(n):
         m = n // p
         if m == 1:
             continue  # rational values were caught above
-        subgroup = [j for j in range(1, n) if j % m == 1 and gcd(j, n) == 1]
-        if all(_apply_matrix(_galois_matrix(n, j), vec, phi) == list(vec)
-               for j in subgroup if j != 1):
-            den, solver = _descent_solver(n, p)
-            d = [_dot(row, vec, den) for row in solver]
-            # invariance guarantees consistency; verify the rewrite anyway
-            table = _power_table(n)
-            embed = [table[(p * i) % n] for i in range(len(d))]
-            if _apply_matrix(embed, d, phi) != list(vec):
-                raise VerificationFailed("descent rewrite failed")
-            if m % 4 == 2:
-                return _canonicalize(m, {i: c for i, c in enumerate(d) if c})
-            return _descend(m, d)
-    return n, tuple(_as_int_or_fraction(Fraction(c)) if not isinstance(c, int) else c
-                    for c in vec)
-
-
-def _dot(row, vec, den):
-    """(row . vec) / den as an int or a Fraction, with one division."""
-    s = sum(a * b for a, b in zip(row, vec) if a and b)
-    if isinstance(s, int):
-        q, rem = divmod(s, den)
-        return Fraction(s, den) if rem else q
-    return _as_int_or_fraction(s / den)
-
+        # trace holds k * t; k = p - 1 when p || n keeps an integral v's
+        # coefficients integral until v is known to descend
+        if m % p == 0:
+            k, trace = 1, {i // p: c for i, c in enumerate(vec) if c and not i % p}
+        else:
+            k, inv, trace = p - 1, pow(p, -1, m), {}
+            for i, c in enumerate(vec):
+                if c:
+                    b = i * inv % m
+                    trace[b] = trace.get(b, 0) + (-c if i % p else k * c)
+        t = _reduce_expansion(m, trace)
+        back = _reduce_expansion(n, {p * i: c for i, c in enumerate(t) if c})
+        if back != [k * c for c in vec]:
+            continue
+        if k > 1:
+            t = [_as_int_or_fraction(Fraction(c, k)) for c in t]
+        if m % 4 == 2:
+            return _canonicalize(m, {i: c for i, c in enumerate(t) if c})
+        return _descend(m, t)
+    return n, tuple(_as_int_or_fraction(c) for c in vec)
 
 ZERO = Cyclotomic.from_rational(0)
 ONE = Cyclotomic.from_rational(1)

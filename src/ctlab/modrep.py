@@ -30,7 +30,7 @@ rows carry their coefficients in the kept vectors.  It is sound because:
   of equal or larger degree, so no separate degree check is needed.
 
 Only a failed combination is decided again by exact fraction-free
-elimination over the integers (``cyclo.integer_gauss_jordan``), the same
+elimination over the integers (``integer_gauss_jordan``), the same
 kernel that solves for the decomposition matrix and computes the Cartan
 determinant: a non-negative integer solution there, or none at all, means
 the tests mod ELL and over Q disagree (VerificationFailed).
@@ -54,8 +54,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .chartab import CharacterTable
-from .cyclo import (ZERO, _reduce_expansion, integer_gauss_jordan, is_prime, nu,
-                    p_part, rational)
+from .cyclo import ZERO, _reduce_expansion, is_prime, nu, p_part, rational
 from .errors import (
     AmbiguousBasicSet,
     ClassDataMismatch,
@@ -131,6 +130,56 @@ class _ModEchelon:
         self.rows.append((pc, [x * inv % ELL for x in v],
                           [-c * inv % ELL for c in coeffs] + [inv]))
         return None
+
+
+def integer_gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination over the integers (Bareiss).
+
+    ``rows`` is a rectangular integer matrix; elimination runs on its first
+    ``ncols`` columns, and any further columns ride along (an augmented
+    part).  Column c is skipped when no row at or below the current row r
+    has a nonzero entry there; otherwise the first such row is swapped up
+    to r and its entry p is the pivot.  Every other row i then becomes
+    (p * row_i - row_i[c] * row_r) / d, with d the previous pivot (1 at the
+    first).  Each entry stays a minor of the input, so the division is
+    exact; it is checked with ``divmod`` and a remainder raises
+    VerificationFailed.
+
+    Returns ``(rows, pivots, det)``: the reduced rows (new lists), the pivot
+    column of each of the first ``len(pivots)`` rows, and det.  Pivot row r
+    holds the last pivot D at column ``pivots[r]`` and 0 at the other pivot
+    columns, so the solution it carries is (entry) / D; the rows below the
+    pivot rows are zero on the first ``ncols`` columns.  ``det`` is the
+    signed determinant when the matrix is square (``len(rows) == ncols``)
+    and of full rank, and 0 otherwise.
+    """
+    rows = [list(row) for row in rows]
+    if any(len(row) != len(rows[0]) or len(row) < ncols for row in rows):
+        raise VerificationFailed("elimination needs a rectangular matrix")
+    pivots, sign, d = [], 1, 1
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            rows[r], rows[sel] = rows[sel], rows[r]
+            sign = -sign
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            if i == r or not any(row):      # a zero row stays zero
+                continue
+            f, new = row[c], []
+            for a, b in zip(row, prow):
+                q, rem = divmod(p * a - f * b, d)
+                if rem:
+                    raise VerificationFailed("Bareiss division is not exact")
+                new.append(q)
+            rows[i] = new
+        pivots.append(c)
+        d = p
+    det = sign * d if len(pivots) == ncols == len(rows) else 0
+    return rows, pivots, det
 
 
 def _solve_in_basis(basis_vectors, targets):

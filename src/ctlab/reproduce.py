@@ -345,7 +345,8 @@ def check_property_corpus() -> dict:
             if sum(b.l() for b in bd.blocks) != len(bd.ibr):
                 failures.append((g.order, p, "l-sum"))
             det = cartan_determinant(bd.cartan)
-            if p_part(det, p) != det:
+            # the determinant is a power of p; p_part needs det >= 1
+            if det <= 0 or p_part(det, p) != det:
                 failures.append((g.order, p, "cartan"))
     return {"status": "pass" if not failures else "fail",
             "groups_checked": len(corpus), "failures": failures}

@@ -365,6 +365,17 @@ def test_reproduce_skips_supplied_data_over_a_bound(monkeypatch):
     assert out["reason"].endswith("exceeds SCAN_LIMIT 60000")
 
 
+def test_property_corpus_fails_on_a_singular_cartan_matrix(monkeypatch):
+    # p_part(0, p) has no answer: the check records the failure instead of
+    # asking for one
+    from ctlab import modrep, reproduce
+
+    monkeypatch.setattr(modrep, "cartan_determinant", lambda cartan: 0)
+    out = reproduce.run_check("property-corpus")
+    assert out["status"] == "fail"
+    assert (6, 2, "cartan") in out["failures"]
+
+
 def test_cli_reproduce_small_check(capsys):
     code, data = _run(capsys, ["reproduce", "lifts-c4"])
     assert code == 0 and data["status"] == "pass"

@@ -450,6 +450,21 @@ def test_cartan_determinant_matches_leibniz(m):
     assert cartan_determinant(m) == oracles.leibniz_det(m)
 
 
+def test_integer_gauss_jordan_contract():
+    # [[2, 1 | 5], [4, 3 | 11]]: x = (2, 1), det 2
+    rows, pivots, det = modrep.integer_gauss_jordan([[2, 1, 5], [4, 3, 11]], 2)
+    assert pivots == [0, 1] and det == 2
+    assert rows == [[2, 0, 4], [0, 2, 2]]           # D = 2 on each pivot row
+    rows, pivots, det = modrep.integer_gauss_jordan([[0, 1], [1, 0]], 2)
+    assert pivots == [0, 1] and det == -1             # one row swap
+    rows, pivots, det = modrep.integer_gauss_jordan([[1, 2, 3], [2, 4, 7]], 3)
+    assert pivots == [0, 2] and det == 0              # column 1 skipped
+    assert rows[1] == [0, 0, 1] and rows[0][1] == 2
+    assert modrep.integer_gauss_jordan([], 0) == ([], [], 1)
+    with pytest.raises(VerificationFailed):
+        modrep.integer_gauss_jordan([[1, 2], [3]], 1)
+
+
 def test_cartan_determinant_rejects_non_integral():
     from fractions import Fraction
 

@@ -16,7 +16,7 @@ allowlisted with a reason.  Code that only tests call is deleted instead.
 The class matrices of a character table are looked up on base-image keys:
 counting ``perms.pmul`` calls keeps full-degree products out of them.  The
 Fong-Swan pass decides membership mod ELL: counting
-``cyclo.integer_gauss_jordan`` calls keeps exact solves off its fast path.
+``modrep.integer_gauss_jordan`` calls keeps exact solves off its fast path.
 The centre is read off the classes and the product table lists its classes
 without a scan, and a core grows one chain: the central-type report on
 SL(2, 5) x SL(2, 5) lists no element of the product, and a ``pmul`` count
@@ -204,7 +204,7 @@ GAUSS_CEILING = 0
 
 
 def test_fong_swan_gauss_jordan_ratchet(build72, build864, monkeypatch):
-    from ctlab import cyclo
+    from ctlab import modrep
     from ctlab.chartab import character_table
     from ctlab.instances import order3960_build
     from ctlab.modrep import ibr_fong_swan
@@ -212,7 +212,7 @@ def test_fong_swan_gauss_jordan_ratchet(build72, build864, monkeypatch):
     for group in (build72.group, build864.group, order3960_build().group):
         table = character_table(group)
         for p in (2, 3, 5):
-            calls = _calls_while(cyclo.integer_gauss_jordan,
+            calls = _calls_while(modrep.integer_gauss_jordan,
                                  lambda: ibr_fong_swan(table, p), monkeypatch)
             assert calls <= GAUSS_CEILING, (group.order, p, calls)
 
