@@ -7,7 +7,8 @@ a single irreducible Brauer character.
   and the quotient acting above the natural subpair is not a p-group.
 * builder_nonsolvable: (H x Q) : A with A acting regularly on the Brauer
   characters of a block b of H whose count is not a p-power, and
-  non-trivially on the p-group Q.
+  non-trivially on the p-group Q.  It takes the caller's Brauer data of H,
+  blocks included, so H's table is built once by whoever picks b.
 * builder_unique_lift: the variant of the first builder whose stabilizer
   inequality |H : H_v| > |H_v : Z| for all nonzero vectors forces the unique
   Brauer character of the block to have a unique ordinary lift.
@@ -172,13 +173,16 @@ def ibr_action_permutation(bd: BrauerData, alpha: GroupHom, a_order: int):
     return perm
 
 
-def builder_nonsolvable(h_group: PermGroup, p: int, block_index: int,
-                        alpha: GroupHom, a_order: int, q_group: PermGroup,
-                        alpha_q: GroupHom,
-                        budget=DEFAULT_BUDGET) -> RegularActionBuild:
-    """(H x Q) : <(alpha, alpha_q)> with the regularity prechecks."""
-    table_h = character_table(h_group, budget=budget)
-    bd_h = brauer_data(table_h, p)
+def builder_nonsolvable(bd_h: BrauerData, block_index: int, alpha: GroupHom,
+                        a_order: int, q_group: PermGroup,
+                        alpha_q: GroupHom) -> RegularActionBuild:
+    """(H x Q) : <(alpha, alpha_q)> with the regularity prechecks.
+
+    H, p and the block b = ``bd_h.blocks[block_index]`` are read from the
+    caller's Brauer data of H, which must carry its blocks."""
+    if bd_h.blocks is None:
+        raise CTLabError("the Brauer data of H carries no blocks")
+    h_group, p = bd_h.group, bd_h.p
     blk = bd_h.blocks[block_index]
     l_b = blk.l()
     if p_part(l_b, p) == l_b:

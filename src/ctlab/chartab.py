@@ -14,10 +14,21 @@ entry needs the class of x^-1 rep_m for x in K_i, found by its base-image
 key ``tuple(y[b] for b in base)`` over the base of G's chain in
 ``ClassData.key_index``, so the class lookup costs |base| point lookups
 and no product at the full degree; ``ClassData.powers`` walks the powers
-of a representative on keys the same way.  The keys are exact: the base
-of a verified chain separates G, and the key map is checked to hold |G|
-distinct keys, so the class lists cover G (see ``ClassData.key_index``).
-M_i applied to a vector is the sum of the columns in its support.
+of a representative on keys the same way.  The key of x^-1 rep_m is
+rep_m read at the points x^-1[b], so each x in K_i gets one
+``permgroup.key_getter`` on those points, built once and applied to every
+rep_m.  The keys are exact: the base of a verified chain separates G, and
+the key map is checked to hold |G| distinct keys, so the class lists cover
+G (see ``ClassData.key_index``).  M_i applied to a vector is the sum of
+the columns in its support.
+
+An eigenvalue of M_i on a space is a root in F_ell of the characteristic
+polynomial of its restriction.  Most restrictions are 2 x 2, so a monic
+quadratic x^2 + bx + c takes its roots in closed form, (-b +- s) / 2 with
+s^2 = b^2 - 4c read from a table of the square roots in F_ell kept per
+ell, and no root when b^2 - 4c is not a square.  Any other degree is
+evaluated at every t in F_ell: a gcd with x^ell - x and a split by
+shifts lost to evaluation at every degree from 4 that was measured.
 
 Many (character, class) pairs share a lift, so one table call keeps a memo
 keyed on the whole input of ``dixon_lift``: the element order e, the row's
@@ -29,13 +40,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational
 from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
                      NotASubgroup, VerificationFailed)
-from .permgroup import ClassData, PermGroup, check_scan, direct_product
+from .permgroup import ClassData, PermGroup, check_scan, direct_product, key_getter
 
 
 class CharacterTable:
@@ -168,7 +181,29 @@ def _charpoly(mat, ell):
     return polys[n]
 
 
+@lru_cache(maxsize=None)
+def _square_roots(ell):
+    """{r: s} with s * s = r for every square r in F_ell (one root each)."""
+    return {t * t % ell: t for t in range(ell // 2 + 1)}
+
+
 def _poly_roots(poly, ell):
+    """The distinct roots in F_ell, in increasing order, of ``poly``
+    (ascending coefficients, reduced mod ell), for an odd prime ell (the
+    table's ell exceeds 2 sqrt|G| + 1 >= 3).
+
+    A monic quadratic x^2 + bx + c has the roots (-b +- s) / 2 with
+    s^2 = b^2 - 4c, and none when b^2 - 4c is not a square; s is read from
+    ``_square_roots(ell)``.  Any other polynomial is evaluated at every t
+    in F_ell.
+    """
+    if len(poly) == 3 and poly[2] == 1:
+        c, b = poly[0], poly[1]
+        s = _square_roots(ell).get((b * b - 4 * c) % ell)
+        if s is None:
+            return []
+        half = (ell + 1) // 2
+        return sorted({(s - b) * half % ell, (-s - b) * half % ell})
     roots = []
     for t in range(ell):
         acc = 0
@@ -189,20 +224,16 @@ def class_matrix_columns(classes: ClassData, i, ms):
 
     M_i[j][m] = #{(x, y) in K_i x K_j : x y = rep_m}, so column m counts
     the classes of x^-1 rep_m over x in K_i.  Its key is ``rep_m[x^-1[b]]``
-    over the base points b, looked up in ``classes.key_index``;
-    ``x.index(b)`` is x^-1[b].
+    over the base points b, read by one ``key_getter`` per x built on the
+    points x^-1[b] (``x.index(b)``), and looked up in ``classes.key_index``.
     """
     key_index = classes.key_index
     base = classes.group.chain.base
-    pres = [[x.index(b) for b in base] for x in classes.classes[i]]
+    gets = [key_getter([x.index(b) for b in base]) for x in classes.classes[i]]
     out = {}
     for m in ms:
         rep = classes.representatives[m]
-        col = {}
-        for pre in pres:
-            j = key_index[tuple([rep[c] for c in pre])]
-            col[j] = col.get(j, 0) + 1
-        out[m] = sorted(col.items())
+        out[m] = sorted(Counter([key_index[get(rep)] for get in gets]).items())
     return out
 
 
@@ -330,7 +361,10 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     Each is listed as the pairs x + y, y shifted past A's points: both
     factor lists are sorted and every x has A's degree, so the pairs in
     nested order are sorted already.  The classes list every element, so
-    the product's order is checked against SCAN_LIMIT first.
+    the product's order is checked against SCAN_LIMIT first.  A value
+    chi_a(x) * chi_b(y) is formed once per pair of values in a memo for
+    the call: ``Cyclotomic`` hashes and compares structurally, so an equal
+    pair gives the equal product.
 
     Returns (table, product_group_data) where the second item carries the
     direct-product embeddings for later fusion work.
@@ -347,7 +381,16 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     for r in cd.representatives:
         x, y = split(r)
         pairs.append((ta.group.class_of(x), tb.group.class_of(y)))
-    rows = [[ra[i] * rb[j] for i, j in pairs]
+    # the factor tables share few values, so each product is formed once
+    products = {}
+
+    def product(x, y):
+        v = products.get((x, y))
+        if v is None:
+            v = products[x, y] = x * y
+        return v
+
+    rows = [[product(ra[i], rb[j]) for i, j in pairs]
             for ra in ta.values for rb in tb.values]
     table = CharacterTable(grp, cd, _sorted_rows(rows))
     return table, (grp, emb_a, emb_b, split)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import lru_cache
 
 from .errors import Budget, BudgetExceeded, CTLabError, DEFAULT_BUDGET, \
     DegenerateStep, InvalidBudget, VerificationFailed
@@ -279,8 +280,15 @@ _HANDLERS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: ``main`` runs many
+    times in one process, and importing the module builds nothing."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         Budget.from_env()   # a bad CTLAB_BUDGET is an error, not the default
         return _HANDLERS[args.command](args)

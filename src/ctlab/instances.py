@@ -118,7 +118,7 @@ def _swapping_build(h, w) -> RegularActionBuild:
     bd = brauer_data(character_table(h), 3)
     block_index = next(i for i, blk in enumerate(bd.blocks)
                        if blk.l() == 2 and 0 not in blk.ordinary)
-    return builder_nonsolvable(h, 3, block_index, alpha, 2, q3, alpha_q)
+    return builder_nonsolvable(bd, block_index, alpha, 2, q3, alpha_q)
 
 
 @lru_cache(maxsize=None)

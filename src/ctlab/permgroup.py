@@ -33,16 +33,21 @@ under its base-image key, its images of the chain's base points, so
 conjugating an element costs |base| lookups instead of two products at
 the full degree (see ``_keyed_elements``); ``ClassData.key_index`` maps
 the key of each class element to its class, checked the same way, and
-power maps and class matrices are looked up in it.  Everything assumes
-desk scale: orders up to a few tens of thousands, degrees up to ~2000; no
-element scan runs on a group of order above ``SCAN_LIMIT``, and no
-constructed domain has more than ``MAX_POINTS`` points.
+power maps and class matrices are looked up in it.  ``key_getter`` is the
+one key routine: the keys of elements over a fixed list of points, here
+and in ``chartab.class_matrix_columns``, are read by the getter it builds
+for those points (``operator.itemgetter`` from two points on); only the
+conjugation keys ``s[y[c]]`` of the scans are built in place.  Everything
+assumes desk scale: orders up to a few tens of thousands, degrees up to
+~2000; no element scan runs on a group of order above ``SCAN_LIMIT``, and
+no constructed domain has more than ``MAX_POINTS`` points.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from math import lcm, prod
+from operator import itemgetter
 
 from .cyclo import p_part, p_prime_part
 from .errors import (
@@ -79,6 +84,21 @@ def check_scan(order: int) -> None:
         raise BudgetExceeded(
             f"element enumeration of order {order} exceeds "
             f"the scan limit {SCAN_LIMIT}")
+
+
+def key_getter(points):
+    """The key routine: a function x -> ``tuple(x[b] for b in points)``.
+
+    For two or more points it is ``operator.itemgetter(*points)``, which
+    builds the tuple in C.  ``itemgetter`` of one point returns the bare
+    image, and of none cannot be built, so fewer points get a small
+    function that builds the tuple; the trivial group and one-point bases
+    still key on tuples.
+    """
+    points = tuple(points)
+    if len(points) > 1:
+        return itemgetter(*points)
+    return lambda x: tuple([x[b] for b in points])
 
 
 def check_points(n: int, name: str) -> None:
@@ -388,8 +408,9 @@ class PermGroup:
             keys = {chain.base}
             queue = [chain.base]
             for key in queue:
+                get = key_getter(key)
                 for s in self.gens:
-                    k = tuple([s[c] for c in key])
+                    k = get(s)
                     if k not in keys:
                         keys.add(k)
                         queue.append(k)
@@ -655,7 +676,8 @@ class PermGroup:
         cd = self.conjugacy_classes()
         points = sorted({x for g in self.gens for x in cd.classes[cd.index[g]]})
         base = self.chain.base
-        pos = {tuple([x[b] for b in base]): i for i, x in enumerate(points)}
+        get = key_getter(base)
+        pos = {get(x): i for i, x in enumerate(points)}
         if len(pos) != len(points):
             raise VerificationFailed(
                 f"{len(pos)} base-image keys for {len(points)} class elements")
@@ -711,13 +733,14 @@ class QuotientResult:
             self._lifts = {base: ident}
             queue = [(base, ident)]
             for key, g in queue:
+                get = key_getter(key)
                 for img, s in zip(self.gen_images, self.source.gens):
-                    nxt = tuple(img[b] for b in key)
+                    nxt = get(img)
                     if nxt not in self._lifts:
                         h = pmul(g, s)
                         self._lifts[nxt] = h
                         queue.append((nxt, h))
-        return self._lifts[tuple(w[b] for b in base)]
+        return self._lifts[key_getter(base)(w)]
 
 
 class ClassData:
@@ -764,9 +787,8 @@ class ClassData:
         names its class.
         """
         if self._key_index is None:
-            base = self.group.chain.base
-            keys = {tuple([x[b] for b in base]): i
-                    for i, c in enumerate(self.classes) for x in c}
+            get = key_getter(self.group.chain.base)
+            keys = {get(x): i for i, c in enumerate(self.classes) for x in c}
             if len(keys) != self.group.order:
                 raise VerificationFailed(
                     f"{len(keys)} base-image keys in the class lists of a "
@@ -820,7 +842,8 @@ def _keyed_elements(group):
     s^-1[b].
     """
     base = group.chain.base
-    keyed = {tuple([x[b] for b in base]): x for x in group.elements()}
+    get = key_getter(base)
+    keyed = {get(x): x for x in group.elements()}
     if len(keyed) != group.order:
         raise VerificationFailed(
             f"{len(keyed)} base-image keys for a group of order {group.order}")
@@ -860,7 +883,7 @@ def _normalizing(group, h):
     if not h.is_subgroup_of(group):
         raise NotASubgroup("normalizer requires a subgroup")
     base, keyed = _keyed_elements(group)
-    members = {tuple([y[b] for b in base]) for y in h.elements()}
+    members = set(map(key_getter(base), h.elements()))
     for g in keyed.values():
         pre = [g.index(b) for b in base]        # g^-1 at the base points
         if all(tuple([g[x[c]] for c in pre]) in members for x in h.gens):

@@ -88,7 +88,10 @@ def check_order720() -> dict:
     table = character_table(g)
     bd = brauer_data(table, 3)
     # the block covering b x b0: restrict through the product subgroup
-    th = character_table(build.h_group)
+    th = build.h_bd.table
+    if th.group is not build.h_group:
+        raise VerificationFailed("the build's Brauer data of H is not on "
+                                 "its group H")
     tq = character_table(build.q_group)
     tn, ndata = direct_product_table(th, tq)
     if ndata[0].gens != build.n_small.gens:

@@ -10,7 +10,7 @@ from ctlab.builders import (builder_nonsolvable, builder_plength,
                             builder_unique_lift, ibr_action_permutation,
                             regular_module_matrices, stabilizer_inequality)
 from ctlab.chartab import character_table
-from ctlab.errors import (ActionKernelMismatch, HypothesisFails,
+from ctlab.errors import (ActionKernelMismatch, CTLabError, HypothesisFails,
                           NotCentralPPrime, NotRegularOnIBr, TrivialQAction)
 from ctlab.forge import cyclic, dihedral, matrix_to_vector_perm, quaternion
 from ctlab.homs import GroupHom
@@ -139,7 +139,7 @@ def test_nonsolvable_rejects_trivial_q_action(sl25):
     q3 = cyclic(3)
     trivial_action = GroupHom(q3, q3, [q3.gens[0]])
     with pytest.raises(TrivialQAction):
-        builder_nonsolvable(sl25, 3, blkidx, alpha, 2, q3, trivial_action)
+        builder_nonsolvable(bd, blkidx, alpha, 2, q3, trivial_action)
 
 
 def test_nonsolvable_rejects_p_power_l(sl25):
@@ -150,7 +150,7 @@ def test_nonsolvable_rejects_p_power_l(sl25):
     q3 = cyclic(3)
     inv_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
     with pytest.raises(NotRegularOnIBr):
-        builder_nonsolvable(sl25, 3, defect_zero, alpha, 2, q3, inv_q)
+        builder_nonsolvable(bd, defect_zero, alpha, 2, q3, inv_q)
 
 
 def test_nonsolvable_rejects_principal_block(sl25):
@@ -163,7 +163,17 @@ def test_nonsolvable_rejects_principal_block(sl25):
     q3 = cyclic(3)
     inv_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
     with pytest.raises(NotRegularOnIBr):
-        builder_nonsolvable(sl25, 3, principal, alpha, 2, q3, inv_q)
+        builder_nonsolvable(bd, principal, alpha, 2, q3, inv_q)
+
+
+def test_nonsolvable_needs_the_blocks_of_h(sl25):
+    bd = brauer_data(character_table(sl25), 3, with_blocks=False)
+    w = _gl25_nonsquare()
+    alpha = GroupHom(sl25, sl25, [conj(g, w) for g in sl25.gens])
+    q3 = cyclic(3)
+    inv_q = GroupHom(q3, q3, [pinv(q3.gens[0])])
+    with pytest.raises(CTLabError, match="no blocks"):
+        builder_nonsolvable(bd, 1, alpha, 2, q3, inv_q)
 
 
 def test_unique_lift_hypothesis_fails_for_q8():
@@ -231,6 +241,7 @@ def test_builder_checks_survive_python_O():
 
 _INSTANCE_CHECKS_UNDER_O = """
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 from ctlab import instances, reproduce
 from ctlab.errors import VerificationFailed
@@ -256,6 +267,12 @@ def other_product(a, b):
     return tn, (ndata[0].subgroup(ndata[0].gens[:1]),) + tuple(ndata[1:])
 reproduce.direct_product_table = other_product
 expect("order720", reproduce.check_order720)
+reproduce.direct_product_table = real
+# H's table is read from the build's Brauer data, which must be on its H
+build = instances.order720_build()
+reproduce.order720_build = lambda: replace(
+    build, h_group=build.h_group.subgroup(build.h_group.gens))
+expect("order720_h", reproduce.check_order720)
 print(" ".join(raised))
 """
 
@@ -263,4 +280,5 @@ print(" ".join(raised))
 def test_instance_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _INSTANCE_CHECKS_UNDER_O],
                          capture_output=True, text=True, env=_ENV, check=True)
-    assert out.stdout.split() == ["order54", "sl2_char_p", "order720"]
+    assert out.stdout.split() == ["order54", "sl2_char_p", "order720",
+                                  "order720_h"]

@@ -5,9 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from ctlab import chartab
 from ctlab.chartab import (character_table, class_fusion, class_matrix_columns,
                            decompose, direct_product_table, induce, inner_product,
                            restrict, row_function, verify_orthogonality)
@@ -115,6 +116,27 @@ def test_class_matrix_columns_match_dense_oracle(corpus_tables):
 @given(small_groups())
 def test_class_matrix_columns_match_dense_oracle_random(g):
     _assert_columns_and_powers_match_oracle(g, g.gens)
+
+
+# 3, 7 and 331 are 3 mod 4 (-1 is not a square), 5, 13, 61 and 661 are 1 mod 4
+QUADRATIC_ELLS = (3, 5, 7, 13, 61, 331, 661)
+
+_MONIC_QUADRATIC = st.sampled_from(QUADRATIC_ELLS).flatmap(
+    lambda ell: st.tuples(st.just(ell), st.integers(0, ell - 1),
+                          st.integers(0, ell - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MONIC_QUADRATIC)
+@example((7, 2, 1))          # (x + 1)^2: a zero discriminant, one root
+@example((661, 0, 0))        # x^2: a zero discriminant at the root 0
+@example((7, 0, 1))          # x^2 + 1: the discriminant -4 is no square mod 7
+@example((13, 0, 11))        # x^2 - 2: the discriminant 8 is no square mod 13
+@example((13, 0, 12))        # x^2 - 1: two roots, 1 and 12
+def test_quadratic_roots_equal_evaluation(case):
+    ell, b, c = case
+    assert chartab._poly_roots([c, b, 1], ell) == [
+        t for t in range(ell) if (t * t + b * t + c) % ell == 0]
 
 
 def test_budget_guard():

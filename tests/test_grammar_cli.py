@@ -495,6 +495,38 @@ def test_cli_tower_honours_max_classes():
     assert out.stderr.count("\n") == 1 and out.stderr.startswith("budget exceeded:")
 
 
+_PARSER_BUILDS = """
+import argparse
+import io
+from contextlib import redirect_stdout
+
+made = []
+real_init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = (
+    lambda self, *a, **k: made.append(1) or real_init(self, *a, **k))
+import ctlab.cli as cli
+argparse.ArgumentParser.__init__ = real_init
+at_import = len(made)
+builds = []
+real = cli.build_parser
+cli.build_parser = lambda: builds.append(1) or real()
+with redirect_stdout(io.StringIO()):
+    codes = {cli.main(["reproduce", "--list"]) for _ in range(14)}
+print(at_import, len(builds), sorted(codes))
+"""
+
+
+def test_cli_builds_its_parser_once_on_first_use():
+    # importing the CLI builds no parser, and a process that runs main 14
+    # times (as cli-corpus does) builds exactly one
+    src = str(Path(ctlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("CTLAB_BUDGET", None)
+    out = subprocess.run([sys.executable, "-c", _PARSER_BUILDS],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["0", "1", "[0]"]
+
+
 def test_cli_reproduce_unknown_id():
     # an unknown id is a usage error: one "error:" line, no traceback
     src = str(Path(ctlab.__file__).resolve().parents[1])

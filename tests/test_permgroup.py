@@ -16,7 +16,7 @@ from ctlab.errors import BudgetExceeded, InvalidPermutation, NotASubgroup, \
 from ctlab.forge import cyclic, elem_abelian
 from ctlab.homs import GroupHom
 from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
-    _normalizing, group_from_generators, verify_chain
+    _normalizing, group_from_generators, key_getter, verify_chain
 from ctlab.perms import parse_cycles, pmul
 
 from conftest import perm_group, small_groups
@@ -274,6 +274,22 @@ def test_membership_matches_enumeration_small(corpus):
         assert len(elems) == g.order, name
         for x in list(sorted(elems))[:25]:
             assert x in g, name
+
+
+_PERM_AND_POINTS = st.permutations(range(7)).map(tuple).flatmap(
+    lambda x: st.tuples(st.just(x), st.lists(st.integers(0, 6), max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_PERM_AND_POINTS)
+# no point (the trivial group's key), one point, and repeated points
+@example(((1, 0, 2), []))
+@example(((1, 2, 0), [2]))
+@example(((2, 0, 1), [1, 1, 0]))
+def test_key_getter_reads_a_tuple_at_any_number_of_points(case):
+    x, points = case
+    key = key_getter(points)(x)
+    assert type(key) is tuple and key == tuple(x[b] for b in points)
 
 
 @settings(max_examples=40, deadline=None)

@@ -22,10 +22,13 @@ without a scan, and a core grows one chain: the central-type report on
 SL(2, 5) x SL(2, 5) lists no element of the product, and a ``pmul`` count
 bounds the p-length of the order-864 build.  A table lifts each distinct
 input of ``cyclo.dixon_lift`` once: the lifts are counted on the order-486
-tower level and the order-3960 build, and no input is lifted twice.  A tower
-runs Fong-Swan once per level that needs a table: the certificate reads the
-last step's Brauer data, and ``ibr_fong_swan`` runs once for the C6 tower
-at p = 2.
+tower level and the order-3960 build, and no input is lifted twice.  The
+order-3960 swapping build tabulates H once, since the builder takes the
+Brauer data that picked the block, and the product table of SL(2, 5) x
+SL(2, 5) forms each distinct pair of factor values' product once: both are
+counted.  A tower runs Fong-Swan once per level that needs a table: the
+certificate reads the last step's Brauer data, and ``ibr_fong_swan`` runs
+once for the C6 tower at p = 2.
 
 No module in ``src/ctlab`` or ``tests`` imports a name it never uses,
 except on a line marked ``# noqa: F401`` (a re-export).
@@ -169,8 +172,9 @@ def _calls_while(real, run, monkeypatch):
     calls = []
     for name, mod in list(sys.modules.items()):
         if name.startswith("ctlab") and getattr(mod, real.__name__, None) is real:
-            monkeypatch.setattr(mod, real.__name__,
-                                lambda *args: calls.append(1) or real(*args))
+            monkeypatch.setattr(
+                mod, real.__name__,
+                lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
     run()
     monkeypatch.undo()
     return len(calls)
@@ -282,6 +286,41 @@ def test_order54_search_ratchet(monkeypatch):
                         lambda self, *a: calls.append(1) or real(self, *a))
     order54_group.__wrapped__()
     assert len(calls) <= ORDER54_HOM_CEILING, len(calls)
+
+
+# character tables the order-3960 swapping build makes: H's table picks the
+# block, and the builder takes that Brauer data; the builder computed the
+# same table and Brauer data again before
+SWAPPING_TABLE_CEILING = 1
+
+
+def test_swapping_build_table_ratchet(monkeypatch):
+    from ctlab.chartab import character_table
+    from ctlab.instances import order3960_build
+
+    calls = _calls_while(character_table, order3960_build.__wrapped__,
+                         monkeypatch)
+    assert calls <= SWAPPING_TABLE_CEILING, calls
+
+
+# ``Cyclotomic.__mul__`` calls while the SL(2, 5) x SL(2, 5) table is
+# formed: one product for each of the 225 distinct pairs of factor values,
+# and 44 of them re-enter ``__mul__`` to put a rational factor first; one
+# product per (row pair, class) made 6,561 products
+PRODUCT_MUL_CEILING = 269
+
+
+def test_direct_product_table_product_ratchet(sl25_table, monkeypatch):
+    from ctlab.chartab import direct_product_table
+    from ctlab.cyclo import Cyclotomic
+
+    calls = []
+    real = Cyclotomic.__mul__
+    monkeypatch.setattr(Cyclotomic, "__mul__",
+                        lambda a, b: calls.append(1) or real(a, b))
+    direct_product_table(sl25_table, sl25_table)
+    monkeypatch.undo()
+    assert len(calls) <= PRODUCT_MUL_CEILING, len(calls)
 
 
 # lifts a character table may make: one per distinct (e, degree, residues)
