@@ -45,7 +45,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .cyclo import Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift, rational
+from .cyclo import (Cyclotomic, DixonField, ONE, ZERO, cyclo_sum, dixon_lift,
+                    prime_factors, rational)
 from .errors import (BudgetExceeded, ClassDataMismatch, DEFAULT_BUDGET,
                      NotASubgroup, VerificationFailed)
 from .permgroup import ClassData, PermGroup, check_scan, direct_product, key_getter
@@ -70,7 +71,7 @@ class CharacterTable:
             classes = self.classes
             self._power_maps = {
                 p: tuple(classes.power_class(i, p) for i in range(len(classes)))
-                for p in _prime_divisors(self.exponent)
+                for p in prime_factors(self.exponent)
             }
         return self._power_maps
 
@@ -348,12 +349,6 @@ def _sorted_rows(rows):
     return [list(trivial)] + rest
 
 
-def _prime_divisors(n):
-    from .cyclo import prime_factors
-
-    return prime_factors(n)
-
-
 def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     """Table of A x B from factor tables; no eigensplitting involved.
 
@@ -452,16 +447,16 @@ def fusion_through_hom(phi, sub_classes: ClassData, big: PermGroup) -> list:
 
 
 def induce(theta: ClassFunction, big_cd: ClassData, fusion) -> ClassFunction:
-    """Induced class function via the standard class formula."""
+    """Induced class function by the class formula
+    theta^G(g) = |C_G(g)| * sum of theta(h) / |C_H(h)| over the classes of H
+    that ``fusion`` sends to the class of g, in one pass over H's classes."""
     sub_cd = theta.classes
-    out = []
-    for g_idx in range(len(big_cd)):
-        total = ZERO
-        for h_idx, f in enumerate(fusion):
-            if f == g_idx:
-                total = total + theta.values[h_idx] / sub_cd.centralizer_orders[h_idx]
-        out.append(rational(big_cd.centralizer_orders[g_idx]) * total)
-    return ClassFunction(big_cd, out)
+    totals = [ZERO] * len(big_cd)
+    for h_idx, g_idx in enumerate(fusion):
+        totals[g_idx] = (totals[g_idx]
+                         + theta.values[h_idx] / sub_cd.centralizer_orders[h_idx])
+    return ClassFunction(big_cd, [rational(c) * total for c, total
+                                  in zip(big_cd.centralizer_orders, totals)])
 
 
 def restrict(chi: ClassFunction, sub_cd: ClassData, fusion) -> ClassFunction:

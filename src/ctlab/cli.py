@@ -22,8 +22,8 @@ import time
 from functools import lru_cache
 
 from .errors import Budget, BudgetExceeded, CTLabError, DEFAULT_BUDGET, \
-    DegenerateStep, InvalidBudget, VerificationFailed
-from .grammar import evaluate, parse_spec, print_spec
+    DegenerateStep, InvalidBudget, MissingDefectGroup, VerificationFailed
+from .grammar import Call, evaluate, parse_spec, print_spec
 from .reports import (block_report, canonical_json, group_summary,
                       report_envelope, table_report)
 
@@ -82,7 +82,6 @@ def _table_for_node(node, budget) -> _TableTree:
     """Character table of a spec; direct products combine factor tables
     instead of running the eigenvalue engine at the product order."""
     from .chartab import character_table, direct_product_table
-    from .grammar import Call
 
     if isinstance(node, Call) and node.name == "Direct" and len(node.args) == 2:
         left = _table_for_node(node.args[0], budget)
@@ -111,7 +110,6 @@ def cmd_blocks(args) -> int:
     group = evaluate(parse_spec(text), budget=_budget_from(args))
     from .chartab import character_table
     from .modrep import brauer_data, nilpotency_refute
-    from .errors import MissingDefectGroup
 
     table = character_table(group, budget=_budget_from(args))
     bd = brauer_data(table, args.p)

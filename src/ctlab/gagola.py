@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chartab import ClassFunction, character_table, fusion_through_hom, inner_product
-from .cyclo import is_prime, prime_factors, rational, zeta
+from .cyclo import ONE, is_prime, prime_factors, rational, zeta
 from .errors import (DEFAULT_BUDGET, DegenerateStep, NotAPrime,
                      NotSolvable, VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
@@ -370,13 +370,11 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
 # the tower driver and certificate
 # ---------------------------------------------------------------------------
 
-def _base_level(g_grp: PermGroup, p: int) -> TowerLevel:
+def _base_level(g_grp: PermGroup) -> TowerLevel:
     k = trivial_group()
     cd = k.conjugacy_classes()
     qr = k.quotient(k.subgroup([]))
     emb = GroupHom(g_grp.subgroup([]), qr.group, [])
-    from .cyclo import ONE
-
     return TowerLevel(k, cd, [0], (ONE,), k, qr, emb)
 
 
@@ -391,7 +389,7 @@ def gagola_tower(g_grp: PermGroup, p: int, budget=DEFAULT_BUDGET) -> TowerCertif
         q, m = _chief_step(current, p)
         chain.append((current, q, m))
         current = m
-    level = _base_level(g_grp, p)
+    level = _base_level(g_grp)
     steps = []
     for depth, (grp, q, m_sub) in enumerate(reversed(chain)):
         step = gagola_step(level, q, p, depth=depth, budget=budget)

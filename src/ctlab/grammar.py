@@ -19,7 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ArityError, InvalidPermutation, ParseError, UnsupportedFamily
+from .errors import (DEFAULT_BUDGET, ArityError, InvalidPermutation, ParseError,
+                     UnsupportedFamily)
 from .perms import format_cycles, parse_cycles
 
 
@@ -347,7 +348,6 @@ _KINDS = {
 
 def evaluate(node, budget=None):
     """Evaluate a spec tree to a PermGroup."""
-    from .errors import DEFAULT_BUDGET
     from . import forge
     from .homs import GroupHom
 

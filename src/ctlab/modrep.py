@@ -31,16 +31,18 @@ rows carry their coefficients in the kept vectors.  It is sound because:
 
 Only a failed combination is decided again by exact fraction-free
 elimination over the integers (``integer_gauss_jordan``), the same
-kernel that solves for the decomposition matrix and computes the Cartan
-determinant: a non-negative integer solution there, or none at all, means
-the tests mod ELL and over Q disagree (VerificationFailed).
+kernel that solves for a supplied IBr's decomposition matrix and computes
+the Cartan determinant: a non-negative integer solution there, or none at
+all, means the tests mod ELL and over Q disagree (VerificationFailed).
 
 Blocks are linkage classes of the central characters omega_chi on the
 p-regular class sums, compared modulo p on their integer coordinates on the
 power basis of Q(zeta_N), p prime to N (see
-``central_character_residues``); decomposition matrices are the unique
-solutions of the restriction equations in the IBr basis and are verified
-to be non-negative and integral.
+``central_character_residues``).  Row i of a decomposition matrix holds the
+coefficients of row i's restriction in IBr, unique as IBr is independent:
+the pass reads them off (a unit vector when kept, the checked coefficients
+when dropped); for a supplied IBr they are solved for and checked to be
+non-negative integers.
 
 A block's defect group D is named by one rule, ``known_defect_group``: the
 trivial subgroup at defect 0, a Sylow p-subgroup at maximal defect.  For any
@@ -53,8 +55,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .chartab import CharacterTable
-from .cyclo import ZERO, _reduce_expansion, is_prime, nu, p_part, rational
+from .chartab import CharacterTable, ClassFunction, character_table, induce
+from .cyclo import ZERO, _reduce_expansion, is_prime, nu, p_part
 from .errors import (
     AmbiguousBasicSet,
     ClassDataMismatch,
@@ -220,11 +222,13 @@ def _ibr_key(vec):
 
 
 def ibr_fong_swan(table: CharacterTable, p: int):
-    """IBr as value tuples on the p-regular classes, and those classes.
+    """IBr as value tuples on the p-regular classes, those classes, and the
+    decomposition matrix, whose row i holds the coefficients of row i's
+    restriction in IBr.
 
-    When p does not divide |G|, IBr is Irr and the rows come in table order;
-    otherwise they come in ``_ibr_key`` order (degree, then values).  Block
-    and lift indices in reports follow this order.
+    When p does not divide |G|, IBr is Irr in table order and the matrix is
+    the identity; otherwise IBr comes in ``_ibr_key`` order (degree, then
+    values).  Block and lift indices in reports follow this order.
 
     One ascending pass over the distinct restrictions: a candidate is kept
     when it enlarges the span of those kept before it, and is otherwise
@@ -234,14 +238,17 @@ def ibr_fong_swan(table: CharacterTable, p: int):
     the exact one disagree.
     """
     regular = p_regular_classes(table.classes, p)
+    restrictions = [restriction(row, regular) for row in table.values]
     if table.group.order % p != 0:
-        return [restriction(row, regular) for row in table.values], regular
-    candidates = sorted({restriction(row, regular) for row in table.values},
-                        key=_ibr_key)
-    echelon, kept, kept_vecs = _ModEchelon(), [], []
+        k = len(restrictions)
+        return restrictions, regular, [[int(i == j) for j in range(k)]
+                                       for i in range(k)]
+    candidates = sorted(set(restrictions), key=_ibr_key)
+    echelon, kept, kept_vecs, found = _ModEchelon(), [], [], {}
     for cand, vec in zip(candidates, _flatten(candidates)):
         coeffs = echelon.add(vec)
         if coeffs is None:
+            found[cand] = [0] * len(kept) + [1]
             kept.append(cand)
             kept_vecs.append(vec)
             continue
@@ -252,6 +259,7 @@ def ibr_fong_swan(table: CharacterTable, p: int):
                 if c:
                     total = [a + c * b for a, b in zip(total, kv)]
             if tuple(total) == vec:
+                found[cand] = coeffs
                 continue
         try:
             den, (sol,) = _solve_in_basis(kept, [cand])
@@ -267,7 +275,8 @@ def ibr_fong_swan(table: CharacterTable, p: int):
     if len(kept) != len(regular):
         raise VerificationFailed(f"{len(kept)} restrictions kept for "
                                  f"{len(regular)} p-regular classes")
-    return kept, regular
+    return kept, regular, [found[r] + [0] * (len(kept) - len(found[r]))
+                           for r in restrictions]
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +378,24 @@ class BrauerData:
 
 def brauer_data(table: CharacterTable, p: int, supplied_ibr=None,
                 provenance=None, with_blocks=True) -> BrauerData:
-    """Assemble IBr, decomposition and Cartan matrices, and linked blocks."""
+    """Assemble IBr, decomposition and Cartan matrices, and linked blocks.
+
+    The Fong-Swan path takes the decomposition matrix from the pass; a
+    supplied IBr is solved for it by ``decomposition_matrix``."""
     if not is_prime(p):
         raise NotAPrime(f"p = {p} is not a prime")
     if supplied_ibr is None:
-        ibr, regular = ibr_fong_swan(table, p)
+        ibr, regular, dec = ibr_fong_swan(table, p)
         provenance = provenance or "fong-swan"
     else:
         regular = p_regular_classes(table.classes, p)
         ibr = sorted((tuple(v) for v in supplied_ibr), key=_ibr_key)
+        dec = None
         provenance = provenance or "supplied"
     if not with_blocks:
         return BrauerData(table.group, table.classes, p, regular, list(ibr),
                           table, provenance=provenance)
-    if table.group.order % p != 0 and supplied_ibr is None:
-        # IBr == Irr on all classes: the decomposition matrix is a permutation
-        pos = {v: j for j, v in enumerate(ibr)}
-        dec = [[0] * len(ibr) for _ in table.values]
-        for i, row in enumerate(table.values):
-            dec[i][pos[restriction(row, regular)]] = 1
-    else:
+    if dec is None:
         dec = decomposition_matrix(table, ibr, regular)
     l = len(ibr)
     cartan = [[sum(dec[i][a] * dec[i][b] for i in range(len(dec)))
@@ -471,8 +478,6 @@ class LinearCharacter:
 
 def linear_characters(subgroup: PermGroup) -> list:
     """All linear characters of an abelian subgroup, in canonical table order."""
-    from .chartab import character_table
-
     t = character_table(subgroup)
     if any(d != 1 for d in t.degrees):
         raise ClassDataMismatch("linear_characters needs an abelian group")
@@ -651,13 +656,12 @@ def brauer_kernel_trivial(bd: BrauerData, i: int) -> bool:
 
 def brauer_induce(sub_values, sub_cd: ClassData, sub_regular, big_cd: ClassData,
                   fusion, big_regular) -> tuple:
-    """Induce a Brauer character (values on sub p-regular classes) to G."""
-    pos = {c: t for t, c in enumerate(sub_regular)}
-    out = []
-    for g_idx in big_regular:
-        total = ZERO
-        for h_pos, c_idx in enumerate(sub_regular):
-            if fusion[c_idx] == g_idx:
-                total = total + sub_values[h_pos] / sub_cd.centralizer_orders[c_idx]
-        out.append(rational(big_cd.centralizer_orders[g_idx]) * total)
-    return tuple(out)
+    """Induce a Brauer character (values on sub p-regular classes) to G by
+    ``chartab.induce``, with ZERO on H's p-singular classes.  Fusion keeps
+    element orders, so no p-singular class of H fuses into a p-regular class
+    of G, and the zeros change no value read on G's p-regular classes."""
+    on_regular = dict(zip(sub_regular, sub_values))
+    theta = ClassFunction(sub_cd, [on_regular.get(c, ZERO)
+                                   for c in range(len(sub_cd))])
+    induced = induce(theta, big_cd, fusion).values
+    return tuple(induced[g] for g in big_regular)

@@ -17,17 +17,18 @@ from functools import lru_cache
 from .builders import _vector_semidirect, builder_unique_lift
 from .centraltype import fully_ramified_search, is_p_central_type
 from .chartab import character_table, direct_product_table, fusion_through_hom, \
-    restrict, row_function, inner_product as chi_inner, ClassFunction
+    restrict, row_function, inner_product as chi_inner, ClassFunction, \
+    verify_orthogonality
 from .errors import (BudgetExceeded, DegenerateStep, HypothesisFails,
                      ParseError, UnknownCheck, VerificationFailed)
-from .forge import cyclic, dihedral, quaternion, sl2
+from .forge import cyclic, dihedral, extraspecial, quaternion, sl2
 from .gagola import gagola_tower
 from .grammar import parse_generator_file, parse_matrix_file
 from .instances import (order72_build, order720_build, order864_build,
                         sl217_brauer_data, sl25_squared_data)
-from .modrep import (brauer_data, fong_block, known_defect_group, lifts_of,
-                     nilpotency_refute)
-from .permgroup import group_from_generators
+from .modrep import (brauer_data, cartan_determinant, fong_block,
+                     known_defect_group, lifts_of, nilpotency_refute)
+from .permgroup import group_from_generators, p_part
 from .perms import parse_cycles
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -329,11 +330,6 @@ def check_goodclasses_93312() -> dict:
 
 def check_property_corpus() -> dict:
     """Condensed version of the property suite (the full one is in pytest)."""
-    from .forge import extraspecial
-    from .modrep import cartan_determinant
-    from .permgroup import p_part
-    from .chartab import verify_orthogonality
-
     corpus = [_s3(), dihedral(8), quaternion(8), cyclic(12), dihedral(12),
               extraspecial(3, "+")]
     failures = []

@@ -141,7 +141,7 @@ def test_trivial_source_tower():
 
 def test_step_from_base_level_q2_p3_is_the_eight_group():
     c2 = cyclic(2)
-    level = _base_level(c2, 3)
+    level = _base_level(c2)
     step = gagola_step(level, 2, 3)
     h = step.level.group
     assert h.order == 8

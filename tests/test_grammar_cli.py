@@ -368,9 +368,9 @@ def test_reproduce_skips_supplied_data_over_a_bound(monkeypatch):
 def test_property_corpus_fails_on_a_singular_cartan_matrix(monkeypatch):
     # p_part(0, p) has no answer: the check records the failure instead of
     # asking for one
-    from ctlab import modrep, reproduce
+    from ctlab import reproduce
 
-    monkeypatch.setattr(modrep, "cartan_determinant", lambda cartan: 0)
+    monkeypatch.setattr(reproduce, "cartan_determinant", lambda cartan: 0)
     out = reproduce.run_check("property-corpus")
     assert out["status"] == "fail"
     assert (6, 2, "cartan") in out["failures"]

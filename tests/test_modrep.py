@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from ctlab import modrep
-from ctlab.chartab import character_table, direct_product_table
+from ctlab.chartab import class_fusion, character_table, direct_product_table
 from ctlab.cyclo import Cyclotomic, euler_phi, rational, zeta
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
                           NonIntegralDecomposition, NotCentralPPrime,
@@ -28,6 +28,7 @@ from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           linear_characters, nilpotency_refute,
                           p_regular_classes, restriction)
 from ctlab.permgroup import p_part
+from ctlab.perms import parse_cycles
 
 
 def test_p_regular_classes(s3_table, sl25_table):
@@ -229,8 +230,7 @@ def test_fong_block_d8_p5(d8, d8_table):
 
 def test_fong_block_requires_central_p_prime(s3, s3_table):
     bd = brauer_data(s3_table, 3)
-    a3 = s3.subgroup([__import__("ctlab.perms", fromlist=["parse_cycles"])
-                      .parse_cycles("(1 2 3)", 3)])
+    a3 = s3.subgroup([parse_cycles("(1 2 3)", 3)])
     with pytest.raises(NotCentralPPrime):
         fong_block(bd, a3, linear_characters(a3)[0])
 
@@ -343,6 +343,27 @@ def test_brauer_kernel_sees_p_core():
     assert not brauer_kernel_trivial(bd, 0)
 
 
+@pytest.mark.parametrize("gen, p, expected", [
+    ("(1 2)", 3, (3, 1)),
+    ("(1 2)", 2, (3, 0)),
+    ("(1 2 3)", 2, (2, 2)),
+])
+def test_brauer_induce_gives_the_permutation_character(s3, s3_table, gen, p,
+                                                        expected):
+    # the trivial Brauer character of <gen> induced to S3 is the permutation
+    # character on its cosets, read on S3's p-regular classes; at p = 2 the
+    # class of (1 2) is p-singular, and S3's 2-regular classes are its first
+    # and third
+    sub = s3.subgroup([parse_cycles(gen, 3)])
+    sub_cd = sub.conjugacy_classes()
+    sub_regular = p_regular_classes(sub_cd, p)
+    induced = modrep.brauer_induce(
+        [rational(1)] * len(sub_regular), sub_cd, sub_regular,
+        s3_table.classes, class_fusion(sub, s3),
+        p_regular_classes(s3_table.classes, p))
+    assert induced == tuple(map(rational, expected))
+
+
 def test_product_brauer_tensor(sl25_table):
     tp, pdata = direct_product_table(sl25_table, character_table(cyclic(3)))
     bd_a = brauer_data(sl25_table, 5)
@@ -406,14 +427,22 @@ def test_span_mod_ell_alone_deletes_nothing(target, smaller):
         ibr_fong_swan(_stub_table(target, *smaller), 2)
 
 
-def test_deletion_witness():
+def test_deletion_witness(s3_table):
     # (2, 0) = (1, 1) + (1, -1): dropped, with its coefficients as witness
-    ibr, regular = ibr_fong_swan(_stub_table((2, 0), (1, 1), (1, -1)), 2)
+    # and as its row of the decomposition matrix; a kept row has a unit row
+    table = _stub_table((2, 0), (1, 1), (1, -1))
+    ibr, regular, dec = ibr_fong_swan(table, 2)
     assert ibr == sorted(_int_rows((1, 1), (1, -1)), key=modrep._ibr_key)
     assert regular == [0, 1]
+    assert dec == [[1, 1]] + [[int(row == phi) for phi in ibr]
+                              for row in table.values[1:]]
     echelon = modrep._ModEchelon()
     assert echelon.add((1, 1)) is None and echelon.add((1, -1)) is None
     assert echelon.add((2, 0)) == [1, 1]
+    # 5 does not divide |S3|: IBr is Irr and the matrix is the identity
+    ibr, _, dec = ibr_fong_swan(s3_table, 5)
+    assert ibr == list(s3_table.values)
+    assert dec == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 # a wrong coefficient: the exact solve finds the combination it missed
@@ -535,9 +564,10 @@ def _ibr_digest(table, p):
     """The digest of the Fong-Swan pass's output, or the name of the error
     it raises."""
     try:
-        return _rows_digest(*ibr_fong_swan(table, p))
+        ibr, regular, _ = ibr_fong_swan(table, p)
     except AmbiguousBasicSet:
         return "AmbiguousBasicSet"
+    return _rows_digest(ibr, regular)
 
 
 def ibr_digests():
@@ -596,13 +626,15 @@ DECOMPOSITION_GOLDEN = os.path.join(os.path.dirname(__file__), "golden",
 
 
 def _decomposition_digest(table, p):
-    """sha256 of the decomposition matrix in the Fong-Swan IBr basis
-    and of the Cartan determinant, or the name of the error on the way."""
+    """sha256 of the decomposition matrix that the Fong-Swan pass reads off,
+    checked against the exact solve in its IBr basis, and of the Cartan
+    determinant, or the name of the error on the way."""
     try:
-        ibr, regular = ibr_fong_swan(table, p)
+        ibr, regular, dec = ibr_fong_swan(table, p)
     except AmbiguousBasicSet:
         return "AmbiguousBasicSet"
-    dec = modrep.decomposition_matrix(table, ibr, regular)
+    assert dec == modrep.decomposition_matrix(table, ibr, regular), \
+        (table.group.order, p)
     cartan = [[sum(row[a] * row[b] for row in dec) for b in range(len(ibr))]
               for a in range(len(ibr))]
     blob = json.dumps({"decomposition": dec,

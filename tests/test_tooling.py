@@ -15,8 +15,9 @@ allowlisted with a reason.  Code that only tests call is deleted instead.
 
 The class matrices of a character table are looked up on base-image keys:
 counting ``perms.pmul`` calls keeps full-degree products out of them.  The
-Fong-Swan pass decides membership mod ELL: counting
-``modrep.integer_gauss_jordan`` calls keeps exact solves off its fast path.
+Fong-Swan pass decides membership mod ELL, and ``brauer_data`` reads the
+decomposition matrix off it: counting ``modrep.integer_gauss_jordan`` calls
+keeps exact solves off both.
 The centre is read off the classes and the product table lists its classes
 without a scan, and a core grows one chain: the central-type report on
 SL(2, 5) x SL(2, 5) lists no element of the product, and a ``pmul`` count
@@ -31,7 +32,10 @@ certificate reads the last step's Brauer data, and ``ibr_fong_swan`` runs
 once for the C6 tower at p = 2.
 
 No module in ``src/ctlab`` or ``tests`` imports a name it never uses,
-except on a line marked ``# noqa: F401`` (a re-export).
+except on a line marked ``# noqa: F401`` (a re-export).  No function in
+``src/ctlab`` imports from a module that its file imports at the top: a
+function-local import is kept for a module not loaded yet, which keeps the
+CLI's start-up short.
 """
 
 import ast
@@ -201,9 +205,11 @@ def test_character_table_pmul_ratchet(tower_c6_p2, monkeypatch):
         assert calls <= PMUL_CEILING, (group.order, calls)
 
 
-# exact eliminations the Fong-Swan pass may run where every Brauer character
-# lifts: membership is decided mod ELL and each combination by one integer
-# sum, so an exact solve runs only on the way to an error
+# exact eliminations the Fong-Swan pass, or brauer_data with blocks, may run
+# where every Brauer character lifts: membership is decided mod ELL and each
+# combination by one integer sum, so an exact solve runs only on the way to
+# an error; brauer_data solved every restriction again for the decomposition
+# matrix, one elimination per p dividing |G|
 GAUSS_CEILING = 0
 
 
@@ -211,14 +217,15 @@ def test_fong_swan_gauss_jordan_ratchet(build72, build864, monkeypatch):
     from ctlab import modrep
     from ctlab.chartab import character_table
     from ctlab.instances import order3960_build
-    from ctlab.modrep import ibr_fong_swan
+    from ctlab.modrep import brauer_data, ibr_fong_swan
 
     for group in (build72.group, build864.group, order3960_build().group):
         table = character_table(group)
         for p in (2, 3, 5):
-            calls = _calls_while(modrep.integer_gauss_jordan,
-                                 lambda: ibr_fong_swan(table, p), monkeypatch)
-            assert calls <= GAUSS_CEILING, (group.order, p, calls)
+            for run in (ibr_fong_swan, brauer_data):
+                calls = _calls_while(modrep.integer_gauss_jordan,
+                                     lambda: run(table, p), monkeypatch)
+                assert calls <= GAUSS_CEILING, (group.order, p, run, calls)
 
 
 def test_product_report_lists_no_elements():
@@ -410,3 +417,29 @@ def test_no_unused_imports():
     unused = [f"{path.relative_to(root)}:{line} {name}"
               for path in paths for line, name in _unused_imports(path)]
     assert not unused, unused
+
+
+def _redundant_local_imports(path):
+    """(line, module) of each import inside a function from a module that
+    the file already imports at its top level."""
+    def modules(node):
+        if node.module is None:         # from . import forge
+            return {(node.level, alias.name) for alias in node.names}
+        return {(node.level, node.module)}
+
+    tree = ast.parse(path.read_text())
+    top = set().union(*(modules(node) for node in tree.body
+                        if isinstance(node, ast.ImportFrom)))
+    return sorted({(node.lineno, node.module)
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and modules(node) & top})
+
+
+def test_no_redundant_local_imports():
+    src = Path(__file__).resolve().parents[1] / "src" / "ctlab"
+    found = [f"{path.name}:{line} {module}"
+             for path in sorted(src.glob("*.py"))
+             for line, module in _redundant_local_imports(path)]
+    assert not found, found
