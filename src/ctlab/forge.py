@@ -15,7 +15,9 @@ degrees and orders of its inputs:
 
 Both are validated by an exact order count |N : H| = |N| |H|, so an action
 that fails to extend to a homomorphism is rejected rather than silently
-generating a larger group.
+generating a larger group.  Either realization shows where N lies:
+``SemidirectResult.n_part`` reads an element of N off its image, and
+``n_image`` writes the image of one, with no homomorphism N -> N : H.
 
 The central product power U = K^q / W, W the product-one subgroup of
 Z(K)^q, acts on the right cosets of A^q W, where A is a core-free subgroup
@@ -32,6 +34,7 @@ regular N this is the right translation on the normal forms g t^i.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -39,13 +42,14 @@ from .cyclo import is_prime
 from .errors import (
     ActionNotWellDefined,
     InvalidWitness,
+    NotASubgroup,
     NotNormal,
     UnsupportedFamily,
     VerificationFailed,
 )
 from .homs import GroupHom
-from .permgroup import (PermGroup, QuotientResult, _keyed_elements, check_order,
-                        check_points, direct_power)
+from .permgroup import (PermGroup, QuotientResult, StabilizerChain, _keyed_elements,
+                        check_order, check_points, direct_power)
 from .perms import identity, pinv, pmul, ppow
 
 
@@ -231,20 +235,71 @@ def _matvec(m, v, q):
 
 @dataclass
 class SemidirectResult:
+    """N : H as ``semidirect`` realized it, with two exact maps read off the
+    realization: ``n_part(h)`` is n when h is the image of n in N and None
+    otherwise, and ``n_image(n)`` is the image of n.  Neither builds a
+    homomorphism; ``n_hom`` is N -> group as a verified ``GroupHom``."""
     group: PermGroup
     h_hom: GroupHom                 # H -> group
     n_group: PermGroup = field(repr=False)
     n_gen_perms: list = field(repr=False)   # images of N's generators
+    induced: bool                   # the induced realization, else the regular
 
     @cached_property
     def n_hom(self) -> GroupHom:
         """N -> group."""
         return GroupHom(self.n_group, self.group, self.n_gen_perms)
 
+    def n_part(self, h):
+        """n when h = n k, n in N and k in H, has k = 1; else None.
+
+        Induced: the copies follow H's sorted elements, so copy 0 belongs
+        to the identity, where alpha_1 = id.  n k maps copy y to copy
+        k^-1 y, so it keeps copy 0 exactly when k = 1, and it then acts on
+        copy 0 as n.  Regular: n k fixes every point of H's domain exactly
+        when k = 1, as H acts faithfully there; then it is the right
+        translation by n, which sends the identity, the first of N's sorted
+        elements, to n."""
+        if self.induced:
+            d = self.n_group.degree
+            return tuple(h[:d]) if h[0] < d else None
+        size = self.n_group.order
+        if h[size:] != self.group.identity[size:]:
+            return None
+        return self.n_group.elements()[h[0]]
+
+    def n_image(self, n):
+        """The image of n in the group, read off the group's chain by the
+        images of its base points (``StabilizerChain.from_base_images``);
+        an element is determined by those.
+
+        Induced: only the identity fixes copy 0 pointwise (it keeps copy 0,
+        so it lies in N, and acts there as itself), so every nontrivial
+        element moves a point of copy 0, and the chain's base, each point
+        the least one that a strong generator moves, lies in copy 0, where
+        the image of n acts as n.  Regular: the image of n is the right
+        translation by n, which sends the point of m to the point of m n
+        (N's elements are sorted) and fixes H's points.  The element found
+        must give n back under ``n_part``, or NotASubgroup is raised."""
+        n = tuple(n)
+        base = self.group.chain.base
+        if self.induced:
+            images = [n[b] for b in base]
+        else:
+            n_elems = self.n_group.elements()
+            images = [b if b >= len(n_elems)
+                      else bisect_left(n_elems, pmul(n_elems[b], n)) for b in base]
+        image = self.group.chain.from_base_images(images)
+        if image is None or self.n_part(image) != n:
+            raise NotASubgroup("the element does not lie in N")
+        return image
+
 
 def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResult:
     """N : H for automorphisms of N given per H-generator, realized on the
     induced action when |H| deg N < |N| + deg H and regularly otherwise.
+    The result maps between N and the group without a homomorphism
+    (``SemidirectResult.n_part`` and ``n_image``).
 
     Raises ActionNotWellDefined when the generator assignment does not
     extend to a homomorphism H -> Aut(N).
@@ -267,7 +322,8 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResul
         raise ActionNotWellDefined(
             f"generated order {grp.order} != {n_group.order * h_group.order}; "
             f"the action does not extend to a homomorphism")
-    return SemidirectResult(grp, GroupHom(h_group, grp, h_perms), n_group, n_perms)
+    return SemidirectResult(grp, GroupHom(h_group, grp, h_perms), n_group, n_perms,
+                            induced < regular)
 
 
 def _induced_action(n_group, h_group, autos):
@@ -458,15 +514,19 @@ def core_free_subgroup(k_group: PermGroup) -> list:
     K's elements are scanned in sorted order and x is kept when <A, x>
     still contains no nontrivial conjugacy class of K (a subgroup does
     exactly when it contains a nontrivial normal subgroup).  The result
-    depends only on the element set of K.
+    depends only on the element set of K.  A's chain is grown, never
+    rebuilt: <A, x> is a copy of A's chain extended by x, which holds the
+    same group as a chain built on A's generators and x, so it answers
+    every membership test alike.
     """
     classes = k_group.conjugacy_classes().classes[1:]
-    gens, a = [], k_group.subgroup([])
+    gens, a = [], StabilizerChain(k_group.degree, [])
     for x in k_group.elements():
-        if x in a:
+        if a.contains(x):
             continue
-        grown = k_group.subgroup(gens + [x])
-        if not any(all(y in grown for y in c) for c in classes):
+        grown = a.copy()
+        grown.extend(x)
+        if not any(all(grown.contains(y) for y in c) for c in classes):
             gens, a = gens + [x], grown
     return gens
 

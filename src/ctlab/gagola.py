@@ -17,6 +17,18 @@ witnessing p-central type, and a prime q, and produces the next level:
   degree-preserving extension of mu x ... x mu, located in IBr(H) computed
   from the full table.
 
+In both cases H = N : <t> with N normal of prime index q, and the
+character theta of N (mu x ... x mu, times 1 on the auxiliary C_q when
+q != p) is read on H's own classes; no table, class list or homomorphism of
+N is built.  ``n_part`` of the semidirect realization tells which elements
+of H lie in N, and as what; ``n_image`` carries N into H for the embedding.
+For q != p the witness is induced by the prime-index formula
+theta^H(h) = sum of theta(t^-i h t^i) over i < q for h in N, and 0 for h
+outside N, on the p-regular classes of H; this holds for ordinary
+characters and for Brauer characters alike.  For q = p the q values at
+t^-i h t^i must agree (theta is invariant under the shift), and the IBr
+row is matched on the p-regular classes of H that lie in N.
+
 The abelian q = p corner (K central) is reported as DegenerateStep: no
 faithful witness can exist there.  The final certificate re-checks each of
 the four claimed properties on the final level's group, centre, embedding and
@@ -28,15 +40,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chartab import ClassFunction, character_table, fusion_through_hom, inner_product
-from .cyclo import ONE, is_prime, prime_factors, rational, zeta
+from .chartab import ClassFunction, character_table, inner_product
+from .cyclo import ONE, ZERO, cyclo_sum, is_prime, prime_factors, rational, zeta
 from .errors import (DEFAULT_BUDGET, DegenerateStep, NotAPrime,
                      NotSolvable, VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
 from .homs import GroupHom
-from .modrep import (BrauerData, brauer_data, brauer_induce,
-                     brauer_kernel_trivial, p_regular_classes, _degree_of)
+from .modrep import (BrauerData, brauer_data, brauer_kernel_trivial,
+                     p_regular_classes, _degree_of)
 from .permgroup import ClassData, PermGroup, QuotientResult, StabilizerChain, \
     check_order, direct_product, p_prime_part
 from .perms import pinv, pmul, ppow, order as perm_order
@@ -173,7 +185,7 @@ def _cyclic_dlog(elem, q):
 class _StepData:
     level: TowerLevel
     record: StepRecord
-    sd: object                # semidirect result for H
+    sd: object                # semidirect result for H = N : <t>
     cpp: CentralPowerResult
     t: tuple                  # distinguished order-q generator of H
     l_embed: object           # K -> L embedding (identity when not augmented)
@@ -232,7 +244,6 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         alpha = GroupHom(u_grp, u_grp, shifted_u_gens())
         _verify(alpha.automorphism_order() == q, "the coordinate shift has order q")
         sd = semidirect(u_grp, cyclic(q), [alpha])
-        n_grp = u_grp
         split_n = None
 
         def n_embed(u_elem):
@@ -266,11 +277,8 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
     cd_h = h_grp.conjugacy_classes()
     regular_h = p_regular_classes(cd_h, p)
 
-    # tau (x 1 on the auxiliary factor) at the p-regular classes of N
-    n_cd = n_grp.conjugacy_classes()
-    n_regular = p_regular_classes(n_cd, p)
-
     def tau_times_one(n_elem):
+        # tau (x 1 on the auxiliary factor) at an element of N
         u_elem = split_n(n_elem)[0] if split_n is not None else n_elem
         lift = cpp.quotient.lift(u_elem)
         val = rational(1)
@@ -278,8 +286,19 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             val = val * mu_l(c)
         return val
 
-    tau_vals = [tau_times_one(n_cd.representatives[i]) for i in n_regular]
-    fusion = fusion_through_hom(sd.n_hom, n_cd, h_grp)
+    # tau x 1 at t^-i h t^i, i < q, for each p-regular representative h of
+    # H; None where h lies outside N, read off the realization of H
+    ti = pinv(t)
+    shifts = []
+    for c in regular_h:
+        h = cd_h.representatives[c]
+        vals = None
+        if sd.n_part(h) is not None:
+            vals = []
+            for _ in range(q):
+                vals.append(tau_times_one(sd.n_part(h)))
+                h = pmul(pmul(ti, h), t)
+        shifts.append(vals)
 
     bd_h = None
     if h_grp.order % p == 0:
@@ -287,20 +306,23 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         bd_h = brauer_data(character_table(h_grp, budget=budget), p,
                            with_blocks=False)
     if q == p:
-        # the unique degree-preserving extension
+        # the unique degree-preserving extension, matched on the classes in N
+        _verify(all(vals is None or vals.count(vals[0]) == q for vals in shifts),
+                "tau is not invariant under the shift")
         pos_h = {c: i for i, c in enumerate(bd_h.regular)}
+        in_n = [(pos_h[c], vals[0]) for c, vals in zip(regular_h, shifts)
+                if vals is not None]
         matches = [idx for idx, row in enumerate(bd_h.ibr)
-                   if all(row[pos_h[fusion[c]]] == tau_vals[a]
-                          for a, c in enumerate(n_regular))]
+                   if all(row[i] == v for i, v in in_n)]
         _verify(len(matches) == 1, f"extension witness count {len(matches)}")
         mu_values = tuple(bd_h.ibr[matches[0]])
         _verify(brauer_kernel_trivial(bd_h, matches[0]), "witness is not faithful")
         method = "table-extension"
         deg = _degree_of(mu_values)
     else:
-        induced = brauer_induce(tau_vals, n_cd, n_regular, cd_h, fusion,
-                                regular_h)
-        mu_values = tuple(induced)
+        # theta^H(h) = sum of theta(t^-i h t^i) over i < q for N of index q
+        mu_values = tuple(ZERO if vals is None else cyclo_sum(vals)
+                          for vals in shifts)
         deg = _degree_of(mu_values)
         if bd_h is not None:
             # rare shape (a q = p step below this one)
@@ -361,7 +383,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
             coords.append(step.l_embed(k_elt))
         u_elt = step.cpp.project_tuple(coords)
         n_elt = step.n_embed(u_elt)
-        h_elt = pmul(step.sd.n_hom.image(n_elt), ppow(step.t, j))
+        h_elt = pmul(step.sd.n_image(n_elt), ppow(step.t, j))
         images.append(step.level.center_quotient.image_of(h_elt))
     return GroupHom(g_grp, step.level.center_quotient.group, images)
 

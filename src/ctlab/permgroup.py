@@ -295,6 +295,22 @@ class StabilizerChain:
     def residue(self, g):
         return self._sift(g)[0]
 
+    def from_base_images(self, images):
+        """The element g with g[b_i] = images[i] at each base point b_i, or
+        None when the group has none.  g = u_(k-1) ... u_0, where u_i is the
+        transversal element of level i that sends b_i where
+        g u_0^-1 ... u_(i-1)^-1 must send it; the later u_j fix b_i, so g
+        meets every image.  The base separates the group, so g is unique."""
+        g = self.identity
+        for i, lvl in enumerate(self.levels):
+            u = lvl.orbit.get(images[i])
+            if u is None:
+                return None
+            inv = _inverse(lvl.inverses, lvl.orbit, images[i])
+            images = [inv[x] for x in images]
+            g = pmul(u, g)
+        return g
+
 
 def verify_chain(chain) -> None:
     """Check Schreier's lemma on ``chain`` without trusting its construction;
@@ -372,6 +388,7 @@ class PermGroup:
         self._elements = None
         self._classes = None
         self._center = None
+        self._solvable = None
         self._cores = {}
 
     # -- basics ----------------------------------------------------------
@@ -482,7 +499,11 @@ class PermGroup:
         return series
 
     def is_solvable(self) -> bool:
-        return self.derived_series()[-1].order == 1
+        """Whether the derived series reaches 1 (cached: only the answer is
+        kept, so no term of the series stays alive)."""
+        if self._solvable is None:
+            self._solvable = self.derived_series()[-1].order == 1
+        return self._solvable
 
     def center(self):
         """Z(G), generated by the members of the classes of size 1: a class

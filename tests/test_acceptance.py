@@ -13,10 +13,12 @@ import pytest
 import oracles
 from ctlab.chartab import character_table, verify_orthogonality
 from ctlab.forge import cyclic, quaternion
-from ctlab.modrep import (brauer_data, fong_block, known_defect_group,
-                          lifts_of, nilpotency_refute, restriction)
+from ctlab.modrep import (brauer_data, cartan_determinant, fong_block,
+                          known_defect_group, lifts_of, nilpotency_refute,
+                          restriction)
 from ctlab.permgroup import p_part
-from ctlab.reproduce import CHECKS
+from ctlab.reproduce import (CHECKS, check_goodclasses_93312, check_unilift_625,
+                             check_unilift_81)
 
 
 @contextmanager
@@ -147,8 +149,6 @@ def test_criterion_08_lift_counting():
         assert info.value.witness is not None
         assert (info.value.orbit_size, info.value.stab_order) == (2, 2)
         # the verified positive instance needs catalogue data: run or skip
-        from ctlab.reproduce import check_unilift_625
-
         out = check_unilift_625()
         assert out["status"] in ("pass", "skipped")
         if out["status"] == "pass":
@@ -161,8 +161,6 @@ def test_criterion_08_lift_counting():
 def test_criterion_09_property_suite(corpus_tables):
     with criterion(9, "property suites over the corpus", 600):
         assert len(corpus_tables) >= 25
-        from ctlab.modrep import cartan_determinant
-
         for name, g, t in corpus_tables:
             assert verify_orthogonality(t), name
             for p in (2, 3, 5):
@@ -194,9 +192,6 @@ def test_criterion_09_property_suite(corpus_tables):
 
 def test_criterion_10_out_of_scale_skips():
     with criterion(10, "out-of-desk-scale content is skipped", 60):
-        from ctlab.reproduce import (check_goodclasses_93312,
-                                     check_unilift_625, check_unilift_81)
-
         for check in (check_unilift_625, check_unilift_81,
                       check_goodclasses_93312):
             out = check()

@@ -7,14 +7,15 @@ from pathlib import Path
 import pytest
 
 import oracles
-from ctlab import forge
+from ctlab import forge, instances
 from ctlab.chartab import character_table
-from ctlab.errors import ActionNotWellDefined, InvalidWitness, NotNormal, \
-    UnsupportedFamily
+from ctlab.errors import ActionNotWellDefined, InvalidWitness, NotASubgroup, \
+    NotNormal, UnsupportedFamily
 from ctlab.forge import (central_product_power, cyclic, cyclic_extension_build,
                          cyclic_extension_exists, dihedral, elem_abelian,
                          extraspecial, kk_embedding, mat_group, mobius_perm,
                          psl2, quaternion, semidirect, sl2, wreath)
+from ctlab.gagola import gagola_tower
 from ctlab.homs import GroupHom
 from ctlab.permgroup import PermGroup, direct_product
 from ctlab.perms import conj, order as porder, parse_cycles, pinv, pmul, ppow
@@ -169,6 +170,24 @@ def test_semidirect_realisations_agree(name):
     assert seen[0][0] == n.order * h.order
 
 
+@pytest.mark.parametrize("name", sorted(SEMIDIRECT_DEGREES))
+def test_semidirect_maps_agree_with_the_homomorphism(name):
+    # n_part and n_image are read off the realization; the verified n_hom
+    # is the reference
+    n, h, autos = _semidirect_case(name)
+    sd = semidirect(n, h, autos)
+    assert sd.induced == (name.startswith("PSL27"))
+    for x in n.elements():
+        image = sd.n_image(x)
+        assert image == sd.n_hom.image(x)
+        assert sd.n_part(image) == x
+    assert sum(sd.n_part(g) is not None for g in sd.group.elements()) == n.order
+    swap = (1, 0) + tuple(range(2, n.degree))
+    assert swap not in n
+    with pytest.raises(NotASubgroup):
+        sd.n_image(swap)
+
+
 def test_semidirect_induced_path_rejects_non_action():
     # squaring on C7 has order 3, so C2 cannot act by it
     n, squaring = _psl27_c7(lambda c: ppow(c, 2))
@@ -234,6 +253,35 @@ def test_forge_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["sl2", "psl2", "central_product_power",
                                   "kk_embedding"]
+
+
+def _core_free_rebuilt(k_group):
+    """The greedy choice of ``core_free_subgroup`` with each candidate
+    subgroup built from scratch on its generators."""
+    classes = k_group.conjugacy_classes().classes[1:]
+    gens, a = [], k_group.subgroup([])
+    for x in k_group.elements():
+        if x in a:
+            continue
+        grown = k_group.subgroup(gens + [x])
+        if not any(all(y in grown for y in c) for c in classes):
+            gens, a = gens + [x], grown
+    return gens
+
+
+def test_core_free_subgroup_grows_the_rebuilt_choice(corpus, monkeypatch):
+    # the tower levels are the groups K whose central product power a
+    # tower step forms
+    levels = []
+    real = forge.core_free_subgroup
+    monkeypatch.setattr(forge, "core_free_subgroup",
+                        lambda k: levels.append(k) or real(k))
+    gagola_tower(perm_group(3, "(1 2)", "(1 2 3)"), 5)
+    gagola_tower(cyclic(6), 2)
+    monkeypatch.undo()
+    assert [k.order for k in levels] == [3, 54, 3, 27]
+    for k in [g for _name, g in corpus] + levels:
+        assert forge.core_free_subgroup(k) == _core_free_rebuilt(k)
 
 
 def test_central_product_power_orders():
@@ -370,8 +418,6 @@ GENERATOR_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
 def test_realisations_keep_generator_tuples(name):
-    from ctlab import instances
-
     if name.startswith("Q"):
         g = quaternion(int(name[1:]))
     elif name == "order54":

@@ -5,10 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from ctlab.chartab import fusion_through_hom
+from ctlab.cyclo import rational, zeta
 from ctlab.errors import DegenerateStep, NotSolvable
 from ctlab.forge import cyclic
-from ctlab.gagola import _chief_step, gagola_step, gagola_tower, _base_level
-from ctlab.permgroup import p_prime_part
+from ctlab.gagola import (_base_level, _chief_step, _mu_value_function,
+                          gagola_step, gagola_tower)
+from ctlab.modrep import brauer_induce, p_regular_classes
+from ctlab.permgroup import PermGroup, p_prime_part
 
 
 def test_chief_step_prefers_p():
@@ -152,6 +156,57 @@ def test_step_from_base_level_q2_p3_is_the_eight_group():
                                "q_squared_times_power": 4, "holds": True}
 
 
+def _fusion_route_mu(prev, step, p):
+    """The witness of a step by the route through N's own classes: tau x 1
+    on the p-regular classes of N, fused into H along ``n_hom``, induced by
+    ``brauer_induce`` when q != p and matched in IBr(H) when q = p."""
+    sd, cpp, q = step.sd, step.cpp, step.q
+    mu, k_deg = _mu_value_function(prev), prev.group.degree
+
+    def theta(n):
+        u = n[:cpp.group.degree]        # N = U x C_q when q != p
+        val = rational(1)
+        for c in cpp.split(cpp.quotient.lift(u)):
+            # L = K x C_q when augmented: mu times a linear character of C_q
+            val = val * (mu(c[:k_deg]) * zeta(q, c[k_deg] - k_deg)
+                         if step.record.augmented else mu(c))
+        return val
+
+    n_cd = sd.n_group.conjugacy_classes()
+    n_regular = p_regular_classes(n_cd, p)
+    tau = [theta(n_cd.representatives[i]) for i in n_regular]
+    h_level = step.level
+    fusion = fusion_through_hom(sd.n_hom, n_cd, h_level.group)
+    if q != p:
+        return brauer_induce(tau, n_cd, n_regular, h_level.classes, fusion,
+                             h_level.regular)
+    bd = h_level.brauer
+    pos = {c: i for i, c in enumerate(bd.regular)}
+    rows = [row for row in bd.ibr
+            if all(row[pos[fusion[c]]] == v for c, v in zip(n_regular, tau))]
+    assert len(rows) == 1
+    return tuple(rows[0])
+
+
+@pytest.mark.parametrize("source, p", [("S3", 5), ("C6", 2), ("C2", 3)])
+def test_step_witness_matches_the_fusion_route(source, p):
+    # each step reads tau x 1 on H's classes through the realization of H;
+    # N's classes, the fusion along n_hom and brauer_induce are the reference
+    g = {"S3": PermGroup(3, [(1, 0, 2), (1, 2, 0)]), "C6": cyclic(6),
+         "C2": cyclic(2)}[source]
+    level, primes = _base_level(g), []
+    while g.order > 1:
+        q, g = _chief_step(g, p)
+        primes.append(q)
+    cases = []
+    for q in reversed(primes):
+        step = gagola_step(level, q, p)
+        assert step.level.mu_values == _fusion_route_mu(level, step, p)
+        cases.append(step.record.case)
+        level = step.level
+    assert "q!=p" in cases
+
+
 _CHECKS_UNDER_O = """
 import sys
 from fractions import Fraction
@@ -165,11 +220,12 @@ from ctlab.permgroup import PermGroup
 assert sys.flags.optimize
 raised = []
 
-def expect(name, fn):
+def expect(name, fn, match=""):
     try:
         fn()
-    except VerificationFailed:
-        raised.append(name)
+    except VerificationFailed as exc:
+        if match in str(exc):
+            raised.append(name)
 
 real = gagola.inner_product
 gagola.inner_product = lambda a, b: 2
@@ -183,6 +239,13 @@ real = gagola.brauer_kernel_trivial
 gagola.brauer_kernel_trivial = lambda bd, i: False
 expect("faithful", lambda: gagola.gagola_tower(cyclic(6), 2))
 gagola.brauer_kernel_trivial = real
+# the q = p step of the C6 tower at p = 2 with tau x 1 doubled on every
+# second call: the values at h and t^-1 h t then differ
+level = gagola.gagola_step(gagola._base_level(cyclic(6)), 3, 2).level
+real, calls = gagola.rational, []
+gagola.rational = lambda x: calls.append(1) or real(x * (1 + len(calls) % 2))
+expect("shift", lambda: gagola.gagola_step(level, 2, 2), "under the shift")
+gagola.rational = real
 
 s3 = character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
 expect("degree_of", lambda: modrep._degree_of((rational(Fraction(1, 2)),)))
@@ -207,8 +270,8 @@ def test_tower_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
-                                  "degree_of", "cartan", "blocks", "count",
-                                  "coefficient"]
+                                  "shift", "degree_of", "cartan", "blocks",
+                                  "count", "coefficient"]
 
 
 _CHIEF_STEP_CHECKS_UNDER_O = """

@@ -13,10 +13,10 @@ from hypothesis import given, settings, strategies as st
 import ctlab
 
 from ctlab.cli import main
-from ctlab.errors import ArityError, ParseError, UnsupportedFamily
+from ctlab.errors import ArityError, BudgetExceeded, ParseError, UnsupportedFamily
 from ctlab.grammar import (evaluate, parse_generator_file, parse_matrix_file,
                            parse_spec, print_spec)
-from ctlab.permgroup import group_from_generators
+from ctlab.permgroup import PermGroup, group_from_generators
 from ctlab.perms import format_cycles
 
 
@@ -194,7 +194,6 @@ def test_cli_blocks_names_each_sylow_defect_group_once(capsys, monkeypatch):
     # only the k(B) = k(D) test names D, and every maximal-defect block of
     # one BrauerData shares its Sylow subgroup, so it is computed once
     from ctlab.instances import order864_build
-    from ctlab.permgroup import PermGroup
 
     order864_build()
     calls = []
@@ -351,7 +350,6 @@ def test_reproduce_skips_supplied_data_over_a_bound(monkeypatch):
     # unilift-625's V : H has order 80,000, over the table budget and
     # SCAN_LIMIT: the check reports the bound instead of ending the run
     from ctlab import reproduce
-    from ctlab.errors import BudgetExceeded
     from ctlab.forge import cyclic
 
     def over_bound(*args):
@@ -544,7 +542,6 @@ def test_cli_product_over_scan_limit_exits_before_listing(capsys, monkeypatch):
     # |SL(2, 5) x PSL(2, 11)| = 79,200 > SCAN_LIMIT: the product shortcut
     # raises before it builds the product group or lists a class
     from ctlab import chartab
-    from ctlab.errors import BudgetExceeded
 
     raised, built = [], []
     real = chartab.direct_product_table

@@ -19,7 +19,7 @@ from ctlab.cyclo import Cyclotomic, euler_phi, rational, zeta
 from ctlab.errors import (AmbiguousBasicSet, MissingDefectGroup,
                           NonIntegralDecomposition, NotCentralPPrime,
                           VerificationFailed)
-from ctlab.forge import cyclic, dihedral
+from ctlab.forge import cyclic, dihedral, psl2, sl2
 from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           brauer_data_for_product,
                           brauer_kernel_trivial, block_partition,
@@ -27,7 +27,7 @@ from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           ibr_over_central, known_defect_group, lifts_of,
                           linear_characters, nilpotency_refute,
                           p_regular_classes, restriction)
-from ctlab.permgroup import p_part
+from ctlab.permgroup import PermGroup, p_part
 from ctlab.perms import parse_cycles
 
 
@@ -263,7 +263,6 @@ def test_nilpotency_refutation_order72(build72):
 def test_check_order72_computes_one_sylow_subgroup(build72, monkeypatch):
     # nilpotency_refute and the k(D) count share the BrauerData's Sylow
     # subgroup, so the check computes it once (twice before it was kept)
-    from ctlab.permgroup import PermGroup
     from ctlab.reproduce import check_order72
 
     calls = []
@@ -537,7 +536,6 @@ IBR_PRIMES = (2, 3, 5, 7)
 
 def _ibr_golden_groups():
     from conftest import corpus_groups
-    from ctlab.forge import psl2, sl2
     from ctlab.instances import (order72_build, order720_build,
                                  order864_build, order3960_build)
 

@@ -13,11 +13,11 @@ import oracles
 from ctlab.chartab import character_table, direct_product_table
 from ctlab.errors import BudgetExceeded, InvalidPermutation, NotASubgroup, \
     NotNormal, NotSolvable, VerificationFailed
-from ctlab.forge import cyclic, elem_abelian
+from ctlab.forge import central_product_power, cyclic, elem_abelian
 from ctlab.homs import GroupHom
 from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
     _normalizing, group_from_generators, key_getter, verify_chain
-from ctlab.perms import parse_cycles, pmul
+from ctlab.perms import order as porder, parse_cycles, pmul
 
 from conftest import perm_group, small_groups
 
@@ -122,8 +122,6 @@ def test_sylow_subgroups(s3, sl25):
     syl2 = sl25.sylow_subgroup(2)
     assert syl2.order == 8
     # exactly one involution: the quaternion group among order-8 groups
-    from ctlab.perms import order as porder
-
     assert sum(1 for e in syl2.elements() if porder(e) == 2) == 1
 
 
@@ -170,8 +168,6 @@ def test_quotient_requires_normal(s4):
 
 def test_quotient_of_power_by_diagonal():
     # K^2 / W for K = C2 with W the product-one kernel: a hand trace
-    from ctlab.forge import central_product_power
-
     cpp = central_product_power(cyclic(2), 2)
     assert cpp.group.order == 2
     assert cpp.w_subgroup.order == 2
@@ -385,6 +381,17 @@ def test_extend_resifts_after_the_transversal_changes():
     # each cached inverse belongs to the transversal element stored now
     assert all(pmul(lvl.orbit[t], inv) == chain.identity
                for lvl in chain.levels for t, inv in lvl.inverses.items())
+
+
+def test_from_base_images_rebuilds_each_element(s4, d8):
+    for g in (s4, d8):
+        chain = g.chain
+        for x in g.elements():
+            assert chain.from_base_images([x[b] for b in chain.base]) == x
+    # no element sends two base points to one point
+    base = s4.chain.base
+    assert len(base) > 1
+    assert s4.chain.from_base_images([base[0]] * len(base)) is None
 
 
 def test_subgroup_from_elements_builds_one_chain(s4, monkeypatch):

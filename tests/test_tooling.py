@@ -29,13 +29,15 @@ Brauer data that picked the block, and the product table of SL(2, 5) x
 SL(2, 5) forms each distinct pair of factor values' product once: both are
 counted.  A tower runs Fong-Swan once per level that needs a table: the
 certificate reads the last step's Brauer data, and ``ibr_fong_swan`` runs
-once for the C6 tower at p = 2.
+once for the C6 tower at p = 2.  A tower step reads N inside H off the
+semidirect realization: the S3 tower at p = 5 builds no N -> H
+homomorphism, and its class scans and homomorphisms are counted.
 
 No module in ``src/ctlab`` or ``tests`` imports a name it never uses,
 except on a line marked ``# noqa: F401`` (a re-export).  No function in
-``src/ctlab`` imports from a module that its file imports at the top: a
-function-local import is kept for a module not loaded yet, which keeps the
-CLI's start-up short.
+``src/ctlab`` or ``tests`` imports from a module that its file imports at
+the top: a function-local import is kept for a module not loaded yet, which
+keeps the CLI's start-up short.
 """
 
 import ast
@@ -384,6 +386,34 @@ def test_tower_fong_swan_ratchet(monkeypatch):
     assert calls == FONG_SWAN_CALLS, calls
 
 
+# class scans and homomorphisms in the S3 tower at p = 5: a step reads N
+# inside H off the semidirect realization and induces the witness on H's
+# classes, so it lists no class of N and builds no N -> H homomorphism;
+# each step did both before, 7 scans and 9 homomorphisms in all
+TOWER_SCAN_CEILING = 5
+TOWER_HOM_CEILING = 7
+
+
+def test_tower_reads_n_off_the_realization(monkeypatch):
+    from ctlab import permgroup
+    from ctlab.forge import SemidirectResult
+    from ctlab.gagola import gagola_tower
+    from ctlab.homs import GroupHom
+
+    s3 = permgroup.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    homs, n_homs, certs = [], [], []
+    real, real_n_hom = GroupHom.__init__, SemidirectResult.n_hom.func
+    monkeypatch.setattr(GroupHom, "__init__",
+                        lambda self, *a: homs.append(1) or real(self, *a))
+    monkeypatch.setattr(SemidirectResult, "n_hom", property(
+        lambda self: n_homs.append(1) or real_n_hom(self)))
+    scans = _calls_while(permgroup._conjugacy_classes,
+                         lambda: certs.append(gagola_tower(s3, 5)), monkeypatch)
+    assert certs[0].ok and not n_homs
+    assert scans <= TOWER_SCAN_CEILING, scans
+    assert len(homs) <= TOWER_HOM_CEILING, len(homs)
+
+
 def _unused_imports(path):
     """(line, name) of each name that a module imports and never loads or
     reads an attribute of; __future__ imports and lines marked
@@ -438,8 +468,10 @@ def _redundant_local_imports(path):
 
 
 def test_no_redundant_local_imports():
-    src = Path(__file__).resolve().parents[1] / "src" / "ctlab"
-    found = [f"{path.name}:{line} {module}"
-             for path in sorted(src.glob("*.py"))
-             for line, module in _redundant_local_imports(path)]
+    root = Path(__file__).resolve().parents[1]
+    paths = [path for folder in (root / "src" / "ctlab", root / "tests")
+             for path in sorted(folder.glob("*.py"))]
+    assert len(paths) > 30
+    found = [f"{path.relative_to(root)}:{line} {module}"
+             for path in paths for line, module in _redundant_local_imports(path)]
     assert not found, found
