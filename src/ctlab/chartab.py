@@ -355,8 +355,9 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     The classes of A x B are the products of a class of A and one of B.
     Each is listed as the pairs x + y, y shifted past A's points: both
     factor lists are sorted and every x has A's degree, so the pairs in
-    nested order are sorted already.  The classes list every element, so
-    the product's order is checked against SCAN_LIMIT first.  A value
+    nested order are sorted already, and x + y has order lcm(|x|, |y|).
+    The classes list every element, so the product's order is checked
+    against SCAN_LIMIT first.  A value
     chi_a(x) * chi_b(y) is formed once per pair of values in a memo for
     the call: ``Cyclotomic`` hashes and compares structurally, so an equal
     pair gives the equal product.
@@ -370,7 +371,9 @@ def direct_product_table(ta: CharacterTable, tb: CharacterTable):
     shifted = [[tuple([p + da for p in y]) for y in cb] for cb in tb.classes.classes]
     classes = [[x + y for x in ca for y in cb]
                for ca in ta.classes.classes for cb in shifted]
-    cd = ClassData(grp, classes)
+    orders = [lcm(oa, ob) for oa in ta.classes.element_orders
+              for ob in tb.classes.element_orders]
+    cd = ClassData(grp, classes, orders)
     grp._classes = cd
     pairs = []
     for r in cd.representatives:

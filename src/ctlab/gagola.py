@@ -25,9 +25,18 @@ of H lie in N, and as what; ``n_image`` carries N into H for the embedding.
 For q != p the witness is induced by the prime-index formula
 theta^H(h) = sum of theta(t^-i h t^i) over i < q for h in N, and 0 for h
 outside N, on the p-regular classes of H; this holds for ordinary
-characters and for Brauer characters alike.  For q = p the q values at
-t^-i h t^i must agree (theta is invariant under the shift), and the IBr
-row is matched on the p-regular classes of H that lie in N.
+characters and for Brauer characters alike.  One lift of each class gives
+the whole sum.  Write h = u y^j with u in U.  t acts on N as alpha, which
+shifts the U-coordinates and sends y to z_0 y, z_i being z in coordinate
+i, so the conjugates of h are alpha^i(h) = alpha^i(u) (z_0 ... z_(i-1))^j
+y^j.  tau = mu_L x ... x mu_L is invariant under the shift, and the
+central z acts in mu_L as the scalar lambda(z) = mu_L(z) / mu_L(1), so
+theta(alpha^i(h)) = tau(u) lambda(z)^(ij).  lambda(z) is checked to be a
+primitive q-th root of unity, exactly (VerificationFailed otherwise), so
+theta^H(h) = q tau(u) when j = 0 and 0 otherwise.  For q = p the q values
+at t^-i h t^i are evaluated one by one and must agree (theta is invariant
+under the shift), and the IBr row is matched on the p-regular classes of
+H that lie in N.
 
 The abelian q = p corner (K central) is reported as DegenerateStep: no
 faithful witness can exist there.  The final certificate re-checks each of
@@ -41,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chartab import ClassFunction, character_table, inner_product
-from .cyclo import ONE, ZERO, cyclo_sum, is_prime, prime_factors, rational, zeta
+from .cyclo import ONE, ZERO, is_prime, prime_factors, rational, zeta
 from .errors import (DEFAULT_BUDGET, DegenerateStep, NotAPrime,
                      NotSolvable, VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
@@ -207,6 +216,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             f"step with q = p = {p} from a central group of order "
             f"{k_grp.order}: no faithful witness exists", level=depth)
     mu_of = _mu_value_function(level)
+    roots = [zeta(q, j) for j in range(q)]
 
     augmented = False
     if q != p and all(perm_order(x) != q for x in z_k.elements()):
@@ -215,7 +225,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
 
         def mu_l(g):
             xk, xc = split_l(tuple(g))
-            return mu_of(xk) * zeta(q, _cyclic_dlog(xc, q))
+            return mu_of(xk) * roots[_cyclic_dlog(xc, q)]
 
         def l_embed(gk):
             return emb_k(gk)
@@ -277,28 +287,12 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
     cd_h = h_grp.conjugacy_classes()
     regular_h = p_regular_classes(cd_h, p)
 
-    def tau_times_one(n_elem):
-        # tau (x 1 on the auxiliary factor) at an element of N
-        u_elem = split_n(n_elem)[0] if split_n is not None else n_elem
-        lift = cpp.quotient.lift(u_elem)
+    def tau(u_elem):
+        # mu_L x ... x mu_L at an element of U, read off one lift to L^q
         val = rational(1)
-        for c in cpp.split(lift):
+        for c in cpp.split(cpp.quotient.lift(u_elem)):
             val = val * mu_l(c)
         return val
-
-    # tau x 1 at t^-i h t^i, i < q, for each p-regular representative h of
-    # H; None where h lies outside N, read off the realization of H
-    ti = pinv(t)
-    shifts = []
-    for c in regular_h:
-        h = cd_h.representatives[c]
-        vals = None
-        if sd.n_part(h) is not None:
-            vals = []
-            for _ in range(q):
-                vals.append(tau_times_one(sd.n_part(h)))
-                h = pmul(pmul(ti, h), t)
-        shifts.append(vals)
 
     bd_h = None
     if h_grp.order % p == 0:
@@ -306,12 +300,22 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         bd_h = brauer_data(character_table(h_grp, budget=budget), p,
                            with_blocks=False)
     if q == p:
-        # the unique degree-preserving extension, matched on the classes in N
-        _verify(all(vals is None or vals.count(vals[0]) == q for vals in shifts),
-                "tau is not invariant under the shift")
+        # the unique degree-preserving extension, matched on the p-regular
+        # classes of H in N, read off the realization of H: tau must take
+        # one value at t^-i h t^i over i < q
         pos_h = {c: i for i, c in enumerate(bd_h.regular)}
-        in_n = [(pos_h[c], vals[0]) for c, vals in zip(regular_h, shifts)
-                if vals is not None]
+        ti = pinv(t)
+        in_n = []
+        for c in regular_h:
+            h = cd_h.representatives[c]
+            if sd.n_part(h) is None:
+                continue
+            vals = []
+            for _ in range(q):
+                vals.append(tau(sd.n_part(h)))
+                h = pmul(pmul(ti, h), t)
+            _verify(vals.count(vals[0]) == q, "tau is not invariant under the shift")
+            in_n.append((pos_h[c], vals[0]))
         matches = [idx for idx, row in enumerate(bd_h.ibr)
                    if all(row[i] == v for i, v in in_n)]
         _verify(len(matches) == 1, f"extension witness count {len(matches)}")
@@ -320,9 +324,20 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
         method = "table-extension"
         deg = _degree_of(mu_values)
     else:
-        # theta^H(h) = sum of theta(t^-i h t^i) over i < q for N of index q
-        mu_values = tuple(ZERO if vals is None else cyclo_sum(vals)
-                          for vals in shifts)
+        # theta^H at h = u y^j in N is q tau(u) when j = 0 and 0 otherwise,
+        # as lambda(z) is a primitive q-th root (module docstring); 0
+        # outside N
+        lam = mu_l(z) / mu_l(l_grp.identity)
+        _verify(lam in roots[1:], "lambda(z) is not a primitive q-th root of unity")
+
+        def induced(h):
+            n_elem = sd.n_part(h)
+            if n_elem is None:
+                return ZERO
+            u_elem, y_elem = split_n(n_elem)
+            return q * tau(u_elem) if _cyclic_dlog(y_elem, q) == 0 else ZERO
+
+        mu_values = tuple(induced(cd_h.representatives[c]) for c in regular_h)
         deg = _degree_of(mu_values)
         if bd_h is not None:
             # rare shape (a q = p step below this one)

@@ -7,7 +7,16 @@ in a fixed order, so the same generator list always produces the same chain.
 Every chain is built incrementally: ``StabilizerChain.extend`` sifts one
 element and completes the chain, and the chain of a generator list is the
 one that extending by each generator in turn builds; a level keeps the
-inverse of a transversal element once a sift has computed it.  Classes,
+inverse of a transversal element once a sift has computed it.  A group
+keeps, beside ``gens``, its ``chain_gens``: the generators that enlarged
+the chain as it was built, a subset that generates the same group, over
+which ``elements()`` closes its keys and the class scan conjugates.
+Nothing extends a group's chain (``_adopt`` clears the sifted Schreier
+pairs), so the chain of a direct product or power is assembled from the
+factors' chains, each factor's levels after the levels of the factors
+before it, with no Schreier generator sifted (``_side_by_side``); it has
+the base, orbits and transversals that Schreier-Sims builds on the same
+generators.  Classes,
 center, cores and Sylow subgroups canonicalize their output and therefore
 do not depend on chain internals.  The centre is read off the classes: its
 elements are the members of the classes of size 1.  The coset labels of
@@ -63,7 +72,6 @@ from .perms import (
     conj,
     format_cycles,
     identity,
-    order as perm_order,
     pinv,
     pmul,
     ppow,
@@ -374,13 +382,17 @@ class PermGroup:
             gens = [validate(g, degree) for g in gens]
         ident = identity(degree)
         gens = tuple(g for g in gens if g != ident)
-        self._adopt(gens, StabilizerChain(degree, gens))
+        chain = StabilizerChain(degree, [])
+        self._adopt(gens, chain, tuple(g for g in gens if chain.extend(g)))
 
-    def _adopt(self, gens, chain):
+    def _adopt(self, gens, chain, chain_gens):
         """Take over ``chain``, the chain that extending by ``gens`` (a tuple
-        without the identity) in order builds."""
+        without the identity) in order builds; ``chain_gens`` are the
+        generators that enlarged it, a subset of ``gens`` that generates
+        the same group."""
         self.degree = chain.degree
         self.gens = gens
+        self.chain_gens = chain_gens
         self.chain = chain
         self.order = chain.order()
         for lvl in chain.levels:
@@ -408,13 +420,16 @@ class PermGroup:
         this is where ``check_scan`` bounds them by SCAN_LIMIT.
 
         The elements are the products u_(k-1) ... u_0 of one transversal
-        element per level, listed only after three checks prove that they
+        element per level, listed only after four checks prove that they
         are the group generated by ``gens``: ``verify_chain`` proves that
         the chain's group H has order ``order`` = prod |orbits| and is that
-        product set; every generator sifts, so <gens> <= H; and the
-        base-image keys of <gens>, closed under the generators at |base|
-        lookups a step, number ``order``, so |<gens>| >= |H|.  Hence
-        <gens> = H, and the base separates its elements.
+        product set; every generator sifts, so <gens> <= H; ``chain_gens``
+        is a subset S of ``gens``, so <S> <= <gens>; and the base-image
+        keys of <S>, closed under S at |base| lookups a step, number
+        ``order``, so |<S>| >= |H|.  Hence <S> = <gens> = H, and the base
+        separates its elements.  The closure runs over S alone, the
+        generators that enlarged the chain, which may be far fewer than
+        ``gens``; the class scan walks S as well.
         """
         if self._elements is None:
             check_scan(self.order)
@@ -422,11 +437,14 @@ class PermGroup:
             verify_chain(chain)
             if any(chain.residue(g) != self.identity for g in self.gens):
                 raise VerificationFailed("a generator does not sift through its chain")
+            if not set(self.chain_gens) <= set(self.gens):
+                raise VerificationFailed(
+                    "the chain's generators are not among the group's generators")
             keys = {chain.base}
             queue = [chain.base]
             for key in queue:
                 get = key_getter(key)
-                for s in self.gens:
+                for s in self.chain_gens:
                     k = get(s)
                     if k not in keys:
                         keys.add(k)
@@ -452,7 +470,7 @@ class PermGroup:
         chain = StabilizerChain(self.degree, [])
         sel = tuple(x for x in sorted(set(elems)) if chain.extend(x))
         group = PermGroup.__new__(PermGroup)
-        group._adopt(sel, chain)
+        group._adopt(sel, chain, sel)
         return group
 
     def is_subgroup_of(self, other) -> bool:
@@ -772,12 +790,13 @@ class ClassData:
     least member, so the ordering does not depend on the generating set.
     """
 
-    def __init__(self, group, classes):
+    def __init__(self, group, classes, orders):
         """``classes`` lists each class as a sorted element list, in any
-        order; they are put in the canonical order here."""
+        order, and ``orders`` the order of its elements; they are put in
+        the canonical order here."""
         ident = group.identity
-        keyed = sorted((c[0] != ident, perm_order(c[0]), len(c), c[0], i)
-                       for i, c in enumerate(classes))
+        keyed = sorted((c[0] != ident, o, len(c), c[0], i)
+                       for i, (c, o) in enumerate(zip(classes, orders)))
         self.group = group
         self.classes = classes = [classes[key[-1]] for key in keyed]
         self.representatives = [c[0] for c in classes]
@@ -921,10 +940,16 @@ def _centralizing(group, gens):
 
 
 def _conjugacy_classes(group):
+    """The classes as orbits of the conjugation action of ``chain_gens``,
+    which generate the group (``elements()`` proves it), walked on
+    base-image keys.  The order of each class is read off the same keys:
+    x^n = 1 exactly when x^n fixes every base point, as the verified base
+    separates the group, so |x| is the first n >= 1 at which the walk
+    key -> x[key] returns to the base."""
     base, keyed = _keyed_elements(group)
-    moves = [(s, [s.index(b) for b in base]) for s in group.gens]
+    moves = [(s, [s.index(b) for b in base]) for s in group.chain_gens]
     assigned = set()
-    classes = []
+    classes, orders = [], []
     for k in keyed:
         if k in assigned:
             continue
@@ -939,7 +964,12 @@ def _conjugacy_classes(group):
                     queue.append(z)
         assigned |= orbit
         classes.append(sorted(keyed[z] for z in orbit))
-    return ClassData(group, classes)
+        x, walk, n = keyed[k], k, 1
+        while walk != base:
+            walk = tuple([x[c] for c in walk])
+            n += 1
+        orders.append(n)
+    return ClassData(group, classes, orders)
 
 
 def _coset_canonicalizer(s):
@@ -976,23 +1006,73 @@ def group_from_generators(degree, gens) -> PermGroup:
     return PermGroup(degree, [validate(g, degree) for g in gens], check=False)
 
 
+def _placed(degree, offset, size):
+    """The embedding of permutations of 0..size-1 into those of
+    0..degree-1 that act on offset..offset+size-1 and fix the rest."""
+    head, tail = tuple(range(offset)), tuple(range(offset + size, degree))
+
+    def emb(g):
+        return head + tuple([offset + x for x in g]) + tail
+
+    return emb
+
+
+def _side_by_side(factors):
+    """The direct product of ``factors`` on their domains laid side by
+    side in the given order, and the embedding of each factor.
+
+    The chain is assembled, and no Schreier generator is sifted: the
+    levels of the first factor's chain, then those of the second, and so
+    on, each with its base point, orbit, transversal elements and strong
+    generators mapped in.  It is the chain that ``PermGroup`` builds by
+    extending by each generator in turn, up to the strong generator lists
+    of the levels.  A factor's generators fix the points of the factors
+    before it, so Schreier-Sims runs on the levels past those as it ran
+    on the factor's own chain, with the same least moved points as bases
+    and the same sorted orbits; at the earlier levels they commute with
+    every transversal element, so each Schreier generator u_t s u_t^-1 = s
+    sifts at once, and they leave the orbits and transversals as they
+    are.  That build also lists a factor's generators at the earlier
+    levels; here they are listed at the factor's levels only.
+    ``verify_chain`` takes the strong generators of a level to be those
+    of it and all later levels, so it reads the same sets, and nothing
+    extends a group's chain (``_adopt`` clears the sifted pairs), so no
+    other reader sees the lists.  The generators that enlarge the chain
+    are the factors' ``chain_gens``, mapped in.  No order is claimed:
+    ``elements()`` verifies the assembled chain, as it verifies every
+    chain, before it lists anything.
+    """
+    degree = sum(f.degree for f in factors)
+    chain = StabilizerChain(degree, [])
+    gens, chain_gens, embs, offset = [], [], [], 0
+    for f in factors:
+        emb = _placed(degree, offset, f.degree)
+        gens += map(emb, f.gens)
+        chain_gens += map(emb, f.chain_gens)
+        for lvl in f.chain.levels:
+            new = _Level(lvl.base + offset, chain.identity)
+            new.gens = [emb(g) for g in lvl.gens]
+            new.orbit = {t + offset: emb(u) for t, u in lvl.orbit.items()}
+            new.dirty = False
+            chain.levels.append(new)
+        embs.append(emb)
+        offset += f.degree
+    group = PermGroup.__new__(PermGroup)
+    group._adopt(tuple(gens), chain, tuple(chain_gens))
+    return group, embs
+
+
 def direct_product(a: PermGroup, b: PermGroup):
-    """A x B on the disjoint union of the two domains.
+    """A x B on the disjoint union of the two domains, A's points first.
 
     Returns (group, embed_a, embed_b, split) where the embeds map elements in
-    and split decomposes an element into its two factors.
+    and split decomposes an element into its two factors.  The chain is
+    A's levels followed by B's, shifted past A's points
+    (``_side_by_side``): the stabilizer of A's base points in A x B is
+    1 x B.
     """
-    da, db = a.degree, b.degree
-    shift = tuple(x + da for x in range(db))
-
-    def emb_a(g):
-        return tuple(g) + shift
-
-    def emb_b(g):
-        return tuple(range(da)) + tuple(x + da for x in g)
-
-    gens = [emb_a(g) for g in a.gens] + [emb_b(g) for g in b.gens]
-    grp = PermGroup(da + db, gens, check=False)
+    da = a.degree
+    grp, (emb_a, emb_b) = _side_by_side([a, b])
 
     def split(g):
         return tuple(g[:da]), tuple(x - da for x in g[da:])
@@ -1001,17 +1081,14 @@ def direct_product(a: PermGroup, b: PermGroup):
 
 
 def direct_power(a: PermGroup, q: int):
-    """A^q on q disjoint copies of the domain; returns (group, embed, split)."""
+    """A^q on q disjoint copies of the domain; returns (group, embed, split).
+    The chain is q copies of A's levels, copy i on the i-th block of points
+    (``_side_by_side``)."""
     d = a.degree
+    grp, embs = _side_by_side([a] * q)
 
     def emb(i, g):
-        images = list(range(d * q))
-        for x, y in enumerate(g):
-            images[i * d + x] = i * d + y
-        return tuple(images)
-
-    gens = [emb(i, g) for i in range(q) for g in a.gens]
-    grp = PermGroup(d * q, gens, check=False)
+        return embs[i](g)
 
     def split(g):
         return [tuple(g[i * d + x] - i * d for x in range(d)) for i in range(q)]

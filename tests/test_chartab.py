@@ -280,8 +280,9 @@ chartab._poly_roots = real
 expect("trivial", lambda: chartab._sorted_rows([[ONE], [ONE]]))
 # class lists that miss an element of G: one too few base-image keys
 short = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+cd = short.conjugacy_classes()
 short._classes = ClassData(short, [c[:-1] if len(c) == 3 else c
-                                   for c in short.conjugacy_classes().classes])
+                                   for c in cd.classes], cd.element_orders)
 expect("keys", lambda: chartab.character_table(short))
 print(" ".join(raised))
 """

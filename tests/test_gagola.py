@@ -8,7 +8,7 @@ import pytest
 from ctlab.chartab import fusion_through_hom
 from ctlab.cyclo import rational, zeta
 from ctlab.errors import DegenerateStep, NotSolvable
-from ctlab.forge import cyclic
+from ctlab.forge import cyclic, dihedral
 from ctlab.gagola import (_base_level, _chief_step, _mu_value_function,
                           gagola_step, gagola_tower)
 from ctlab.modrep import brauer_induce, p_regular_classes
@@ -188,12 +188,13 @@ def _fusion_route_mu(prev, step, p):
     return tuple(rows[0])
 
 
-@pytest.mark.parametrize("source, p", [("S3", 5), ("C6", 2), ("C2", 3)])
+@pytest.mark.parametrize("source, p", [("S3", 5), ("C6", 2), ("C2", 3),
+                                       ("D8", 3), ("C6", 3)])
 def test_step_witness_matches_the_fusion_route(source, p):
     # each step reads tau x 1 on H's classes through the realization of H;
     # N's classes, the fusion along n_hom and brauer_induce are the reference
     g = {"S3": PermGroup(3, [(1, 0, 2), (1, 2, 0)]), "C6": cyclic(6),
-         "C2": cyclic(2)}[source]
+         "C2": cyclic(2), "D8": dihedral(8)}[source]
     level, primes = _base_level(g), []
     while g.order > 1:
         q, g = _chief_step(g, p)
@@ -246,6 +247,12 @@ real, calls = gagola.rational, []
 gagola.rational = lambda x: calls.append(1) or real(x * (1 + len(calls) % 2))
 expect("shift", lambda: gagola.gagola_step(level, 2, 2), "under the shift")
 gagola.rational = real
+# lambda(z) read as 1 in the augmented q != p step of the C2 tower at p = 3:
+# the C_q factor's generator read as its identity
+real = gagola._cyclic_dlog
+gagola._cyclic_dlog = lambda elem, q: 0
+expect("lambda", lambda: gagola.gagola_tower(cyclic(2), 3), "primitive q-th root")
+gagola._cyclic_dlog = real
 
 s3 = character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
 expect("degree_of", lambda: modrep._degree_of((rational(Fraction(1, 2)),)))
@@ -270,8 +277,8 @@ def test_tower_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
-                                  "shift", "degree_of", "cartan", "blocks",
-                                  "count", "coefficient"]
+                                  "shift", "lambda", "degree_of", "cartan",
+                                  "blocks", "count", "coefficient"]
 
 
 _CHIEF_STEP_CHECKS_UNDER_O = """

@@ -14,9 +14,11 @@ from ctlab.chartab import character_table, direct_product_table
 from ctlab.errors import BudgetExceeded, InvalidPermutation, NotASubgroup, \
     NotNormal, NotSolvable, VerificationFailed
 from ctlab.forge import central_product_power, cyclic, elem_abelian
+from ctlab.gagola import _chief_step, gagola_tower
 from ctlab.homs import GroupHom
 from ctlab.permgroup import SCAN_LIMIT, PermGroup, StabilizerChain, \
-    _normalizing, group_from_generators, key_getter, verify_chain
+    _normalizing, direct_power, direct_product, group_from_generators, \
+    key_getter, verify_chain
 from ctlab.perms import order as porder, parse_cycles, pmul
 
 from conftest import perm_group, small_groups
@@ -308,7 +310,6 @@ def test_random_small_groups_agree_with_oracle(gens):
 @example(perm_group(7, "(1 2 3 4)", "(1 3)", "(5 6 7)", "(5 6)"), 2)
 def test_cores_p_length_and_chief_step_agree_with_oracles(g, p):
     from ctlab.cyclo import prime_factors
-    from ctlab.gagola import _chief_step
 
     elems = oracles.closure(g.degree, g.gens)
     trivial = {g.identity}
@@ -408,6 +409,69 @@ def test_subgroup_from_elements_builds_one_chain(s4, monkeypatch):
     assert h.chain.base == rebuilt.chain.base
     assert [l.orbit for l in h.chain.levels] == \
         [l.orbit for l in rebuilt.chain.levels]
+
+
+def test_chain_gens_are_the_generators_that_enlarge_the_chain(s4):
+    # (1 3 2) = (1 2 3)^2 adds nothing, so the chain, the key closure and
+    # the class scan run over the other two generators
+    g = perm_group(3, "(1 2)", "(1 2 3)", "(1 3 2)")
+    assert g.chain_gens == g.gens[:2]
+    assert g.conjugacy_classes().classes == \
+        perm_group(3, "(1 2)", "(1 2 3)").conjugacy_classes().classes
+    h = s4.subgroup_from_elements(s4.elements())
+    assert h.chain_gens == h.gens
+
+
+def _chain_levels(chain):
+    return [(lvl.base, list(lvl.orbit.items())) for lvl in chain.levels]
+
+
+def test_product_chains_equal_the_built_chains(corpus, monkeypatch):
+    # A x B and A^q assemble their chains from the factors' chains; a
+    # Schreier-Sims on the same generators builds the same base, orbit
+    # points in order and transversal elements, keeps the same generators,
+    # and elements() accepts the assembled chain.  The towers' L = K x C_q
+    # (augmented steps), K^q and N = U x C_q are taken as the steps build
+    # them.
+    built = []
+
+    def recorded(real):
+        def run(*args):
+            out = real(*args)
+            built.append(out[0])
+            return out
+        return run
+
+    monkeypatch.setattr(ctlab.gagola, "direct_product",
+                        recorded(ctlab.gagola.direct_product))
+    monkeypatch.setattr(ctlab.forge, "direct_power",
+                        recorded(ctlab.forge.direct_power))
+    gagola_tower(perm_group(3, "(1 2)", "(1 2 3)"), 5)
+    gagola_tower(cyclic(6), 2)
+    monkeypatch.undo()
+    assert sorted(g.order for g in built) == [3, 3, 9, 9, 27, 27, 54, 729,
+                                              972, 2916]
+    s3 = perm_group(3, "(1 2)", "(1 2 3)")
+    for _name, k in corpus:
+        built += [direct_product(k, s3)[0], direct_product(cyclic(2), k)[0]]
+        if k.order <= 60:
+            built.append(direct_power(k, 2)[0])
+        if k.order <= 8:
+            built.append(direct_power(k, 3)[0])
+    for g in built:
+        rebuilt = PermGroup(g.degree, g.gens, check=False)
+        assert _chain_levels(g.chain) == _chain_levels(rebuilt.chain), g
+        assert g.chain_gens == rebuilt.chain_gens, g
+        assert g.order == rebuilt.order
+        if g.order <= 5000:
+            assert g.elements() == rebuilt.elements(), g
+
+
+def test_element_orders_are_read_off_the_keys(corpus):
+    for name, g in corpus:
+        cd = g.conjugacy_classes()
+        assert cd.element_orders == [porder(r) for r in cd.representatives], \
+            name
 
 
 def test_element_scans_share_one_bound():
@@ -579,17 +643,24 @@ from ctlab.permgroup import PermGroup
 assert sys.flags.optimize
 raised = []
 
-def expect(name, fn):
+def expect(name, fn, match=""):
     try:
         fn()
-    except VerificationFailed:
-        raised.append(name)
+    except VerificationFailed as exc:
+        if match in str(exc):
+            raised.append(name)
 
 s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
 s4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+# the key closure runs over chain_gens, so a generator list cut short
+# after construction is caught by the subset test
 short = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
 short.gens = short.gens[:1]
-expect("elements", short.elements)
+expect("elements", short.elements, "among the group's generators")
+# and chain_gens cut short reach too few keys
+short = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+short.chain_gens = short.chain_gens[:1]
+expect("closure", short.elements, "base-image keys")
 real = PermGroup.subgroup
 PermGroup.subgroup = lambda self, gens: self if not gens else real(self, gens)
 expect("core", lambda: s3.p_core(2))
@@ -614,5 +685,5 @@ def test_permgroup_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True,
                          timeout=120)
-    assert out.stdout.split() == ["elements", "core", "sylow_step", "p_length",
-                                  "sylow", "inner_action"]
+    assert out.stdout.split() == ["elements", "closure", "core", "sylow_step",
+                                  "p_length", "sylow", "inner_action"]

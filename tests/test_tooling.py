@@ -31,7 +31,11 @@ counted.  A tower runs Fong-Swan once per level that needs a table: the
 certificate reads the last step's Brauer data, and ``ibr_fong_swan`` runs
 once for the C6 tower at p = 2.  A tower step reads N inside H off the
 semidirect realization: the S3 tower at p = 5 builds no N -> H
-homomorphism, and its class scans and homomorphisms are counted.
+homomorphism, and its class scans and homomorphisms are counted.  The same
+tower's lifts through a coset action, class-scan conjugations and ``pmul``
+calls are counted too: a q != p step lifts one element per class, the class
+scans walk the generators that enlarged the chain, and a direct product's
+chain is assembled from its factors'.
 
 No module in ``src/ctlab`` or ``tests`` imports a name it never uses,
 except on a line marked ``# noqa: F401`` (a re-export).  No function in
@@ -412,6 +416,38 @@ def test_tower_reads_n_off_the_realization(monkeypatch):
     assert certs[0].ok and not n_homs
     assert scans <= TOWER_SCAN_CEILING, scans
     assert len(homs) <= TOWER_HOM_CEILING, len(homs)
+
+
+# work in the S3 tower at p = 5.  A q != p step lifts each p-regular class
+# representative of H that lies in N once, where it lifted all q conjugates
+# of each (376 lifts); a class scan conjugates every element by the
+# generators that enlarged the chain, where it took every generator
+# (27,678 conjugations, the sum of |G| times their number); and the
+# products are assembled from their factors' chains (19,271 pmul calls
+# before all three)
+TOWER_LIFT_CEILING = 104
+TOWER_CONJUGATION_CEILING = 15_852
+TOWER_PMUL_CEILING = 16_800
+
+
+def test_tower_step_work_ratchet(monkeypatch):
+    from ctlab import permgroup, perms
+    from ctlab.gagola import gagola_tower
+
+    s3 = permgroup.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    lifts, conjugations, certs = [], [], []
+    real_lift = permgroup.QuotientResult.lift
+    real_scan = permgroup._conjugacy_classes
+    monkeypatch.setattr(permgroup.QuotientResult, "lift",
+                        lambda self, w: lifts.append(1) or real_lift(self, w))
+    monkeypatch.setattr(permgroup, "_conjugacy_classes", lambda g: (
+        conjugations.append(g.order * len(g.chain_gens)) or real_scan(g)))
+    calls = _calls_while(perms.pmul,
+                         lambda: certs.append(gagola_tower(s3, 5)), monkeypatch)
+    assert certs[0].ok
+    assert len(lifts) <= TOWER_LIFT_CEILING, len(lifts)
+    assert sum(conjugations) <= TOWER_CONJUGATION_CEILING, sum(conjugations)
+    assert calls <= TOWER_PMUL_CEILING, calls
 
 
 def _unused_imports(path):
