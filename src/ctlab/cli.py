@@ -88,7 +88,7 @@ def _table_for_node(node, budget) -> _TableTree:
         right = _table_for_node(node.args[1], budget)
         table, pdata = direct_product_table(left.table, right.table)
         return _TableTree(table, left, right, pdata)
-    group = evaluate(node, budget=budget)
+    group = evaluate(node)
     return _TableTree(character_table(group, budget=budget))
 
 
@@ -107,7 +107,7 @@ def cmd_table(args) -> int:
 def cmd_blocks(args) -> int:
     started = time.time()
     text = _load_spec(args)
-    group = evaluate(parse_spec(text), budget=_budget_from(args))
+    group = evaluate(parse_spec(text))
     from .chartab import character_table
     from .modrep import brauer_data, nilpotency_refute
 
@@ -148,11 +148,12 @@ def cmd_ctype(args) -> int:
 def cmd_gagola(args) -> int:
     started = time.time()
     text = _load_spec(args)
-    group = evaluate(parse_spec(text), budget=_budget_from(args))
+    _budget_from(args)   # a tower takes no budget, but a bad flag is an error
+    group = evaluate(parse_spec(text))
     from .gagola import gagola_tower
 
     try:
-        cert = gagola_tower(group, args.p, budget=_budget_from(args))
+        cert = gagola_tower(group, args.p)
     except DegenerateStep as exc:
         payload = report_envelope("gagola", text, {
             "group": group_summary(group),
@@ -176,7 +177,7 @@ def cmd_gagola(args) -> int:
 def cmd_lifts(args) -> int:
     started = time.time()
     text = _load_spec(args)
-    group = evaluate(parse_spec(text), budget=_budget_from(args))
+    group = evaluate(parse_spec(text))
     from .chartab import character_table
     from .modrep import brauer_data, lifts_of
 

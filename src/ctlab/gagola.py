@@ -1,65 +1,76 @@
 """Recursive towers: p-central-type covers containing a prescribed solvable
 group in their central quotient.
 
-One step consumes a level (K, mu) with mu a faithful Brauer character
-witnessing p-central type, and a prime q, and produces the next level:
+One step consumes a level (K, mu) with mu a faithful irreducible Brauer
+character witnessing p-central type, and a prime q, and builds
+H = N : <t> with N normal of prime index q.  tau = mu_L x ... x mu_L on
+U = L^q / W, W the product-one subgroup of Z(L)^q:
 
-* q != p: after augmenting K by a cyclic q-factor when its center has no
-  order-q element, form U = K^q / W for the product-one central subgroup W,
-  adjoin an auxiliary C_q = <y>, and extend by the order-q automorphism that
-  shifts the U-coordinates and feeds a central order-q element z into the
-  first slot on the y-grade.  The witness is the induced character of
-  (mu x ... x mu) x 1.  Steps of this kind happen while the tower is still a
-  p'-group, so the witness is certified without a character table: it is a
-  genuine character (induction of one), and exact norm 1 plus a trivial
-  kernel plus the degree identity pin it down.
-* q = p: no augmentation; H = U : <shift> and the witness is the unique
-  degree-preserving extension of mu x ... x mu, located in IBr(H) computed
-  from the full table.
+* q != p: L = K x C_q when Z(K) has no order-q element (the step
+  augments), else L = K; N = U x <y> for an auxiliary C_q = <y>, and t
+  shifts the U-coordinates and sends y to z_0 y, z_i being a central
+  order-q element z of L in coordinate i.  The witness is theta^H for
+  theta = tau x 1.
+* q = p: L = K, N = U, t shifts the coordinates, and the witness extends
+  tau.
 
-In both cases H = N : <t> with N normal of prime index q, and the
-character theta of N (mu x ... x mu, times 1 on the auxiliary C_q when
-q != p) is read on H's own classes; no table, class list or homomorphism of
-N is built.  ``n_part`` of the semidirect realization tells which elements
-of H lie in N, and as what; ``n_image`` carries N into H for the embedding.
-For q != p the witness is induced by the prime-index formula
-theta^H(h) = sum of theta(t^-i h t^i) over i < q for h in N, and 0 for h
-outside N, on the p-regular classes of H; this holds for ordinary
-characters and for Brauer characters alike.  One lift of each class gives
-the whole sum.  Write h = u y^j with u in U.  t acts on N as alpha, which
-shifts the U-coordinates and sends y to z_0 y, z_i being z in coordinate
-i, so the conjugates of h are alpha^i(h) = alpha^i(u) (z_0 ... z_(i-1))^j
-y^j.  tau = mu_L x ... x mu_L is invariant under the shift, and the
-central z acts in mu_L as the scalar lambda(z) = mu_L(z) / mu_L(1), so
-theta(alpha^i(h)) = tau(u) lambda(z)^(ij).  lambda(z) is checked to be a
-primitive q-th root of unity, exactly (VerificationFailed otherwise), so
-theta^H(h) = q tau(u) when j = 0 and 0 otherwise.  For q = p the q values
-at t^-i h t^i are evaluated one by one and must agree (theta is invariant
-under the shift), and the IBr row is matched on the p-regular classes of
-H that lie in N.
+|U| = |L|^q / |Z(L)|^(q-1), |H| = q |U| when q = p and q^2 |U| when
+q != p, and |Z(L)| = q |Z(K)| when the step augments.  Every level lists
+its classes, so a step whose H would exceed ``SCAN_LIMIT`` raises
+BudgetExceeded before it builds anything; the built H must have the
+predicted order.
 
-The abelian q = p corner (K central) is reported as DegenerateStep: no
-faithful witness can exist there.  The final certificate re-checks each of
-the four claimed properties on the final level's group, centre, embedding and
-Brauer data; it searches the IBr rows that the last step computed for a
-faithful witness of square degree, and builds no table of its own.
+No character table is computed.  Each witness is fixed by Clifford theory
+for Brauer characters (Navarro, "Characters and Blocks of Finite Groups",
+ch. 8), whose hypotheses the step checks exactly (VerificationFailed
+otherwise):
+
+* q = p, Green's theorem: an H-invariant tau in IBr(N), N of index p,
+  has a unique extension in IBr(H).  An element outside N maps onto a
+  generator of H/N = C_p, so every p-regular class of H lies in N; the
+  step checks this (``n_part`` is not None) and that tau takes one value
+  at t^-i h t^i over i < q.  The witness is tau read on H's p-regular
+  classes.
+* q != p, the Clifford correspondence: theta in IBr(N), N of prime index
+  q, not H-invariant, induces to an element of IBr(H).  The central z acts
+  in mu_L as the scalar lambda(z) = mu_L(z) / mu_L(1), checked to be a
+  primitive q-th root of unity, and theta(z_0 y) = lambda(z) theta(y), so
+  theta^t != theta.  When H is a p'-group the norm of theta^H is checked
+  to be 1 as well.
+
+theta^H(h) is the sum of theta(t^-i h t^i) over i < q for h in N, and 0
+outside N, for Brauer characters as for ordinary ones.  For h = u y^j,
+alpha^i(h) = alpha^i(u) (z_0 ... z_(i-1))^j y^j, alpha the action of t on
+N, and tau is shift-invariant, so theta^H(h) = q tau(u) when j = 0 and 0
+otherwise: one lift of each class gives the whole sum.  ``n_part`` of the
+semidirect realization tells which elements of H lie in N, and as what;
+``n_image`` carries N into H for the embedding; no class list or
+homomorphism of N is built.
+
+One rule decides faithfulness, in each step and in the certificate
+(``modrep.faithful_brauer_values``): the witness equals its degree on no
+p-regular class but the identity class, and O_p(H) = 1.  The abelian
+q = p corner (K central) is a DegenerateStep: no faithful witness exists
+there.  The certificate re-checks the four claimed properties on the final
+level's group, centre, embedding and carried witness.  At a p'-level it
+re-derives the witness's irreducibility from its norm; at a p-divisible
+level irreducibility is certified by the steps and not re-derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chartab import ClassFunction, character_table, inner_product
+from .chartab import ClassFunction, inner_product
 from .cyclo import ONE, ZERO, is_prime, prime_factors, rational, zeta
-from .errors import (DEFAULT_BUDGET, DegenerateStep, NotAPrime,
-                     NotSolvable, VerificationFailed)
+from .errors import (BudgetExceeded, DegenerateStep, NotAPrime, NotSolvable,
+                     VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
 from .homs import GroupHom
-from .modrep import (BrauerData, brauer_data, brauer_kernel_trivial,
-                     p_regular_classes, _degree_of)
-from .permgroup import ClassData, PermGroup, QuotientResult, StabilizerChain, \
-    check_order, direct_product, p_prime_part
+from .modrep import faithful_brauer_values, p_regular_classes, _degree_of
+from .permgroup import SCAN_LIMIT, ClassData, PermGroup, QuotientResult, \
+    StabilizerChain, check_order, direct_product, p_prime_part
 from .perms import pinv, pmul, ppow, order as perm_order
 
 
@@ -72,7 +83,6 @@ class TowerLevel:
     center: PermGroup
     center_quotient: QuotientResult   # group/center, by conjugation on classes
     embedding: GroupHom          # current chain subgroup -> group/center
-    brauer: BrauerData = None    # the step's IBr data, when it needed a table
 
 
 @dataclass
@@ -207,20 +217,31 @@ def _verify(holds: bool, what: str):
         raise VerificationFailed(what)
 
 
-def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
-                budget=DEFAULT_BUDGET) -> _StepData:
+def _predicted_order(level: TowerLevel, q: int, p: int, augmented: bool) -> int:
+    """|H| of the step from the level alone (module docstring)."""
+    l_order, zl_order = level.group.order, level.center.order
+    if augmented:
+        l_order, zl_order = l_order * q, zl_order * q
+    return (q if q == p else q * q) * l_order ** q // zl_order ** (q - 1)
+
+
+def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     k_grp = level.group
     z_k = level.center
     if q == p and k_grp.order == z_k.order:
         raise DegenerateStep(
             f"step with q = p = {p} from a central group of order "
             f"{k_grp.order}: no faithful witness exists", level=depth)
+    augmented = q != p and all(perm_order(x) != q for x in z_k.elements())
+    predicted = _predicted_order(level, q, p, augmented)
+    if predicted > SCAN_LIMIT:
+        raise BudgetExceeded(
+            f"tower step at depth {depth} (q = {q}): its level would have "
+            f"order {predicted}, over the scan limit {SCAN_LIMIT}")
     mu_of = _mu_value_function(level)
     roots = [zeta(q, j) for j in range(q)]
 
-    augmented = False
-    if q != p and all(perm_order(x) != q for x in z_k.elements()):
-        augmented = True
+    if augmented:
         l_grp, emb_k, _emb_c, split_l = direct_product(k_grp, cyclic(q))
 
         def mu_l(g):
@@ -273,6 +294,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             return emb_u(u_elem)
 
     h_grp = sd.group
+    check_order(h_grp, predicted, f"the tower level of step {depth}")
     t = sd.h_hom.gen_images[0]
     z_h = h_grp.center()
 
@@ -294,35 +316,23 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             val = val * mu_l(c)
         return val
 
-    bd_h = None
-    if h_grp.order % p == 0:
-        # the witness is certified in IBr(H), computed from the full table
-        bd_h = brauer_data(character_table(h_grp, budget=budget), p,
-                           with_blocks=False)
     if q == p:
-        # the unique degree-preserving extension, matched on the p-regular
-        # classes of H in N, read off the realization of H: tau must take
-        # one value at t^-i h t^i over i < q
-        pos_h = {c: i for i, c in enumerate(bd_h.regular)}
+        # Green's theorem (module docstring): every p-regular class lies in
+        # N, and tau, invariant under the shift, is read on it
         ti = pinv(t)
-        in_n = []
-        for c in regular_h:
-            h = cd_h.representatives[c]
-            if sd.n_part(h) is None:
-                continue
+
+        def extended(h):
             vals = []
             for _ in range(q):
-                vals.append(tau(sd.n_part(h)))
+                n_elem = sd.n_part(h)
+                _verify(n_elem is not None, "p-regular class outside N")
+                vals.append(tau(n_elem))
                 h = pmul(pmul(ti, h), t)
             _verify(vals.count(vals[0]) == q, "tau is not invariant under the shift")
-            in_n.append((pos_h[c], vals[0]))
-        matches = [idx for idx, row in enumerate(bd_h.ibr)
-                   if all(row[i] == v for i, v in in_n)]
-        _verify(len(matches) == 1, f"extension witness count {len(matches)}")
-        mu_values = tuple(bd_h.ibr[matches[0]])
-        _verify(brauer_kernel_trivial(bd_h, matches[0]), "witness is not faithful")
-        method = "table-extension"
-        deg = _degree_of(mu_values)
+            return vals[0]
+
+        mu_values = tuple(extended(cd_h.representatives[c]) for c in regular_h)
+        method = "green-extension"
     else:
         # theta^H at h = u y^j in N is q tau(u) when j = 0 and 0 otherwise,
         # as lambda(z) is a primitive q-th root (module docstring); 0
@@ -338,30 +348,19 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0,
             return q * tau(u_elem) if _cyclic_dlog(y_elem, q) == 0 else ZERO
 
         mu_values = tuple(induced(cd_h.representatives[c]) for c in regular_h)
-        deg = _degree_of(mu_values)
-        if bd_h is not None:
-            # rare shape (a q = p step below this one)
-            matches = [idx for idx, row in enumerate(bd_h.ibr)
-                       if tuple(row) == mu_values]
-            _verify(len(matches) == 1, f"induced witness count {len(matches)}")
-            _verify(brauer_kernel_trivial(bd_h, matches[0]),
-                    "induced witness is not faithful")
-            method = "table-induced"
-        else:
-            # p'-group: the induced character is certified directly
+        if h_grp.order % p:
             cf = ClassFunction(cd_h, mu_values)
             _verify(inner_product(cf, cf) == 1, "induced witness is not irreducible")
-            kernel_classes = [c for c in range(len(cd_h))
-                              if mu_values[c] == mu_values[0]]
-            _verify(kernel_classes == [0], "induced witness is not faithful")
             method = "norm-certified-induction"
-
+        else:
+            method = "clifford-induction"
+    _verify(faithful_brauer_values(h_grp, mu_values, p), "witness is not faithful")
+    deg = _degree_of(mu_values)
     _verify(deg * deg == p_prime_part(h_grp.order // z_h.order, p),
             "witness degree does not square to the p'-central index")
 
     qr_h = h_grp.inner_action()
-    new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, qr_h, None,
-                           brauer=bd_h)
+    new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, qr_h, None)
     record = StepRecord(q, "q=p" if q == p else "q!=p", augmented,
                         h_grp.order, z_h.order, deg, method, eq3)
     return _StepData(new_level, record, sd, cpp, t, l_embed, n_embed, q)
@@ -415,7 +414,7 @@ def _base_level(g_grp: PermGroup) -> TowerLevel:
     return TowerLevel(k, cd, [0], (ONE,), k, qr, emb)
 
 
-def gagola_tower(g_grp: PermGroup, p: int, budget=DEFAULT_BUDGET) -> TowerCertificate:
+def gagola_tower(g_grp: PermGroup, p: int) -> TowerCertificate:
     if not is_prime(p):
         raise NotAPrime(f"p = {p} is not a prime")
     if not g_grp.is_solvable():
@@ -429,7 +428,7 @@ def gagola_tower(g_grp: PermGroup, p: int, budget=DEFAULT_BUDGET) -> TowerCertif
     level = _base_level(g_grp)
     steps = []
     for depth, (grp, q, m_sub) in enumerate(reversed(chain)):
-        step = gagola_step(level, q, p, depth=depth, budget=budget)
+        step = gagola_step(level, q, p, depth=depth)
         step.level.embedding = _extend_embedding(step, level, grp, m_sub)
         level = step.level
         steps.append(step.record)
@@ -458,24 +457,17 @@ def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel) -> dict:
         "center_order": z.order,
     }
     target = p_prime_part(h.order // z.order, p)
-    bd = level.brauer
-    if bd is not None:
-        witness = next((i for i, row in enumerate(bd.ibr)
-                        if _degree_of(row) ** 2 == target
-                        and brauer_kernel_trivial(bd, i)), None)
-        found = witness is not None
-        method = "table-search"
-        degree = _degree_of(bd.ibr[witness]) if found else None
-    else:
-        # p'-group level: re-check the carried witness from its raw values
-        vals = level.mu_values
-        degree = _degree_of(vals)
+    # the carried witness; irreducible by the steps at a p-divisible level,
+    # by its norm at a p'-level
+    vals = level.mu_values
+    degree = _degree_of(vals)
+    found = degree * degree == target and faithful_brauer_values(h, vals, p)
+    if h.order % p:
         cf = ClassFunction(level.classes, vals)
-        kernel_classes = [c for c in range(len(level.classes))
-                          if vals[c] == vals[0]]
-        found = (degree * degree == target and inner_product(cf, cf) == 1
-                 and kernel_classes == [0] and h.order % p != 0)
+        found = found and inner_product(cf, cf) == 1
         method = "norm-certificate"
+    else:
+        method = "carried-witness"
     props["faithful_witness_with_square_degree"] = {
         "holds": found,
         "degree": degree,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import (DEFAULT_BUDGET, ArityError, InvalidPermutation, ParseError,
+from .errors import (ArityError, InvalidPermutation, ParseError,
                      UnsupportedFamily)
 from .perms import format_cycles, parse_cycles
 
@@ -346,12 +346,11 @@ _KINDS = {
 }
 
 
-def evaluate(node, budget=None):
+def evaluate(node):
     """Evaluate a spec tree to a PermGroup."""
     from . import forge
     from .homs import GroupHom
 
-    budget = budget or DEFAULT_BUDGET
     if isinstance(node, PermLit):
         from .permgroup import group_from_generators
 
@@ -395,21 +394,21 @@ def evaluate(node, budget=None):
     if name == "Direct":
         from .permgroup import direct_product
 
-        return direct_product(evaluate(args[0], budget), evaluate(args[1], budget))[0]
+        return direct_product(evaluate(args[0]), evaluate(args[1]))[0]
     if name == "Wreath":
-        return forge.wreath(evaluate(args[0], budget), args[1]).group
+        return forge.wreath(evaluate(args[0]), args[1]).group
     if name == "CentralProductPower":
-        return forge.central_product_power(evaluate(args[0], budget), args[1]).group
+        return forge.central_product_power(evaluate(args[0]), args[1]).group
     if name == "Semidirect":
-        n_grp = evaluate(args[0], budget)
-        h_grp = evaluate(args[1], budget)
+        n_grp = evaluate(args[0])
+        h_grp = evaluate(args[1])
         autos = []
         for images in args[2]:
             perms = [_resolve_perm(p, n_grp.degree) for p in images]
             autos.append(GroupHom(n_grp, n_grp, perms))
         return forge.semidirect(n_grp, h_grp, autos).group
     if name == "CyclicExt":
-        n_grp = evaluate(args[0], budget)
+        n_grp = evaluate(args[0])
         images = [_resolve_perm(p, n_grp.degree) for p in args[1]]
         alpha = GroupHom(n_grp, n_grp, images)
         x = _resolve_perm(args[3], n_grp.degree)
@@ -421,8 +420,7 @@ def evaluate(node, budget=None):
             raise ArityError("Gagola takes a group expression and p=<prime>")
         from .gagola import gagola_tower
 
-        return gagola_tower(evaluate(args[0], budget), args[1].value,
-                            budget=budget).tower
+        return gagola_tower(evaluate(args[0]), args[1].value).tower
     if name == "Instance":
         return _instance_group(args[0])
     raise ParseError(f"unknown construction {name!r}")

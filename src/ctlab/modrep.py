@@ -638,20 +638,19 @@ def brauer_data_for_product(product_table: CharacterTable, bd_a: BrauerData,
                        provenance="tensor-of-factors", with_blocks=with_blocks)
 
 
-def brauer_trivial_regular_classes(bd: BrauerData, i: int) -> list:
-    """p-regular classes where the i-th Brauer character equals its degree.
-
-    These classes act trivially in the underlying representation; the full
-    kernel is the p-core over the normal subgroup they generate."""
-    row = bd.ibr[i]
-    deg = row[0]
-    return [c for t, c in enumerate(bd.regular) if row[t] == deg]
+def faithful_brauer_values(group: PermGroup, values, p: int) -> bool:
+    """Whether an irreducible Brauer character of ``group``, given on the
+    p-regular classes in canonical order, is faithful: it equals its degree
+    on the identity class alone, so its kernel is a p-group, and O_p(G),
+    which every simple module's kernel holds, is 1 (at once when p does
+    not divide |G|)."""
+    if [t for t, v in enumerate(values) if v == values[0]] != [0]:
+        return False
+    return group.order % p != 0 or group.p_core(p).order == 1
 
 
 def brauer_kernel_trivial(bd: BrauerData, i: int) -> bool:
-    if brauer_trivial_regular_classes(bd, i) != [0]:
-        return False
-    return bd.group.p_core(bd.p).order == 1
+    return faithful_brauer_values(bd.group, bd.ibr[i], bd.p)
 
 
 def brauer_induce(sub_values, sub_cd: ClassData, sub_regular, big_cd: ClassData,

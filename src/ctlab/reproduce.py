@@ -28,7 +28,7 @@ from .instances import (order72_build, order720_build, order864_build,
                         sl217_brauer_data, sl25_squared_data)
 from .modrep import (brauer_data, cartan_determinant, fong_block,
                      known_defect_group, lifts_of, nilpotency_refute)
-from .permgroup import group_from_generators, p_part
+from .permgroup import direct_product, group_from_generators, p_part
 from .perms import parse_cycles
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -177,7 +177,8 @@ def _s3():
 
 
 _TOWER_SOURCES = {"C2": lambda: cyclic(2), "C3": lambda: cyclic(3),
-                 "C6": lambda: cyclic(6), "S3": _s3}
+                 "C6": lambda: cyclic(6), "S3": _s3,
+                 "C3xC2": lambda: direct_product(cyclic(3), cyclic(2))[0]}
 
 
 @lru_cache(maxsize=None)
@@ -215,6 +216,21 @@ def check_gagola_c3() -> dict:
     out = check_gagola("C3", 3)
     out["status"] = "pass" if out["status"] == "degenerate" else "fail"
     out["expected"] = "degenerate"
+    return out
+
+
+def check_gagola_c3_via_c6() -> dict:
+    """C3 at p = 3 through C3 x C2, whose chain ends in C2: its tower
+    embeds C3 x C2, and with it the C3 factor, its Sylow 3-subgroup."""
+    out = check_gagola("C3xC2", 3)
+    if out["status"] == "pass":
+        cert = _tower("C3xC2", 3)
+        c3 = cert.source.sylow_subgroup(3)
+        images = {cert.embedding.image(x) for x in c3.elements()}
+        out["c3_factor_image_order"] = len(images)
+        facts = (out["tower_order"], out["center_order"], out["witness_degree"])
+        if facts != (384, 2, 8) or len(images) != 3:
+            out["status"] = "fail"
     return out
 
 
@@ -361,6 +377,7 @@ CHECKS = {
     "gagola-c2-p3": check_gagola_c2,
     "gagola-s3-p5": check_gagola_s3,
     "gagola-c3-p3": check_gagola_c3,
+    "gagola-c3-p3-via-c6": check_gagola_c3_via_c6,
     "gagola-eq3": check_eq3,
     "lifts-c4": check_lifts_c4,
     "unilift-hypothesis-q8": check_unilift_hypothesis_q8,

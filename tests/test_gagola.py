@@ -5,14 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from ctlab.chartab import fusion_through_hom
+from ctlab.chartab import character_table, fusion_through_hom
 from ctlab.cyclo import rational, zeta
-from ctlab.errors import DegenerateStep, NotSolvable
+from ctlab.errors import Budget, DegenerateStep, NotSolvable
 from ctlab.forge import cyclic, dihedral
 from ctlab.gagola import (_base_level, _chief_step, _mu_value_function,
-                          gagola_step, gagola_tower)
-from ctlab.modrep import brauer_induce, p_regular_classes
-from ctlab.permgroup import PermGroup, p_prime_part
+                          _predicted_order, gagola_step, gagola_tower)
+from ctlab.modrep import (brauer_data, brauer_induce, brauer_kernel_trivial,
+                          faithful_brauer_values, p_regular_classes)
+from ctlab.permgroup import PermGroup, direct_product, p_prime_part
 
 
 def test_chief_step_prefers_p():
@@ -59,12 +60,14 @@ def test_tower_c6_p2_goes_through_green_extension(tower_c6_p2):
     assert cert.ok
     cases = [s.case for s in cert.steps]
     assert cases == ["q!=p", "q=p"]
-    assert cert.steps[1].witness_method == "table-extension"
+    assert cert.steps[1].witness_method == "green-extension"
+    prop = cert.properties["faithful_witness_with_square_degree"]
+    assert prop["method"] == "carried-witness"
 
 
-def test_certificate_searches_the_brauer_data_it_is_handed(monkeypatch):
-    # the certificate reads the last step's BrauerData instead of computing
-    # its own; it must still search that data for the witness
+def test_certificate_rechecks_the_carried_witness(monkeypatch):
+    # at a p-divisible level the certificate checks the witness the last
+    # step carried: a wrong degree or a non-faithful row fails it
     from dataclasses import replace
 
     from ctlab import gagola
@@ -80,19 +83,19 @@ def test_certificate_searches_the_brauer_data_it_is_handed(monkeypatch):
     c6 = cyclic(6)
     assert gagola_tower(c6, 2).ok
     level = levels[0]
-    bd = level.brauer
 
-    def witness_property(keep):
-        rows = [row for row in bd.ibr if keep(tuple(row))]
-        copy = replace(level, brauer=replace(bd, ibr=rows))
+    def witness_property(values):
+        copy = replace(level, mu_values=values)
         return real(c6, 2, copy)["faithful_witness_with_square_degree"]
 
-    # the witness has one faithful IBr row of degree 9 beside it, its complex
-    # conjugate; the search finds that row once the witness row is gone
-    assert level.mu_values in [tuple(row) for row in bd.ibr]
-    assert witness_property(lambda row: row != level.mu_values)["holds"]
-    prop = witness_property(lambda row: row[0] != level.mu_values[0])
-    assert prop["holds"] is False and prop["degree"] is None
+    prop = witness_property(level.mu_values)
+    assert prop["holds"] and prop["degree"] == 9
+    # twice the witness is faithful, but 18^2 is not |H : Z|_2' = 81
+    prop = witness_property(tuple(2 * v for v in level.mu_values))
+    assert prop["holds"] is False and prop["degree"] == 18
+    # nine times the trivial character has degree 9 and the whole kernel
+    prop = witness_property(tuple(rational(9) for _ in level.mu_values))
+    assert prop["holds"] is False and prop["degree"] == 9
 
 
 def test_tower_s3_p5(tower_s3_p5):
@@ -159,7 +162,8 @@ def test_step_from_base_level_q2_p3_is_the_eight_group():
 def _fusion_route_mu(prev, step, p):
     """The witness of a step by the route through N's own classes: tau x 1
     on the p-regular classes of N, fused into H along ``n_hom``, induced by
-    ``brauer_induce`` when q != p and matched in IBr(H) when q = p."""
+    ``brauer_induce`` when q != p and matched in IBr(H), from H's own
+    table, when q = p."""
     sd, cpp, q = step.sd, step.cpp, step.q
     mu, k_deg = _mu_value_function(prev), prev.group.degree
 
@@ -180,7 +184,7 @@ def _fusion_route_mu(prev, step, p):
     if q != p:
         return brauer_induce(tau, n_cd, n_regular, h_level.classes, fusion,
                              h_level.regular)
-    bd = h_level.brauer
+    bd = brauer_data(character_table(h_level.group), p, with_blocks=False)
     pos = {c: i for i, c in enumerate(bd.regular)}
     rows = [row for row in bd.ibr
             if all(row[pos[fusion[c]]] == v for c, v in zip(n_regular, tau))]
@@ -188,24 +192,72 @@ def _fusion_route_mu(prev, step, p):
     return tuple(rows[0])
 
 
+_SOURCES = {
+    "S3": lambda: PermGroup(3, [(1, 0, 2), (1, 2, 0)]),
+    "C6": lambda: cyclic(6), "C2": lambda: cyclic(2),
+    "D8": lambda: dihedral(8),
+    "C3xC2": lambda: direct_product(cyclic(3), cyclic(2))[0],
+    "C5xC2": lambda: direct_product(cyclic(5), cyclic(2))[0],
+    "C2xC5": lambda: direct_product(cyclic(2), cyclic(5))[0],
+}
+
+
+def _tower_steps(source, p):
+    """(previous level, step) for each step of the tower of a named source
+    at p, taken as ``gagola_tower`` takes them."""
+    g = _SOURCES[source]()
+    level, primes = _base_level(g), []
+    while g.order > 1:
+        q, g = _chief_step(g, p)
+        primes.append(q)
+    for q in reversed(primes):
+        step = gagola_step(level, q, p)
+        yield level, step
+        level = step.level
+
+
 @pytest.mark.parametrize("source, p", [("S3", 5), ("C6", 2), ("C2", 3),
                                        ("D8", 3), ("C6", 3)])
 def test_step_witness_matches_the_fusion_route(source, p):
     # each step reads tau x 1 on H's classes through the realization of H;
     # N's classes, the fusion along n_hom and brauer_induce are the reference
-    g = {"S3": PermGroup(3, [(1, 0, 2), (1, 2, 0)]), "C6": cyclic(6),
-         "C2": cyclic(2), "D8": dihedral(8)}[source]
-    level, primes = _base_level(g), []
-    while g.order > 1:
-        q, g = _chief_step(g, p)
-        primes.append(q)
     cases = []
-    for q in reversed(primes):
-        step = gagola_step(level, q, p)
+    for level, step in _tower_steps(source, p):
         assert step.level.mu_values == _fusion_route_mu(level, step, p)
         cases.append(step.record.case)
-        level = step.level
     assert "q!=p" in cases
+
+
+@pytest.mark.parametrize("source, p", [("C2", 3), ("S3", 5), ("C6", 2),
+                                       ("C3xC2", 3)])
+def test_predicted_order_is_the_built_order(source, p):
+    # the order that bounds a step before it builds anything is the order
+    # of the level it builds, on every step of the shipped towers
+    for level, step in _tower_steps(source, p):
+        predicted = _predicted_order(level, step.q, p, step.record.augmented)
+        assert predicted == step.level.group.order == step.record.group_order
+
+
+@pytest.mark.parametrize("source, p, max_classes", [
+    ("C6", 2, 150), ("S3", 2, 150), ("C3xC2", 3, 150), ("C5xC2", 5, 400),
+    pytest.param("C2xC5", 2, 400, marks=pytest.mark.slow)])
+def test_carried_witness_is_the_table_row(source, p, max_classes):
+    # the table route as an oracle: on each p-divisible level, the witness
+    # that Green's theorem gives is the one IBr row with its values, and
+    # the table's faithfulness test agrees with the step's rule
+    checked = []
+    for _level, step in _tower_steps(source, p):
+        h, values = step.level.group, step.level.mu_values
+        if h.order % p:
+            continue
+        table = character_table(h, budget=Budget(max_classes=max_classes))
+        bd = brauer_data(table, p, with_blocks=False)
+        rows = [i for i, row in enumerate(bd.ibr) if tuple(row) == values]
+        assert len(rows) == 1
+        assert brauer_kernel_trivial(bd, rows[0])
+        assert faithful_brauer_values(h, values, p)
+        checked.append(step.record.witness_method)
+    assert checked == ["green-extension"]
 
 
 _CHECKS_UNDER_O = """
@@ -236,10 +288,10 @@ real = gagola.p_prime_part
 gagola.p_prime_part = lambda n, p: 0
 expect("degree_square", lambda: gagola.gagola_tower(cyclic(2), 3))
 gagola.p_prime_part = real
-real = gagola.brauer_kernel_trivial
-gagola.brauer_kernel_trivial = lambda bd, i: False
-expect("faithful", lambda: gagola.gagola_tower(cyclic(6), 2))
-gagola.brauer_kernel_trivial = real
+real = gagola.faithful_brauer_values
+gagola.faithful_brauer_values = lambda group, values, p: False
+expect("faithful", lambda: gagola.gagola_tower(cyclic(6), 2), "not faithful")
+gagola.faithful_brauer_values = real
 # the q = p step of the C6 tower at p = 2 with tau x 1 doubled on every
 # second call: the values at h and t^-1 h t then differ
 level = gagola.gagola_step(gagola._base_level(cyclic(6)), 3, 2).level
@@ -247,6 +299,18 @@ real, calls = gagola.rational, []
 gagola.rational = lambda x: calls.append(1) or real(x * (1 + len(calls) % 2))
 expect("shift", lambda: gagola.gagola_step(level, 2, 2), "under the shift")
 gagola.rational = real
+# the same step with every class of H taken for 2-regular: the class of t
+# lies outside N
+real = gagola.p_regular_classes
+gagola.p_regular_classes = lambda cd, p: list(range(len(cd)))
+expect("outside_n", lambda: gagola.gagola_step(level, 2, 2),
+       "p-regular class outside N")
+gagola.p_regular_classes = real
+# a prediction of twice the order of the level the step builds
+real = gagola._predicted_order
+gagola._predicted_order = lambda *args: 2 * real(*args)
+expect("order", lambda: gagola.gagola_tower(cyclic(2), 3), "expected 16")
+gagola._predicted_order = real
 # lambda(z) read as 1 in the augmented q != p step of the C2 tower at p = 3:
 # the C_q factor's generator read as its identity
 real = gagola._cyclic_dlog
@@ -277,8 +341,9 @@ def test_tower_checks_survive_python_O():
     out = subprocess.run([sys.executable, "-O", "-c", _CHECKS_UNDER_O],
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
-                                  "shift", "lambda", "degree_of", "cartan",
-                                  "blocks", "count", "coefficient"]
+                                  "shift", "outside_n", "order", "lambda",
+                                  "degree_of", "cartan", "blocks", "count",
+                                  "coefficient"]
 
 
 _CHIEF_STEP_CHECKS_UNDER_O = """
@@ -314,3 +379,28 @@ def test_chief_step_checks_survive_python_O():
     assert out.stdout.split() == [
         "primes:nontrivial_solvable_groups_have_a_prime_quotient",
         "kernels:an_index-2_kernel_generated_order_6,_expected_3"]
+
+
+def test_reproduce_c3_p3_via_c6():
+    # C3 at p = 3 degenerates on its own chain; C3 x C2 certifies it, with
+    # its C3 factor embedded
+    from ctlab.reproduce import CHECKS
+
+    out = CHECKS["gagola-c3-p3-via-c6"]()
+    assert out["status"] == "pass" and out["verified"]
+    assert (out["tower_order"], out["center_order"],
+            out["witness_degree"]) == (384, 2, 8)
+    assert out["c3_factor_image_order"] == 3
+    assert [s["witness_method"] for s in out["steps"]] == [
+        "norm-certified-induction", "green-extension"]
+
+
+def test_p_prime_tower_takes_no_p_core(monkeypatch):
+    # every level of the S3 tower at p = 5 is a 5'-group, where O_5 = 1
+    # needs no computation
+    cores = []
+    real = PermGroup.p_core
+    monkeypatch.setattr(PermGroup, "p_core",
+                        lambda self, p: cores.append(p) or real(self, p))
+    assert gagola_tower(_SOURCES["S3"](), 5).ok
+    assert cores == []

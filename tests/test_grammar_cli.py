@@ -305,7 +305,8 @@ def test_cli_reproduce_list(capsys):
     ids = set(data["available"])
     assert {"order72-blocks", "order864-plength", "order720-nonsolv",
             "sl25sq-pcentral", "sl2-17-pcentral", "sl25-ibr-degrees",
-            "gagola-c2-p3", "gagola-s3-p5", "gagola-c3-p3", "gagola-eq3",
+            "gagola-c2-p3", "gagola-s3-p5", "gagola-c3-p3",
+            "gagola-c3-p3-via-c6", "gagola-eq3",
             "lifts-c4", "unilift-hypothesis-q8", "unilift-625", "unilift-81",
             "goodclasses-93312", "property-corpus"} == ids
 
@@ -479,18 +480,59 @@ def test_cli_rejects_non_positive_budget_flags(flag, value):
     assert out.stderr == f"error: {flag} must be a positive integer, got {value}\n"
 
 
-def test_cli_tower_honours_max_classes():
-    # a tower gets the budget it is given, as a table does: the C6 tower at
-    # p = 2 tabulates a 58-class level
+def test_cli_tower_ignores_max_classes():
+    # a tower tabulates nothing, so the C6 tower at p = 2 reports the same
+    # bytes under --max-classes 5 as at the default bounds
     src = str(Path(ctlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CTLAB_BUDGET", None)
-    out = subprocess.run([sys.executable, "-m", "ctlab.cli", "gagola", "-p", "2",
-                          "--max-classes", "5", "-e", "Cyclic(6)"],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 3
-    assert out.stdout == ""
-    assert out.stderr.count("\n") == 1 and out.stderr.startswith("budget exceeded:")
+    outs = [subprocess.run([sys.executable, "-m", "ctlab.cli", "gagola", "-p", "2",
+                            *flags, "-e", "Cyclic(6)"],
+                           capture_output=True, text=True, env=env)
+            for flags in ([], ["--max-classes", "5"])]
+    assert [out.returncode for out in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout and outs[1].stderr == ""
+    tower = json.loads(outs[1].stdout)["tower"]
+    assert (tower["tower_order"], tower["center_order"],
+            tower["witness_degree"]) == (486, 3, 9)
+    assert tower["verified"]
+
+
+def test_cli_tower_c5_c2_p5_certifies_at_default_bounds(capsys):
+    # the q = p step reads its witness without a table, so the 229-class
+    # level of order 10,240 needs no class budget
+    code, data = _run(capsys, ["gagola", "-p", "5", "--verify", "-e",
+                               "Direct(Cyclic(5), Cyclic(2))"])
+    assert code == 0
+    tower = data["tower"]
+    assert (tower["tower_order"], tower["center_order"],
+            tower["witness_degree"]) == (10_240, 2, 32)
+    assert tower["status"] == "verified"
+
+
+def test_cli_tower_over_scan_limit_exits_before_building(capsys, monkeypatch):
+    # the Frobenius group 7:3 at p = 3: the second step's level would have
+    # order 3 * 343^3 / 7^2 = 2,470,629 > SCAN_LIMIT, so the step raises
+    # before central_product_power runs on the order-343 level
+    import time
+
+    from ctlab import gagola
+
+    powered = []
+    real = gagola.central_product_power
+    monkeypatch.setattr(gagola, "central_product_power",
+                        lambda k, q: powered.append(k.order) or real(k, q))
+    started = time.perf_counter()
+    code = main(["gagola", "-p", "3", "-e",
+                 "perm 7 { (1 2 3 4 5 6 7), (2 3 5)(4 7 6) }"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("budget exceeded:")
+    assert "q = 3" in captured.err and "2470629" in captured.err
+    assert powered == [7]
+    assert elapsed < 1
 
 
 _PARSER_BUILDS = """

@@ -23,7 +23,8 @@ from ctlab.forge import cyclic, dihedral, psl2, sl2
 from ctlab.modrep import (NilpotencyCertificate, brauer_data,
                           brauer_data_for_product,
                           brauer_kernel_trivial, block_partition,
-                          cartan_determinant, fong_block, ibr_fong_swan,
+                          cartan_determinant, faithful_brauer_values,
+                          fong_block, ibr_fong_swan,
                           ibr_over_central, known_defect_group, lifts_of,
                           linear_characters, nilpotency_refute,
                           p_regular_classes, restriction)
@@ -340,6 +341,16 @@ def test_brauer_kernel_sees_p_core():
     c4 = cyclic(4)
     bd = brauer_data(character_table(c4), 2)
     assert not brauer_kernel_trivial(bd, 0)
+
+
+def test_faithful_values_need_no_p_core_of_a_p_prime_group(s3_table,
+                                                           monkeypatch):
+    # O_5(S3) = 1 without a look: the rule reads the values alone
+    monkeypatch.setattr(PermGroup, "p_core",
+                        lambda self, p: pytest.fail("p_core called"))
+    rows = {row[0].as_rational(): tuple(row) for row in s3_table.values}
+    assert faithful_brauer_values(s3_table.group, rows[2], 5)
+    assert not faithful_brauer_values(s3_table.group, rows[1], 5)
 
 
 @pytest.mark.parametrize("gen, p, expected", [

@@ -27,9 +27,10 @@ tower level and the order-3960 build, and no input is lifted twice.  The
 order-3960 swapping build tabulates H once, since the builder takes the
 Brauer data that picked the block, and the product table of SL(2, 5) x
 SL(2, 5) forms each distinct pair of factor values' product once: both are
-counted.  A tower runs Fong-Swan once per level that needs a table: the
-certificate reads the last step's Brauer data, and ``ibr_fong_swan`` runs
-once for the C6 tower at p = 2.  A tower step reads N inside H off the
+counted.  A tower tabulates nothing: a q = p step reads its witness off
+tau by Green's theorem, a q != p step induces it, and the certificate
+re-checks the witness the last step carried, so the C6 tower at p = 2
+makes no ``character_table`` call and runs no Fong-Swan pass.  A tower step reads N inside H off the
 semidirect realization: the S3 tower at p = 5 builds no N -> H
 homomorphism, and its class scans and homomorphisms are counted.  The same
 tower's lifts through a coset action, class-scan conjugations and ``pmul``
@@ -371,23 +372,37 @@ def test_character_table_lifts_each_input_once(tower_c6_p2, monkeypatch):
     assert inputs and len(set(inputs)) == len(inputs)
 
 
-# Fong-Swan passes in the C6 tower at p = 2: the certificate reads the IBr
-# data of the last step, which ran the only pass; the certificate ran its own
-# second pass on the same table before
-FONG_SWAN_CALLS = 1
+# Fong-Swan passes and character tables in the C6 tower at p = 2: the q = p
+# step reads its witness off tau by Green's theorem, and the certificate
+# re-checks the carried witness.  The step tabulated the order-486 level and
+# ran one pass on it before, and the certificate a second pass before that
+FONG_SWAN_CALLS = 0
+TOWER_TABLE_CALLS = 0
+
+
+def _tower_calls(real, monkeypatch):
+    from ctlab.forge import cyclic
+    from ctlab.gagola import gagola_tower
+
+    certs = []
+    calls = _calls_while(real, lambda: certs.append(gagola_tower(cyclic(6), 2)),
+                         monkeypatch)
+    assert certs[0].ok
+    return calls
 
 
 def test_tower_fong_swan_ratchet(monkeypatch):
-    from ctlab.forge import cyclic
-    from ctlab.gagola import gagola_tower
     from ctlab.modrep import ibr_fong_swan
 
-    certs = []
-    calls = _calls_while(ibr_fong_swan,
-                         lambda: certs.append(gagola_tower(cyclic(6), 2)),
-                         monkeypatch)
-    assert certs[0].ok
+    calls = _tower_calls(ibr_fong_swan, monkeypatch)
     assert calls == FONG_SWAN_CALLS, calls
+
+
+def test_tower_table_ratchet(monkeypatch):
+    from ctlab.chartab import character_table
+
+    calls = _tower_calls(character_table, monkeypatch)
+    assert calls == TOWER_TABLE_CALLS, calls
 
 
 # class scans and homomorphisms in the S3 tower at p = 5: a step reads N
