@@ -23,7 +23,6 @@ from .chartab import CharacterTable, character_table
 from .errors import (
     ActionKernelMismatch,
     CTLabError,
-    DEFAULT_BUDGET,
     HypothesisFails,
     NotCentralPPrime,
     NotRegularOnIBr,
@@ -89,8 +88,8 @@ def regular_module_matrices(h_group: PermGroup, z_sub: PermGroup):
     return dim, mats
 
 
-def builder_plength(h_group: PermGroup, p: int, dim: int, mats,
-                    budget=DEFAULT_BUDGET) -> VectorActionBuild:
+def builder_plength(h_group: PermGroup, p: int, dim: int,
+                    mats) -> VectorActionBuild:
     """V : H with a fully ramified central character designated on Z = Z(H).
 
     Requires Z(H) of p'-order and a fully ramified Brauer character on it
@@ -107,7 +106,7 @@ def builder_plength(h_group: PermGroup, p: int, dim: int, mats,
         raise ActionKernelMismatch(
             "an abelian acting group equals its center, so the action with "
             "kernel Z is trivial and the product degenerates")
-    table_h = character_table(h_group, budget=budget)
+    table_h = character_table(h_group)
     bd_h = brauer_data(table_h, p, with_blocks=False)
     ramified = fully_ramified_search(bd_h, z_sub)
     if not ramified:
@@ -277,13 +276,13 @@ def stabilizer_inequality(mats, p: int, dim: int, quotient_order: int):
     return report
 
 
-def builder_unique_lift(h_group: PermGroup, p: int, dim: int, mats,
-                        budget=DEFAULT_BUDGET) -> UniqueLiftBuild:
+def builder_unique_lift(h_group: PermGroup, p: int, dim: int,
+                        mats) -> UniqueLiftBuild:
     """V : H under the stabilizer inequality; designates the fully ramified
     ordinary central character whose block has a unique lift."""
     if h_group.order % p == 0:
         raise NotCentralPPrime("the acting group must be a p'-group")
-    table_h = character_table(h_group, budget=budget)
+    table_h = character_table(h_group)
     ct = is_central_type(table_h)
     if not ct.is_central_type:
         raise CTLabError("the acting group is not of central type")

@@ -11,7 +11,8 @@ Subcommands:
 Specs are read from a file argument or passed inline with -e.  Reports are
 canonical JSON on stdout (sorted keys, exact values as strings; no floats),
 so identical inputs give byte-identical output.  Exit codes: 0 success,
-2 verification failure, 3 budget exceeded, 1 other errors.
+2 verification failure, 3 budget exceeded, 1 other errors (usage errors
+too).  --max-order and --max-classes bound the table a command computes.
 """
 
 from __future__ import annotations
@@ -148,7 +149,6 @@ def cmd_ctype(args) -> int:
 def cmd_gagola(args) -> int:
     started = time.time()
     text = _load_spec(args)
-    _budget_from(args)   # a tower takes no budget, but a bad flag is an error
     group = evaluate(parse_spec(text))
     from .gagola import gagola_tower
 
@@ -236,15 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact group, character and block computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_prime=False, optional_prime=False):
+    def common(p, needs_prime=False, optional_prime=False, tabulates=True):
         p.add_argument("spec", nargs="?", help="path to a group spec file")
         p.add_argument("-e", "--expr", help="inline group spec text")
         if needs_prime:
             p.add_argument("-p", type=int, required=True, help="the prime")
         if optional_prime:
             p.add_argument("-p", type=int, default=None, help="the prime")
-        p.add_argument("--max-order", type=int, default=None)
-        p.add_argument("--max-classes", type=int, default=None)
+        if tabulates:
+            p.add_argument("--max-order", type=int, default=None)
+            p.add_argument("--max-classes", type=int, default=None)
         p.add_argument("--timing", action="store_true",
                        help="print elapsed time to stderr")
 
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("ctype", help="central type report"),
            optional_prime=True)
     g = sub.add_parser("gagola", help="tower construction")
-    common(g, needs_prime=True)
+    common(g, needs_prime=True, tabulates=False)
     g.add_argument("--verify", action="store_true",
                    help="exit 2 unless all certificate properties hold")
     common(sub.add_parser("lifts", help="lift counts per Brauer character"),
@@ -264,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--all", action="store_true")
     r.add_argument("--list", action="store_true")
     r.add_argument("--timing", action="store_true")
-    common(sub.add_parser("parse", help="parse and reprint a spec"))
+    common(sub.add_parser("parse", help="parse and reprint a spec"),
+           tabulates=False)
     return parser
 
 
@@ -287,7 +289,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:   # argparse: 2 on a usage error, 0 on --help
+        return 1 if exc.code else 0
     try:
         Budget.from_env()   # a bad CTLAB_BUDGET is an error, not the default
         return _HANDLERS[args.command](args)

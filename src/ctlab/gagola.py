@@ -47,6 +47,18 @@ semidirect realization tells which elements of H lie in N, and as what;
 ``n_image`` carries N into H for the embedding; no class list or
 homomorphism of N is built.
 
+A level carries ``embed``, a memoised map from the chain subgroup G it
+covers into H, a section of an injective homomorphism G -> H/Z(H).  With
+M the subgroup the level below covers and x the first generator of G
+outside M, g in x^j M maps to the element of U with the coordinates
+embed'(x^a g x^-((a + j) mod q)), a < q, times t^j, embed' the map below
+(Krasner-Kaloujnine over the transversal x^a).  embed' is fixed up to
+Z(K) <= Z(L), and a coordinate changed inside Z(L) moves the image inside
+Z(L)^q/W, which is central in H: the shift keeps the product of the
+coordinates, and y commutes with U.  So any section serves; no level
+builds a quotient of G or a homomorphism, and H/Z is realized once, on
+the last level, for the one verified ``GroupHom`` G -> H/Z.
+
 One rule decides faithfulness, in each step and in the certificate
 (``modrep.faithful_brauer_values``): the witness equals its degree on no
 p-regular class but the identity class, and O_p(H) = 1.  The abelian
@@ -69,8 +81,8 @@ from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
 from .homs import GroupHom
 from .modrep import faithful_brauer_values, p_regular_classes, _degree_of
-from .permgroup import SCAN_LIMIT, ClassData, PermGroup, QuotientResult, \
-    StabilizerChain, check_order, direct_product, p_prime_part
+from .permgroup import SCAN_LIMIT, ClassData, PermGroup, StabilizerChain, \
+    check_order, direct_product, p_prime_part
 from .perms import pinv, pmul, ppow, order as perm_order
 
 
@@ -81,8 +93,7 @@ class TowerLevel:
     regular: list
     mu_values: tuple             # witness values on the p-regular classes
     center: PermGroup
-    center_quotient: QuotientResult   # group/center, by conjugation on classes
-    embedding: GroupHom          # current chain subgroup -> group/center
+    embed: object                # chain subgroup -> group, modulo the center
 
 
 @dataclass
@@ -359,8 +370,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     _verify(deg * deg == p_prime_part(h_grp.order // z_h.order, p),
             "witness degree does not square to the p'-central index")
 
-    qr_h = h_grp.inner_action()
-    new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, qr_h, None)
+    new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, None)
     record = StepRecord(q, "q=p" if q == p else "q!=p", augmented,
                         h_grp.order, z_h.order, deg, method, eq3)
     return _StepData(new_level, record, sd, cpp, t, l_embed, n_embed, q)
@@ -371,47 +381,38 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
 # ---------------------------------------------------------------------------
 
 def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
-                      m_sub: PermGroup) -> GroupHom:
+                      m_sub: PermGroup):
+    """``embed`` of the step's level (module docstring)."""
     q = step.q
-    qr_gm = g_grp.quotient(m_sub)
-    v = qr_gm.group
-    _verify(v.order == q, f"G/M has order {v.order}, not q = {q}")
-    gen_c = min(e for e in v.elements() if e != v.identity)
-    dlog = {}
-    e = v.identity
-    for j in range(q):
-        dlog[e] = j
-        e = pmul(e, gen_c)
-    s_by_exp = [None] * q
-    for rep in qr_gm.transversal:
-        s_by_exp[dlog[qr_gm.image_of(rep)]] = rep
-    images = []
-    for g in g_grp.gens:
-        j = dlog[qr_gm.image_of(g)]
-        coords = []
-        for a in range(q):
-            m_a = pmul(pmul(s_by_exp[a], g), pinv(s_by_exp[(a + j) % q]))
-            _verify(m_a in m_sub, "transversal component outside the kernel")
-            kbar = prev.embedding.image(m_a)
-            k_elt = prev.center_quotient.lift(kbar)
-            coords.append(step.l_embed(k_elt))
-        u_elt = step.cpp.project_tuple(coords)
-        n_elt = step.n_embed(u_elt)
-        h_elt = pmul(step.sd.n_image(n_elt), ppow(step.t, j))
-        images.append(step.level.center_quotient.image_of(h_elt))
-    return GroupHom(g_grp, step.level.center_quotient.group, images)
+    x = next(g for g in g_grp.gens if g not in m_sub)
+    powers = [ppow(x, a) for a in range(q)]
+    inverses = [ppow(x, -a) for a in range(q)]
+    t_powers = [ppow(step.t, j) for j in range(q)]
+    memo = {}
+
+    def embed(g):
+        h = memo.get(g)
+        if h is None:
+            j = next((j for j in range(q) if pmul(g, inverses[j]) in m_sub), None)
+            _verify(j is not None, "an element lies in no coset x^j M")
+            coords = [step.l_embed(prev.embed(
+                pmul(pmul(powers[a], g), inverses[(a + j) % q])))
+                for a in range(q)]
+            n_elt = step.n_embed(step.cpp.project_tuple(coords))
+            h = memo[g] = pmul(step.sd.n_image(n_elt), t_powers[j])
+        return h
+
+    return embed
 
 
 # ---------------------------------------------------------------------------
 # the tower driver and certificate
 # ---------------------------------------------------------------------------
 
-def _base_level(g_grp: PermGroup) -> TowerLevel:
+def _base_level() -> TowerLevel:
     k = trivial_group()
-    cd = k.conjugacy_classes()
-    qr = k.quotient(k.subgroup([]))
-    emb = GroupHom(g_grp.subgroup([]), qr.group, [])
-    return TowerLevel(k, cd, [0], (ONE,), k, qr, emb)
+    return TowerLevel(k, k.conjugacy_classes(), [0], (ONE,), k,
+                      lambda g: k.identity)
 
 
 def gagola_tower(g_grp: PermGroup, p: int) -> TowerCertificate:
@@ -425,18 +426,19 @@ def gagola_tower(g_grp: PermGroup, p: int) -> TowerCertificate:
         q, m = _chief_step(current, p)
         chain.append((current, q, m))
         current = m
-    level = _base_level(g_grp)
+    level = _base_level()
     steps = []
     for depth, (grp, q, m_sub) in enumerate(reversed(chain)):
         step = gagola_step(level, q, p, depth=depth)
-        step.level.embedding = _extend_embedding(step, level, grp, m_sub)
+        step.level.embed = _extend_embedding(step, level, grp, m_sub)
         level = step.level
         steps.append(step.record)
-    if not chain:
-        level.embedding = GroupHom(g_grp, level.center_quotient.group, [])
+    inner = level.group.inner_action()
+    embedding = GroupHom(g_grp, inner.group,
+                         [inner.image_of(level.embed(g)) for g in g_grp.gens])
     cert = TowerCertificate(g_grp, p, level.group, level.center,
-                            _degree_of(level.mu_values), level.embedding, steps)
-    cert.properties = _verify_certificate(g_grp, p, level)
+                            _degree_of(level.mu_values), embedding, steps)
+    cert.properties = _verify_certificate(g_grp, p, level, embedding)
     return cert
 
 
@@ -448,7 +450,8 @@ def _prime_set(n: int, p: int):
     return sorted(set(prime_factors(n)) - {p})
 
 
-def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel) -> dict:
+def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel,
+                        emb: GroupHom) -> dict:
     h = level.group
     z = level.center
     props = {}
@@ -474,11 +477,9 @@ def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel) -> dict:
         "target_index": target,
         "method": method,
     }
-    emb = level.embedding
     props["embedding_into_central_quotient"] = {
-        "holds": emb is not None and emb.is_injective()
-        and emb.target.order * z.order == h.order,
-        "image_order": emb.image_group().order if emb is not None else None,
+        "holds": emb.is_injective() and emb.target.order * z.order == h.order,
+        "image_order": emb.image_group().order,
     }
     sets = [_prime_set(g_grp.order, p), _prime_set(h.order, p),
             _prime_set(z.order, p)]

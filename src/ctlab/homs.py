@@ -1,13 +1,15 @@
 """Group homomorphisms between permutation groups.
 
-A map given on generators is verified and evaluated through a "shadowed"
-stabilizer chain: we run Schreier-Sims on the graph subgroup of
-source x target, allowing base points only in the source domain.  If the
-graph has an element that is trivial on the source but not on the target,
-the chain builder is forced to pick a target base point, which we intercept
-and report as NotAHomomorphism.  Sifting (g, id) through the finished chain
-yields the image of any source element, so evaluation costs one membership
-test.
+A map given on generators is decided and evaluated through the stabilizer
+chain of its graph, the subgroup of source x target generated by the pairs
+(g, image of g), with the target's points placed after the source's.  The
+graph maps onto the source, and its kernel is the graph's meet with
+1 x target, so the images define a homomorphism exactly when the graph's
+order is the source's; any other order raises NotAHomomorphism.  For a
+homomorphism every nontrivial graph element moves a source point, and each
+base point is the least point that its level's generator moves, so every
+base point is a source point.  Sifting (g, id) through the chain then
+leaves (id, image of g^-1), so evaluation costs one membership test.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from .errors import (BudgetExceeded, NotAHomomorphism, NotASubgroup,
                      VerificationFailed)
 from .permgroup import PermGroup, StabilizerChain
 from .perms import identity, pinv
+
+AUTOMORPHISM_ORDER_CAP = 10_000
 
 
 def _pair(g, h, ds):
@@ -34,18 +38,11 @@ class GroupHom:
         ds, dt = source.degree, target.degree
         self._ds = ds
         pairs = [_pair(g, im, ds) for g, im in zip(source.gens, self.gen_images)]
-
-        def reject(residue):
+        self._graph = StabilizerChain(ds + dt, pairs)
+        if self._graph.order() != source.order:
             raise NotAHomomorphism(
                 "generator images do not extend to a homomorphism "
                 "(graph meets 1 x target nontrivially)")
-
-        self._graph = StabilizerChain(ds + dt, pairs, base_preference=range(ds),
-                                      on_restricted=reject)
-        if self._graph.order() != source.order:
-            # single-valued but defined on a proper subgroup cannot happen:
-            # the graph projects onto <gens> = source, so this is a guard.
-            raise NotAHomomorphism("graph order mismatch")
         self._image_group = None
 
     def image(self, g):
@@ -87,7 +84,7 @@ class GroupHom:
                 f"expected the kernel order {ker_order}")
         return self.source.subgroup_from_elements(members)
 
-    def automorphism_order(self, cap=10_000) -> int:
+    def automorphism_order(self) -> int:
         """Order of an automorphism under composition."""
         if not self.is_automorphism():
             raise NotAHomomorphism("automorphism_order requires an automorphism")
@@ -97,7 +94,7 @@ class GroupHom:
         while current != gens:
             current = [self.image(x) for x in current]
             n += 1
-            if n > cap:
+            if n > AUTOMORPHISM_ORDER_CAP:
                 raise BudgetExceeded("automorphism order exceeds cap")
         return n
 

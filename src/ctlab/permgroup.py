@@ -61,7 +61,6 @@ from operator import itemgetter
 from .cyclo import p_part, p_prime_part
 from .errors import (
     BudgetExceeded,
-    InvalidPermutation,
     NotASubgroup,
     NotNormal,
     NotSolvable,
@@ -151,36 +150,24 @@ class StabilizerChain:
     """Base and strong generating set for a permutation group, built by
     extending the trivial chain by each generator in turn.
 
-    ``base_preference`` prescribes the order in which candidate base points
-    are tried (default: least moved point).  With ``on_restricted`` set, a
-    generator that moves no admissible base point is handed to that callback
-    instead of raising; the homomorphism checker uses this to detect
-    multi-valued graphs.
+    A new level's base point is the least point that its generator moves:
+    a sift residue that falls through every level fixes all earlier base
+    points and, being no identity, moves some point.
     """
 
-    def __init__(self, degree, gens, base_preference=None, on_restricted=None):
+    def __init__(self, degree, gens):
         self.degree = degree
         self.identity = identity(degree)
         self.levels = []
-        self._preference = list(base_preference) if base_preference is not None \
-            else list(range(degree))
-        self._on_restricted = on_restricted
         for g in gens:
             self.extend(g)
 
     # -- construction ---------------------------------------------------
-    def _pick_base(self, g):
-        for p in self._preference:
-            if g[p] != p:
-                return p
-        if self._on_restricted is not None:
-            self._on_restricted(g)
-        raise InvalidPermutation("generator moves no admissible base point")
-
     def _assign(self, g, lo, hi):
         """Make g a generator of levels lo..hi inclusive (creating level hi)."""
         while hi >= len(self.levels):
-            self.levels.append(_Level(self._pick_base(g), self.identity))
+            base = next(x for x, y in enumerate(g) if x != y)
+            self.levels.append(_Level(base, self.identity))
         for l in range(lo, hi + 1):
             lvl = self.levels[l]
             lvl.gens.append(g)
@@ -282,8 +269,6 @@ class StabilizerChain:
         new.degree = self.degree
         new.identity = self.identity
         new.levels = [lvl.copy() for lvl in self.levels]
-        new._preference = self._preference
-        new._on_restricted = self._on_restricted
         return new
 
     # -- queries ---------------------------------------------------------

@@ -35,6 +35,15 @@ def closure(degree, gens):
     return seen
 
 
+def graph(source_degree, gens, images):
+    """<(g, image of g)> in S_source x S_target, target points placed after
+    the source's: the images define a homomorphism exactly when it has as
+    many elements as <gens>."""
+    pairs = [tuple(g) + tuple(source_degree + x for x in im)
+             for g, im in zip(gens, images)]
+    return closure(source_degree + len(images[0]), pairs)
+
+
 def conjugacy_partition(elements):
     elements = set(elements)
     classes = []

@@ -72,21 +72,21 @@ def test_certificate_rechecks_the_carried_witness(monkeypatch):
 
     from ctlab import gagola
 
-    levels = []
+    calls = []
     real = gagola._verify_certificate
 
-    def capture(g_grp, p, level):
-        levels.append(level)
-        return real(g_grp, p, level)
+    def capture(g_grp, p, level, emb):
+        calls.append((level, emb))
+        return real(g_grp, p, level, emb)
 
     monkeypatch.setattr(gagola, "_verify_certificate", capture)
     c6 = cyclic(6)
     assert gagola_tower(c6, 2).ok
-    level = levels[0]
+    level, emb = calls[0]
 
     def witness_property(values):
         copy = replace(level, mu_values=values)
-        return real(c6, 2, copy)["faithful_witness_with_square_degree"]
+        return real(c6, 2, copy, emb)["faithful_witness_with_square_degree"]
 
     prop = witness_property(level.mu_values)
     assert prop["holds"] and prop["degree"] == 9
@@ -147,8 +147,7 @@ def test_trivial_source_tower():
 
 
 def test_step_from_base_level_q2_p3_is_the_eight_group():
-    c2 = cyclic(2)
-    level = _base_level(c2)
+    level = _base_level()
     step = gagola_step(level, 2, 3)
     h = step.level.group
     assert h.order == 8
@@ -206,7 +205,7 @@ def _tower_steps(source, p):
     """(previous level, step) for each step of the tower of a named source
     at p, taken as ``gagola_tower`` takes them."""
     g = _SOURCES[source]()
-    level, primes = _base_level(g), []
+    level, primes = _base_level(), []
     while g.order > 1:
         q, g = _chief_step(g, p)
         primes.append(q)
@@ -267,7 +266,7 @@ from ctlab import gagola, modrep
 from ctlab.chartab import character_table
 from ctlab.cyclo import rational
 from ctlab.errors import VerificationFailed
-from ctlab.forge import cyclic
+from ctlab.forge import cyclic, elem_abelian
 from ctlab.permgroup import PermGroup
 
 assert sys.flags.optimize
@@ -294,7 +293,7 @@ expect("faithful", lambda: gagola.gagola_tower(cyclic(6), 2), "not faithful")
 gagola.faithful_brauer_values = real
 # the q = p step of the C6 tower at p = 2 with tau x 1 doubled on every
 # second call: the values at h and t^-1 h t then differ
-level = gagola.gagola_step(gagola._base_level(cyclic(6)), 3, 2).level
+level = gagola.gagola_step(gagola._base_level(), 3, 2).level
 real, calls = gagola.rational, []
 gagola.rational = lambda x: calls.append(1) or real(x * (1 + len(calls) % 2))
 expect("shift", lambda: gagola.gagola_step(level, 2, 2), "under the shift")
@@ -317,6 +316,12 @@ real = gagola._cyclic_dlog
 gagola._cyclic_dlog = lambda elem, q: 0
 expect("lambda", lambda: gagola.gagola_tower(cyclic(2), 3), "primitive q-th root")
 gagola._cyclic_dlog = real
+# a chief step that takes the trivial subgroup of the Klein four-group for
+# an index-2 kernel: the second generator lies in no coset x^j M
+real = gagola._chief_step
+gagola._chief_step = lambda g, p: (2, g.subgroup([]))
+expect("coset", lambda: gagola.gagola_tower(elem_abelian(2, 2), 3), "no coset")
+gagola._chief_step = real
 
 s3 = character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
 expect("degree_of", lambda: modrep._degree_of((rational(Fraction(1, 2)),)))
@@ -342,8 +347,8 @@ def test_tower_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
                                   "shift", "outside_n", "order", "lambda",
-                                  "degree_of", "cartan", "blocks", "count",
-                                  "coefficient"]
+                                  "coset", "degree_of", "cartan", "blocks",
+                                  "count", "coefficient"]
 
 
 _CHIEF_STEP_CHECKS_UNDER_O = """

@@ -480,22 +480,35 @@ def test_cli_rejects_non_positive_budget_flags(flag, value):
     assert out.stderr == f"error: {flag} must be a positive integer, got {value}\n"
 
 
-def test_cli_tower_ignores_max_classes():
-    # a tower tabulates nothing, so the C6 tower at p = 2 reports the same
-    # bytes under --max-classes 5 as at the default bounds
+@pytest.mark.parametrize("command", [["gagola", "-p", "2"], ["parse"]])
+def test_cli_budget_flags_only_where_a_table_is_computed(command):
+    # a tower and a parse tabulate nothing, so they take no budget flag
     src = str(Path(ctlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     env.pop("CTLAB_BUDGET", None)
-    outs = [subprocess.run([sys.executable, "-m", "ctlab.cli", "gagola", "-p", "2",
-                            *flags, "-e", "Cyclic(6)"],
-                           capture_output=True, text=True, env=env)
-            for flags in ([], ["--max-classes", "5"])]
-    assert [out.returncode for out in outs] == [0, 0]
-    assert outs[0].stdout == outs[1].stdout and outs[1].stderr == ""
-    tower = json.loads(outs[1].stdout)["tower"]
-    assert (tower["tower_order"], tower["center_order"],
-            tower["witness_degree"]) == (486, 3, 9)
-    assert tower["verified"]
+    out = subprocess.run([sys.executable, "-m", "ctlab.cli", *command,
+                          "--max-classes", "5", "-e", "Cyclic(6)"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert "unrecognized arguments: --max-classes" in out.stderr
+
+
+@pytest.mark.parametrize("argv", [["table", "--bogus", "-e", "Cyclic(2)"],
+                                  ["blocks", "-e", "Cyclic(2)"],
+                                  ["table", "-p", "3", "-e", "Cyclic(2)"]])
+def test_cli_usage_errors_exit_1(argv):
+    # exit 2 means a verification failure, so argparse's own code is not used
+    src = str(Path(ctlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "ctlab.cli", *argv],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert out.stdout == "" and "Traceback" not in out.stderr
+    assert "error:" in out.stderr
+    help_out = subprocess.run([sys.executable, "-m", "ctlab.cli", argv[0], "--help"],
+                              capture_output=True, text=True, env=env)
+    assert help_out.returncode == 0 and help_out.stdout.startswith("usage:")
 
 
 def test_cli_tower_c5_c2_p5_certifies_at_default_bounds(capsys):

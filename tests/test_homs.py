@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 import ctlab
+import oracles
 from ctlab.errors import NotAHomomorphism, NotASubgroup
-from ctlab.forge import cyclic
+from ctlab.forge import cyclic, dihedral, quaternion
 from ctlab.homs import GroupHom
-from ctlab.permgroup import direct_power
+from ctlab.permgroup import PermGroup, direct_power
 from ctlab.perms import conj, parse_cycles, pinv, ppow
 
 
@@ -28,11 +29,45 @@ def test_shift_on_cube_has_order_three(s3):
     assert shift.automorphism_order() == 3
 
 
+def _odd(g):
+    return sum(g[i] > g[j] for i in range(len(g)) for j in range(i)) % 2
+
+
+def _image_cases():
+    """(name, source, target, images, whether they define a homomorphism)."""
+    c2, c3, c4 = cyclic(2), cyclic(3), cyclic(4)
+    s3 = PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    s4 = PermGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    d8, q8 = dihedral(8), quaternion(8)
+    return [
+        ("c4-c3", c4, c3, [c3.gens[0]], False),
+        # the 3-cycle cannot go to an involution
+        ("s3-c2", s3, c2, [c2.gens[0]] * 2, False),
+        # rotation (order 4) and reflection swapped
+        ("d8-swapped", d8, d8, list(reversed(d8.gens)), False),
+        ("s4-sign", s4, c2,
+         [c2.gens[0] if _odd(g) else c2.identity for g in s4.gens], True),
+        ("q8-inner", q8, q8, [conj(g, q8.gens[0]) for g in q8.gens], True),
+    ]
+
+
 def test_bad_images_rejected():
-    c4 = cyclic(4)
-    c3 = cyclic(3)
-    with pytest.raises(NotAHomomorphism):
-        GroupHom(c4, c3, [c3.gens[0]])  # order 4 -> order 3
+    # images are rejected exactly when the closure of the (g, image) pairs
+    # (oracle) has more elements than the source
+    for name, source, target, images, is_hom in _image_cases():
+        pairs = oracles.graph(source.degree, source.gens, images)
+        assert (len(pairs) == len(oracles.closure(source.degree, source.gens))) \
+            == is_hom, name
+        if not is_hom:
+            with pytest.raises(NotAHomomorphism):
+                GroupHom(source, target, images)
+            continue
+        hom = GroupHom(source, target, images)
+        # image() reads the target part of a residue that fixes every base
+        # point, so each base point is a source point
+        assert all(b < source.degree for b in hom._graph.base), name
+        assert pairs == {g + tuple(source.degree + x for x in hom.image(g))
+                         for g in source.elements()}, name
 
 
 def test_quotient_style_hom():

@@ -12,6 +12,8 @@ traceback, so a check that carries a result raises a CTLabError instead.
 Every function, class and method in ``src/ctlab`` is reached: referenced
 from reached code in the package, named in the tracer's ``SPANS``, or
 allowlisted with a reason.  Code that only tests call is deleted instead.
+The definitions that only ``SPANS`` keep are pinned, so that set cannot
+grow unnoticed.
 
 The class matrices of a character table are looked up on base-image keys:
 counting ``perms.pmul`` calls keeps full-degree products out of them.  The
@@ -32,7 +34,9 @@ tau by Green's theorem, a q != p step induces it, and the certificate
 re-checks the witness the last step carried, so the C6 tower at p = 2
 makes no ``character_table`` call and runs no Fong-Swan pass.  A tower step reads N inside H off the
 semidirect realization: the S3 tower at p = 5 builds no N -> H
-homomorphism, and its class scans and homomorphisms are counted.  The same
+homomorphism, and its class scans and homomorphisms are counted; a level
+carries its own map into H, so the same tower takes no quotient and
+realises H/Z once, and both are counted.  The same
 tower's lifts through a coset action, class-scan conjugations and ``pmul``
 calls are counted too: a q != p step lifts one element per class, the class
 scans walk the generators that enlarged the chain, and a direct product's
@@ -135,9 +139,10 @@ def _definitions(node, prefix="", in_class=False):
             yield from _definitions(child, prefix, in_class)
 
 
-def test_every_definition_is_reached():
-    """Each function, class and method in src/ctlab is referenced by code
-    that is itself reached, is a tracer entry point, or is allowlisted.
+def _unreached(with_spans):
+    """The dotted name of each function, class and method in src/ctlab
+    that no reached code references, with the allowlist, and the tracer's
+    ``SPANS`` when ``with_spans``, as the roots.
     A reference is a name (or, for a method, an attribute) of the same
     spelling outside the definition; references inside unreached
     definitions do not count, so dead code cannot keep dead code alive."""
@@ -153,9 +158,10 @@ def test_every_definition_is_reached():
                 refs.append((mod, n.lineno, n.id, False))
             elif isinstance(n, ast.Attribute):
                 refs.append((mod, n.lineno, n.attr, True))
-    roots = {(mod, name) for mod, names in _load_tracer().SPANS.values()
-             for name in names}
-    roots |= {tuple(key.rsplit(".", 1)) for key in REACH_ALLOWLIST}
+    roots = {tuple(key.rsplit(".", 1)) for key in REACH_ALLOWLIST}
+    if with_spans:
+        roots |= {(mod, name) for mod, names in _load_tracer().SPANS.values()
+                  for name in names}
 
     def inside(ref, d):
         return ref[0] == d[0] and d[2].lineno <= ref[1] <= d[2].end_lineno
@@ -174,7 +180,39 @@ def test_every_definition_is_reached():
             break
         unreached = found
     assert len(defs) > 300 and ("ctlab.cyclo", "reduce_mod_ell") in roots
-    assert not unreached, " ".join(f"{d[0]}.{d[1]}" for d in unreached)
+    return {f"{d[0]}.{d[1]}" for d in unreached}
+
+
+def test_every_definition_is_reached():
+    """Each function, class and method in src/ctlab is referenced by code
+    that is itself reached, is a tracer entry point, or is allowlisted."""
+    unreached = _unreached(with_spans=True)
+    assert not unreached, " ".join(sorted(unreached))
+
+
+# Definitions that only the tracer's SPANS keep: nothing in src/ctlab
+# reaches them.  Pinned so that the set cannot grow unnoticed; a benchmark
+# change that drops them from SPANS can then delete them.
+TRACER_ONLY = {
+    "ctlab.builders.regular_module_matrices",
+    "ctlab.centraltype.humphreys_equal_degree",
+    "ctlab.centraltype.over_count_vs_quotient",
+    "ctlab.chartab.class_fusion",
+    "ctlab.chartab.decompose",
+    "ctlab.chartab.induce",
+    "ctlab.forge.WreathResult.element",
+    "ctlab.forge._check_component",
+    "ctlab.forge.cyclic_extension_exists",
+    "ctlab.forge.kk_embedding",
+    "ctlab.forge.semidirect_cyclic",
+    "ctlab.homs.GroupHom.kernel",
+    "ctlab.modrep.brauer_induce",
+    "ctlab.modrep.brauer_kernel_trivial",
+}
+
+
+def test_tracer_only_definitions_are_pinned():
+    assert _unreached(with_spans=False) == TRACER_ONLY
 
 
 def _calls_while(real, run, monkeypatch):
@@ -405,12 +443,18 @@ def test_tower_table_ratchet(monkeypatch):
     assert calls == TOWER_TABLE_CALLS, calls
 
 
-# class scans and homomorphisms in the S3 tower at p = 5: a step reads N
-# inside H off the semidirect realization and induces the witness on H's
-# classes, so it lists no class of N and builds no N -> H homomorphism;
-# each step did both before, 7 scans and 9 homomorphisms in all
+# class scans, homomorphisms and central quotients in the S3 tower at p = 5:
+# a step reads N inside H off the semidirect realization and induces the
+# witness on H's classes, so it lists no class of N and builds no N -> H
+# homomorphism (each step did both before, 7 scans and 9 homomorphisms in
+# all); a level carries its map into H itself, so no level builds a G/M
+# quotient, an H/Z or a homomorphism into it, and the tower realises H/Z
+# once, at the last level (3 quotients, 2 inner actions and 7
+# homomorphisms before)
 TOWER_SCAN_CEILING = 5
-TOWER_HOM_CEILING = 7
+TOWER_HOM_CEILING = 5
+TOWER_QUOTIENT_CALLS = 0
+TOWER_INNER_ACTIONS = 1
 
 
 def test_tower_reads_n_off_the_realization(monkeypatch):
@@ -420,17 +464,25 @@ def test_tower_reads_n_off_the_realization(monkeypatch):
     from ctlab.homs import GroupHom
 
     s3 = permgroup.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
-    homs, n_homs, certs = [], [], []
+    homs, n_homs, quotients, inner, certs = [], [], [], [], []
     real, real_n_hom = GroupHom.__init__, SemidirectResult.n_hom.func
+    real_quotient = permgroup.PermGroup.quotient
+    real_inner = permgroup.PermGroup.inner_action
     monkeypatch.setattr(GroupHom, "__init__",
                         lambda self, *a: homs.append(1) or real(self, *a))
     monkeypatch.setattr(SemidirectResult, "n_hom", property(
         lambda self: n_homs.append(1) or real_n_hom(self)))
+    monkeypatch.setattr(permgroup.PermGroup, "quotient", lambda self, n: (
+        quotients.append(1) or real_quotient(self, n)))
+    monkeypatch.setattr(permgroup.PermGroup, "inner_action", lambda self: (
+        inner.append(1) or real_inner(self)))
     scans = _calls_while(permgroup._conjugacy_classes,
                          lambda: certs.append(gagola_tower(s3, 5)), monkeypatch)
     assert certs[0].ok and not n_homs
     assert scans <= TOWER_SCAN_CEILING, scans
     assert len(homs) <= TOWER_HOM_CEILING, len(homs)
+    assert len(quotients) == TOWER_QUOTIENT_CALLS, len(quotients)
+    assert len(inner) == TOWER_INNER_ACTIONS, len(inner)
 
 
 # work in the S3 tower at p = 5.  A q != p step lifts each p-regular class
