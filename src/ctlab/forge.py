@@ -238,9 +238,11 @@ class SemidirectResult:
     """N : H as ``semidirect`` realized it, with two exact maps read off the
     realization: ``n_part(h)`` is n when h is the image of n in N and None
     otherwise, and ``n_image(n)`` is the image of n.  Neither builds a
-    homomorphism; ``n_hom`` is N -> group as a verified ``GroupHom``."""
+    homomorphism; ``n_hom`` and ``h_hom`` are N -> group and H -> group as
+    verified ``GroupHom``s, built on first use."""
     group: PermGroup
-    h_hom: GroupHom                 # H -> group
+    h_group: PermGroup = field(repr=False)
+    h_gen_perms: list = field(repr=False)   # images of H's generators
     n_group: PermGroup = field(repr=False)
     n_gen_perms: list = field(repr=False)   # images of N's generators
     induced: bool                   # the induced realization, else the regular
@@ -249,6 +251,11 @@ class SemidirectResult:
     def n_hom(self) -> GroupHom:
         """N -> group."""
         return GroupHom(self.n_group, self.group, self.n_gen_perms)
+
+    @cached_property
+    def h_hom(self) -> GroupHom:
+        """H -> group."""
+        return GroupHom(self.h_group, self.group, self.h_gen_perms)
 
     def n_part(self, h):
         """n when h = n k, n in N and k in H, has k = 1; else None.
@@ -302,7 +309,15 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResul
     (``SemidirectResult.n_part`` and ``n_image``).
 
     Raises ActionNotWellDefined when the generator assignment does not
-    extend to a homomorphism H -> Aut(N).
+    extend to a homomorphism H -> Aut(N).  The order count, with the
+    Cayley-edge check of the induced realization, is what validates the
+    product; no homomorphism H -> group is built to check it.  Induced: H
+    permutes the copies as it permutes its own elements, so its generator
+    images span a copy of H, and the edges make every alpha_y well
+    defined.  Regular: the H-generator images fix the identity of N, which
+    N moves regularly, so the group has order |N| times that of their span;
+    the span maps onto H, and the count |N| |H| makes that map an
+    isomorphism, whose inverse sends each generator to its image.
     """
     if len(autos) != len(h_group.gens):
         raise ActionNotWellDefined("one automorphism per H generator required")
@@ -322,7 +337,7 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResul
         raise ActionNotWellDefined(
             f"generated order {grp.order} != {n_group.order * h_group.order}; "
             f"the action does not extend to a homomorphism")
-    return SemidirectResult(grp, GroupHom(h_group, grp, h_perms), n_group, n_perms,
+    return SemidirectResult(grp, h_group, h_perms, n_group, n_perms,
                             induced < regular)
 
 

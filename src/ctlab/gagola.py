@@ -55,16 +55,24 @@ embed'(x^a g x^-((a + j) mod q)), a < q, times t^j, embed' the map below
 (Krasner-Kaloujnine over the transversal x^a).  embed' is fixed up to
 Z(K) <= Z(L), and a coordinate changed inside Z(L) moves the image inside
 Z(L)^q/W, which is central in H: the shift keeps the product of the
-coordinates, and y commutes with U.  So any section serves; no level
-builds a quotient of G or a homomorphism, and H/Z is realized once, on
-the last level, for the one verified ``GroupHom`` G -> H/Z.
+coordinates, and y commutes with U.  So any section serves, and no level
+builds a quotient of G or a homomorphism.
+
+The certificate checks the last level's section in G x H, with H's points
+after G's, and builds no H/Z.  Let S be generated by the pairs
+(g_i, embed(g_i)) over G's generators and (1, z_j) over Z's.  S maps onto
+G, and its meet with 1 x H contains 1 x Z, so |S| = |G| |Z| exactly when
+that meet is 1 x Z, that is, when g_i -> embed(g_i) Z extends to a
+homomorphism G -> H/Z.  The homomorphism is then injective exactly when
+<embed(g_i), Z> also has order |G| |Z|; the image in H/Z has that order
+divided by |Z|.
 
 One rule decides faithfulness, in each step and in the certificate
 (``modrep.faithful_brauer_values``): the witness equals its degree on no
 p-regular class but the identity class, and O_p(H) = 1.  The abelian
 q = p corner (K central) is a DegenerateStep: no faithful witness exists
 there.  The certificate re-checks the four claimed properties on the final
-level's group, centre, embedding and carried witness.  At a p'-level it
+level's group, centre, section and carried witness.  At a p'-level it
 re-derives the witness's irreducibility from its norm; at a p-divisible
 level irreducibility is certified by the steps and not re-derived.
 """
@@ -79,7 +87,7 @@ from .errors import (BudgetExceeded, DegenerateStep, NotAPrime, NotSolvable,
                      VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
                     semidirect, trivial_group)
-from .homs import GroupHom
+from .homs import GroupHom, _pair
 from .modrep import faithful_brauer_values, p_regular_classes, _degree_of
 from .permgroup import SCAN_LIMIT, ClassData, PermGroup, StabilizerChain, \
     check_order, direct_product, p_prime_part
@@ -129,7 +137,7 @@ class TowerCertificate:
     tower: PermGroup
     center: PermGroup
     witness_degree: int
-    embedding: GroupHom
+    embed: object                # source -> tower, modulo the center
     steps: list
     properties: dict = field(default_factory=dict)
 
@@ -274,39 +282,29 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     u_gen_images = cpp.quotient.gen_images
     n_l_gens = len(l_grp.gens)
 
-    def shifted_u_gens():
-        # image of pi(emb(i, g)) under the coordinate shift is pi(emb(i+1, g))
-        out = []
-        for i in range(q):
-            for gidx in range(n_l_gens):
-                out.append(u_gen_images[((i + 1) % q) * n_l_gens + gidx])
-        return out
-
+    # the image of pi(emb(i, g)) under the coordinate shift is pi(emb(i+1, g))
+    shifted = [u_gen_images[((i + 1) % q) * n_l_gens + gidx]
+               for i in range(q) for gidx in range(n_l_gens)]
     if q == p:
-        alpha = GroupHom(u_grp, u_grp, shifted_u_gens())
-        _verify(alpha.automorphism_order() == q, "the coordinate shift has order q")
-        sd = semidirect(u_grp, cyclic(q), [alpha])
-        split_n = None
+        n_grp, images, split_n = u_grp, shifted, None
 
         def n_embed(u_elem):
             return u_elem
     else:
+        # N = U x <y>, and the shift sends y to z_0 y
         z = next(x for x in z_l.elements() if perm_order(x) == q)
         y_grp = cyclic(q)
-        n_grp, emb_u, emb_y, split_n = direct_product(u_grp, y_grp)
+        n_grp, n_embed, emb_y, split_n = direct_product(u_grp, y_grp)
         u_z = cpp.quotient.image_of(cpp.embed_coordinate(0, z))
-        images = [emb_u(w) for w in shifted_u_gens()]
-        images.append(pmul(emb_u(u_z), emb_y(y_grp.gens[0])))
-        alpha = GroupHom(n_grp, n_grp, images)
-        _verify(alpha.automorphism_order() == q, "the twisted shift has order q")
-        sd = semidirect(n_grp, cyclic(q), [alpha])
-
-        def n_embed(u_elem):
-            return emb_u(u_elem)
+        images = [n_embed(w) for w in shifted]
+        images.append(pmul(n_embed(u_z), emb_y(y_grp.gens[0])))
+    alpha = GroupHom(n_grp, n_grp, images)
+    _verify(alpha.automorphism_order() == q, "the shift has order q")
+    sd = semidirect(n_grp, cyclic(q), [alpha])
 
     h_grp = sd.group
     check_order(h_grp, predicted, f"the tower level of step {depth}")
-    t = sd.h_hom.gen_images[0]
+    t = sd.h_gen_perms[0]
     z_h = h_grp.center()
 
     eq3 = None
@@ -433,12 +431,9 @@ def gagola_tower(g_grp: PermGroup, p: int) -> TowerCertificate:
         step.level.embed = _extend_embedding(step, level, grp, m_sub)
         level = step.level
         steps.append(step.record)
-    inner = level.group.inner_action()
-    embedding = GroupHom(g_grp, inner.group,
-                         [inner.image_of(level.embed(g)) for g in g_grp.gens])
     cert = TowerCertificate(g_grp, p, level.group, level.center,
-                            _degree_of(level.mu_values), embedding, steps)
-    cert.properties = _verify_certificate(g_grp, p, level, embedding)
+                            _degree_of(level.mu_values), level.embed, steps)
+    cert.properties = _verify_certificate(g_grp, p, level)
     return cert
 
 
@@ -450,8 +445,7 @@ def _prime_set(n: int, p: int):
     return sorted(set(prime_factors(n)) - {p})
 
 
-def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel,
-                        emb: GroupHom) -> dict:
+def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel) -> dict:
     h = level.group
     z = level.center
     props = {}
@@ -477,9 +471,15 @@ def _verify_certificate(g_grp: PermGroup, p: int, level: TowerLevel,
         "target_index": target,
         "method": method,
     }
+    # G -> H/Z through the section, checked in G x H (module docstring)
+    ds, images = g_grp.degree, [level.embed(g) for g in g_grp.gens]
+    graph = StabilizerChain(ds + h.degree, [
+        _pair(g, im, ds) for g, im in zip(g_grp.gens, images)] + [
+        _pair(g_grp.identity, x, ds) for x in z.gens])
+    image_order = h.subgroup(images + list(z.gens)).order
     props["embedding_into_central_quotient"] = {
-        "holds": emb.is_injective() and emb.target.order * z.order == h.order,
-        "image_order": emb.image_group().order,
+        "holds": graph.order() == image_order == g_grp.order * z.order,
+        "image_order": image_order // z.order,
     }
     sets = [_prime_set(g_grp.order, p), _prime_set(h.order, p),
             _prime_set(z.order, p)]

@@ -21,13 +21,11 @@ center, cores and Sylow subgroups canonicalize their output and therefore
 do not depend on chain internals.  The centre is read off the classes: its
 elements are the members of the classes of size 1.  The coset labels of
 ``coset_action`` follow the base of the subgroup's chain
-(``_coset_canonicalizer``), while ``inner_action`` realises G/Z(G) by
-conjugation on the classes of the generators and labels them in sorted
-element order.  Cores and the p-length are computed inside G, as greedy
-joins of normal closures over the class representatives (``_core``); each
-core grows one chain, whose copy is extended by a candidate and kept when
-the candidate joins, dropped as soon as its index fails, and no quotient
-group is built.  A Sylow subgroup grows one element at a time, each found
+(``_coset_canonicalizer``).  Cores and the p-length are computed inside
+G, as greedy joins of normal closures over the class representatives
+(``_core``); each core grows one chain, whose copy is extended by a
+candidate and kept when the candidate joins, dropped as soon as its index
+fails, and no quotient group is built.  A Sylow subgroup grows one element at a time, each found
 by walking the normalizer's elements (``_normalizing``), which is never
 built as a group.
 
@@ -685,57 +683,16 @@ class PermGroup:
                 f"quotient of order {qr.group.order} on {qr.group.degree} cosets")
         return qr
 
-    def inner_action(self):
-        """G/Z(G) as the conjugation action x -> g^-1 x g on X, the union of
-        the conjugacy classes of the generators.
-
-        X contains a generating set, so the kernel is C_G(<X>) = Z(G); the
-        image group's order, computed from its chain, must be |G|/|Z(G)|,
-        or VerificationFailed is raised.  The points are X in sorted
-        element order, so the labels depend only on that set of classes.
-        An element is conjugated on base-image keys, |base| lookups a
-        point (see ``_keyed_elements``): the conjugate of x in X by g in G
-        lies in X again, and distinct keys on X make each lookup exact.
-        """
-        cd = self.conjugacy_classes()
-        points = sorted({x for g in self.gens for x in cd.classes[cd.index[g]]})
-        base = self.chain.base
-        get = key_getter(base)
-        pos = {get(x): i for i, x in enumerate(points)}
-        if len(pos) != len(points):
-            raise VerificationFailed(
-                f"{len(pos)} base-image keys for {len(points)} class elements")
-
-        def conjugation(g):
-            pre = [g.index(b) for b in base]       # g^-1 at the base points
-            return tuple([pos[tuple([g[x[c]] for c in pre])] for x in points])
-
-        gen_images = [conjugation(g) for g in self.gens]
-        group = PermGroup(len(points), gen_images, check=False)
-        z = self.center()
-        if group.order * z.order != self.order:
-            raise VerificationFailed(
-                f"inner action of order {group.order} with a centre of order "
-                f"{z.order} in a group of order {self.order}")
-
-        def image_of(g):
-            if g not in self:
-                raise NotASubgroup("the element does not lie in the group")
-            return conjugation(g)
-
-        return QuotientResult(self, group, gen_images, image_of)
-
 
 class QuotientResult:
     """A homomorphism from ``source`` onto a permutation group, given by the
     images of the source's generators: the image group, ``gen_images`` and
     ``image_of``, the image of any element of the source.  ``coset_action``
     builds it on right cosets and keeps their sorted canonical
-    ``transversal``; ``inner_action`` builds it by conjugation and has
-    none.  ``lift`` reads only the generator images.
+    ``transversal``.  ``lift`` reads only the generator images.
     """
 
-    def __init__(self, source, group, gen_images, image_of, transversal=None):
+    def __init__(self, source, group, gen_images, image_of, transversal):
         self.source = source
         self.group = group
         self.gen_images = gen_images

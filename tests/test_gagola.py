@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from ctlab.gagola import (_base_level, _chief_step, _mu_value_function,
 from ctlab.modrep import (brauer_data, brauer_induce, brauer_kernel_trivial,
                           faithful_brauer_values, p_regular_classes)
 from ctlab.permgroup import PermGroup, direct_product, p_prime_part
+from ctlab.perms import pinv, pmul, ppow
+from ctlab.reproduce import CHECKS, _tower
 
 
 def test_chief_step_prefers_p():
@@ -65,28 +68,28 @@ def test_tower_c6_p2_goes_through_green_extension(tower_c6_p2):
     assert prop["method"] == "carried-witness"
 
 
+def _last_level(monkeypatch, g, p):
+    """The last level of the tower of g at p, as the certificate got it,
+    and the real certificate check."""
+    from ctlab import gagola
+
+    levels = []
+    real = gagola._verify_certificate
+    monkeypatch.setattr(gagola, "_verify_certificate", lambda g_grp, p, level: (
+        levels.append(level) or real(g_grp, p, level)))
+    assert gagola_tower(g, p).ok
+    return levels[0], real
+
+
 def test_certificate_rechecks_the_carried_witness(monkeypatch):
     # at a p-divisible level the certificate checks the witness the last
     # step carried: a wrong degree or a non-faithful row fails it
-    from dataclasses import replace
-
-    from ctlab import gagola
-
-    calls = []
-    real = gagola._verify_certificate
-
-    def capture(g_grp, p, level, emb):
-        calls.append((level, emb))
-        return real(g_grp, p, level, emb)
-
-    monkeypatch.setattr(gagola, "_verify_certificate", capture)
     c6 = cyclic(6)
-    assert gagola_tower(c6, 2).ok
-    level, emb = calls[0]
+    level, verify = _last_level(monkeypatch, c6, 2)
 
     def witness_property(values):
         copy = replace(level, mu_values=values)
-        return real(c6, 2, copy, emb)["faithful_witness_with_square_degree"]
+        return verify(c6, 2, copy)["faithful_witness_with_square_degree"]
 
     prop = witness_property(level.mu_values)
     assert prop["holds"] and prop["degree"] == 9
@@ -96,6 +99,27 @@ def test_certificate_rechecks_the_carried_witness(monkeypatch):
     # nine times the trivial character has degree 9 and the whole kernel
     prop = witness_property(tuple(rational(9) for _ in level.mu_values))
     assert prop["holds"] is False and prop["degree"] == 9
+
+
+def test_certificate_rejects_a_section_that_is_no_homomorphism(monkeypatch):
+    # the two generator images of S3 swapped span the same image, so only
+    # the order of the graph in G x H tells that the map is not one
+    s3 = _SOURCES["S3"]()
+    level, verify = _last_level(monkeypatch, s3, 5)
+    a, b = s3.gens
+    swapped = {a: level.embed(b), b: level.embed(a)}
+    prop = verify(s3, 5, replace(level, embed=swapped.get))[
+        "embedding_into_central_quotient"]
+    assert prop == {"holds": False, "image_order": 6}
+
+
+def test_certificate_rejects_a_section_that_is_not_injective(monkeypatch):
+    # g -> embed(g)^2 is a homomorphism C6 -> H/Z with image of order 3
+    c6 = cyclic(6)
+    level, verify = _last_level(monkeypatch, c6, 2)
+    prop = verify(c6, 2, replace(level, embed=lambda g: ppow(level.embed(g), 2)))[
+        "embedding_into_central_quotient"]
+    assert prop == {"holds": False, "image_order": 3}
 
 
 def test_tower_s3_p5(tower_s3_p5):
@@ -116,23 +140,24 @@ def test_tower_degrees(tower_s3_p5, tower_c6_p2):
     # U = K^q / W on the cosets of A^q W lets N : C_q take the induced action
     assert tower_s3_p5.tower.degree <= 112
     assert tower_c6_p2.tower.degree <= 54
-    # H/Z(H) acts by conjugation on the classes of H's generators
-    assert tower_s3_p5.embedding.target.degree == 34
-    assert tower_c6_p2.embedding.target.degree == 22
 
 
-def test_tower_embedding_is_injective_into_central_quotient(tower_s3_p5):
-    cert = tower_s3_p5
-    emb = cert.embedding
-    assert emb.source.order == 6
-    assert emb.is_injective()
-    assert emb.target.order == cert.tower.order // cert.center.order
-
-
-def test_tower_embedding_c6(tower_c6_p2):
-    emb = tower_c6_p2.embedding
-    assert emb.source.order == 6 and emb.is_injective()
-    assert emb.target.order == 162
+@pytest.mark.parametrize("source, p", [("S3", 5), ("C6", 2), ("C2", 3),
+                                       ("C3xC2", 3), ("C1", 7)])
+def test_tower_section_embeds_into_the_central_quotient(source, p):
+    # brute force over G: embed is a homomorphism modulo Z, and only the
+    # identity lands in Z
+    cert = gagola_tower(cyclic(1), p) if source == "C1" else _tower(source, p)
+    g, embed = cert.source, cert.embed
+    centre = set(cert.center.elements())
+    elems = g.elements()
+    for x in elems:
+        for y in elems:
+            defect = pmul(pmul(embed(x), embed(y)), pinv(embed(pmul(x, y))))
+            assert defect in centre
+    assert [x for x in elems if embed(x) in centre] == [g.identity]
+    prop = cert.properties["embedding_into_central_quotient"]
+    assert prop == {"holds": True, "image_order": g.order}
 
 
 def test_tower_json(tower_c2_p3):
@@ -322,6 +347,12 @@ real = gagola._chief_step
 gagola._chief_step = lambda g, p: (2, g.subgroup([]))
 expect("coset", lambda: gagola.gagola_tower(elem_abelian(2, 2), 3), "no coset")
 gagola._chief_step = real
+# a shift whose order is read one too high
+real = gagola.GroupHom.automorphism_order
+gagola.GroupHom.automorphism_order = lambda self: real(self) + 1
+expect("shift_order", lambda: gagola.gagola_tower(cyclic(2), 3),
+       "the shift has order q")
+gagola.GroupHom.automorphism_order = real
 
 s3 = character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
 expect("degree_of", lambda: modrep._degree_of((rational(Fraction(1, 2)),)))
@@ -347,8 +378,8 @@ def test_tower_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
                                   "shift", "outside_n", "order", "lambda",
-                                  "coset", "degree_of", "cartan", "blocks",
-                                  "count", "coefficient"]
+                                  "coset", "shift_order", "degree_of",
+                                  "cartan", "blocks", "count", "coefficient"]
 
 
 _CHIEF_STEP_CHECKS_UNDER_O = """
@@ -389,8 +420,6 @@ def test_chief_step_checks_survive_python_O():
 def test_reproduce_c3_p3_via_c6():
     # C3 at p = 3 degenerates on its own chain; C3 x C2 certifies it, with
     # its C3 factor embedded
-    from ctlab.reproduce import CHECKS
-
     out = CHECKS["gagola-c3-p3-via-c6"]()
     assert out["status"] == "pass" and out["verified"]
     assert (out["tower_order"], out["center_order"],
