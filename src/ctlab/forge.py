@@ -15,9 +15,13 @@ degrees and orders of its inputs:
 
 Both are validated by an exact order count |N : H| = |N| |H|, so an action
 that fails to extend to a homomorphism is rejected rather than silently
-generating a larger group.  Either realization shows where N lies:
-``SemidirectResult.n_part`` reads an element of N off its image, and
-``n_image`` writes the image of one, with no homomorphism N -> N : H.
+generating a larger group.  ``split_cyclic_extension`` takes H = C_q and
+an automorphism that its caller has proved, as a map on N's elements; it
+assembles the induced realization's chain from N's and claims no order
+before ``elements()`` has verified that chain.  Either realization shows
+where N lies: ``SemidirectResult.n_part`` reads an element of N off its
+image, and ``n_image`` writes the image of one, with no homomorphism
+N -> N : H.
 
 The central product power U = K^q / W, W the product-one subgroup of
 Z(K)^q, acts on the right cosets of A^q W, where A is a core-free subgroup
@@ -48,8 +52,8 @@ from .errors import (
     VerificationFailed,
 )
 from .homs import GroupHom
-from .permgroup import (PermGroup, QuotientResult, StabilizerChain, _keyed_elements,
-                        check_order, check_points, direct_power)
+from .permgroup import (PermGroup, QuotientResult, StabilizerChain, _carried_chain,
+                        _keyed_elements, check_order, check_points, direct_power)
 from .perms import identity, pinv, pmul, ppow
 
 
@@ -235,11 +239,12 @@ def _matvec(m, v, q):
 
 @dataclass
 class SemidirectResult:
-    """N : H as ``semidirect`` realized it, with two exact maps read off the
-    realization: ``n_part(h)`` is n when h is the image of n in N and None
-    otherwise, and ``n_image(n)`` is the image of n.  Neither builds a
-    homomorphism; ``n_hom`` and ``h_hom`` are N -> group and H -> group as
-    verified ``GroupHom``s, built on first use."""
+    """N : H as ``semidirect`` or ``split_cyclic_extension`` realized it,
+    with two exact maps read off the realization: ``n_part(h)`` is n when
+    h is the image of n in N and None otherwise, and ``n_image(n)`` is the
+    image of n.  Neither builds a homomorphism; ``n_hom`` and ``h_hom`` are
+    N -> group and H -> group as verified ``GroupHom``s, built on first
+    use."""
     group: PermGroup
     h_group: PermGroup = field(repr=False)
     h_gen_perms: list = field(repr=False)   # images of H's generators
@@ -325,23 +330,76 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResul
         if not (a.source is n_group and a.target is n_group
                 and a.is_automorphism()):
             raise ActionNotWellDefined("action images must be automorphisms of N")
+    return _realize(n_group, h_group, [a.image for a in autos])
+
+
+def _induced_is_smaller(n_group: PermGroup, h_group: PermGroup) -> bool:
+    """Whether the induced realization of N : H has fewer points than the
+    regular one; BudgetExceeded when the smaller has over MAX_POINTS."""
     induced = h_group.order * n_group.degree
     regular = n_group.order + h_group.degree
     check_points(min(induced, regular), "the semidirect product N : H")
-    if induced < regular:
-        degree, n_perms, h_perms = _induced_action(n_group, h_group, autos)
+    return induced < regular
+
+
+def _realize(n_group, h_group, maps):
+    """N : H on the smaller realization, H's generators acting by
+    ``maps`` (functions on N's elements), with the order count."""
+    induced = _induced_is_smaller(n_group, h_group)
+    if induced:
+        degree, n_perms, h_perms = _induced_action(n_group, h_group, maps)
     else:
-        degree, n_perms, h_perms = _regular_action(n_group, h_group, autos)
+        degree, n_perms, h_perms = _regular_action(n_group, h_group, maps)
     grp = PermGroup(degree, n_perms + h_perms)
     if grp.order != n_group.order * h_group.order:
         raise ActionNotWellDefined(
             f"generated order {grp.order} != {n_group.order * h_group.order}; "
             f"the action does not extend to a homomorphism")
-    return SemidirectResult(grp, h_group, h_perms, n_group, n_perms,
-                            induced < regular)
+    return SemidirectResult(grp, h_group, h_perms, n_group, n_perms, induced)
 
 
-def _induced_action(n_group, h_group, autos):
+def split_cyclic_extension(n_group: PermGroup, q: int, alpha,
+                           gens) -> SemidirectResult:
+    """N : C_q with the generator t of C_q acting as alpha, an automorphism
+    of N with alpha^q = 1 given as a map on N's elements; the caller has
+    proved that it is one.
+
+    The regular realization is ``semidirect``'s, with its order count.
+    The induced one is assembled: copy c of N's domain carries n as
+    alpha^c(n), and t moves copy c to copy c - 1, as in ``semidirect``.
+    Its chain is N's, carried (``_carried_chain``), with t on the first
+    level.  The base stays in copy 0, and the stabilizer H_(b_0) of its
+    first point is N_(b_0): an element n t^j sends copy 0 to copy -j, so
+    it fixes b_0 only when j = 0, and n acts on copy 0 as n.  The group
+    is generated by t and the images of ``gens``, elements of N whose
+    alpha-images generate N.  No order is claimed: the caller reads it
+    after ``elements()`` has verified the chain and that these generators
+    generate its group.
+    """
+    h_group = cyclic(q)
+    if not _induced_is_smaller(n_group, h_group):
+        return _realize(n_group, h_group, [alpha])
+    d, memo = n_group.degree, {}
+
+    def carry(n):
+        image = memo.get(n)
+        if image is None:
+            copies = [n]
+            for _ in range(q - 1):
+                copies.append(alpha(copies[-1]))
+            image = memo[n] = tuple([c * d + x for c, g in enumerate(copies)
+                                     for x in g])
+        return image
+
+    t = tuple(((c - 1) % q) * d + x for c in range(q) for x in range(d))
+    n_perms = [carry(g) for g in n_group.gens]
+    h_gens = tuple(map(carry, gens)) + (t,)
+    grp = PermGroup.__new__(PermGroup)
+    grp._adopt(h_gens, _carried_chain(n_group, q * d, carry, t), h_gens)
+    return SemidirectResult(grp, h_group, [t], n_group, n_perms, True)
+
+
+def _induced_action(n_group, h_group, maps):
     """N : H on |H| copies of N's domain: copy y carries n as alpha_y(n),
     k in H maps copy y to copy k^-1 y.  With pinv(k) n k = alpha_k(n), the
     action rule is alpha_(yk) = alpha_k o alpha_y; alpha_y is derived along
@@ -351,8 +409,8 @@ def _induced_action(n_group, h_group, autos):
     alpha = {base: list(n_group.gens)}   # key of y -> alpha_y on N's generators
     queue = [base]
     for key in queue:
-        for hg, a in zip(h_group.gens, autos):
-            images = [a.image(x) for x in alpha[key]]
+        for hg, a in zip(h_group.gens, maps):
+            images = [a(x) for x in alpha[key]]
             z = tuple([hg[c] for c in key])
             if z not in alpha:
                 alpha[z] = images
@@ -372,7 +430,7 @@ def _induced_action(n_group, h_group, autos):
     return len(keyed) * d, n_perms, h_perms
 
 
-def _regular_action(n_group, h_group, autos):
+def _regular_action(n_group, h_group, maps):
     """N : H on the elements of N (right translations, H by the given
     automorphisms) plus the natural domain of H."""
     n_elems = n_group.elements()
@@ -381,9 +439,9 @@ def _regular_action(n_group, h_group, autos):
     h_points = [size + x for x in range(h_group.degree)]
     n_perms = [tuple([n_index[pmul(m, g)] for m in n_elems] + h_points)
                for g in n_group.gens]
-    h_perms = [tuple([n_index[a.image(m)] for m in n_elems]
+    h_perms = [tuple([n_index[a(m)] for m in n_elems]
                      + [size + x for x in hg])
-               for hg, a in zip(h_group.gens, autos)]
+               for hg, a in zip(h_group.gens, maps)]
     return size + h_group.degree, n_perms, h_perms
 
 
@@ -487,10 +545,39 @@ class CentralPowerResult:
     embed_coordinate: object        # embed(i, g) into K^q
     split: object
     w_subgroup: PermGroup
+    q: int
 
     @property
     def group(self) -> PermGroup:
         return self.quotient.group
+
+    def shift(self) -> list:
+        """The image of each of U's generators under the coordinate shift:
+        the generators are pi(emb(i, g)), coordinate by coordinate, and
+        pi(emb(i, g)) goes to pi(emb(i + 1, g))."""
+        images = self.quotient.gen_images
+        k = len(images) // self.q
+        return images[k:] + images[:k]
+
+    def rotation(self):
+        """sigma, the permutation of U's points that rotating K^q's blocks
+        induces: rho, the rotation, sends the coset of S x to that of
+        S rho^-1 x rho, S = A^q W, and S is rotation-invariant, so sigma
+        is well defined, fixes S's own point (``home``) and conjugates each
+        pi(x) to pi(rho^-1 x rho).  So sigma(P pi(g)) = sigma(P) shift(g),
+        and sigma is read off the coset graph from the home point, with no
+        product; the caller checks that it is a permutation and conjugates
+        each generator to its shift."""
+        gens, shifted = self.quotient.gen_images, self.shift()
+        home = self.quotient.home
+        sigma = {home: home}
+        queue = [home]
+        for point in queue:
+            for g, h in zip(gens, shifted):
+                if g[point] not in sigma:
+                    sigma[g[point]] = h[sigma[point]]
+                    queue.append(g[point])
+        return tuple(sigma[x] for x in range(len(sigma)))
 
     def project_tuple(self, coords):
         """Image in U of the K^q element with the given coordinates."""
@@ -520,7 +607,7 @@ def central_product_power(k_group: PermGroup, q: int) -> CentralPowerResult:
     qr = kq.coset_action(s)
     check_order(qr.group, k_group.order ** q // z.order ** (q - 1),
                 f"the central product power K^{q}/W")
-    return CentralPowerResult(qr, kq, emb, split, w)
+    return CentralPowerResult(qr, kq, emb, split, w, q)
 
 
 def core_free_subgroup(k_group: PermGroup) -> list:

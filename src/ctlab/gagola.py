@@ -20,6 +20,35 @@ its classes, so a step whose H would exceed ``SCAN_LIMIT`` raises
 BudgetExceeded before it builds anything; the built H must have the
 predicted order.
 
+H is assembled, not searched.  alpha, the action n -> t^-1 n t of t on N,
+is a conjugation with a central twist.  U acts on the cosets of
+S = A^q W, which is rotation-invariant, so rotating L^q's blocks permutes
+the cosets; that permutation sigma (``CentralPowerResult.rotation``)
+conjugates pi(x) to pi of x rotated, and alpha(u y^j) =
+sigma^-1 u sigma z_0^j y^j.  This is a homomorphism because z_0 is
+central in U and has order q.  The step checks exactly that alpha agrees
+with the coordinate shift on N's generators, that z_0 is central of order
+q, and that alpha^q = 1 != alpha on N's generators.  alpha is then an
+automorphism of N of order q: it is injective and maps N's generators
+into N.  No homomorphism or image group is built.
+
+H's chain is N's, carried (``forge.split_cyclic_extension``).  In the
+induced realization n acts on copy c of N's domain as alpha^c(n), and t
+moves copy c to copy c - 1.  So n t^j sends copy 0 to copy -j, and it
+fixes N's first base point b_0, in copy 0, only when j = 0: H_(b_0) =
+N_(b_0), and the levels past the first are N's.  t joins the first level,
+whose orbit grows q-fold, and no Schreier generator is sifted.
+``elements()`` verifies the chain before the step reads |H|.  Only the
+first, tiny steps take the regular realization, which Schreier-Sims
+builds.
+
+H is generated by t, y when q != p, and coordinate 0's generators
+pi(emb(0, g)), g in L's generators: t^-i n t^i = alpha^i(n) carries
+coordinate 0 into coordinate i, so these generate every generator of N.
+That is |L.gens| + 2 generators where N alone has q |L.gens| + 1, and
+every later chain, coset walk and class scan runs over them.  The closure
+check of ``elements()`` proves that they generate H.
+
 No character table is computed.  Each witness is fixed by Clifford theory
 for Brauer characters (Navarro, "Characters and Blocks of Finite Groups",
 ch. 8), whose hypotheses the step checks exactly (VerificationFailed
@@ -86,8 +115,8 @@ from .cyclo import ONE, ZERO, is_prime, prime_factors, rational, zeta
 from .errors import (BudgetExceeded, DegenerateStep, NotAPrime, NotSolvable,
                      VerificationFailed)
 from .forge import (CentralPowerResult, central_product_power, cyclic,
-                    semidirect, trivial_group)
-from .homs import GroupHom, _pair
+                    split_cyclic_extension, trivial_group)
+from .homs import _pair
 from .modrep import faithful_brauer_values, p_regular_classes, _degree_of
 from .permgroup import SCAN_LIMIT, ClassData, PermGroup, StabilizerChain, \
     check_order, direct_product, p_prime_part
@@ -226,6 +255,7 @@ class _StepData:
     sd: object                # semidirect result for H = N : <t>
     cpp: CentralPowerResult
     t: tuple                  # distinguished order-q generator of H
+    alpha: object             # the shift n -> t^-1 n t, a map on N
     l_embed: object           # K -> L embedding (identity when not augmented)
     n_embed: object           # U-element -> N-element (identity when q = p)
     q: int
@@ -279,30 +309,52 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     z_l = l_grp.center()
     cpp = central_product_power(l_grp, q)
     u_grp = cpp.group
-    u_gen_images = cpp.quotient.gen_images
-    n_l_gens = len(l_grp.gens)
-
-    # the image of pi(emb(i, g)) under the coordinate shift is pi(emb(i+1, g))
-    shifted = [u_gen_images[((i + 1) % q) * n_l_gens + gidx]
-               for i in range(q) for gidx in range(n_l_gens)]
+    # H is generated by coordinate 0's generators (and y) with t, as t
+    # conjugates coordinate i into i + 1 (module docstring)
+    seeds = cpp.quotient.gen_images[:len(l_grp.gens)]
+    # the shift is conjugation by the rotation sigma, which sends
+    # pi(emb(i, g)) to pi(emb(i + 1, g))
+    images = cpp.shift()
+    sigma = cpp.rotation()
+    sigma_inv = pinv(sigma)
     if q == p:
-        n_grp, images, split_n = u_grp, shifted, None
+        n_grp, split_n = u_grp, None
 
         def n_embed(u_elem):
             return u_elem
+
+        def alpha(n):
+            return pmul(pmul(sigma_inv, n), sigma)
     else:
-        # N = U x <y>, and the shift sends y to z_0 y
-        z = next(x for x in z_l.elements() if perm_order(x) == q)
+        # N = U x <y>, and the shift sends y to z_0 y, z_0 = u_z central
+        z = next((x for x in z_l.elements() if perm_order(x) == q), None)
+        _verify(z is not None, "Z(L) has no element of order q")
+        u_z = cpp.quotient.image_of(cpp.embed_coordinate(0, z))
+        _verify(perm_order(u_z) == q and all(
+            pmul(u_z, g) == pmul(g, u_z) for g in u_grp.gens),
+            "z_0 is not a central element of order q in U")
         y_grp = cyclic(q)
         n_grp, n_embed, emb_y, split_n = direct_product(u_grp, y_grp)
-        u_z = cpp.quotient.image_of(cpp.embed_coordinate(0, z))
-        images = [n_embed(w) for w in shifted]
-        images.append(pmul(n_embed(u_z), emb_y(y_grp.gens[0])))
-    alpha = GroupHom(n_grp, n_grp, images)
-    _verify(alpha.automorphism_order() == q, "the shift has order q")
-    sd = semidirect(n_grp, cyclic(q), [alpha])
+        y = emb_y(y_grp.gens[0])
+        images = [n_embed(w) for w in images] + [pmul(n_embed(u_z), y)]
+        seeds = [n_embed(w) for w in seeds] + [y]
+        sigma, sigma_inv, du = n_embed(sigma), n_embed(sigma_inv), u_grp.degree
+        twists = [n_embed(ppow(u_z, j)) for j in range(q)]
+
+        def alpha(n):
+            # n = u y^j goes to alpha(u) u_z^j y^j, j read at y's first point
+            return pmul(pmul(pmul(sigma_inv, n), sigma), twists[n[du] - du])
+    _verify(sorted(sigma) == list(range(len(sigma)))
+            and [alpha(g) for g in n_grp.gens] == images,
+            "the rotation does not induce the shift")
+    power = images
+    for _ in range(q - 1):
+        power = [alpha(g) for g in power]
+    _verify(power == list(n_grp.gens) != images, "the shift has order q")
+    sd = split_cyclic_extension(n_grp, q, alpha, seeds)
 
     h_grp = sd.group
+    h_grp.elements()        # verifies the chain before its order is read
     check_order(h_grp, predicted, f"the tower level of step {depth}")
     t = sd.h_gen_perms[0]
     z_h = h_grp.center()
@@ -371,7 +423,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, None)
     record = StepRecord(q, "q=p" if q == p else "q!=p", augmented,
                         h_grp.order, z_h.order, deg, method, eq3)
-    return _StepData(new_level, record, sd, cpp, t, l_embed, n_embed, q)
+    return _StepData(new_level, record, sd, cpp, t, alpha, l_embed, n_embed, q)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +434,8 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
                       m_sub: PermGroup):
     """``embed`` of the step's level (module docstring)."""
     q = step.q
-    x = next(g for g in g_grp.gens if g not in m_sub)
+    x = next((g for g in g_grp.gens if g not in m_sub), None)
+    _verify(x is not None, "every generator of G lies in M")
     powers = [ppow(x, a) for a in range(q)]
     inverses = [ppow(x, -a) for a in range(q)]
     t_powers = [ppow(step.t, j) for j in range(q)]

@@ -12,13 +12,19 @@ keeps, beside ``gens``, its ``chain_gens``: the generators that enlarged
 the chain as it was built, a subset that generates the same group, over
 which ``elements()`` closes its keys and the class scan conjugates.
 Nothing extends a group's chain (``_adopt`` clears the sifted Schreier
-pairs), so the chain of a direct product or power is assembled from the
-factors' chains, each factor's levels after the levels of the factors
-before it, with no Schreier generator sifted (``_side_by_side``); it has
-the base, orbits and transversals that Schreier-Sims builds on the same
-generators.  Classes,
-center, cores and Sylow subgroups canonicalize their output and therefore
-do not depend on chain internals.  The centre is read off the classes: its
+pairs), so two kinds of chain are assembled, with no Schreier generator
+sifted:
+
+* a direct product or power's, from the factors' chains, each factor's
+  levels after the levels of the factors before it (``_side_by_side``);
+  it has the base, orbits and transversals that Schreier-Sims builds on
+  the same generators;
+* a split extension N : C_q's on the induced realization, N's levels
+  carried in, the top generator added to the first level and the orbits
+  regrown (``_carried_chain``, for ``forge.split_cyclic_extension``).
+
+Classes, center, cores and Sylow subgroups canonicalize their output and
+therefore do not depend on chain internals.  The centre is read off the classes: its
 elements are the members of the classes of size 1.  The coset labels of
 ``coset_action`` follow the base of the subgroup's chain
 (``_coset_canonicalizer``).  Cores and the p-length are computed inside
@@ -670,7 +676,8 @@ class PermGroup:
         def image_of(g):
             return tuple(pos[canon(pmul(t, g))] for t in transversal)
 
-        return QuotientResult(self, group, gen_images, image_of, transversal)
+        return QuotientResult(self, group, gen_images, image_of, transversal,
+                              pos[t0])
 
     def quotient(self, n):
         """G / n on the right cosets of the normal subgroup n (a regular
@@ -689,15 +696,17 @@ class QuotientResult:
     images of the source's generators: the image group, ``gen_images`` and
     ``image_of``, the image of any element of the source.  ``coset_action``
     builds it on right cosets and keeps their sorted canonical
-    ``transversal``.  ``lift`` reads only the generator images.
+    ``transversal`` and ``home``, the point of the subgroup's own coset.
+    ``lift`` reads only the generator images.
     """
 
-    def __init__(self, source, group, gen_images, image_of, transversal):
+    def __init__(self, source, group, gen_images, image_of, transversal, home):
         self.source = source
         self.group = group
         self.gen_images = gen_images
         self.image_of = image_of
         self.transversal = transversal
+        self.home = home
         self._lifts = None
 
     def lift(self, w):
@@ -1002,6 +1011,32 @@ def _side_by_side(factors):
     group = PermGroup.__new__(PermGroup)
     group._adopt(tuple(gens), chain, tuple(chain_gens))
     return group, embs
+
+
+def _carried_chain(group, degree, carry, top):
+    """A chain on ``degree`` points made of ``group``'s levels, each
+    strong generator g carried in as ``carry(g)``, with ``top`` added to
+    the first level; every orbit is grown afresh from its base point
+    (``_refresh_orbit``), and no Schreier generator is sifted.
+
+    It is a chain of G = <carry(group), top> when ``carry`` is an
+    injective homomorphism whose images act on ``group``'s points as the
+    elements they carry, and the stabilizer in G of the first base point
+    is the carried stabilizer in ``group``: the levels past the first then
+    hold that stabilizer's chain, carried, and the first orbit is G's when
+    the first level's generators and ``top`` reach all of it.  No order is
+    claimed: ``elements()`` verifies the chain, as it verifies every chain,
+    before it lists anything.
+    """
+    chain = StabilizerChain(degree, [])
+    for lvl in group.chain.levels:
+        new = _Level(lvl.base, chain.identity)
+        new.gens = [carry(g) for g in lvl.gens]
+        chain.levels.append(new)
+    chain._assign(top, 0, 0)        # makes the first level if group is trivial
+    for i in range(1, len(chain.levels)):
+        chain._refresh_orbit(i)
+    return chain
 
 
 def direct_product(a: PermGroup, b: PermGroup):

@@ -8,14 +8,15 @@ import pytest
 
 from ctlab.chartab import character_table, fusion_through_hom
 from ctlab.cyclo import rational, zeta
-from ctlab.errors import Budget, DegenerateStep, NotSolvable
-from ctlab.forge import cyclic, dihedral
+from ctlab.errors import Budget, DegenerateStep, NotSolvable, VerificationFailed
+from ctlab.forge import CentralPowerResult, cyclic, dihedral
+from ctlab.homs import GroupHom
 from ctlab.gagola import (_base_level, _chief_step, _mu_value_function,
                           _predicted_order, gagola_step, gagola_tower)
 from ctlab.modrep import (brauer_data, brauer_induce, brauer_kernel_trivial,
                           faithful_brauer_values, p_regular_classes)
 from ctlab.permgroup import PermGroup, direct_product, p_prime_part
-from ctlab.perms import pinv, pmul, ppow
+from ctlab.perms import order as porder, pinv, pmul, ppow
 from ctlab.reproduce import CHECKS, _tower
 
 
@@ -284,6 +285,91 @@ def test_carried_witness_is_the_table_row(source, p, max_classes):
     assert checked == ["green-extension"]
 
 
+def _shift_images(level, step):
+    """The images of N's generators under the shift, derived as a step
+    derived them before the shift became a conjugation: each coordinate's
+    generator goes to the next coordinate's, and y to z_0 y, z the first
+    element of order q in Z(L)."""
+    cpp, q, n = step.cpp, step.q, step.sd.n_group
+    gens = cpp.quotient.gen_images
+    k = len(gens) // q
+    shifted = [gens[((i + 1) % q) * k + j] for i in range(q) for j in range(k)]
+    if step.record.case == "q=p":
+        return shifted
+    l_grp = (direct_product(level.group, cyclic(q))[0] if step.record.augmented
+             else level.group)
+    z = next(x for x in l_grp.center().elements() if porder(x) == q)
+    u_z = step.n_embed(cpp.quotient.image_of(cpp.embed_coordinate(0, z)))
+    return [step.n_embed(w) for w in shifted] + [pmul(u_z, n.gens[-1])]
+
+
+@pytest.mark.parametrize("source, p", [
+    ("S3", 5), ("S3", 2), ("C6", 2), ("C6", 3), ("C2", 3), ("C3xC2", 3),
+    pytest.param("C5xC2", 5, marks=pytest.mark.slow),
+    pytest.param("D8", 3, marks=pytest.mark.slow)])
+def test_assembled_level_matches_schreier_sims(source, p):
+    # Schreier-Sims on the images of all of N's generators and t is the
+    # oracle for the level the step assembles from N's chain on fewer
+    # generators, and GroupHom on the shift's images for the conjugation
+    induced = []
+    for level, step in _tower_steps(source, p):
+        sd = step.sd
+        h = sd.group
+        ref = PermGroup(h.degree, sd.n_gen_perms + sd.h_gen_perms)
+        assert h.order == ref.order == step.record.group_order
+        assert h.elements() == ref.elements()
+        assert all(g in ref for g in h.gens) and all(g in h for g in ref.gens)
+        n = sd.n_group
+        shift = GroupHom(n, n, _shift_images(level, step))
+        assert all(step.alpha(x) == shift.image(x) for x in n.elements())
+        induced.append(sd.induced)
+        if sd.induced:
+            # |L.gens| + 2 generators when q != p, |L.gens| + 1 when q = p
+            k = len(step.cpp.quotient.gen_images) // step.q
+            assert len(h.gens) == k + (2 if step.record.case == "q!=p" else 1)
+    assert induced[-1] or source == "C2"     # one tiny, regular step
+
+
+def test_a_wrong_rotation_is_refused(monkeypatch):
+    # the q = p step over the eight group at p = 3 with the rotation taken
+    # the other way round: it conjugates coordinate i into i - 1
+    level = gagola_step(_base_level(), 2, 3).level
+    real = CentralPowerResult.rotation
+    monkeypatch.setattr(CentralPowerResult, "rotation",
+                        lambda self: pinv(real(self)))
+    with pytest.raises(VerificationFailed, match="does not induce the shift"):
+        gagola_step(level, 3, 3)
+
+
+def test_a_corrupted_assembled_chain_fails_before_its_order_is_read(monkeypatch):
+    # the last step of the S3 tower at p = 5 with one transversal element
+    # of H's first level times a transposition that fixes its point: the
+    # orbits, and so the chain's order, are unchanged, and verify_chain
+    # finds a Schreier generator that does not sift
+    from ctlab import gagola
+
+    level = gagola_step(_base_level(), 3, 5).level
+    real = gagola.split_cyclic_extension
+    orders = []
+
+    def corrupted(*args):
+        sd = real(*args)
+        first = sd.group.chain.levels[0]
+        point = max(first.orbit)
+        a, b = [x for x in range(sd.group.degree) if x != point][-2:]
+        swap = list(range(sd.group.degree))
+        swap[a], swap[b] = b, a
+        first.orbit[point] = pmul(first.orbit[point], tuple(swap))
+        return sd
+
+    monkeypatch.setattr(gagola, "split_cyclic_extension", corrupted)
+    monkeypatch.setattr(gagola, "check_order",
+                        lambda group, *args: orders.append(group.order))
+    with pytest.raises(VerificationFailed, match="does not sift"):
+        gagola_step(level, 2, 5)
+    assert orders == []
+
+
 _CHECKS_UNDER_O = """
 import sys
 from fractions import Fraction
@@ -347,12 +433,19 @@ real = gagola._chief_step
 gagola._chief_step = lambda g, p: (2, g.subgroup([]))
 expect("coset", lambda: gagola.gagola_tower(elem_abelian(2, 2), 3), "no coset")
 gagola._chief_step = real
-# a shift whose order is read one too high
-real = gagola.GroupHom.automorphism_order
-gagola.GroupHom.automorphism_order = lambda self: real(self) + 1
-expect("shift_order", lambda: gagola.gagola_tower(cyclic(2), 3),
+# the q = p step of the C6 tower at p = 2 with every coordinate shifted by
+# 0: the rotation induces the identity, whose order is 1, not q
+real = gagola.CentralPowerResult.shift
+gagola.CentralPowerResult.shift = lambda self: list(self.quotient.gen_images)
+expect("shift_order", lambda: gagola.gagola_step(level, 2, 2),
        "the shift has order q")
-gagola.GroupHom.automorphism_order = real
+gagola.CentralPowerResult.shift = real
+# the q != p step of the C2 tower at p = 3 with every element read as of
+# order 1: Z(L) has no element of order q
+real = gagola.perm_order
+gagola.perm_order = lambda x: 1
+expect("no_z", lambda: gagola.gagola_tower(cyclic(2), 3), "no element of order q")
+gagola.perm_order = real
 
 s3 = character_table(PermGroup(3, [(1, 0, 2), (1, 2, 0)]))
 expect("degree_of", lambda: modrep._degree_of((rational(Fraction(1, 2)),)))
@@ -378,7 +471,7 @@ def test_tower_checks_survive_python_O():
                          capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["irreducible", "degree_square", "faithful",
                                   "shift", "outside_n", "order", "lambda",
-                                  "coset", "shift_order", "degree_of",
+                                  "coset", "shift_order", "no_z", "degree_of",
                                   "cartan", "blocks", "count", "coefficient"]
 
 
@@ -415,6 +508,20 @@ def test_chief_step_checks_survive_python_O():
     assert out.stdout.split() == [
         "primes:nontrivial_solvable_groups_have_a_prime_quotient",
         "kernels:an_index-2_kernel_generated_order_6,_expected_3"]
+
+
+@pytest.mark.parametrize("p, degenerate", [(5, []), (2, ["C2"])])
+def test_tower_demo_runs(p, degenerate):
+    # the demo script, run as its usage line says: every certificate it
+    # prints is verified, and a degenerate source is reported as such
+    root = Path(gagola_tower.__code__.co_filename).resolve().parents[2]
+    out = subprocess.run([sys.executable, "scripts/tower_demo.py", str(p)],
+                         cwd=root, capture_output=True, text=True, check=True)
+    heads = [line for line in out.stdout.splitlines() if f" at p={p}: " in line]
+    assert [line.split()[0] for line in heads] == ["C2", "C3", "C6", "S3"]
+    assert [line.split()[0] for line in heads if "degenerate" in line] == degenerate
+    assert all("verified = True" in line for line in heads
+               if line.split()[0] not in degenerate)
 
 
 def test_reproduce_c3_p3_via_c6():

@@ -35,12 +35,13 @@ re-checks the witness the last step carried, so the C6 tower at p = 2
 makes no ``character_table`` call and runs no Fong-Swan pass.  A tower step reads N inside H off the
 semidirect realization: the S3 tower at p = 5 builds no N -> H
 homomorphism, and its class scans and homomorphisms are counted; a level
-carries its own map into H, so the same tower takes no quotient and
-realises H/Z once, and both are counted.  The same
+carries its own map into H, so the same tower takes no quotient, and the
+shift is a conjugation, so it builds no homomorphism at all.  The same
 tower's lifts through a coset action, class-scan conjugations and ``pmul``
 calls are counted too: a q != p step lifts one element per class, the class
 scans walk the generators that enlarged the chain, and a direct product's
-chain is assembled from its factors'.
+chain is assembled from its factors'.  A level's chain is carried from
+N's: no group of the last level's order is built by Schreier-Sims.
 
 No module in ``src/ctlab`` or ``tests`` imports a name it never uses,
 except on a line marked ``# noqa: F401`` (a re-export).  No function in
@@ -449,9 +450,10 @@ def test_tower_table_ratchet(monkeypatch):
 # C_q -> H homomorphism (7 scans and 9 homomorphisms in all before); a
 # level carries its map into H itself, and the certificate checks the last
 # one inside G x H, so no level builds a G/M quotient, an H/Z or a
-# homomorphism into it; the 2 homomorphisms left are the steps' shifts
+# homomorphism into it; and the shift is a conjugation checked on N's
+# generators, so no step builds it as a homomorphism (2 before)
 TOWER_SCAN_CEILING = 5
-TOWER_HOM_CEILING = 2
+TOWER_HOM_CEILING = 0
 TOWER_QUOTIENT_CALLS = 0
 
 
@@ -483,12 +485,13 @@ def test_tower_reads_n_off_the_realization(monkeypatch):
 # representative of H that lies in N once, where it lifted all q conjugates
 # of each (376 lifts); a class scan conjugates every element by the
 # generators that enlarged the chain, where it took every generator
-# (27,678 conjugations, the sum of |G| times their number); and the
-# products are assembled from their factors' chains (19,271 pmul calls
-# before all three)
+# (27,678 conjugations, the sum of |G| times their number); products are
+# assembled from their factors' chains (19,271 pmul calls before all
+# three); and H's chain is carried from N's, with the shift a conjugation
+# and no image group (16,657 pmul calls before)
 TOWER_LIFT_CEILING = 104
 TOWER_CONJUGATION_CEILING = 15_852
-TOWER_PMUL_CEILING = 16_800
+TOWER_PMUL_CEILING = 12_576
 
 
 def test_tower_step_work_ratchet(monkeypatch):
@@ -509,6 +512,33 @@ def test_tower_step_work_ratchet(monkeypatch):
     assert len(lifts) <= TOWER_LIFT_CEILING, len(lifts)
     assert sum(conjugations) <= TOWER_CONJUGATION_CEILING, sum(conjugations)
     assert calls <= TOWER_PMUL_CEILING, calls
+
+
+# groups that Schreier-Sims builds at the order of a tower's last level,
+# in the S3 tower at p = 5 and the C6 tower at p = 2: the level's chain is
+# N's, carried into H, so none (the semidirect product built one before)
+TOWER_TOP_BUILDS = 0
+
+
+def test_tower_top_level_is_assembled(monkeypatch):
+    from ctlab import permgroup
+    from ctlab.forge import cyclic
+    from ctlab.gagola import gagola_tower
+
+    s3 = permgroup.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
+    real = permgroup.PermGroup.__init__
+    orders = []
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        orders.append(self.order)
+
+    monkeypatch.setattr(permgroup.PermGroup, "__init__", recording)
+    for g, p in [(s3, 5), (cyclic(6), 2)]:
+        orders.clear()
+        cert = gagola_tower(g, p)
+        assert cert.ok
+        assert orders.count(cert.tower.order) == TOWER_TOP_BUILDS, orders
 
 
 def _unused_imports(path):
