@@ -15,13 +15,7 @@ degrees and orders of its inputs:
 
 Both are validated by an exact order count |N : H| = |N| |H|, so an action
 that fails to extend to a homomorphism is rejected rather than silently
-generating a larger group.  ``split_cyclic_extension`` takes H = C_q and
-an automorphism that its caller has proved, as a map on N's elements; it
-assembles the induced realization's chain from N's and claims no order
-before ``elements()`` has verified that chain.  Either realization shows
-where N lies: ``SemidirectResult.n_part`` reads an element of N off its
-image, and ``n_image`` writes the image of one, with no homomorphism
-N -> N : H.
+generating a larger group.
 
 The central product power U = K^q / W, W the product-one subgroup of
 Z(K)^q, acts on the right cosets of A^q W, where A is a core-free subgroup
@@ -34,11 +28,14 @@ The order check |U| = |K|^q / |Z(K)|^(q-1) confirms that the kernel is W.
 A cyclic extension of N by <t> with t g t^-1 = alpha(g) and t^n = x in N
 acts on n copies of N's domain, the action induced from N's own: for a
 regular N this is the right translation on the normal forms g t^i.
+``split_cyclic_extension`` builds the split one, N : C_q, from an
+automorphism that its caller has proved, and assembles its chain from N's.
+``CyclicExtensionResult.n_part`` and ``n_image`` map between N and either
+extension with no homomorphism.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -239,10 +236,7 @@ def _matvec(m, v, q):
 
 @dataclass
 class SemidirectResult:
-    """N : H as ``semidirect`` or ``split_cyclic_extension`` realized it,
-    with two exact maps read off the realization: ``n_part(h)`` is n when
-    h is the image of n in N and None otherwise, and ``n_image(n)`` is the
-    image of n.  Neither builds a homomorphism; ``n_hom`` and ``h_hom`` are
+    """N : H as ``semidirect`` realized it; ``n_hom`` and ``h_hom`` are
     N -> group and H -> group as verified ``GroupHom``s, built on first
     use."""
     group: PermGroup
@@ -250,7 +244,6 @@ class SemidirectResult:
     h_gen_perms: list = field(repr=False)   # images of H's generators
     n_group: PermGroup = field(repr=False)
     n_gen_perms: list = field(repr=False)   # images of N's generators
-    induced: bool                   # the induced realization, else the regular
 
     @cached_property
     def n_hom(self) -> GroupHom:
@@ -262,56 +255,10 @@ class SemidirectResult:
         """H -> group."""
         return GroupHom(self.h_group, self.group, self.h_gen_perms)
 
-    def n_part(self, h):
-        """n when h = n k, n in N and k in H, has k = 1; else None.
-
-        Induced: the copies follow H's sorted elements, so copy 0 belongs
-        to the identity, where alpha_1 = id.  n k maps copy y to copy
-        k^-1 y, so it keeps copy 0 exactly when k = 1, and it then acts on
-        copy 0 as n.  Regular: n k fixes every point of H's domain exactly
-        when k = 1, as H acts faithfully there; then it is the right
-        translation by n, which sends the identity, the first of N's sorted
-        elements, to n."""
-        if self.induced:
-            d = self.n_group.degree
-            return tuple(h[:d]) if h[0] < d else None
-        size = self.n_group.order
-        if h[size:] != self.group.identity[size:]:
-            return None
-        return self.n_group.elements()[h[0]]
-
-    def n_image(self, n):
-        """The image of n in the group, read off the group's chain by the
-        images of its base points (``StabilizerChain.from_base_images``);
-        an element is determined by those.
-
-        Induced: only the identity fixes copy 0 pointwise (it keeps copy 0,
-        so it lies in N, and acts there as itself), so every nontrivial
-        element moves a point of copy 0, and the chain's base, each point
-        the least one that a strong generator moves, lies in copy 0, where
-        the image of n acts as n.  Regular: the image of n is the right
-        translation by n, which sends the point of m to the point of m n
-        (N's elements are sorted) and fixes H's points.  The element found
-        must give n back under ``n_part``, or NotASubgroup is raised."""
-        n = tuple(n)
-        base = self.group.chain.base
-        if self.induced:
-            images = [n[b] for b in base]
-        else:
-            n_elems = self.n_group.elements()
-            images = [b if b >= len(n_elems)
-                      else bisect_left(n_elems, pmul(n_elems[b], n)) for b in base]
-        image = self.group.chain.from_base_images(images)
-        if image is None or self.n_part(image) != n:
-            raise NotASubgroup("the element does not lie in N")
-        return image
-
 
 def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResult:
     """N : H for automorphisms of N given per H-generator, realized on the
     induced action when |H| deg N < |N| + deg H and regularly otherwise.
-    The result maps between N and the group without a homomorphism
-    (``SemidirectResult.n_part`` and ``n_image``).
 
     Raises ActionNotWellDefined when the generator assignment does not
     extend to a homomorphism H -> Aut(N).  The order count, with the
@@ -330,73 +277,17 @@ def semidirect(n_group: PermGroup, h_group: PermGroup, autos) -> SemidirectResul
         if not (a.source is n_group and a.target is n_group
                 and a.is_automorphism()):
             raise ActionNotWellDefined("action images must be automorphisms of N")
-    return _realize(n_group, h_group, [a.image for a in autos])
-
-
-def _induced_is_smaller(n_group: PermGroup, h_group: PermGroup) -> bool:
-    """Whether the induced realization of N : H has fewer points than the
-    regular one; BudgetExceeded when the smaller has over MAX_POINTS."""
     induced = h_group.order * n_group.degree
     regular = n_group.order + h_group.degree
     check_points(min(induced, regular), "the semidirect product N : H")
-    return induced < regular
-
-
-def _realize(n_group, h_group, maps):
-    """N : H on the smaller realization, H's generators acting by
-    ``maps`` (functions on N's elements), with the order count."""
-    induced = _induced_is_smaller(n_group, h_group)
-    if induced:
-        degree, n_perms, h_perms = _induced_action(n_group, h_group, maps)
-    else:
-        degree, n_perms, h_perms = _regular_action(n_group, h_group, maps)
+    realize = _induced_action if induced < regular else _regular_action
+    degree, n_perms, h_perms = realize(n_group, h_group, [a.image for a in autos])
     grp = PermGroup(degree, n_perms + h_perms)
     if grp.order != n_group.order * h_group.order:
         raise ActionNotWellDefined(
             f"generated order {grp.order} != {n_group.order * h_group.order}; "
             f"the action does not extend to a homomorphism")
-    return SemidirectResult(grp, h_group, h_perms, n_group, n_perms, induced)
-
-
-def split_cyclic_extension(n_group: PermGroup, q: int, alpha,
-                           gens) -> SemidirectResult:
-    """N : C_q with the generator t of C_q acting as alpha, an automorphism
-    of N with alpha^q = 1 given as a map on N's elements; the caller has
-    proved that it is one.
-
-    The regular realization is ``semidirect``'s, with its order count.
-    The induced one is assembled: copy c of N's domain carries n as
-    alpha^c(n), and t moves copy c to copy c - 1, as in ``semidirect``.
-    Its chain is N's, carried (``_carried_chain``), with t on the first
-    level.  The base stays in copy 0, and the stabilizer H_(b_0) of its
-    first point is N_(b_0): an element n t^j sends copy 0 to copy -j, so
-    it fixes b_0 only when j = 0, and n acts on copy 0 as n.  The group
-    is generated by t and the images of ``gens``, elements of N whose
-    alpha-images generate N.  No order is claimed: the caller reads it
-    after ``elements()`` has verified the chain and that these generators
-    generate its group.
-    """
-    h_group = cyclic(q)
-    if not _induced_is_smaller(n_group, h_group):
-        return _realize(n_group, h_group, [alpha])
-    d, memo = n_group.degree, {}
-
-    def carry(n):
-        image = memo.get(n)
-        if image is None:
-            copies = [n]
-            for _ in range(q - 1):
-                copies.append(alpha(copies[-1]))
-            image = memo[n] = tuple([c * d + x for c, g in enumerate(copies)
-                                     for x in g])
-        return image
-
-    t = tuple(((c - 1) % q) * d + x for c in range(q) for x in range(d))
-    n_perms = [carry(g) for g in n_group.gens]
-    h_gens = tuple(map(carry, gens)) + (t,)
-    grp = PermGroup.__new__(PermGroup)
-    grp._adopt(h_gens, _carried_chain(n_group, q * d, carry, t), h_gens)
-    return SemidirectResult(grp, h_group, [t], n_group, n_perms, True)
+    return SemidirectResult(grp, h_group, h_perms, n_group, n_perms)
 
 
 def _induced_action(n_group, h_group, maps):
@@ -653,6 +544,12 @@ def cyclic_extension_exists(n_group: PermGroup, alpha: GroupHom, n: int):
 
 @dataclass
 class CyclicExtensionResult:
+    """A cyclic extension H of N on copies of N's domain, as
+    ``cyclic_extension_build`` or ``split_cyclic_extension`` realized it:
+    copy c carries n as alpha^c(n), copy 0 holds the lowest points, and an
+    element n t^j keeps copy 0 only when t^j lies in N.  ``n_part`` and
+    ``n_image`` map between N and H off that layout, with no homomorphism;
+    ``n_hom`` is N -> H as a verified ``GroupHom``, built on first use."""
     group: PermGroup
     t_element: tuple                # the distinguished generator mapping onto C_n
     n_group: PermGroup = field(repr=False)
@@ -662,6 +559,25 @@ class CyclicExtensionResult:
     def n_hom(self) -> GroupHom:
         return GroupHom(self.n_group, self.group, self.n_images)
 
+    def n_part(self, h):
+        """n when h is the image of n in N; else None.  h keeps copy 0
+        exactly when it lies in N, and it then acts on copy 0 as n."""
+        d = self.n_group.degree
+        return tuple(h[:d]) if h[0] < d else None
+
+    def n_image(self, n):
+        """The image of n, read off the chain by the images of its base
+        points (``StabilizerChain.from_base_images``).  Every nontrivial
+        element moves a point of copy 0 (one that fixes it pointwise lies
+        in N and acts there as itself), so each base point, the least one
+        that a strong generator moves, lies in copy 0, where the image of n
+        acts as n.  NotASubgroup unless ``n_part`` gives n back."""
+        n, chain = tuple(n), self.group.chain
+        image = chain.from_base_images([n[b] for b in chain.base])
+        if image is None or self.n_part(image) != n:
+            raise NotASubgroup("the element does not lie in N")
+        return image
+
 
 def cyclic_extension_build(n_group: PermGroup, alpha: GroupHom, n: int,
                            x) -> CyclicExtensionResult:
@@ -669,6 +585,9 @@ def cyclic_extension_build(n_group: PermGroup, alpha: GroupHom, n: int,
     and t^n = x, on the induced action of degree n deg N: g in N acts on
     copy i of N's domain as alpha^i(g), and t moves copy i to copy i + 1,
     through x from copy n - 1 to copy 0."""
+    if n < 1:
+        raise UnsupportedFamily("cyclic extensions need n >= 1")
+    check_points(n * n_group.degree, "the cyclic extension")
     x = tuple(x)
     if not cyclic_extension_exists_check(n_group, alpha, n, x):
         raise InvalidWitness("witness does not satisfy the extension conditions")
@@ -690,6 +609,41 @@ def cyclic_extension_build(n_group: PermGroup, alpha: GroupHom, n: int,
         if pmul(pmul(t, g_perm), ti) != on_copies(col[1:]):
             raise InvalidWitness("distinguished generator does not act as alpha")
     return CyclicExtensionResult(grp, t, n_group, gens)
+
+
+def split_cyclic_extension(n_group: PermGroup, q: int, alpha,
+                           gens) -> CyclicExtensionResult:
+    """N : C_q with the generator t of C_q acting as alpha, an automorphism
+    of N with alpha^q = 1 given as a map on N's elements; the caller has
+    proved that it is one.
+
+    t moves copy c to copy c - 1, so t^-1 n t = alpha(n).  The chain is
+    N's, carried (``_carried_chain``), with t on the first level: the base
+    stays in copy 0, and H_(b_0) = N_(b_0), as n t^j sends copy 0 to copy
+    -j and n acts on copy 0 as n.  The group is generated by t and the
+    images of ``gens``, elements of N whose alpha-images generate N.  No
+    order is claimed: the caller reads it after ``elements()`` has
+    verified the chain and that these generators generate its group.
+    """
+    d, memo = n_group.degree, {}
+    check_points(q * d, "the semidirect product N : C_q")
+
+    def carry(n):
+        image = memo.get(n)
+        if image is None:
+            copies = [n]
+            for _ in range(q - 1):
+                copies.append(alpha(copies[-1]))
+            image = memo[n] = tuple([c * d + x for c, g in enumerate(copies)
+                                     for x in g])
+        return image
+
+    t = tuple(((c - 1) % q) * d + x for c in range(q) for x in range(d))
+    n_perms = [carry(g) for g in n_group.gens]
+    h_gens = tuple(map(carry, gens)) + (t,)
+    grp = PermGroup.__new__(PermGroup)
+    grp._adopt(h_gens, _carried_chain(n_group, q * d, carry, t), h_gens)
+    return CyclicExtensionResult(grp, t, n_group, n_perms)
 
 
 def cyclic_extension_exists_check(n_group, alpha, n, x) -> bool:

@@ -32,15 +32,13 @@ q, and that alpha^q = 1 != alpha on N's generators.  alpha is then an
 automorphism of N of order q: it is injective and maps N's generators
 into N.  No homomorphism or image group is built.
 
-H's chain is N's, carried (``forge.split_cyclic_extension``).  In the
-induced realization n acts on copy c of N's domain as alpha^c(n), and t
-moves copy c to copy c - 1.  So n t^j sends copy 0 to copy -j, and it
-fixes N's first base point b_0, in copy 0, only when j = 0: H_(b_0) =
-N_(b_0), and the levels past the first are N's.  t joins the first level,
-whose orbit grows q-fold, and no Schreier generator is sifted.
-``elements()`` verifies the chain before the step reads |H|.  Only the
-first, tiny steps take the regular realization, which Schreier-Sims
-builds.
+H's chain is N's, carried (``forge.split_cyclic_extension``).  H acts on
+q copies of N's domain: n acts on copy c as alpha^c(n), and t moves copy
+c to copy c - 1.  So n t^j sends copy 0 to copy -j, and it fixes N's
+first base point b_0, in copy 0, only when j = 0: H_(b_0) = N_(b_0), and
+the levels past the first are N's.  t joins the first level, whose orbit
+grows q-fold, and no Schreier generator is sifted.  ``elements()``
+verifies the chain before the step reads |H|.
 
 H is generated by t, y when q != p, and coordinate 0's generators
 pi(emb(0, g)), g in L's generators: t^-i n t^i = alpha^i(n) carries
@@ -72,9 +70,9 @@ outside N, for Brauer characters as for ordinary ones.  For h = u y^j,
 alpha^i(h) = alpha^i(u) (z_0 ... z_(i-1))^j y^j, alpha the action of t on
 N, and tau is shift-invariant, so theta^H(h) = q tau(u) when j = 0 and 0
 otherwise: one lift of each class gives the whole sum.  ``n_part`` of the
-semidirect realization tells which elements of H lie in N, and as what;
-``n_image`` carries N into H for the embedding; no class list or
-homomorphism of N is built.
+realization (``forge.CyclicExtensionResult``) tells which elements of H
+lie in N, and as what; ``n_image`` carries N into H for the embedding; no
+class list or homomorphism of N is built.
 
 A level carries ``embed``, a memoised map from the chain subgroup G it
 covers into H, a section of an injective homomorphism G -> H/Z(H).  With
@@ -114,8 +112,9 @@ from .chartab import ClassFunction, inner_product
 from .cyclo import ONE, ZERO, is_prime, prime_factors, rational, zeta
 from .errors import (BudgetExceeded, DegenerateStep, NotAPrime, NotSolvable,
                      VerificationFailed)
-from .forge import (CentralPowerResult, central_product_power, cyclic,
-                    split_cyclic_extension, trivial_group)
+from .forge import (CentralPowerResult, CyclicExtensionResult,
+                    central_product_power, cyclic, split_cyclic_extension,
+                    trivial_group)
 from .homs import _pair
 from .modrep import faithful_brauer_values, p_regular_classes, _degree_of
 from .permgroup import SCAN_LIMIT, ClassData, PermGroup, StabilizerChain, \
@@ -252,9 +251,8 @@ def _cyclic_dlog(elem, q):
 class _StepData:
     level: TowerLevel
     record: StepRecord
-    sd: object                # semidirect result for H = N : <t>
+    ext: CyclicExtensionResult      # H = N : <t>
     cpp: CentralPowerResult
-    t: tuple                  # distinguished order-q generator of H
     alpha: object             # the shift n -> t^-1 n t, a map on N
     l_embed: object           # K -> L embedding (identity when not augmented)
     n_embed: object           # U-element -> N-element (identity when q = p)
@@ -351,12 +349,12 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     for _ in range(q - 1):
         power = [alpha(g) for g in power]
     _verify(power == list(n_grp.gens) != images, "the shift has order q")
-    sd = split_cyclic_extension(n_grp, q, alpha, seeds)
+    ext = split_cyclic_extension(n_grp, q, alpha, seeds)
 
-    h_grp = sd.group
+    h_grp = ext.group
     h_grp.elements()        # verifies the chain before its order is read
     check_order(h_grp, predicted, f"the tower level of step {depth}")
-    t = sd.h_gen_perms[0]
+    t = ext.t_element
     z_h = h_grp.center()
 
     eq3 = None
@@ -385,7 +383,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
         def extended(h):
             vals = []
             for _ in range(q):
-                n_elem = sd.n_part(h)
+                n_elem = ext.n_part(h)
                 _verify(n_elem is not None, "p-regular class outside N")
                 vals.append(tau(n_elem))
                 h = pmul(pmul(ti, h), t)
@@ -402,7 +400,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
         _verify(lam in roots[1:], "lambda(z) is not a primitive q-th root of unity")
 
         def induced(h):
-            n_elem = sd.n_part(h)
+            n_elem = ext.n_part(h)
             if n_elem is None:
                 return ZERO
             u_elem, y_elem = split_n(n_elem)
@@ -423,7 +421,7 @@ def gagola_step(level: TowerLevel, q: int, p: int, depth=0) -> _StepData:
     new_level = TowerLevel(h_grp, cd_h, regular_h, mu_values, z_h, None)
     record = StepRecord(q, "q=p" if q == p else "q!=p", augmented,
                         h_grp.order, z_h.order, deg, method, eq3)
-    return _StepData(new_level, record, sd, cpp, t, alpha, l_embed, n_embed, q)
+    return _StepData(new_level, record, ext, cpp, alpha, l_embed, n_embed, q)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +436,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
     _verify(x is not None, "every generator of G lies in M")
     powers = [ppow(x, a) for a in range(q)]
     inverses = [ppow(x, -a) for a in range(q)]
-    t_powers = [ppow(step.t, j) for j in range(q)]
+    t_powers = [ppow(step.ext.t_element, j) for j in range(q)]
     memo = {}
 
     def embed(g):
@@ -450,7 +448,7 @@ def _extend_embedding(step: _StepData, prev: TowerLevel, g_grp: PermGroup,
                 pmul(pmul(powers[a], g), inverses[(a + j) % q])))
                 for a in range(q)]
             n_elt = step.n_embed(step.cpp.project_tuple(coords))
-            h = memo[g] = pmul(step.sd.n_image(n_elt), t_powers[j])
+            h = memo[g] = pmul(step.ext.n_image(n_elt), t_powers[j])
         return h
 
     return embed

@@ -16,12 +16,12 @@ pairs), so two kinds of chain are assembled, with no Schreier generator
 sifted:
 
 * a direct product or power's, from the factors' chains, each factor's
-  levels after the levels of the factors before it (``_side_by_side``);
-  it has the base, orbits and transversals that Schreier-Sims builds on
-  the same generators;
-* a split extension N : C_q's on the induced realization, N's levels
+  levels after the levels of the factors before it (``_side_by_side``),
+  Schreier-Sims's own chain when the factors' chains are Schreier-Sims's;
+* a split extension N : C_q's on q copies of N's domain, N's levels
   carried in, the top generator added to the first level and the orbits
-  regrown (``_carried_chain``, for ``forge.split_cyclic_extension``).
+  regrown (``_carried_chain``, for ``forge.split_cyclic_extension``;
+  ``forge.CyclicExtensionResult`` maps N in and out).
 
 Classes, center, cores and Sylow subgroups canonicalize their output and
 therefore do not depend on chain internals.  The centre is read off the classes: its
@@ -975,18 +975,20 @@ def _side_by_side(factors):
     The chain is assembled, and no Schreier generator is sifted: the
     levels of the first factor's chain, then those of the second, and so
     on, each with its base point, orbit, transversal elements and strong
-    generators mapped in.  It is the chain that ``PermGroup`` builds by
-    extending by each generator in turn, up to the strong generator lists
-    of the levels.  A factor's generators fix the points of the factors
-    before it, so Schreier-Sims runs on the levels past those as it ran
-    on the factor's own chain, with the same least moved points as bases
-    and the same sorted orbits; at the earlier levels they commute with
-    every transversal element, so each Schreier generator u_t s u_t^-1 = s
-    sifts at once, and they leave the orbits and transversals as they
-    are.  That build also lists a factor's generators at the earlier
-    levels; here they are listed at the factor's levels only.
-    ``verify_chain`` takes the strong generators of a level to be those
-    of it and all later levels, so it reads the same sets, and nothing
+    generators mapped in.  When each factor's chain is Schreier-Sims's,
+    this is the chain that ``PermGroup`` builds by extending by each
+    generator in turn, up to the strong generator lists of the levels; a
+    carried factor (``_carried_chain``) brings its own levels, which a
+    rebuilt chain need not share.  A factor's generators fix the points of
+    the factors before it, so Schreier-Sims runs on the levels past those
+    as it ran on the factor's own chain, with the same least moved points
+    as bases and the same sorted orbits; at the earlier levels they
+    commute with every transversal element, so each Schreier generator
+    u_t s u_t^-1 = s sifts at once, and they leave the orbits and
+    transversals as they are.  That build also lists a factor's generators at the
+    earlier levels; here they are listed at the factor's levels only.
+    ``verify_chain`` takes the strong generators of a level to be those of
+    it and all later levels, so it reads the same sets, and nothing
     extends a group's chain (``_adopt`` clears the sifted pairs), so no
     other reader sees the lists.  The generators that enlarge the chain
     are the factors' ``chain_gens``, mapped in.  No order is claimed:

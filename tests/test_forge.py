@@ -15,7 +15,7 @@ from ctlab.forge import (central_product_power, cyclic, cyclic_extension_build,
                          cyclic_extension_exists, dihedral, elem_abelian,
                          extraspecial, kk_embedding, mat_group, mobius_perm,
                          psl2, quaternion, semidirect, sl2, wreath)
-from ctlab.gagola import gagola_tower
+from ctlab.gagola import _base_level, gagola_step, gagola_tower
 from ctlab.homs import GroupHom
 from ctlab.permgroup import PermGroup, direct_product
 from ctlab.perms import conj, order as porder, parse_cycles, pinv, pmul, ppow
@@ -170,22 +170,44 @@ def test_semidirect_realisations_agree(name):
     assert seen[0][0] == n.order * h.order
 
 
-@pytest.mark.parametrize("name", sorted(SEMIDIRECT_DEGREES))
+def _cyclic_extension_case(name):
+    """A cyclic extension, as ``cyclic_extension_build`` or the last step of
+    a Gagola tower (``tower-<source>-<p>``) builds it."""
+    if name.startswith("tower-"):
+        primes, p = {"tower-S3-5": ((3, 2), 5), "tower-C6-2": ((3, 2), 2),
+                     "tower-C2-3": ((2,), 3)}[name]
+        level = _base_level()
+        for q in primes:
+            step = gagola_step(level, q, p)
+            level = step.level
+        return step.ext
+    if name == "PSL27xC7:C2":
+        n, auto = _psl27_c7(pinv)
+        return cyclic_extension_build(n, auto, 2, n.identity)
+    # C_m extended by t^n = g^x, t acting as g -> g^e
+    m, e, n, x = {"S3": (3, -1, 2, 0), "C8": (4, 1, 2, 1), "Q8": (4, -1, 2, 2),
+                  "C7:C3": (7, 2, 3, 0)}[name]
+    c = cyclic(m)
+    auto = GroupHom(c, c, [ppow(c.gens[0], e)])
+    return cyclic_extension_build(c, auto, n, ppow(c.gens[0], x))
+
+
+@pytest.mark.parametrize("name", ["C7:C3", "C8", "PSL27xC7:C2", "Q8", "S3",
+                                  "tower-C2-3", "tower-C6-2", "tower-S3-5"])
 def test_semidirect_maps_agree_with_the_homomorphism(name):
-    # n_part and n_image are read off the realization; the verified n_hom
-    # is the reference
-    n, h, autos = _semidirect_case(name)
-    sd = semidirect(n, h, autos)
-    assert sd.induced == (name.startswith("PSL27"))
+    # n_part and n_image are read off a cyclic extension's realization; the
+    # verified n_hom is the reference
+    ext = _cyclic_extension_case(name)
+    n = ext.n_group
     for x in n.elements():
-        image = sd.n_image(x)
-        assert image == sd.n_hom.image(x)
-        assert sd.n_part(image) == x
-    assert sum(sd.n_part(g) is not None for g in sd.group.elements()) == n.order
-    swap = (1, 0) + tuple(range(2, n.degree))
-    assert swap not in n
+        image = ext.n_image(x)
+        assert image == ext.n_hom.image(x)
+        assert ext.n_part(image) == x
+    assert sum(ext.n_part(g) is not None for g in ext.group.elements()) == n.order
+    swaps = (tuple(b if x == a else a if x == b else x for x in range(n.degree))
+             for a in range(n.degree) for b in range(a + 1, n.degree))
     with pytest.raises(NotASubgroup):
-        sd.n_image(swap)
+        ext.n_image(next(w for w in swaps if w not in n))
 
 
 def test_semidirect_induced_path_rejects_non_action():

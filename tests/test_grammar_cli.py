@@ -182,6 +182,8 @@ def test_cli_rejects_misshapen_matrices(capsys, spec, message):
      "expected a list of permutation lists, got '[5]'"),
     (["table", "-e", "Affine(3, 1, [[5]])"],
      "expected a list of integer matrices, got '[[5]]'"),
+    (["table", "-e", "CyclicExt(Cyclic(3), [(1 3 2)], 0, ())"],
+     "cyclic extensions need n >= 1"),
 ])
 def test_cli_rejects_bad_primes_and_constructions(capsys, argv, message):
     code = main(argv)
@@ -232,6 +234,7 @@ def test_cli_budget_exit_code(capsys):
     "Dihedral(2000000000)", "Extraspecial(1009, plus)",
     "Affine(3, 1000000000, [])", "mat GF(1009) { [[1, 1], [0, 1]] }",
     "PSL(2, 100003)", "Wreath(Cyclic(400), 400)",
+    "CyclicExt(Cyclic(3), [(1 3 2)], 1000000000, ())",
 ])
 def test_cli_domain_bound_before_allocation(capsys, spec):
     # each domain is checked against MAX_POINTS before a point is built

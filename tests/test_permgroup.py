@@ -394,42 +394,64 @@ def _chain_levels(chain):
     return [(lvl.base, list(lvl.orbit.items())) for lvl in chain.levels]
 
 
+def _mapped_levels(factors):
+    """The chain levels of the product of ``factors`` as their own levels,
+    each factor moved onto the points after those of the factors before
+    it."""
+    degree = sum(f.degree for f in factors)
+    levels, offset = [], 0
+    for f in factors:
+        head, tail = tuple(range(offset)), tuple(range(offset + f.degree, degree))
+        levels += [(lvl.base + offset,
+                    [(t + offset, head + tuple(offset + x for x in u) + tail)
+                     for t, u in lvl.orbit.items()])
+                   for lvl in f.chain.levels]
+        offset += f.degree
+    return levels
+
+
 def test_product_chains_equal_the_built_chains(corpus, monkeypatch):
-    # A x B and A^q assemble their chains from the factors' chains; a
-    # Schreier-Sims on the same generators builds the same base, orbit
-    # points in order and transversal elements, keeps the same generators,
-    # and elements() accepts the assembled chain.  The towers' L = K x C_q
-    # (augmented steps), K^q and N = U x C_q are taken as the steps build
-    # them.
+    # A x B and A^q assemble their chains from the factors' chains: each
+    # product has its factors' levels, mapped in.  Where the factors' chains
+    # are Schreier-Sims's, as in the corpus, a Schreier-Sims on the same
+    # generators builds the same base, orbit points in order and transversal
+    # elements, and keeps the same generators; a tower's factors may carry
+    # assembled chains, so there the rebuilt chain is checked only to list
+    # the same group.  The towers' L = K x C_q (augmented steps), K^q and
+    # N = U x C_q are taken as the steps build them.
     built = []
 
-    def recorded(real):
+    def recorded(real, factors):
         def run(*args):
             out = real(*args)
-            built.append(out[0])
+            built.append((out[0], factors(*args)))
             return out
         return run
 
-    monkeypatch.setattr(ctlab.gagola, "direct_product",
-                        recorded(ctlab.gagola.direct_product))
-    monkeypatch.setattr(ctlab.forge, "direct_power",
-                        recorded(ctlab.forge.direct_power))
+    monkeypatch.setattr(ctlab.gagola, "direct_product", recorded(
+        ctlab.gagola.direct_product, lambda a, b: [a, b]))
+    monkeypatch.setattr(ctlab.forge, "direct_power", recorded(
+        ctlab.forge.direct_power, lambda a, q: [a] * q))
     gagola_tower(perm_group(3, "(1 2)", "(1 2 3)"), 5)
     gagola_tower(cyclic(6), 2)
     monkeypatch.undo()
-    assert sorted(g.order for g in built) == [3, 3, 9, 9, 27, 27, 54, 729,
-                                              972, 2916]
+    assert sorted(g.order for g, _ in built) == [3, 3, 9, 9, 27, 27, 54, 729,
+                                                 972, 2916]
     s3 = perm_group(3, "(1 2)", "(1 2 3)")
+    corpus_products = []
     for _name, k in corpus:
-        built += [direct_product(k, s3)[0], direct_product(cyclic(2), k)[0]]
+        corpus_products += [(direct_product(k, s3)[0], [k, s3]),
+                            (direct_product(cyclic(2), k)[0], [cyclic(2), k])]
         if k.order <= 60:
-            built.append(direct_power(k, 2)[0])
+            corpus_products.append((direct_power(k, 2)[0], [k] * 2))
         if k.order <= 8:
-            built.append(direct_power(k, 3)[0])
-    for g in built:
+            corpus_products.append((direct_power(k, 3)[0], [k] * 3))
+    for i, (g, factors) in enumerate(built + corpus_products):
+        assert _chain_levels(g.chain) == _mapped_levels(factors), g
         rebuilt = PermGroup(g.degree, g.gens, check=False)
-        assert _chain_levels(g.chain) == _chain_levels(rebuilt.chain), g
-        assert g.chain_gens == rebuilt.chain_gens, g
+        if i >= len(built):
+            assert _chain_levels(g.chain) == _chain_levels(rebuilt.chain), g
+            assert g.chain_gens == rebuilt.chain_gens, g
         assert g.order == rebuilt.order
         if g.order <= 5000:
             assert g.elements() == rebuilt.elements(), g

@@ -33,7 +33,7 @@ counted.  A tower tabulates nothing: a q = p step reads its witness off
 tau by Green's theorem, a q != p step induces it, and the certificate
 re-checks the witness the last step carried, so the C6 tower at p = 2
 makes no ``character_table`` call and runs no Fong-Swan pass.  A tower step reads N inside H off the
-semidirect realization: the S3 tower at p = 5 builds no N -> H
+realization (``CyclicExtensionResult``): the S3 tower at p = 5 builds no N -> H
 homomorphism, and its class scans and homomorphisms are counted; a level
 carries its own map into H, so the same tower takes no quotient, and the
 shift is a conjugation, so it builds no homomorphism at all.  The same
@@ -445,7 +445,7 @@ def test_tower_table_ratchet(monkeypatch):
 
 
 # class scans, homomorphisms and quotients in the S3 tower at p = 5: a step
-# reads N and <t> inside H off the semidirect realization and induces the
+# reads N and <t> inside H off the realization and induces the
 # witness on H's classes, so it lists no class of N and builds no N -> H or
 # C_q -> H homomorphism (7 scans and 9 homomorphisms in all before); a
 # level carries its map into H itself, and the certificate checks the last
@@ -458,24 +458,29 @@ TOWER_QUOTIENT_CALLS = 0
 
 
 def test_tower_reads_n_off_the_realization(monkeypatch):
-    from ctlab import permgroup
-    from ctlab.forge import SemidirectResult
+    from ctlab import gagola, permgroup
+    from ctlab.forge import CyclicExtensionResult
     from ctlab.gagola import gagola_tower
     from ctlab.homs import GroupHom
 
     s3 = permgroup.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
-    homs, n_homs, quotients, certs = [], [], [], []
-    real, real_n_hom = GroupHom.__init__, SemidirectResult.n_hom.func
+    homs, n_homs, quotients, certs, steps = [], [], [], [], []
+    real, real_n_hom = GroupHom.__init__, CyclicExtensionResult.n_hom.func
     real_quotient = permgroup.PermGroup.quotient
+    real_split = gagola.split_cyclic_extension
     monkeypatch.setattr(GroupHom, "__init__",
                         lambda self, *a: homs.append(1) or real(self, *a))
-    monkeypatch.setattr(SemidirectResult, "n_hom", property(
+    monkeypatch.setattr(CyclicExtensionResult, "n_hom", property(
         lambda self: n_homs.append(1) or real_n_hom(self)))
+    monkeypatch.setattr(gagola, "split_cyclic_extension",
+                        lambda *a: steps.append(real_split(*a)) or steps[-1])
     monkeypatch.setattr(permgroup.PermGroup, "quotient", lambda self, n: (
         quotients.append(1) or real_quotient(self, n)))
     scans = _calls_while(permgroup._conjugacy_classes,
                          lambda: certs.append(gagola_tower(s3, 5)), monkeypatch)
     assert certs[0].ok and not n_homs
+    assert len(steps) == 2
+    assert all(isinstance(ext, CyclicExtensionResult) for ext in steps)
     assert scans <= TOWER_SCAN_CEILING, scans
     assert len(homs) <= TOWER_HOM_CEILING, len(homs)
     assert len(quotients) == TOWER_QUOTIENT_CALLS, len(quotients)
@@ -514,31 +519,42 @@ def test_tower_step_work_ratchet(monkeypatch):
     assert calls <= TOWER_PMUL_CEILING, calls
 
 
-# groups that Schreier-Sims builds at the order of a tower's last level,
-# in the S3 tower at p = 5 and the C6 tower at p = 2: the level's chain is
-# N's, carried into H, so none (the semidirect product built one before)
+# groups that Schreier-Sims builds at the order of a tower's last level, and
+# calls of the semidirect product or its regular realization at any level,
+# in the C2 tower at p = 3, the S3 tower at p = 5 and the C6 tower at p = 2:
+# every level's chain is N's, carried into H, so none (the first level
+# took the regular realization, once per tower, before; the semidirect
+# product built the last level before that)
 TOWER_TOP_BUILDS = 0
+TOWER_SEMIDIRECT_CALLS = 0
 
 
 def test_tower_top_level_is_assembled(monkeypatch):
-    from ctlab import permgroup
-    from ctlab.forge import cyclic
+    from ctlab import forge, permgroup
     from ctlab.gagola import gagola_tower
 
     s3 = permgroup.PermGroup(3, [(1, 0, 2), (1, 2, 0)])
     real = permgroup.PermGroup.__init__
-    orders = []
+    orders, calls = [], []
 
     def recording(self, *args, **kwargs):
         real(self, *args, **kwargs)
         orders.append(self.order)
 
+    def counted(name):
+        real_call = getattr(forge, name)
+        monkeypatch.setattr(forge, name,
+                            lambda *a: calls.append(name) or real_call(*a))
+
     monkeypatch.setattr(permgroup.PermGroup, "__init__", recording)
-    for g, p in [(s3, 5), (cyclic(6), 2)]:
+    counted("semidirect")
+    counted("_regular_action")
+    for g, p in [(forge.cyclic(2), 3), (s3, 5), (forge.cyclic(6), 2)]:
         orders.clear()
         cert = gagola_tower(g, p)
         assert cert.ok
         assert orders.count(cert.tower.order) == TOWER_TOP_BUILDS, orders
+    assert len(calls) == TOWER_SEMIDIRECT_CALLS, calls
 
 
 def _unused_imports(path):
